@@ -10,17 +10,25 @@ tables can be loaded and diagnosed.
 
 All subspace computations are exact over rationals and return canonical
 reduced row-echelon bases, so equality of subspaces is plain equality.
-Values are immutable; every operation is a pure function.
+Values are immutable; every operation is a pure function.  Tables
+derived from an algebra (bracket lookups, layer indices, the lower
+central series, the validation report, Carnot layers and nested-bracket
+words) are cached properties of the instance: each is computed at most
+once per instance, and no module-level cache is keyed by an algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from . import linalg
 from .linalg import rref, reduce_against, in_span, kernel_basis, vadd, vscale, zero_vector
+
+
+class NotCarnotError(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -35,15 +43,6 @@ class GradedAlgebra:
     labels: tuple[str, ...]
     weights: tuple[Fraction, ...]
     brackets: tuple[tuple[int, int, int, Fraction], ...]
-
-    def __hash__(self):
-        # hashing Fraction tuples is costly and this object keys several
-        # caches on hot paths; memoize it
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.dim, self.labels, self.weights, self.brackets))
-            object.__setattr__(self, "_hash", cached)
-        return cached
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -63,40 +62,232 @@ class GradedAlgebra:
                 raise ValueError(f"duplicate bracket entry ({i},{j},{k})")
             seen.add((i, j, k))
 
+    @cached_property
+    def layers(self):
+        """Weight -> basis indices of that weight, in increasing weight order."""
+        return {
+            w: tuple(i for i, v in enumerate(self.weights) if v == w)
+            for w in sorted(set(self.weights))
+        }
+
     @property
     def weight_set(self):
-        return tuple(sorted(set(self.weights)))
+        return tuple(self.layers)
 
     def layer_indices(self, weight):
-        return tuple(i for i, w in enumerate(self.weights) if w == weight)
+        return self.layers.get(weight, ())
+
+    @cached_property
+    def norm_layers(self):
+        """(1/weight, indices) per layer, the table of the homogeneous quasi-norm."""
+        return tuple((1.0 / float(w), idx) for w, idx in self.layers.items())
 
     def basis_vector(self, i, mode="exact"):
         one = Fraction(1) if mode == "exact" else 1.0
         zero = Fraction(0) if mode == "exact" else 0.0
         return tuple(one if j == i else zero for j in range(self.dim))
 
+    @cached_property
+    def bracket_table(self):
+        """Sparse lookup (i, j) -> tuple of (k, c), for i < j only."""
+        table: dict[tuple[int, int], list] = {}
+        for i, j, k, c in self.brackets:
+            table.setdefault((i, j), []).append((k, c))
+        return {key: tuple(val) for key, val in table.items()}
 
-@lru_cache(maxsize=None)
-def _bracket_table(alg: GradedAlgebra):
-    """Sparse lookup (i, j) -> tuple of (k, c), for i < j only."""
-    table: dict[tuple[int, int], list] = {}
-    for i, j, k, c in alg.brackets:
-        table.setdefault((i, j), []).append((k, c))
-    return {key: tuple(val) for key, val in table.items()}
+    @cached_property
+    def bracket_table_float(self):
+        return tuple(
+            (i, j, tuple((k, float(c)) for k, c in entries))
+            for (i, j), entries in self.bracket_table.items()
+        )
+
+    @cached_property
+    def lower_central_series(self):
+        """Subspaces n^(1) >= n^(2) >= ..., ending at the zero space.
+
+        A non-nilpotent algebra ends with the first repeated rank instead.
+        """
+        series = [full_space(self)]
+        basis = [self.basis_vector(i) for i in range(self.dim)]
+        while series[-1].rank > 0:
+            prev = series[-1]
+            vecs = []
+            for b in basis:
+                for row in prev.rows:
+                    v = bracket(self, b, row)
+                    if not linalg.is_zero(v):
+                        vecs.append(v)
+            nxt = subspace(self, vecs)
+            series.append(nxt)
+            if nxt.rank == prev.rank:
+                break
+        return tuple(series)
+
+    @cached_property
+    def nilpotency_step(self) -> int:
+        """Largest t with n^(t) != 0; equals the max depth of a nonzero bracket."""
+        series = self.lower_central_series
+        if series[-1].rank != 0:
+            raise ValueError("algebra is not nilpotent")
+        return len(series) - 1
+
+    @cached_property
+    def dynkin_words_float(self):
+        """The Dynkin words through the nilpotency step with float coefficients."""
+        from .group import dynkin_words
+
+        return tuple((w, float(c)) for w, c in dynkin_words(self.nilpotency_step))
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """See :func:`validate_algebra`."""
+        checks = []
+
+        # antisymmetry is implied by i<j storage; defensively re-verify the shape
+        anti_ok = all(i < j for i, j, _, _ in self.brackets)
+        checks.append(("antisymmetry", anti_ok, "stored for i<j; diagonal brackets absent"))
+
+        bad = [
+            (i, j, k)
+            for i, j, k, c in self.brackets
+            if c != 0 and self.weights[i] + self.weights[j] != self.weights[k]
+        ]
+        checks.append(
+            ("grading", not bad, "" if not bad else f"entries violating weight addition: {bad}")
+        )
+
+        jd = _jacobi_defects(self)
+        checks.append(("jacobi", not jd, "" if not jd else f"failing triples: {jd}"))
+
+        series = self.lower_central_series
+        nilp = series[-1].rank == 0
+        step = len(series) - 1 if nilp else 0
+        checks.append(
+            ("nilpotency", nilp, f"step {step}" if nilp else "lower central series stagnates")
+        )
+
+        warnings = []
+        if min(self.weights) != 1:
+            warnings.append(
+                f"smallest weight is {min(self.weights)}; rescaling it to 1 is conventional"
+            )
+        return ValidationReport(tuple(checks), step, tuple(warnings))
+
+    @cached_property
+    def carnot_layers(self):
+        """Layer index (1..r) per basis vector if the algebra is Carnot-graded.
+
+        Requires integer weight ratios; generation is checked separately.
+        """
+        w1 = min(self.weights)
+        layers = []
+        for w in self.weights:
+            ratio = w / w1
+            if ratio.denominator != 1:
+                raise NotCarnotError(f"weight {w} is not an integer multiple of {w1}")
+            layers.append(int(ratio))
+        return tuple(layers)
+
+    @cached_property
+    def is_carnot(self) -> bool:
+        """Weights are 1..r multiples of the smallest and each layer is generated."""
+        try:
+            layers = self.carnot_layers
+        except NotCarnotError:
+            return False
+        r = max(layers)
+        slices = {
+            m: [self.basis_vector(i) for i in range(self.dim) if layers[i] == m]
+            for m in range(1, r + 1)
+        }
+        if any(not slices[m] for m in range(1, r + 1)):
+            return False
+        current = subspace(self, slices[1])
+        for m in range(2, r + 1):
+            gen = [
+                bracket(self, v, row)
+                for v in slices[1]
+                for row in current.rows
+            ]
+            nxt = subspace(self, gen)
+            target = subspace(self, slices[m])
+            if nxt.rows != target.rows:
+                return False
+            current = nxt
+        return True
+
+    @cached_property
+    def bracket_expressions(self):
+        """Nested-bracket expressions of higher-layer basis vectors.
+
+        For each basis index k of layer >= 2 returns a rational combination
+        ``[(coeff, word), ...]`` where ``word`` is a tuple of first-layer
+        basis indices standing for the right-nested bracket
+        ``[e_w0, [e_w1, [...]]]``.
+        """
+        if not self.is_carnot:
+            raise NotCarnotError("bracket expressions require a Carnot algebra")
+        layers = self.carnot_layers
+        r = max(layers)
+        first = [i for i in range(self.dim) if layers[i] == 1]
+        words = {1: [((i,), self.basis_vector(i)) for i in first]}
+        table = {}
+        for m in range(2, r + 1):
+            chosen = []
+            rows = ()
+            pivots = ()
+            for i in first:
+                for word, vec in words[m - 1]:
+                    v = bracket(self, self.basis_vector(i), vec)
+                    if linalg.is_zero(v):
+                        continue
+                    if not linalg.in_span(rows, pivots, v):
+                        chosen.append(((i,) + word, v))
+                        rows, pivots = linalg.rref(rows + (v,))
+            words[m] = chosen
+            layer_idx = [k for k in range(self.dim) if layers[k] == m]
+            for k in layer_idx:
+                target = self.basis_vector(k)
+                cols = [vec for _, vec in chosen]
+                try:
+                    coeffs = linalg.solve_exact(cols, target)
+                except ValueError as exc:
+                    raise NotCarnotError(f"layer {m} is not spanned by brackets") from exc
+                table[k] = tuple(
+                    (c, chosen[t][0]) for t, c in enumerate(coeffs) if c != 0
+                )
+        return table
 
 
-@lru_cache(maxsize=None)
-def _bracket_table_float(alg: GradedAlgebra):
-    return tuple(
-        (i, j, tuple((k, float(c)) for k, c in entries))
-        for (i, j), entries in _bracket_table(alg).items()
-    )
+# module-level names of the cached tables, part of the public API
+
+
+def nilpotency_step(alg: GradedAlgebra) -> int:
+    return alg.nilpotency_step
+
+
+def validate_algebra(alg: GradedAlgebra) -> ValidationReport:
+    """Exact per-invariant report: antisymmetry, Jacobi, grading, nilpotency."""
+    return alg.validation
+
+
+def carnot_layers(alg: GradedAlgebra):
+    return alg.carnot_layers
+
+
+def is_carnot(alg: GradedAlgebra) -> bool:
+    return alg.is_carnot
+
+
+def bracket_expressions(alg: GradedAlgebra):
+    return alg.bracket_expressions
 
 
 def bracket_float(alg: GradedAlgebra, x, y):
     """Float-only bracket; no mode checks, for numeric inner loops."""
     out = [0.0] * alg.dim
-    for i, j, entries in _bracket_table_float(alg):
+    for i, j, entries in alg.bracket_table_float:
         coef = x[i] * y[j] - x[j] * y[i]
         if coef:
             for k, c in entries:
@@ -112,7 +303,7 @@ def bracket(alg: GradedAlgebra, x, y):
     if mx != my:
         raise ValueError(f"scalar modes differ: {mx} vs {my}")
     out = [Fraction(0)] * alg.dim if mx == "exact" else [0.0] * alg.dim
-    for (i, j), entries in _bracket_table(alg).items():
+    for (i, j), entries in alg.bracket_table.items():
         coef = x[i] * y[j] - x[j] * y[i]
         if coef == 0:
             continue
@@ -135,14 +326,6 @@ class Subspace:
 
     def contains(self, x, tol=0):
         return in_span(self.rows, self.pivots, x, tol=tol)
-
-    def weights_met(self, alg: GradedAlgebra):
-        met = set()
-        for row in self.rows:
-            for i, a in enumerate(row):
-                if a != 0:
-                    met.add(alg.weights[i])
-        return tuple(sorted(met))
 
 
 def subspace(alg: GradedAlgebra, vectors) -> Subspace:
@@ -191,70 +374,6 @@ def _jacobi_defects(alg: GradedAlgebra):
                 if not linalg.is_zero(s):
                     defects.append((i, j, k))
     return defects
-
-
-def lower_central_series(alg: GradedAlgebra):
-    """List of Subspaces n^(1) >= n^(2) >= ..., ending at the zero space."""
-    series = [full_space(alg)]
-    basis = [alg.basis_vector(i) for i in range(alg.dim)]
-    while series[-1].rank > 0:
-        prev = series[-1]
-        vecs = []
-        for b in basis:
-            for row in prev.rows:
-                v = bracket(alg, b, row)
-                if not linalg.is_zero(v):
-                    vecs.append(v)
-        nxt = subspace(alg, vecs)
-        if nxt.rank == prev.rank:
-            # stagnation: not nilpotent
-            return series + [nxt]
-        series.append(nxt)
-    return series
-
-
-@lru_cache(maxsize=None)
-def nilpotency_step(alg: GradedAlgebra) -> int:
-    """Largest t with n^(t) != 0; equals the max depth of a nonzero bracket."""
-    series = lower_central_series(alg)
-    if series[-1].rank != 0:
-        raise ValueError("algebra is not nilpotent")
-    return len(series) - 1
-
-
-def validate_algebra(alg: GradedAlgebra) -> ValidationReport:
-    """Exact per-invariant report: antisymmetry, Jacobi, grading, nilpotency."""
-    checks = []
-
-    # antisymmetry is implied by i<j storage; defensively re-verify the shape
-    anti_ok = all(i < j for i, j, _, _ in alg.brackets)
-    checks.append(("antisymmetry", anti_ok, "stored for i<j; diagonal brackets absent"))
-
-    bad = [
-        (i, j, k)
-        for i, j, k, c in alg.brackets
-        if c != 0 and alg.weights[i] + alg.weights[j] != alg.weights[k]
-    ]
-    checks.append(
-        ("grading", not bad, "" if not bad else f"entries violating weight addition: {bad}")
-    )
-
-    jd = _jacobi_defects(alg)
-    checks.append(("jacobi", not jd, "" if not jd else f"failing triples: {jd}"))
-
-    series = lower_central_series(alg)
-    nilp = series[-1].rank == 0
-    step = len(series) - 1 if nilp else 0
-    checks.append(
-        ("nilpotency", nilp, f"step {step}" if nilp else "lower central series stagnates")
-    )
-
-    warnings = []
-    if min(alg.weights) != 1:
-        warnings.append(
-            f"smallest weight is {min(alg.weights)}; rescaling it to 1 is conventional"
-        )
-    return ValidationReport(tuple(checks), step, tuple(warnings))
 
 
 def subalgebra_generated(alg: GradedAlgebra, seed: Subspace) -> Subspace:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from . import linalg
 from .algebra import (
@@ -23,7 +23,9 @@ from .algebra import (
     LinearMap,
     Subspace,
     bracket,
+    bracket_float,
     center,
+    is_carnot,
     is_ideal,
     quotient,
     subalgebra_generated,
@@ -31,6 +33,7 @@ from .algebra import (
     validate_algebra,
     weight_slice,
 )
+from .algebra import NotCarnotError, bracket_expressions, carnot_layers  # noqa: F401 (re-exported)
 from .group import bch, quasi_norm
 from .linalg import as_float, span_coords, vadd, vneg, vscale
 from .quadrature import integrate_vector
@@ -42,98 +45,8 @@ class DecompositionError(ValueError):
         self.kind = kind
 
 
-class NotCarnotError(ValueError):
-    pass
-
-
 class ZigzagError(RuntimeError):
     """Endpoint tolerance missed after the deterministic pass (a bug, not input)."""
-
-
-def carnot_layers(alg: GradedAlgebra):
-    """Layer index (1..r) per basis vector if the algebra is Carnot-graded.
-
-    Requires integer weight ratios; generation is checked separately.
-    """
-    w1 = min(alg.weights)
-    layers = []
-    for w in alg.weights:
-        ratio = w / w1
-        if ratio.denominator != 1:
-            raise NotCarnotError(f"weight {w} is not an integer multiple of {w1}")
-        layers.append(int(ratio))
-    return tuple(layers)
-
-
-def is_carnot(alg: GradedAlgebra) -> bool:
-    """Weights are 1..r multiples of the smallest and each layer is generated."""
-    try:
-        layers = carnot_layers(alg)
-    except NotCarnotError:
-        return False
-    r = max(layers)
-    slices = {
-        m: [alg.basis_vector(i) for i in range(alg.dim) if layers[i] == m]
-        for m in range(1, r + 1)
-    }
-    if any(not slices[m] for m in range(1, r + 1)):
-        return False
-    current = subspace(alg, slices[1])
-    for m in range(2, r + 1):
-        gen = [
-            bracket(alg, v, row)
-            for v in slices[1]
-            for row in current.rows
-        ]
-        nxt = subspace(alg, gen)
-        target = subspace(alg, slices[m])
-        if nxt.rows != target.rows:
-            return False
-        current = nxt
-    return True
-
-
-@lru_cache(maxsize=None)
-def bracket_expressions(alg: GradedAlgebra):
-    """Nested-bracket expressions of higher-layer basis vectors.
-
-    For each basis index k of layer >= 2 returns a rational combination
-    ``[(coeff, word), ...]`` where ``word`` is a tuple of first-layer
-    basis indices standing for the right-nested bracket
-    ``[e_w0, [e_w1, [...]]]``.
-    """
-    if not is_carnot(alg):
-        raise NotCarnotError("bracket expressions require a Carnot algebra")
-    layers = carnot_layers(alg)
-    r = max(layers)
-    first = [i for i in range(alg.dim) if layers[i] == 1]
-    words = {1: [((i,), alg.basis_vector(i)) for i in first]}
-    table = {}
-    for m in range(2, r + 1):
-        chosen = []
-        rows = ()
-        pivots = ()
-        for i in first:
-            for word, vec in words[m - 1]:
-                v = bracket(alg, alg.basis_vector(i), vec)
-                if linalg.is_zero(v):
-                    continue
-                if not linalg.in_span(rows, pivots, v):
-                    chosen.append(((i,) + word, v))
-                    rows, pivots = linalg.rref(rows + (v,))
-        words[m] = chosen
-        layer_idx = [k for k in range(alg.dim) if layers[k] == m]
-        for k in layer_idx:
-            target = alg.basis_vector(k)
-            cols = [vec for _, vec in chosen]
-            try:
-                coeffs = linalg.solve_exact(cols, target)
-            except ValueError as exc:
-                raise NotCarnotError(f"layer {m} is not spanned by brackets") from exc
-            table[k] = tuple(
-                (c, chosen[t][0]) for t, c in enumerate(coeffs) if c != 0
-            )
-    return table
 
 
 @dataclass(frozen=True)
@@ -181,8 +94,8 @@ def horizontal_connect(alg: GradedAlgebra, g, tol: float = 1e-9) -> HorizontalPa
     land strictly above the current layer, so one pass per layer
     suffices.
     """
-    table = bracket_expressions(alg)
-    layers = carnot_layers(alg)
+    table = alg.bracket_expressions
+    layers = alg.carnot_layers
     r = max(layers)
     gf = as_float(g)
     if any(not math.isfinite(a) for a in gf):
@@ -243,10 +156,18 @@ class CbCDecomposition:
     * ``quotient`` / ``quotient_carnot``: the quotient with inherited
       weights, and with weights renormalized so it is Carnot.
     * ``alpha``: smallest quotient weight divided by the smallest weight.
-    * ``transversal`` / ``h_layers``: the coordinate complement of the
-      ideal and its per-layer slices (layer j sits at weight j*alpha).
     * ``center_w`` / ``z_layers``: the center of the ideal and its
       slices indexed by ideal layer.
+
+    Derived data are cached properties, computed once per instance:
+
+    * ``transversal_indices`` / ``transversal`` / ``h_layers``: the
+      coordinate complement of the ideal, as indices and as a subspace,
+      and its per-layer slices (layer j sits at weight j*alpha).
+    * ``central_product``: for non-integer alpha, whether the subalgebra
+      generated by H_1 commutes with w; None for integer alpha.
+    * ``v_alpha_indices``: the basis of V_alpha, the weight alpha*lambda1.
+    * ``p_alpha``: see :func:`p_alpha_data`.
     """
 
     base: GradedAlgebra
@@ -257,30 +178,72 @@ class CbCDecomposition:
     quotient_carnot: GradedAlgebra
     projection: LinearMap
     alpha: Fraction
-    transversal: Subspace
-    h_layers: dict
     center_w: Subspace
     z_layers: dict
-    central_product: bool | None
 
     @property
     def alpha_is_integer(self) -> bool:
         return self.alpha.denominator == 1
+
+    @cached_property
+    def transversal_indices(self):
+        return tuple(i for i in range(self.base.dim) if i not in self.w.pivots)
+
+    @cached_property
+    def transversal(self) -> Subspace:
+        return subspace(self.base, [self.base.basis_vector(i) for i in self.transversal_indices])
+
+    @cached_property
+    def h_layers(self) -> dict:
+        mu1 = self.alpha * self.lambda1
+        vecs = {}
+        for i in self.transversal_indices:
+            vecs.setdefault(int(self.base.weights[i] / mu1), []).append(self.base.basis_vector(i))
+        return {j: subspace(self.base, v) for j, v in vecs.items()}
+
+    @cached_property
+    def central_product(self) -> bool | None:
+        if self.alpha_is_integer:
+            return None
+        h1 = self.h_layers.get(1)
+        hsub = subalgebra_generated(self.base, h1) if h1 else None
+        return hsub is not None and all(
+            linalg.is_zero(bracket(self.base, a, b)) for a in self.w.rows for b in hsub.rows
+        )
+
+    @cached_property
+    def v_alpha_indices(self):
+        return self.base.layer_indices(self.alpha * self.lambda1)
+
+    @cached_property
+    def p_alpha(self):
+        if not self.alpha_is_integer:
+            raise ValueError("the high-layer quotient requires an integer exponent")
+        alg = self.base
+        threshold = self.alpha * self.lambda1
+        keep = [i for i in range(alg.dim) if alg.weights[i] <= threshold]
+        kill = [i for i in range(alg.dim) if alg.weights[i] > threshold]
+        ideal = subspace(alg, [alg.basis_vector(i) for i in kill])
+        qalg, proj = quotient(alg, ideal)
+        # image of weight >= alpha must be central
+        for i in keep:
+            if alg.weights[i] >= threshold:
+                img = proj(alg.basis_vector(i))
+                for t in range(qalg.dim):
+                    if not linalg.is_zero(bracket(qalg, img, qalg.basis_vector(t))):
+                        raise AssertionError("high-weight image is not central in the quotient")
+        return qalg, tuple(keep), proj
 
     def project(self, x):
         return self.projection(x)
 
     def lift(self, qcoords):
         """Section of the projection through the transversal H."""
-        keep = [i for i in range(self.base.dim) if i not in self.w.pivots]
         mode_zero = 0.0 if linalg.scalar_mode(qcoords) == "float" else Fraction(0)
         out = [mode_zero] * self.base.dim
-        for pos, i in enumerate(keep):
+        for pos, i in enumerate(self.transversal_indices):
             out[i] = qcoords[pos]
         return tuple(out)
-
-    def w_coords(self, x):
-        return span_coords(self.w.rows, self.w.pivots, x)
 
     def w_embed(self, coords):
         out = linalg.zero_vector(self.base.dim)
@@ -290,13 +253,6 @@ class CbCDecomposition:
 
     def z_layer(self, j) -> Subspace | None:
         return self.z_layers.get(j)
-
-    def max_z_layer(self) -> int:
-        return max(self.z_layers) if self.z_layers else 0
-
-    def w_layer_indices(self, j):
-        lam = self.lambda1 * j
-        return tuple(i for i in range(self.base.dim) if self.base.weights[i] == lam)
 
     def w_layer_project(self, x, j):
         lam = self.lambda1 * j
@@ -324,7 +280,6 @@ def decompose(alg: GradedAlgebra) -> CbCDecomposition:
     mu1 = min(qalg.weights)
     if mu1 <= lam1:
         raise DecompositionError("not_ideal", "quotient weights must exceed the base weight")
-    alpha = mu1 / lam1
     normalized = [qw / mu1 for qw in qalg.weights]
     if any(q.denominator != 1 for q in normalized):
         raise DecompositionError(
@@ -361,19 +316,8 @@ def decompose(alg: GradedAlgebra) -> CbCDecomposition:
     if not is_carnot(w_algebra):
         raise DecompositionError("invalid", "the ideal is not Carnot graded")
 
-    keep = [i for i in range(alg.dim) if i not in w.pivots]
-    transversal = subspace(alg, [alg.basis_vector(i) for i in keep])
-    h_layers = {}
-    for pos, i in enumerate(keep):
-        ratio = alg.weights[i] / mu1
-        j = int(ratio)
-        h_layers.setdefault(j, []).append(alg.basis_vector(i))
-    h_layers = {j: subspace(alg, vecs) for j, vecs in h_layers.items()}
-
     center_w, slices = center(alg, w)
-    z_layers = {}
-    for wt, sl in slices.items():
-        z_layers[int(wt / lam1)] = sl
+    z_layers = {int(wt / lam1): sl for wt, sl in slices.items()}
 
     # the center of the ideal must absorb brackets with the whole algebra
     for row in center_w.rows:
@@ -384,14 +328,6 @@ def decompose(alg: GradedAlgebra) -> CbCDecomposition:
                     "invalid", "[Z(w), n] does not stay inside Z(w)"
                 )
 
-    central_product = None
-    if alpha.denominator != 1:
-        h1 = h_layers.get(1)
-        hsub = subalgebra_generated(alg, h1) if h1 else None
-        central_product = hsub is not None and all(
-            linalg.is_zero(bracket(alg, a, b)) for a in w.rows for b in hsub.rows
-        )
-
     return CbCDecomposition(
         base=alg,
         lambda1=lam1,
@@ -400,12 +336,9 @@ def decompose(alg: GradedAlgebra) -> CbCDecomposition:
         quotient=qalg,
         quotient_carnot=quotient_carnot,
         projection=proj,
-        alpha=alpha,
-        transversal=transversal,
-        h_layers=h_layers,
+        alpha=mu1 / lam1,
         center_w=center_w,
         z_layers=z_layers,
-        central_product=central_product,
     )
 
 
@@ -426,8 +359,6 @@ def integrate_bracket_form(dec: CbCDecomposition, component, path: HorizontalPat
     if zj is None:
         raise ValueError(f"no center layer at index {j}")
     zj_rows = tuple(as_float(r) for r in zj.rows)
-
-    from .algebra import bracket_float
 
     def check_membership(point, val):
         resid = linalg.reduce_against(zj_rows, zj.pivots, val)
@@ -461,36 +392,10 @@ def p_alpha_data(dec: CbCDecomposition):
     """Quotient of the base algebra by the layers above weight alpha.
 
     Returns (algebra, kept_indices, project).  The image of every layer
-    of weight >= alpha is checked central once here.
+    of weight >= alpha is checked central once per decomposition.
     """
-    if not dec.alpha_is_integer:
-        raise ValueError("the high-layer quotient requires an integer exponent")
-    alg = dec.base
-    threshold = dec.alpha * dec.lambda1
-    keep = [i for i in range(alg.dim) if alg.weights[i] <= threshold]
-    kill = [i for i in range(alg.dim) if alg.weights[i] > threshold]
-    ideal = subspace(alg, [alg.basis_vector(i) for i in kill])
-    qalg, proj = quotient(alg, ideal)
-    # image of weight >= alpha must be central
-    for pos, i in enumerate(keep):
-        if alg.weights[i] >= threshold:
-            img = proj(alg.basis_vector(i))
-            for t in range(qalg.dim):
-                if not linalg.is_zero(bracket(qalg, img, qalg.basis_vector(t))):
-                    raise AssertionError("high-weight image is not central in the quotient")
-    return qalg, tuple(keep), proj
+    return dec.p_alpha
 
 
 def p_alpha_project(dec: CbCDecomposition, x):
-    _, _, proj = _p_alpha_cached(dec)
-    return proj(x)
-
-
-_P_ALPHA_CACHE: dict = {}
-
-
-def _p_alpha_cached(dec: CbCDecomposition):
-    key = id(dec)
-    if key not in _P_ALPHA_CACHE:
-        _P_ALPHA_CACHE[key] = p_alpha_data(dec)
-    return _P_ALPHA_CACHE[key]
+    return dec.p_alpha[2](x)

@@ -27,15 +27,6 @@ from .algebra import (
 )
 from .linalg import mat_vec
 
-_FIXTURE_NAMES = (
-    "heisenberg3",
-    "engel4",
-    "engel_heis7",
-    "heisprod4",
-    "ladder5",
-)
-
-
 def _fr(x):
     return Fraction(x)
 
@@ -111,25 +102,26 @@ def free_nilpotent_step2(generators: int) -> GradedAlgebra:
     return GradedAlgebra(len(labels), tuple(labels), weights, brackets)
 
 
+_FIXTURES = {
+    "heisenberg3": heisenberg3,
+    "engel4": engel4,
+    "engel_heis7": engel_heis7,
+    "heisprod4": heisprod4,
+    "ladder5": ladder5,
+}
+
+
 def fixture(name: str) -> GradedAlgebra:
     """Look up a shipped fixture; free step-2 algebras as ``free2_<k>``."""
-    if name == "heisenberg3":
-        return heisenberg3()
-    if name == "engel4":
-        return engel4()
-    if name == "engel_heis7":
-        return engel_heis7()
-    if name == "heisprod4":
-        return heisprod4()
-    if name == "ladder5":
-        return ladder5()
+    if name in _FIXTURES:
+        return _FIXTURES[name]()
     if name.startswith("free2_"):
         return free_nilpotent_step2(int(name.split("_", 1)[1]))
-    raise KeyError(f"unknown fixture {name!r}; known: {_FIXTURE_NAMES + ('free2_<k>',)}")
+    raise KeyError(f"unknown fixture {name!r}; known: {tuple(_FIXTURES) + ('free2_<k>',)}")
 
 
 def fixture_names():
-    return _FIXTURE_NAMES + ("free2_3",)
+    return tuple(_FIXTURES) + ("free2_3",)
 
 
 def direct_product(alg1: GradedAlgebra, alg2: GradedAlgebra, scale2=Fraction(1)) -> GradedAlgebra:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .algebra import GradedAlgebra, LinearMap, bracket, nilpotency_step
+from .algebra import GradedAlgebra, LinearMap, bracket, bracket_float
 from .linalg import vadd, vneg, vscale
 
 DEFAULT_DEGREE_CEILING = 6
@@ -69,16 +69,9 @@ def _right_nested(alg, word, x, y):
     return acc
 
 
-@lru_cache(maxsize=None)
-def _dynkin_words_float(max_degree: int):
-    return tuple((w, float(c)) for w, c in dynkin_words(max_degree))
-
-
-def _bch_float(alg, x, y, step):
-    from .algebra import bracket_float
-
+def _bch_float(alg, x, y):
     out = [0.0] * alg.dim
-    for word, coef in _dynkin_words_float(step):
+    for word, coef in alg.dynkin_words_float:
         if len(word) == 1:
             term = x if word[0] == 0 else y
         else:
@@ -98,19 +91,18 @@ def bch(alg: GradedAlgebra, x, y, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
     the whole product; steps above the ceiling are refused rather than
     silently truncated.  Float inputs take a float fast path.
     """
-    step = nilpotency_step(alg)
+    step = alg.nilpotency_step
     if step > degree_ceiling:
         raise BchDegreeError(
             f"nilpotency step {step} exceeds the supported Dynkin degree {degree_ceiling}"
         )
-    if type(x[0]) is float and type(y[0]) is float:
-        # vectors are homogeneous by construction; skip the full scan
-        return _bch_float(alg, x, y, step)
+    if all(type(a) is float for a in x) and all(type(a) is float for a in y):
+        return _bch_float(alg, x, y)
     mx, my = linalg.scalar_mode(x), linalg.scalar_mode(y)
     if mx != my:
         raise ValueError(f"scalar modes differ: {mx} vs {my}")
     if mx == "float":
-        return _bch_float(alg, x, y, step)
+        return _bch_float(alg, x, y)
     out = list(linalg.zero_vector(alg.dim))
     for word, coef in dynkin_words(step):
         term = _right_nested(alg, word, x, y)
@@ -127,7 +119,7 @@ def inverse(x):
 
 def conjugate_adjoint(alg: GradedAlgebra, y, x):
     """y * x * (-y) computed as sum_k (1/k!) (ad y)^k x."""
-    step = nilpotency_step(alg)
+    step = alg.nilpotency_step
     out = x
     term = x
     for k in range(1, step + 1):
@@ -136,35 +128,35 @@ def conjugate_adjoint(alg: GradedAlgebra, y, x):
     return out
 
 
+def _dilation_factors(alg: GradedAlgebra, r):
+    """r**lambda per basis vector: exact for rational r and an integer weight."""
+    if r <= 0:
+        raise ValueError("dilation ratio must be positive")
+    exact_r = isinstance(r, (int, Fraction)) and not isinstance(r, bool)
+    return [
+        Fraction(r) ** int(lam) if exact_r and lam.denominator == 1 else float(r) ** float(lam)
+        for lam in alg.weights
+    ]
+
+
 def dilate(alg: GradedAlgebra, r, x):
     """delta_r: scale the weight-lambda coordinate block by r**lambda.
 
     Exact when r is rational and all weights are integers; otherwise
     falls back to float powers.
     """
-    if r <= 0:
-        raise ValueError("dilation ratio must be positive")
-    out = []
-    exact_r = isinstance(r, (int, Fraction)) and not isinstance(r, bool)
-    for i, a in enumerate(x):
-        lam = alg.weights[i]
-        if exact_r and lam.denominator == 1:
-            factor = Fraction(r) ** int(lam)
-        else:
-            factor = float(r) ** float(lam)
-        out.append(factor * a)
-    return tuple(out)
+    return tuple(factor * a for factor, a in zip(_dilation_factors(alg, r), x))
 
 
 def quasi_norm(alg: GradedAlgebra, x) -> float:
     """sum over layers of |x_lambda|^(1/lambda), |.| the Euclidean slice norm."""
     total = 0.0
-    for w in alg.weight_set:
+    for inv_w, idx in alg.norm_layers:
         sq = 0.0
-        for i in alg.layer_indices(w):
+        for i in idx:
             sq += float(x[i]) ** 2
         if sq:
-            total += math.sqrt(sq) ** (1.0 / float(w))
+            total += math.sqrt(sq) ** inv_w
     return total
 
 
@@ -230,16 +222,10 @@ def is_graded_automorphism(alg: GradedAlgebra, m: LinearMap) -> AutomorphismVerd
 
 def dilation_matrix(alg: GradedAlgebra, r) -> LinearMap:
     n = alg.dim
-    rows = []
-    exact_r = isinstance(r, (int, Fraction)) and not isinstance(r, bool)
-    for i in range(n):
-        lam = alg.weights[i]
-        if exact_r and lam.denominator == 1:
-            factor = Fraction(r) ** int(lam)
-        else:
-            factor = float(r) ** float(lam)
-        rows.append(tuple(factor if j == i else (0 * factor) for j in range(n)))
-    return LinearMap(tuple(rows))
+    factors = _dilation_factors(alg, r)
+    return LinearMap(
+        tuple(tuple(f if j == i else (0 * f) for j in range(n)) for i, f in enumerate(factors))
+    )
 
 
 @dataclass(frozen=True)
@@ -258,10 +244,6 @@ class AffineMap:
 
     def __call__(self, g):
         return bch(self.alg, self.translation, self.auto(g))
-
-
-def apply_affine(f: AffineMap, g):
-    return f(g)
 
 
 def compose_affine(f: AffineMap, g: AffineMap) -> AffineMap:

@@ -204,9 +204,8 @@ class CompatibleExpression:
 
     def b_apply(self, h):
         """Apply B to an ambient vector supported on the transversal."""
-        keep = [i for i in range(self.dec.base.dim) if i not in self.dec.w.pivots]
         acc = None
-        for c, col in zip((h[i] for i in keep), self.b_matrix):
+        for c, col in zip((h[i] for i in self.dec.transversal_indices), self.b_matrix):
             term = vscale(c, col)
             acc = term if acc is None else vadd(acc, term)
         return acc if acc is not None else linalg.zero_vector(self.dec.base.dim)
@@ -250,7 +249,7 @@ def extract_compatible(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpre
     phi = fmap.linear_part()
     base = fmap(linalg.zero_vector(alg.dim) if _chain_is_exact(fmap) else (0.0,) * alg.dim)
 
-    keep = [i for i in range(alg.dim) if i not in dec.w.pivots]
+    keep = dec.transversal_indices
     b_cols = tuple(phi(alg.basis_vector(i)) for i in keep)
     a_cols = []
     for row in dec.w.rows:
@@ -343,7 +342,7 @@ def verify_compatible(
 ) -> CompatibleReport:
     """Check the defining conditions plus the p-independence of (B, A)."""
     alg = dec.base
-    keep = [i for i in range(alg.dim) if i not in dec.w.pivots]
+    keep = dec.transversal_indices
 
     b_graded = True
     b_projects = True
@@ -429,9 +428,7 @@ def _component_directional(dec, component, at_q, direction_q, exact_curve=True):
 
 def _curve_velocity(qalg: GradedAlgebra, at, direction):
     """Exact t-coefficient of bch(at, t*direction): the left-invariant field."""
-    from .algebra import nilpotency_step
-
-    r = nilpotency_step(qalg)
+    r = qalg.nilpotency_step
     at_e = tuple(Fraction(a).limit_denominator(10**12) for a in as_float(at))
     dir_e = tuple(Fraction(a).limit_denominator(10**12) for a in as_float(direction))
     samples = []
@@ -451,8 +448,7 @@ def _curve_velocity(qalg: GradedAlgebra, at, direction):
 
 
 def v_alpha_indices(dec: CbCDecomposition):
-    lam = dec.alpha * dec.lambda1
-    return tuple(i for i in range(dec.base.dim) if dec.base.weights[i] == lam)
+    return dec.v_alpha_indices
 
 
 def d_alpha_matrix(dec: CbCDecomposition, fmap: FiberMap, p, mode: str = "closed") -> np.ndarray:
@@ -463,7 +459,7 @@ def d_alpha_matrix(dec: CbCDecomposition, fmap: FiberMap, p, mode: str = "closed
     """
     if not dec.alpha_is_integer:
         raise ValueError("the exponent-direction differential requires an integer exponent")
-    idx = v_alpha_indices(dec)
+    idx = dec.v_alpha_indices
     cols = []
     for i in idx:
         v = dec.base.basis_vector(i, mode="float")
@@ -476,7 +472,7 @@ def d_alpha(dec: CbCDecomposition, fmap: FiberMap, p, v, mode: str = "closed"):
     """The differential applied to v in V_alpha = H_1 + W_alpha."""
     if not dec.alpha_is_integer:
         raise ValueError("the exponent-direction differential requires an integer exponent")
-    idx = set(v_alpha_indices(dec))
+    idx = set(dec.v_alpha_indices)
     if any(v[i] != 0 for i in range(dec.base.dim) if i not in idx):
         raise ValueError("direction must lie in the exponent layer")
     if mode == "closed":
@@ -493,8 +489,9 @@ def d_alpha(dec: CbCDecomposition, fmap: FiberMap, p, v, mode: str = "closed"):
         if s_alpha is not None:
             h0_bar = dec.project(as_float(p))
             # transversal part of v projects to the quotient's first layer
-            keep = [i for i in range(dec.base.dim) if i not in dec.w.pivots]
-            h_part = tuple(vf[i] if i in keep else 0.0 for i in range(dec.base.dim))
+            h_part = tuple(
+                vf[i] if i in dec.transversal_indices else 0.0 for i in range(dec.base.dim)
+            )
             hbar = dec.project(h_part)
             if any(abs(a) > 0 for a in hbar):
                 deriv = _component_directional(dec, s_alpha, h0_bar, hbar)
@@ -510,7 +507,7 @@ def d_alpha(dec: CbCDecomposition, fmap: FiberMap, p, v, mode: str = "closed"):
 
 def _d_alpha_fd(dec: CbCDecomposition, fmap: FiberMap, p, v, scales=(1e-2, 1e-3, 1e-4)):
     fp = fmap.conjugated_at(as_float(p))
-    idx = v_alpha_indices(dec)
+    idx = dec.v_alpha_indices
     vals = []
     vf = as_float(v)
     for eps in scales:
@@ -636,13 +633,13 @@ def _similarity_ratio(block_rows, label):
 def similarity_pair(dec: CbCDecomposition, fmap: FiberMap) -> SimilarityPair:
     """Psi(gamma) = (A_gamma, gammabar); both parts must be similarities."""
     expr = extract_compatible(dec, fmap)
-    w1 = [i for i, w in enumerate(dec.w_algebra.weights) if w == 1]
+    w1 = dec.w_algebra.layer_indices(1)
     a_block = [
         [float(expr.a_matrix[r][c]) for c in w1] for r in w1
     ]
     lambda_a = _similarity_ratio(a_block, "the ideal automorphism")
     qc = dec.quotient_carnot
-    q1 = [i for i in range(qc.dim) if qc.weights[i] == 1]
+    q1 = qc.layer_indices(1)
     q_block = [[float(expr.quot_matrix[r][c]) for c in q1] for r in q1]
     lambda_b = _similarity_ratio(q_block, "the quotient action")
     return SimilarityPair(
@@ -804,15 +801,11 @@ def conjugate_by_shear(dec: CbCDecomposition, f0: ShearMap, gamma: FiberMap, gri
         new_val = as_float(s_new.eval(q))
         sup_new = max(sup_new, max(abs(a) for a in new_val))
         expected = vadd(
-            vsub_float(as_float(s_gamma.eval(q)), as_float(c.eval(q))),
+            linalg.vsub(as_float(s_gamma.eval(q)), as_float(c.eval(q))),
             as_float(transported.eval(q)),
         )
         defect = max(defect, max(abs(a - b) for a, b in zip(new_val, expected)))
     return conj, ConjugationReport(j, sup_new, defect)
-
-
-def vsub_float(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -856,7 +849,7 @@ def solve_single_generator_fixed_point(
         return s_memo[key]
 
     def term(k_power_inv, orbit_q, orbit_0):
-        delta = vsub_float(s_at(orbit_q), s_at(orbit_0))
+        delta = linalg.vsub(s_at(orbit_q), s_at(orbit_0))
         coords = _w_coords(dec, delta, tol=1e-7)
         return as_float(dec.w_embed(linalg.mat_vec(k_power_inv, coords)))
 

@@ -222,3 +222,15 @@ def test_decompose_non_integer_alpha_central_product():
     assert dec.central_product is True
     with pytest.raises(ValueError):
         p_alpha_data(dec)
+
+
+def test_p_alpha_project_depends_only_on_the_decomposition(monkeypatch):
+    import nilcarnot.carnot
+    from nilcarnot.catalog import heisprod4, ladder5
+
+    # make every object id collide: a cache keyed by id would mix them up
+    monkeypatch.setattr(nilcarnot.carnot, "id", lambda obj: 0, raising=False)
+    for alg in (ladder5(), heisprod4()):
+        dec = decompose(alg)
+        x = tuple(Fraction(i + 1) for i in range(alg.dim))
+        assert p_alpha_project(dec, x) == p_alpha_data(dec)[2](x)

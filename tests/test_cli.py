@@ -232,3 +232,16 @@ def test_maps_conjugate_with_solved_fixed_point(capsys):
     names = {c["name"]: c for c in report["checks"]}
     assert names["component_eliminated"]["status"] == "pass"
     assert report["fixed_point"]["iterations"] > 10
+
+
+def test_classify_validates_the_algebra_once(monkeypatch, capsys):
+    import nilcarnot.algebra
+
+    calls = []
+    original = nilcarnot.algebra._jacobi_defects
+    monkeypatch.setattr(
+        nilcarnot.algebra, "_jacobi_defects", lambda alg: calls.append(alg) or original(alg)
+    )
+    code, report = run_cli(capsys, "classify", "--fixture", "ladder5")
+    assert code == 0 and report["classification"] == "carnot-by-carnot"
+    assert len(calls) == 1

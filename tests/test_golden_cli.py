@@ -1,0 +1,51 @@
+"""CLI reports compared byte for byte with reports recorded in tests/golden/.
+
+Every field but ``wall_clock_s`` is deterministic for a fixed seed, so a
+change to the structural machinery that keeps the results must keep
+these bytes.
+"""
+
+import contextlib
+import io
+import pathlib
+import re
+
+import pytest
+
+from nilcarnot.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    **{
+        f"classify_{name}": ["classify", "--fixture", name]
+        for name in ("heisenberg3", "engel4", "engel_heis7", "heisprod4", "ladder5", "free2_4")
+    },
+    "shear_ladder5_verify": [
+        "shear", "--fixture", "ladder5", "--component", "1=sign(q1)*sqrt(abs(q1))",
+        "--verify", "--samples", "200",
+    ],
+    "maps_conjugate_ladder5": [
+        "maps", "conjugate", "--fixture", "ladder5", "--map", "dilate:1/2",
+        "--map", "shear:1=37/100*q1", "--solve-layer", "1",
+    ],
+    "maps_compatible_ladder5": [
+        "maps", "compatible", "--fixture", "ladder5", "--map", "dilate:3",
+        "--map", "shear:1=q1*q1",
+    ],
+}
+
+
+def report_bytes(argv):
+    """The printed report with the wall-clock field dropped, and the exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--seed", "42"])
+    return re.sub(r', "wall_clock_s": [^,}]+', "", out.getvalue()), code
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_report_matches_golden(name):
+    text, code = report_bytes(CASES[name])
+    assert code == 0
+    assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

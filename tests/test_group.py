@@ -81,6 +81,12 @@ def test_bch_associative_exactly(data):
 def test_bch_rejects_mixed_modes(heis):
     with pytest.raises(ValueError):
         bch(heis, heis.basis_vector(0), (0.0, 1.0, 0.0))
+    # a vector mixing floats and rationals is refused in either argument
+    mixed = (1.0, Fraction(1), 0.0)
+    with pytest.raises(ValueError, match="mixed"):
+        bch(heis, mixed, (1.0,) * 3)
+    with pytest.raises(ValueError, match="mixed"):
+        bch(heis, (1.0,) * 3, mixed)
 
 
 def test_bch_degree_ceiling(heis):
@@ -197,9 +203,19 @@ def test_affine_rejects_non_automorphism(heis):
         AffineMap(heis, zero_vector(3), bad)
 
 
-def test_apply_affine_named_operation(heis):
-    from nilcarnot.group import apply_affine
+def test_fresh_equal_algebra_pays_no_equality_checks(monkeypatch):
+    """Derived tables live on the instance: a fresh, equal algebra never
+    compares itself against an earlier one."""
+    from nilcarnot.algebra import GradedAlgebra
 
-    ident = LinearMap(tuple(tuple(Fraction(1 if i == j else 0) for j in range(3)) for i in range(3)))
-    t = AffineMap(heis, (Fraction(1), Fraction(2), Fraction(0)), ident)
-    assert apply_affine(t, zero_vector(3)) == t.translation
+    x, y = tuple(0.1 * (i + 1) for i in range(6)), tuple(-0.3 * i for i in range(6))
+    warm = ladder5()
+    bch(warm, x, y)
+    quasi_norm(warm, x)
+    calls = []
+    original = GradedAlgebra.__eq__
+    monkeypatch.setattr(GradedAlgebra, "__eq__", lambda a, b: calls.append(1) or original(a, b))
+    fresh = ladder5()
+    assert bch(fresh, x, y) == bch(warm, x, y)
+    assert quasi_norm(fresh, x) == quasi_norm(warm, x)
+    assert calls == []
