@@ -352,7 +352,7 @@ def integrate_bracket_form(dec: CbCDecomposition, component, path: HorizontalPat
     Segments are integrated by adaptive Simpson and summed in order.
     """
     qc = dec.quotient_carnot
-    if path.alg != qc:
+    if path.alg is not qc and path.alg != qc:
         raise ValueError("path must live in the Carnot-renormalized quotient")
     j = component.layer
     zj = dec.z_layer(j)

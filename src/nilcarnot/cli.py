@@ -35,7 +35,9 @@ from .linalg import as_float, vneg
 from .maps import (
     Auto,
     Dilation,
+    ExtrapolationError,
     FiberMap,
+    NonContractionError,
     Shear,
     Translate,
     automorphism_check,
@@ -450,7 +452,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, NonContractionError, ExtrapolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -67,9 +67,16 @@ class BinOp:
         if self.op == "*":
             return a * b
         if self.op == "/":
+            if b == 0:
+                raise ExprError(f"division by zero in {self}")
             return a / b
         if self.op == "**":
-            return a ** b
+            if a == 0 and b < 0:
+                raise ExprError(f"zero to a negative power in {self}")
+            out = a ** b
+            if isinstance(out, complex):
+                raise ExprError(f"complex value {a!r} ** {b!r} in {self}")
+            return out
         raise ExprError(f"unknown operator {self.op}")
 
     def diff(self, var):

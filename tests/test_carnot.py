@@ -163,6 +163,18 @@ def test_integrate_bracket_form_zero_component(dec_l5):
     assert all(v == 0.0 for v in val)
 
 
+def test_integrate_bracket_form_on_its_quotient_pays_no_equality_check(dec_l5, monkeypatch):
+    from nilcarnot.algebra import GradedAlgebra
+
+    sigma = component_from_exprs(dec_l5, 1, "sign(q1)*sqrt(abs(q1))")
+    path = horizontal_connect(dec_l5.quotient_carnot, (4.0,))
+    calls = []
+    original = GradedAlgebra.__eq__
+    monkeypatch.setattr(GradedAlgebra, "__eq__", lambda a, b: calls.append(1) or original(a, b))
+    integrate_bracket_form(dec_l5, sigma, path)
+    assert calls == []
+
+
 def test_integrate_bracket_form_backtracking_loop(dec_l5):
     qc = dec_l5.quotient_carnot
     direction = (1.0,)

@@ -214,6 +214,27 @@ def test_usage_error_exit_codes(capsys):
     assert main(["maps", "dalpha", "--fixture", "heisprod4", "--map", "bogus"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shear", "--fixture", "ladder5", "--component", "1=1/q1", "--verify"],
+        ["shear", "--fixture", "ladder5", "--component", "1=q1**0.5", "--verify"],
+        [
+            "maps", "conjugate", "--fixture", "ladder5", "--map", "dilate:2",
+            "--map", "shear:1=q1", "--solve-layer", "1",
+        ],
+        ["maps", "dalpha", "--fixture", "heisprod4", "--map", "shear:2=sign(q1)"],
+    ],
+    ids=["division_by_zero", "complex_power", "non_contraction", "extrapolation"],
+)
+def test_failing_input_exits_2_with_one_line_message(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_maps_conjugate_with_solved_fixed_point(capsys):
     code, report = run_cli(
         capsys,

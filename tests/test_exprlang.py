@@ -39,6 +39,16 @@ def test_parse_errors():
         parse_expression("x", 1)
 
 
+def test_eval_errors_are_expr_errors():
+    with pytest.raises(ExprError, match="division by zero"):
+        ev("1/q1", 0.0)
+    with pytest.raises(ExprError, match="negative power"):
+        ev("q1**-1", 0.0)
+    with pytest.raises(ExprError, match="complex"):
+        ev("q1**0.5", -2.0)
+    assert ev("q1**2", -2.0) == 4.0
+
+
 def test_derivatives():
     t = parse_expression("0.5*q1", 1)
     assert t.diff(0).eval((7.0,)) == 0.5

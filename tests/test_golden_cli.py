@@ -33,6 +33,14 @@ CASES = {
         "maps", "compatible", "--fixture", "ladder5", "--map", "dilate:3",
         "--map", "shear:1=q1*q1",
     ],
+    "maps_dalpha_heisprod4": [
+        "maps", "dalpha", "--fixture", "heisprod4", "--map", "shear:2=0.5*q1",
+        "--point", "0.3,-1,0.7,0.2",
+    ],
+    "maps_chain_heisprod4": [
+        "maps", "chain", "--fixture", "heisprod4", "--map", "shear:2=0.2*q1*q1",
+        "--map2", "shear:2=0.3*q1", "--point", "0.5,0.1,0,0",
+    ],
 }
 
 

@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilcarnot.algebra import LinearMap
+import nilcarnot.linalg
+from nilcarnot.algebra import LinearMap, bracket
 from nilcarnot.group import bch, dilation_matrix
-from nilcarnot.linalg import as_float, identity_matrix, vneg
+from nilcarnot.linalg import as_float, identity_matrix, is_zero, vadd, vneg, vscale
 from nilcarnot.maps import (
+    _curve_velocity,
     ExtrapolationError,
     FiberMap,
     NonContractionError,
@@ -34,7 +36,7 @@ from nilcarnot.maps import (
     v_alpha_indices,
     verify_compatible,
 )
-from nilcarnot.catalog import heisenberg3
+from nilcarnot.catalog import engel4, heisenberg3
 from nilcarnot.rng import CounterRng, SamplerConfig, sample_ball_point
 from nilcarnot.shear import apply_shear, build_shear, component_from_exprs
 
@@ -203,6 +205,21 @@ def test_d_alpha_zero_salpha_is_linear_part(dec_l5, ladder_sigma_shear):
     # ladder5 has Z_2 = 0, so the differential is B + A on V_alpha
     m = d_alpha_matrix(dec_l5, fiber_shear(ladder_sigma_shear), (1.0, 0.2, -0.4, 0.3, 2.0, 0.1))
     assert np.allclose(m, np.eye(len(v_alpha_indices(dec_l5))), atol=1e-9)
+
+
+def test_curve_velocity_is_exact_left_invariant_field():
+    """On a step-3 algebra the t-linear part of at * (t dir) is
+    dir + 1/2 [at, dir] + 1/12 [at, [at, dir]]."""
+    alg = engel4()
+    at = (Fraction(1, 2), Fraction(-3, 4), Fraction(2), Fraction(-1, 8))
+    d = (Fraction(-1, 4), Fraction(3, 2), Fraction(1, 2), Fraction(5))
+    ad1 = bracket(alg, at, d)
+    ad2 = bracket(alg, at, ad1)
+    assert not is_zero(ad2)
+    expected = vadd(vadd(d, vscale(Fraction(1, 2), ad1)), vscale(Fraction(1, 12), ad2))
+    velocity = _curve_velocity(alg, at, d)
+    assert velocity == expected
+    assert all(isinstance(v, Fraction) for v in velocity)
 
 
 def test_d_alpha_dilation(dec_hp4):
@@ -417,6 +434,23 @@ def test_fixed_point_solver_geometric_sum(dec_l5):
     # b_1(gamma)(t) = 0.2 t, so the geometric series sums to 0.4 t
     for t in (-3.0, -1.0, 0.5, 2.0):
         assert c.eval((t,))[2] == pytest.approx(0.4 * t, abs=1e-9)
+
+
+def test_fixed_point_evaluation_builds_no_matrix_power(dec_l5, monkeypatch):
+    """The solved component reads the A^-k table built by the iteration."""
+    gamma = compose(
+        fiber_dilation(dec_l5.base, Fraction(1, 2)),
+        fiber_shear(build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, "0.4*q1")})),
+    )
+    c, _ = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    calls = []
+    for name in ("mat_mul", "identity_matrix"):
+        original = getattr(nilcarnot.linalg, name)
+        monkeypatch.setattr(
+            nilcarnot.linalg, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+        )
+    assert c.eval((1.7,))[2] == pytest.approx(0.4 * 1.7, abs=1e-9)
+    assert calls == []
 
 
 def test_fixed_point_solver_zero_map(dec_l5):
