@@ -12,9 +12,17 @@ All subspace computations are exact over rationals and return canonical
 reduced row-echelon bases, so equality of subspaces is plain equality.
 Values are immutable; every operation is a pure function.  Tables
 derived from an algebra (bracket lookups, layer indices, the lower
-central series, the validation report, Carnot layers and nested-bracket
-words) are cached properties of the instance: each is computed at most
-once per instance, and no module-level cache is keyed by an algebra.
+central series, the validation report, Carnot layers, nested-bracket
+words and the float BCH plan) are cached properties of the instance:
+each is computed at most once per instance, and no module-level cache
+is keyed by an algebra.
+
+Float twins: the structure constants (``bracket_table_float``), the rows
+of a :class:`Subspace` (``rows_float``) and the matrix of a
+:class:`LinearMap` (``float_matrix``) each have a float copy built once
+and read whenever the vector they meet is all-float.  CPython computes
+``Fraction * float`` as ``float(Fraction) * float``, so a twin gives the
+same bits as the exact table without a conversion per point.
 """
 
 from __future__ import annotations
@@ -133,11 +141,33 @@ class GradedAlgebra:
         return len(series) - 1
 
     @cached_property
-    def dynkin_words_float(self):
-        """The Dynkin words through the nilpotency step with float coefficients."""
+    def bch_plan(self):
+        """The float BCH product as (steps, terms), built from the Dynkin words.
+
+        Slots 0 and 1 hold x and y.  Step ``(letter, tail)`` appends the
+        slot ``[slot letter, slot tail]``: one slot per distinct
+        right-nested suffix, so a suffix shared by several words is
+        bracketed once.  Words ending in two equal letters contain
+        ``[x, x]`` or ``[y, y]``, which is exactly zero, and are dropped.
+        ``terms`` pairs a slot with its float coefficient in the original
+        word order, so the sum is bit-identical to accumulating word by
+        word.
+        """
         from .group import dynkin_words
 
-        return tuple((w, float(c)) for w, c in dynkin_words(self.nilpotency_step))
+        slots = {(0,): 0, (1,): 1}
+        steps = []
+        terms = []
+        for word, coef in dynkin_words(self.nilpotency_step):
+            if len(word) > 1 and word[-1] == word[-2]:
+                continue
+            for n in range(2, len(word) + 1):
+                suffix = word[-n:]
+                if suffix not in slots:
+                    slots[suffix] = len(slots)
+                    steps.append((suffix[0], slots[suffix[1:]]))
+            terms.append((slots[word], float(coef)))
+        return tuple(steps), tuple(terms)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -324,6 +354,10 @@ class Subspace:
     def rank(self):
         return len(self.rows)
 
+    @cached_property
+    def rows_float(self):
+        return tuple(tuple(float(a) for a in row) for row in self.rows)
+
     def contains(self, x, tol=0):
         return in_span(self.rows, self.pivots, x, tol=tol)
 
@@ -458,7 +492,13 @@ class LinearMap:
 
     matrix: tuple[tuple, ...]
 
+    @cached_property
+    def float_matrix(self):
+        return tuple(tuple(float(a) for a in row) for row in self.matrix)
+
     def __call__(self, x):
+        if linalg.is_float_vector(x):
+            return linalg.mat_vec(self.float_matrix, x)
         return linalg.mat_vec(self.matrix, x)
 
     @property

@@ -168,6 +168,12 @@ class CbCDecomposition:
       generated by H_1 commutes with w; None for integer alpha.
     * ``v_alpha_indices``: the basis of V_alpha, the weight alpha*lambda1.
     * ``p_alpha``: see :func:`p_alpha_data`.
+
+    The float paths read float twins built once: ``projection`` is a
+    ``LinearMap`` (``float_matrix``), and ``w_embed``, the ideal
+    coordinates in ``maps`` and ``integrate_bracket_form`` read the
+    subspace rows through ``rows_float``.  ``w_layer_project`` selects
+    coordinates through ``base.layer_indices``.
     """
 
     base: GradedAlgebra
@@ -246,8 +252,11 @@ class CbCDecomposition:
         return tuple(out)
 
     def w_embed(self, coords):
-        out = linalg.zero_vector(self.base.dim)
-        for c, row in zip(coords, self.w.rows):
+        if linalg.is_float_vector(coords):
+            out, rows = (0.0,) * self.base.dim, self.w.rows_float
+        else:
+            out, rows = linalg.zero_vector(self.base.dim), self.w.rows
+        for c, row in zip(coords, rows):
             out = vadd(out, vscale(c, row))
         return out
 
@@ -255,9 +264,9 @@ class CbCDecomposition:
         return self.z_layers.get(j)
 
     def w_layer_project(self, x, j):
-        lam = self.lambda1 * j
+        idx = self.base.layer_indices(self.lambda1 * j)
         zero = 0.0 if linalg.scalar_mode(x) == "float" else Fraction(0)
-        return tuple(a if self.base.weights[i] == lam else zero for i, a in enumerate(x))
+        return tuple(a if i in idx else zero for i, a in enumerate(x))
 
 
 def decompose(alg: GradedAlgebra) -> CbCDecomposition:
@@ -358,10 +367,9 @@ def integrate_bracket_form(dec: CbCDecomposition, component, path: HorizontalPat
     zj = dec.z_layer(j)
     if zj is None:
         raise ValueError(f"no center layer at index {j}")
-    zj_rows = tuple(as_float(r) for r in zj.rows)
 
     def check_membership(point, val):
-        resid = linalg.reduce_against(zj_rows, zj.pivots, val)
+        resid = linalg.reduce_against(zj.rows_float, zj.pivots, val)
         scale = 1.0 + math.sqrt(sum(a * a for a in val))
         if math.sqrt(sum(a * a for a in resid)) > 1e-8 * scale:
             raise ValueError(f"component value escapes the center layer Z_{j} at {point}")

@@ -50,6 +50,7 @@ from .maps import (
     solve_single_generator_fixed_point,
     verify_compatible,
 )
+from .quadrature import QuadratureError
 from .rng import SamplerConfig
 from .shear import (
     apply_shear,
@@ -88,7 +89,7 @@ def _parse_factor(alg, dec, spec: str):
             raise UsageError(f"translate needs {alg.dim} coordinates")
         return Translate(coords)
     if kind == "dilate":
-        return Dilation(_parse_number(payload))
+        return Dilation(alg, _parse_number(payload))
     if kind == "auto":
         rows = []
         for row in payload.split(";"):
@@ -452,7 +453,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, NonContractionError, ExtrapolationError) as exc:
+    except (OSError, ValueError, NonContractionError, ExtrapolationError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

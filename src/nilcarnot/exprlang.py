@@ -73,7 +73,10 @@ class BinOp:
         if self.op == "**":
             if a == 0 and b < 0:
                 raise ExprError(f"zero to a negative power in {self}")
-            out = a ** b
+            try:
+                out = a ** b
+            except OverflowError as exc:
+                raise ExprError(f"{a!r} ** {b!r} overflows in {self}") from exc
             if isinstance(out, complex):
                 raise ExprError(f"complex value {a!r} ** {b!r} in {self}")
             return out

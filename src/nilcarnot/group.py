@@ -6,9 +6,17 @@ algebra.  Coefficients are exact rationals, so in exact mode the
 product is an oracle: associativity, inverses and the conjugation
 formula hold with zero defect.
 
+Float inputs take a fast path that follows the algebra's ``bch_plan``:
+each distinct right-nested suffix of the Dynkin words is bracketed once
+with ``bracket_float``, and the terms are summed in word order.  The
+exact path reads the Dynkin words directly and stays the oracle.
+
 Also here: dilations ``delta_r`` (the automorphisms generated by the
 diagonal derivation), the homogeneous quasi-norm, graded-automorphism
-checks, and the affine-map calculus ``L_a o phi``.
+checks, and the affine-map calculus ``L_a o phi``.  ``dilate`` accepts a
+precomputed table of factors, so a dilation applied at many points (a
+``maps.Dilation`` factor, which keeps the float twin of its table) pays
+for its powers once.
 """
 
 from __future__ import annotations
@@ -70,15 +78,13 @@ def _right_nested(alg, word, x, y):
 
 
 def _bch_float(alg, x, y):
+    steps, terms = alg.bch_plan
+    slots = [x, y]
+    for letter, tail in steps:
+        slots.append(bracket_float(alg, slots[letter], slots[tail]))
     out = [0.0] * alg.dim
-    for word, coef in alg.dynkin_words_float:
-        if len(word) == 1:
-            term = x if word[0] == 0 else y
-        else:
-            term = x if word[-1] == 0 else y
-            for letter in reversed(word[:-1]):
-                term = bracket_float(alg, x if letter == 0 else y, term)
-        for i, a in enumerate(term):
+    for slot, coef in terms:
+        for i, a in enumerate(slots[slot]):
             if a:
                 out[i] += coef * a
     return tuple(out)
@@ -96,7 +102,7 @@ def bch(alg: GradedAlgebra, x, y, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
         raise BchDegreeError(
             f"nilpotency step {step} exceeds the supported Dynkin degree {degree_ceiling}"
         )
-    if all(type(a) is float for a in x) and all(type(a) is float for a in y):
+    if linalg.is_float_vector(x) and linalg.is_float_vector(y):
         return _bch_float(alg, x, y)
     mx, my = linalg.scalar_mode(x), linalg.scalar_mode(y)
     if mx != my:
@@ -139,13 +145,17 @@ def _dilation_factors(alg: GradedAlgebra, r):
     ]
 
 
-def dilate(alg: GradedAlgebra, r, x):
+def dilate(alg: GradedAlgebra, r, x, factors=None):
     """delta_r: scale the weight-lambda coordinate block by r**lambda.
 
     Exact when r is rational and all weights are integers; otherwise
-    falls back to float powers.
+    falls back to float powers.  ``factors``, when given, must be
+    ``_dilation_factors(alg, r)`` or its float twin; it replaces the
+    per-call computation of that table.
     """
-    return tuple(factor * a for factor, a in zip(_dilation_factors(alg, r), x))
+    if factors is None:
+        factors = _dilation_factors(alg, r)
+    return tuple(factor * a for factor, a in zip(factors, x))
 
 
 def quasi_norm(alg: GradedAlgebra, x) -> float:

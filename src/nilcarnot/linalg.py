@@ -60,6 +60,11 @@ def as_float(x):
     return tuple(float(a) for a in x)
 
 
+def is_float_vector(x):
+    """True iff every entry is a float: such vectors read the float twins."""
+    return all(type(a) is float for a in x)
+
+
 def scalar_mode(x):
     """'exact' if every entry is int/Fraction, 'float' if every entry is float.
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from . import linalg
 from .algebra import GradedAlgebra, LinearMap, bracket
 from .carnot import CbCDecomposition
 from .group import (
+    _dilation_factors,
     _right_nested,
     bch,
     dilate,
@@ -66,9 +68,15 @@ class ExtrapolationError(RuntimeError):
 class Translate:
     point: tuple
 
+    @cached_property
+    def float_point(self):
+        return as_float(self.point)
+
     def apply(self, alg, g):
+        if linalg.is_float_vector(g):
+            return bch(alg, self.float_point, g)
         if linalg.scalar_mode(self.point) != linalg.scalar_mode(g):
-            return bch(alg, as_float(self.point), as_float(g))
+            return bch(alg, self.float_point, as_float(g))
         return bch(alg, self.point, g)
 
     def linear_part(self, alg):
@@ -90,13 +98,26 @@ class Auto:
 
 @dataclass(frozen=True)
 class Dilation:
+    """delta_ratio on its own ``alg``; float points read the float twin of its factors.
+
+    ``apply`` and ``linear_part`` ignore the algebra they are passed:
+    ``FiberMap`` checks that it equals ``alg``.
+    """
+
+    alg: GradedAlgebra
     ratio: object
 
+    @cached_property
+    def float_factors(self):
+        return tuple(float(f) for f in _dilation_factors(self.alg, self.ratio))
+
     def apply(self, alg, g):
-        return dilate(alg, self.ratio, g)
+        if linalg.is_float_vector(g):
+            return dilate(self.alg, self.ratio, g, self.float_factors)
+        return dilate(self.alg, self.ratio, g)
 
     def linear_part(self, alg):
-        return dilation_matrix(alg, self.ratio).matrix
+        return dilation_matrix(self.alg, self.ratio).matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +147,9 @@ class FiberMap:
             elif isinstance(f, Shear):
                 if f.shear_map.dec.base != self.alg:
                     raise ValueError("shear factor lives on a different algebra")
+            elif isinstance(f, Dilation):
+                if f.alg is not self.alg and f.alg != self.alg:
+                    raise ValueError("dilation factor lives on a different algebra")
 
     def __call__(self, g):
         out = g
@@ -163,7 +187,7 @@ def fiber_auto(alg, matrix: LinearMap) -> FiberMap:
 
 
 def fiber_dilation(alg, ratio) -> FiberMap:
-    return FiberMap(alg, (Dilation(ratio),))
+    return FiberMap(alg, (Dilation(alg, ratio),))
 
 
 def fiber_shear(smap: ShearMap) -> FiberMap:
@@ -228,7 +252,8 @@ class CompatibleExpression:
 
 
 def _w_coords(dec: CbCDecomposition, x, tol=0.0):
-    reduced = linalg.reduce_against(dec.w.rows, dec.w.pivots, x)
+    rows = dec.w.rows_float if linalg.is_float_vector(x) else dec.w.rows
+    reduced = linalg.reduce_against(rows, dec.w.pivots, x)
     if tol == 0.0 and linalg.scalar_mode(x) == "exact":
         if not linalg.is_zero(reduced):
             raise ValueError("vector does not lie in the ideal")
@@ -258,7 +283,7 @@ def extract_compatible(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpre
         img = phi(row)
         a_cols.append(_w_coords(dec, img))
     a_matrix = tuple(zip(*a_cols))
-    a_inv = invert_matrix(LinearMap(a_matrix)).matrix
+    a_inv = invert_matrix(LinearMap(a_matrix))
 
     quot_matrix = []
     for pos, i in enumerate(keep):
@@ -277,16 +302,16 @@ def extract_compatible(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpre
             j: comp.trees for j, comp in smap.components.items() if comp.trees is not None
         }
     else:
+        neg_base = vneg(as_float(base))
 
         def s_eval(q):
             qf = as_float(q)
             h = as_float(dec.lift(qf))
             fh = as_float(fmap(h))
             bh = as_float(phi(h))
-            residual = bch(alg, vneg(bh), bch(alg, vneg(as_float(base)), fh))
+            residual = bch(alg, vneg(bh), bch(alg, neg_base, fh))
             coords = _w_coords(dec, residual, tol=1e-8)
-            inv = linalg.mat_vec(a_inv, coords)
-            return as_float(dec.w_embed(inv))
+            return as_float(dec.w_embed(a_inv(coords)))
 
     return CompatibleExpression(
         dec=dec,
@@ -594,26 +619,40 @@ def pansu_check(
 
 @dataclass(frozen=True)
 class SimilarityPair:
-    """(A, Bbar): an ideal similarity and a quotient affine similarity."""
+    """(A, Bbar): an ideal similarity and a quotient affine similarity.
+
+    ``a_inverse`` is the ``LinearMap`` from ``invert_matrix``.
+    ``quot_apply`` and ``a_inv_ambient`` read views built once: the
+    ``LinearMap`` float twins of both matrices and the translation as
+    floats.
+    """
 
     dec: CbCDecomposition
     a_matrix: tuple
-    a_inverse: tuple
+    a_inverse: LinearMap
     quot_translation: tuple
     quot_matrix: tuple
     lambda_a: float
     lambda_bbar: float
 
+    @cached_property
+    def quot_map(self):
+        return LinearMap(self.quot_matrix)
+
+    @cached_property
+    def quot_translation_float(self):
+        return as_float(self.quot_translation)
+
     def quot_apply(self, q):
         return bch(
             self.dec.quotient,
-            as_float(self.quot_translation),
-            as_float(linalg.mat_vec(self.quot_matrix, as_float(q))),
+            self.quot_translation_float,
+            as_float(self.quot_map(as_float(q))),
         )
 
     def a_inv_ambient(self, w_vec, tol=1e-8):
         coords = _w_coords(self.dec, w_vec, tol)
-        return as_float(self.dec.w_embed(linalg.mat_vec(self.a_inverse, coords)))
+        return as_float(self.dec.w_embed(self.a_inverse(coords)))
 
 
 def _similarity_ratio(block_rows, label):
@@ -641,7 +680,7 @@ def similarity_pair(dec: CbCDecomposition, fmap: FiberMap) -> SimilarityPair:
     return SimilarityPair(
         dec=dec,
         a_matrix=expr.a_matrix,
-        a_inverse=invert_matrix(LinearMap(expr.a_matrix)).matrix,
+        a_inverse=invert_matrix(LinearMap(expr.a_matrix)),
         quot_translation=tuple(expr.quot_translation),
         quot_matrix=expr.quot_matrix,
         lambda_a=lambda_a,
@@ -654,16 +693,12 @@ def compose_pairs(second: SimilarityPair, first: SimilarityPair) -> SimilarityPa
     dec = second.dec
     a = linalg.mat_mul(second.a_matrix, first.a_matrix)
     qmat = linalg.mat_mul(second.quot_matrix, first.quot_matrix)
-    qtrans = bch(
-        dec.quotient,
-        as_float(second.quot_translation),
-        as_float(linalg.mat_vec(second.quot_matrix, as_float(first.quot_translation))),
-    )
+    qtrans = second.quot_apply(first.quot_translation)
     return SimilarityPair(
         dec=dec,
         a_matrix=a,
-        a_inverse=invert_matrix(LinearMap(a)).matrix,
-        quot_translation=tuple(qtrans),
+        a_inverse=invert_matrix(LinearMap(a)),
+        quot_translation=qtrans,
         quot_matrix=qmat,
         lambda_a=second.lambda_a * first.lambda_a,
         lambda_bbar=second.lambda_bbar * first.lambda_bbar,
@@ -872,7 +907,7 @@ def solve_single_generator_fixed_point(
             change = max(change, max(abs(a) for a in term(k, orbit_q)))
             orbits[q] = tuple(as_float(pair.quot_apply(orbit_q)))
         orbit_0 = tuple(as_float(pair.quot_apply(orbit_0)))
-        a_inv_power = linalg.mat_mul(pair.a_inverse, a_inv_power)
+        a_inv_power = linalg.mat_mul(pair.a_inverse.matrix, a_inv_power)
         if prev_change is not None and prev_change > 0:
             factor = max(factor, change / prev_change)
             if k >= 2 and change / prev_change >= 1.0 - 1e-9:

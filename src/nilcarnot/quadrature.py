@@ -6,6 +6,11 @@ absolute tolerance (or every offender reaches the depth cap).  This
 concentrates evaluations at isolated Holder points without dragging the
 smooth bulk of the interval to the same depth.  Vectors are plain
 tuples; dimensions here are tiny.
+
+The work is bounded: a call that would evaluate the integrand more than
+``MAX_EVALS`` times raises :class:`QuadratureError` instead of refining
+on, for instance when capped intervals keep the summed estimate above
+the tolerance.
 """
 
 from __future__ import annotations
@@ -15,6 +20,21 @@ import itertools
 
 DEFAULT_TOL = 1e-10
 MAX_DEPTH = 30
+# over 40x the most evaluations one call of the test suite or the
+# benchmark workloads makes (1,133, a lift on ladder5 x engel4)
+MAX_EVALS = 50_000
+
+
+class QuadratureError(RuntimeError):
+    """The evaluation budget ran out before the error estimate met the tolerance."""
+
+    def __init__(self, evals, error, tol):
+        super().__init__(
+            f"quadrature stopped after {evals} evaluations with error estimate "
+            f"{error:.3e} above the tolerance {tol:.3e}"
+        )
+        self.evals = evals
+        self.error = error
 
 
 def _simpson(fa, fm, fb, h):
@@ -52,7 +72,11 @@ class _Interval:
 
 
 def integrate_vector(f, a: float, b: float, tol: float = DEFAULT_TOL):
-    """Integrate a tuple-valued f over [a, b] to absolute tolerance tol."""
+    """Integrate a tuple-valued f over [a, b] to absolute tolerance tol.
+
+    Each bisection costs four evaluations on top of the first five; a
+    bisection that would pass ``MAX_EVALS`` raises :class:`QuadratureError`.
+    """
     fa = tuple(f(a))
     if a == b:
         return tuple(0.0 for _ in fa)
@@ -64,11 +88,15 @@ def integrate_vector(f, a: float, b: float, tol: float = DEFAULT_TOL):
     heap = [(-root.err, next(counter), root)]
     capped = []
     total_err = root.err
+    evals = 5
     while heap and total_err > tol:
         _, _, worst = heapq.heappop(heap)
         if worst.depth >= MAX_DEPTH:
             capped.append(worst)
             continue
+        if evals + 4 > MAX_EVALS:
+            raise QuadratureError(evals, total_err, tol)
+        evals += 4
         total_err -= worst.err
         for child in worst.split(f):
             total_err += child.err

@@ -224,8 +224,13 @@ def test_usage_error_exit_codes(capsys):
             "--map", "shear:1=q1", "--solve-layer", "1",
         ],
         ["maps", "dalpha", "--fixture", "heisprod4", "--map", "shear:2=sign(q1)"],
+        ["shear", "--fixture", "ladder5", "--component", "1=q1**400", "--verify"],
+        ["shear", "--fixture", "ladder5", "--component", "1=2**(q1*q1*100)", "--verify"],
     ],
-    ids=["division_by_zero", "complex_power", "non_contraction", "extrapolation"],
+    ids=[
+        "division_by_zero", "complex_power", "non_contraction", "extrapolation", "overflow",
+        "quadrature_budget",
+    ],
 )
 def test_failing_input_exits_2_with_one_line_message(capsys, argv):
     assert main(argv) == 2

@@ -46,6 +46,8 @@ def test_eval_errors_are_expr_errors():
         ev("q1**-1", 0.0)
     with pytest.raises(ExprError, match="complex"):
         ev("q1**0.5", -2.0)
+    with pytest.raises(ExprError, match="overflows"):
+        ev("q1**400", -7.0)
     assert ev("q1**2", -2.0) == 4.0
 
 

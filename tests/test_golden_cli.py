@@ -16,6 +16,10 @@ from nilcarnot.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+# delta_2 on ladder5 written as a matrix, and a rational translation
+DELTA_2 = "2,0,0,0,0,0;0,2,0,0,0,0;0,0,2,0,0,0;0,0,0,4,0,0;0,0,0,0,4,0;0,0,0,0,0,8"
+TRANSLATION = "1/2,-1,1/4,0,1,0"
+
 CASES = {
     **{
         f"classify_{name}": ["classify", "--fixture", name]
@@ -40,6 +44,19 @@ CASES = {
     "maps_chain_heisprod4": [
         "maps", "chain", "--fixture", "heisprod4", "--map", "shear:2=0.2*q1*q1",
         "--map2", "shear:2=0.3*q1", "--point", "0.5,0.1,0,0",
+    ],
+    # translation and graded-automorphism factors on float points
+    "maps_compatible_ladder5_translate_auto": [
+        "maps", "compatible", "--fixture", "ladder5", "--map", f"translate:{TRANSLATION}",
+        "--map", f"auto:{DELTA_2}", "--map", "shear:1=q1*q1",
+    ],
+    "maps_cocycle_ladder5": [
+        "maps", "cocycle", "--fixture", "ladder5", "--map", f"translate:{TRANSLATION}",
+        "--map", "dilate:1/2", "--map2", f"auto:{DELTA_2}", "--map2", "shear:1=sin(q1)",
+    ],
+    "maps_automorphism_ladder5": [
+        "maps", "automorphism", "--fixture", "ladder5", "--map", f"translate:{TRANSLATION}",
+        "--map", f"auto:{DELTA_2}",
     ],
 }
 

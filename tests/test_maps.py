@@ -10,6 +10,7 @@ from nilcarnot.group import bch, dilation_matrix
 from nilcarnot.linalg import as_float, identity_matrix, is_zero, vadd, vneg, vscale
 from nilcarnot.maps import (
     _curve_velocity,
+    Dilation,
     ExtrapolationError,
     FiberMap,
     NonContractionError,
@@ -94,6 +95,11 @@ def test_extract_pure_shear_normal_form(dec_l5, ladder_sigma_shear):
         got = as_float(expr.s_eval((p,)))
         want = ladder_sigma_shear.s_value((p,))
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+
+def test_fiber_map_rejects_a_dilation_on_another_algebra(dec_l5):
+    with pytest.raises(ValueError, match="dilation factor lives on a different algebra"):
+        FiberMap(dec_l5.base, (Dilation(heisenberg3(), Fraction(1, 2)),))
 
 
 def test_extract_dilation(dec_l5):

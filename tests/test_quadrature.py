@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nilcarnot.quadrature import integrate_vector
+from nilcarnot import quadrature
+from nilcarnot.quadrature import MAX_EVALS, QuadratureError, integrate_vector
 
 
 def test_polynomial_is_near_exact():
@@ -32,3 +33,34 @@ def test_vector_components_integrate_independently():
 
 def test_empty_interval():
     assert integrate_vector(lambda t: np.array([5.0]), 1.0, 1.0)[0] == 0.0
+
+
+def test_jump_at_tight_tolerance_stops_at_the_budget():
+    """Capped intervals keep the estimate above 1e-13; the budget ends the refinement."""
+    points = []
+
+    def jump(t):
+        points.append(t)
+        return (1.0 if t >= 0.3 else 0.0,)
+
+    with pytest.raises(QuadratureError) as info:
+        integrate_vector(jump, 0.0, 1.0, tol=1e-13)
+    assert info.value.evals == len(points) <= MAX_EVALS
+    assert info.value.error > 1e-13
+    assert f"{len(points)} evaluations" in str(info.value)
+
+
+def test_budget_that_is_met_leaves_the_value_unchanged(monkeypatch):
+    points = []
+
+    def f(t):
+        points.append(t)
+        return (math.sqrt(abs(t)),)
+
+    full = integrate_vector(f, 0.0, 4.0, tol=1e-10)
+    used = len(points)
+    monkeypatch.setattr(quadrature, "MAX_EVALS", used)
+    assert integrate_vector(f, 0.0, 4.0, tol=1e-10) == full
+    monkeypatch.setattr(quadrature, "MAX_EVALS", used - 1)
+    with pytest.raises(QuadratureError):
+        integrate_vector(f, 0.0, 4.0, tol=1e-10)
