@@ -13,16 +13,18 @@ reduced row-echelon bases, so equality of subspaces is plain equality.
 Values are immutable; every operation is a pure function.  Tables
 derived from an algebra (bracket lookups, layer indices, the lower
 central series, the validation report, Carnot layers, nested-bracket
-words and the float BCH plan) are cached properties of the instance:
-each is computed at most once per instance, and no module-level cache
-is keyed by an algebra.
+words and the BCH plan) are cached properties of the instance: each is
+computed at most once per instance, and no module-level cache is keyed
+by an algebra.
 
-Float twins: the structure constants (``bracket_table_float``), the rows
-of a :class:`Subspace` (``rows_float``) and the matrix of a
-:class:`LinearMap` (``float_matrix``) each have a float copy built once
-and read whenever the vector they meet is all-float.  CPython computes
-``Fraction * float`` as ``float(Fraction) * float``, so a twin gives the
-same bits as the exact table without a conversion per point.
+Float twins: the structure constants (``bracket_table_float``), the BCH
+coefficients (``bch_terms_float``), the rows of a :class:`Subspace`
+(``rows_float``) and the matrix of a :class:`LinearMap`
+(``float_matrix``) each have a float copy built once and read whenever
+the vector they meet is all-float.  CPython computes ``Fraction * float``
+as ``float(Fraction) * float``, so a twin gives the same bits as the
+exact table without a conversion per point.  One bracket loop reads the
+exact table (``bracket``, after its checks) or the twin (``bracket_float``).
 """
 
 from __future__ import annotations
@@ -97,17 +99,17 @@ class GradedAlgebra:
 
     @cached_property
     def bracket_table(self):
-        """Sparse lookup (i, j) -> tuple of (k, c), for i < j only."""
+        """Rows (i, j, ((k, c), ...)) for i < j: [e_i, e_j] = sum c e_k."""
         table: dict[tuple[int, int], list] = {}
         for i, j, k, c in self.brackets:
             table.setdefault((i, j), []).append((k, c))
-        return {key: tuple(val) for key, val in table.items()}
+        return tuple((i, j, tuple(entries)) for (i, j), entries in table.items())
 
     @cached_property
     def bracket_table_float(self):
         return tuple(
             (i, j, tuple((k, float(c)) for k, c in entries))
-            for (i, j), entries in self.bracket_table.items()
+            for i, j, entries in self.bracket_table
         )
 
     @cached_property
@@ -142,16 +144,16 @@ class GradedAlgebra:
 
     @cached_property
     def bch_plan(self):
-        """The float BCH product as (steps, terms), built from the Dynkin words.
+        """The BCH product as (steps, terms), built from the Dynkin words.
 
         Slots 0 and 1 hold x and y.  Step ``(letter, tail)`` appends the
         slot ``[slot letter, slot tail]``: one slot per distinct
         right-nested suffix, so a suffix shared by several words is
         bracketed once.  Words ending in two equal letters contain
         ``[x, x]`` or ``[y, y]``, which is exactly zero, and are dropped.
-        ``terms`` pairs a slot with its float coefficient in the original
-        word order, so the sum is bit-identical to accumulating word by
-        word.
+        ``terms`` pairs a slot with its exact coefficient in the original
+        word order, so a float sum is bit-identical to accumulating word
+        by word.
         """
         from .group import dynkin_words
 
@@ -166,8 +168,13 @@ class GradedAlgebra:
                 if suffix not in slots:
                     slots[suffix] = len(slots)
                     steps.append((suffix[0], slots[suffix[1:]]))
-            terms.append((slots[word], float(coef)))
+            terms.append((slots[word], coef))
         return tuple(steps), tuple(terms)
+
+    @cached_property
+    def bch_terms_float(self):
+        """The terms of ``bch_plan`` with float coefficients."""
+        return tuple((slot, float(coef)) for slot, coef in self.bch_plan[1])
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -314,15 +321,19 @@ def bracket_expressions(alg: GradedAlgebra):
     return alg.bracket_expressions
 
 
-def bracket_float(alg: GradedAlgebra, x, y):
-    """Float-only bracket; no mode checks, for numeric inner loops."""
-    out = [0.0] * alg.dim
-    for i, j, entries in alg.bracket_table_float:
+def _bracket_rows(table, out, x, y):
+    """Add [x, y] into ``out`` from table rows (i, j, ((k, c), ...))."""
+    for i, j, entries in table:
         coef = x[i] * y[j] - x[j] * y[i]
         if coef:
             for k, c in entries:
                 out[k] += c * coef
     return tuple(out)
+
+
+def bracket_float(alg: GradedAlgebra, x, y):
+    """Float-only bracket on the float twin; no mode checks, for inner loops."""
+    return _bracket_rows(alg.bracket_table_float, [0.0] * alg.dim, x, y)
 
 
 def bracket(alg: GradedAlgebra, x, y):
@@ -332,14 +343,8 @@ def bracket(alg: GradedAlgebra, x, y):
     mx, my = linalg.scalar_mode(x), linalg.scalar_mode(y)
     if mx != my:
         raise ValueError(f"scalar modes differ: {mx} vs {my}")
-    out = [Fraction(0)] * alg.dim if mx == "exact" else [0.0] * alg.dim
-    for (i, j), entries in alg.bracket_table.items():
-        coef = x[i] * y[j] - x[j] * y[i]
-        if coef == 0:
-            continue
-        for k, c in entries:
-            out[k] += c * coef
-    return tuple(out)
+    zero = Fraction(0) if mx == "exact" else 0.0
+    return _bracket_rows(alg.bracket_table, [zero] * alg.dim, x, y)
 
 
 @dataclass(frozen=True)

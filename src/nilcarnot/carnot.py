@@ -60,7 +60,13 @@ class HorizontalPath:
     alg: GradedAlgebra
     start: tuple
     segments: tuple
-    endpoint: tuple
+
+    @cached_property
+    def endpoint(self):
+        pos = self.start
+        for direction, duration in self.segments:
+            pos = bch(self.alg, pos, vscale(duration, direction))
+        return pos
 
     @property
     def segment_count(self):
@@ -76,9 +82,9 @@ class HorizontalPath:
 
 def _word_segments(alg, word, t):
     """Segments whose product is exp(t^len(word) * nested_bracket(word) + higher)."""
+    head = [(alg.basis_vector(word[0], mode="float"), float(t))]
     if len(word) == 1:
-        return [(as_float(alg.basis_vector(word[0])), float(t))]
-    head = [(as_float(alg.basis_vector(word[0])), float(t))]
+        return head
     tail = _word_segments(alg, word[1:], t)
     inv = lambda segs: [(vneg(d), dur) for d, dur in reversed(segs)]
     return head + tail + inv(head) + inv(tail)
@@ -139,7 +145,7 @@ def horizontal_connect(alg: GradedAlgebra, g, tol: float = 1e-9) -> HorizontalPa
         raise ZigzagError(
             f"endpoint residual {residual_norm:.3e} exceeds tolerance after the full pass"
         )
-    return HorizontalPath(alg, (0.0,) * alg.dim, tuple(segments), endpoint)
+    return HorizontalPath(alg, (0.0,) * alg.dim, tuple(segments))
 
 
 def cc_upper_bound(alg: GradedAlgebra, g) -> float:

@@ -6,10 +6,12 @@ algebra.  Coefficients are exact rationals, so in exact mode the
 product is an oracle: associativity, inverses and the conjugation
 formula hold with zero defect.
 
-Float inputs take a fast path that follows the algebra's ``bch_plan``:
-each distinct right-nested suffix of the Dynkin words is bracketed once
-with ``bracket_float``, and the terms are summed in word order.  The
-exact path reads the Dynkin words directly and stays the oracle.
+Both scalar modes walk the algebra's ``bch_plan``, bracketing each
+distinct right-nested suffix of the Dynkin words once: exact inputs with
+``bracket`` and the exact coefficients, all-float inputs with
+``bracket_float`` and their float twin.  ``ad_series`` sums
+``c_k (ad a)^k b``, the conjugation for ``c_k = 1/k!`` and the velocity
+of ``t -> a * (t b)`` for the Bernoulli coefficients ``B_k/k!``.
 
 Also here: dilations ``delta_r`` (the automorphisms generated by the
 diagonal derivation), the homogeneous quasi-norm, graded-automorphism
@@ -25,20 +27,23 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
 from .algebra import GradedAlgebra, LinearMap, bracket, bracket_float
 from .linalg import vadd, vneg, vscale
 
 DEFAULT_DEGREE_CEILING = 6
+# through the ceiling: 1/k!, the series of Ad = exp(ad), and B_k/k! with the
+# Bernoulli numbers B_k (B_1 = +1/2), the series of z / (1 - exp(-z))
+INVERSE_FACTORIALS = tuple(Fraction(1, math.factorial(k)) for k in range(DEFAULT_DEGREE_CEILING + 1))
+BERNOULLI = (1, Fraction(1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0, Fraction(1, 42))
+BERNOULLI_COEFFS = tuple(Fraction(b, math.factorial(k)) for k, b in enumerate(BERNOULLI))
 
 
 class BchDegreeError(ValueError):
     """Raised when the nilpotency step exceeds the supported Dynkin degree."""
 
 
-@lru_cache(maxsize=None)
 def dynkin_words(max_degree: int):
     """Dynkin coefficients of the BCH series through the given degree.
 
@@ -70,50 +75,35 @@ def dynkin_words(max_degree: int):
     return tuple((w, c) for w, c in sorted(coeffs.items()) if c != 0)
 
 
-def _right_nested(alg, word, x, y):
-    acc = x if word[-1] == 0 else y
-    for letter in reversed(word[:-1]):
-        acc = bracket(alg, x if letter == 0 else y, acc)
-    return acc
-
-
-def _bch_float(alg, x, y):
-    steps, terms = alg.bch_plan
-    slots = [x, y]
-    for letter, tail in steps:
-        slots.append(bracket_float(alg, slots[letter], slots[tail]))
-    out = [0.0] * alg.dim
-    for slot, coef in terms:
-        for i, a in enumerate(slots[slot]):
-            if a:
-                out[i] += coef * a
-    return tuple(out)
-
-
 def bch(alg: GradedAlgebra, x, y, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
     """The product x * y, exact in rational mode.
 
     The Dynkin series is truncated at the nilpotency step, where it is
     the whole product; steps above the ceiling are refused rather than
-    silently truncated.  Float inputs take a float fast path.
+    silently truncated.  Both scalar modes walk ``alg.bch_plan``.
     """
     step = alg.nilpotency_step
     if step > degree_ceiling:
         raise BchDegreeError(
             f"nilpotency step {step} exceeds the supported Dynkin degree {degree_ceiling}"
         )
-    if linalg.is_float_vector(x) and linalg.is_float_vector(y):
-        return _bch_float(alg, x, y)
-    mx, my = linalg.scalar_mode(x), linalg.scalar_mode(y)
-    if mx != my:
-        raise ValueError(f"scalar modes differ: {mx} vs {my}")
-    if mx == "float":
-        return _bch_float(alg, x, y)
-    out = list(linalg.zero_vector(alg.dim))
-    for word, coef in dynkin_words(step):
-        term = _right_nested(alg, word, x, y)
-        for i, a in enumerate(term):
-            if a != 0:
+    if not (linalg.is_float_vector(x) and linalg.is_float_vector(y)):
+        mx, my = linalg.scalar_mode(x), linalg.scalar_mode(y)
+        if mx != my:
+            raise ValueError(f"scalar modes differ: {mx} vs {my}")
+        if mx == "exact":
+            return _bch_sum(alg, x, y, bracket, alg.bch_plan[1], [Fraction(0)] * alg.dim)
+    return _bch_sum(alg, x, y, bracket_float, alg.bch_terms_float, [0.0] * alg.dim)
+
+
+def _bch_sum(alg, x, y, bracket_with, terms, out):
+    """Bracket each suffix of the plan once, then add the terms into ``out``."""
+    slots = [x, y]
+    for letter, tail in alg.bch_plan[0]:
+        slots.append(bracket_with(alg, slots[letter], slots[tail]))
+    for slot, coef in terms:
+        for i, a in enumerate(slots[slot]):
+            if a:
                 out[i] += coef * a
     return tuple(out)
 
@@ -123,15 +113,21 @@ def inverse(x):
     return vneg(x)
 
 
+def ad_series(alg: GradedAlgebra, coeffs, a, b):
+    """sum_k coeffs[k] (ad a)^k b through the nilpotency step; coeffs[0] is 1."""
+    step = alg.nilpotency_step
+    if step >= len(coeffs):
+        raise BchDegreeError(f"nilpotency step {step} exceeds the tabulated series")
+    out = term = b
+    for c in coeffs[1 : step + 1]:
+        term = bracket(alg, a, term)
+        out = vadd(out, vscale(c, term))
+    return out
+
+
 def conjugate_adjoint(alg: GradedAlgebra, y, x):
     """y * x * (-y) computed as sum_k (1/k!) (ad y)^k x."""
-    step = alg.nilpotency_step
-    out = x
-    term = x
-    for k in range(1, step + 1):
-        term = bracket(alg, y, term)
-        out = vadd(out, vscale(Fraction(1, math.factorial(k)), term))
-    return out
+    return ad_series(alg, INVERSE_FACTORIALS, y, x)
 
 
 def _dilation_factors(alg: GradedAlgebra, r):
@@ -177,11 +173,10 @@ def quasi_dist(alg: GradedAlgebra, x, y) -> float:
     coinciding points report distance 0.0 instead of a rounding residue
     amplified by the fractional layer exponents.
     """
-    if linalg.scalar_mode(x) == "exact" and linalg.scalar_mode(y) == "exact":
-        return quasi_norm(alg, bch(alg, vneg(x), y))
-    fx = linalg.as_float(x)
-    fy = linalg.as_float(y)
-    return quasi_norm(alg, bch(alg, vneg(fx), fy))
+    if not (linalg.is_float_vector(x) and linalg.is_float_vector(y)):
+        if linalg.scalar_mode(x) != "exact" or linalg.scalar_mode(y) != "exact":
+            x, y = linalg.as_float(x), linalg.as_float(y)
+    return quasi_norm(alg, bch(alg, vneg(x), y))
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,12 @@ from . import linalg
 from .algebra import GradedAlgebra, LinearMap, bracket
 from .carnot import CbCDecomposition
 from .group import (
+    BERNOULLI_COEFFS,
     _dilation_factors,
-    _right_nested,
+    ad_series,
     bch,
     dilate,
     dilation_matrix,
-    dynkin_words,
     invert_matrix,
     is_graded_automorphism,
     quasi_dist,
@@ -456,16 +456,12 @@ def _component_directional(dec, component, at_q, direction_q, exact_curve=True):
 def _curve_velocity(qalg: GradedAlgebra, at, direction):
     """Exact t-coefficient of bch(at, t*direction): the left-invariant field.
 
-    The product is polynomial in t, and its t-linear part is the sum of
-    the Dynkin words that contain the direction exactly once.
+    The product is polynomial in t, and its t-linear part is
+    sum_k (B_k / k!) (ad at)^k direction, with B_1 = +1/2.
     """
     at_e = tuple(Fraction(a).limit_denominator(10**12) for a in as_float(at))
     dir_e = tuple(Fraction(a).limit_denominator(10**12) for a in as_float(direction))
-    velocity = linalg.zero_vector(qalg.dim)
-    for word, coef in dynkin_words(qalg.nilpotency_step):
-        if word.count(1) == 1:
-            velocity = vadd(velocity, vscale(coef, _right_nested(qalg, word, at_e, dir_e)))
-    return velocity
+    return ad_series(qalg, BERNOULLI_COEFFS, at_e, dir_e)
 
 
 def v_alpha_indices(dec: CbCDecomposition):

@@ -147,10 +147,7 @@ def loop_test_membership(
         rel = bch(qc, vneg(pos), base)
         closing = horizontal_connect(qc, rel)
         segs.extend(closing.segments)
-        endpoint = pos
-        for direction, duration in closing.segments:
-            endpoint = bch(qc, endpoint, vscale(duration, direction))
-        loop = HorizontalPath(qc, base, tuple(segs), endpoint)
+        loop = HorizontalPath(qc, base, tuple(segs))
         val = integrate_bracket_form(dec, component, loop, tol=quad_tol)
         size = math.sqrt(sum(a * a for a in val))
         bound = tol_factor * loop.length * hint
@@ -207,7 +204,7 @@ def lift(
             base = min(candidates, key=lambda x: abs(x - key))
             length = abs(key - base)
             direction = (1.0,) if key > base else (-1.0,)
-            path = HorizontalPath(qc, (base,), ((direction, length),), (key,))
+            path = HorizontalPath(qc, (base,), ((direction, length),))
             delta = integrate_bracket_form(dec, component, path, tol=quad_tol)
             val = vadd(vals[base], delta)
             bisect.insort(xs, key)
@@ -227,11 +224,8 @@ def lift(
             mid = dilate(qc, 0.5, key)
             rel = bch(qc, vneg(mid), key)
             alt_segments = horizontal_connect(qc, mid).segments + horizontal_connect(qc, rel).segments
-            pos = (0.0,) * qc.dim
-            for direction, duration in alt_segments:
-                pos = bch(qc, pos, vscale(duration, direction))
             alt = integrate_bracket_form(
-                dec, component, HorizontalPath(qc, (0.0,) * qc.dim, alt_segments, pos), tol=quad_tol
+                dec, component, HorizontalPath(qc, (0.0,) * qc.dim, alt_segments), tol=quad_tol
             )
             gap = max(abs(a - b) for a, b in zip(val, alt))
             scale = max(1.0, max(abs(a) for a in val))

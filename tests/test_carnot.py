@@ -179,8 +179,7 @@ def test_integrate_bracket_form_backtracking_loop(dec_l5):
     qc = dec_l5.quotient_carnot
     direction = (1.0,)
     segments = ((direction, 2.0), (vneg(direction), 2.0))
-    endpoint = (0.0,)
-    loop = HorizontalPath(qc, (0.0,), segments, endpoint)
+    loop = HorizontalPath(qc, (0.0,), segments)
     sigma = component_from_exprs(dec_l5, 1, "sign(q1)*sqrt(abs(q1))")
     val = integrate_bracket_form(dec_l5, sigma, loop)
     assert max(abs(v) for v in val) <= 1e-12

@@ -1,8 +1,11 @@
 """The float fast paths against the exact path they mirror.
 
-The float BCH follows the algebra's ``bch_plan``; it is compared with
-the exact product (the oracle) and, bit for bit, with the per-word
-Dynkin sum it replaced.  The float twins of the structural tables must
+Both scalar modes of the BCH follow the algebra's ``bch_plan``; the
+float product is compared with the exact one (the oracle), and each is
+compared with the per-word Dynkin sum it replaced: the float one bit for
+bit, the exact one as ``Fraction``s.  The curve velocity, a Bernoulli
+series in ``ad``, is compared with the Dynkin words that hold the
+direction once.  The float twins of the structural tables must
 leave no ``Fraction`` conversion on a fresh point.
 """
 
@@ -12,11 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nilcarnot.group
-from nilcarnot.algebra import bracket_float
+from nilcarnot.algebra import bracket, bracket_float
 from nilcarnot.carnot import decompose
 from nilcarnot.catalog import direct_product, engel4, fixture, fixture_names, ladder5
 from nilcarnot.group import bch, dynkin_words
-from nilcarnot.maps import compose, fiber_dilation, fiber_shear, solve_single_generator_fixed_point
+from nilcarnot.maps import _curve_velocity, compose, fiber_dilation, fiber_shear, solve_single_generator_fixed_point
 from nilcarnot.rng import CounterRng, sample_ball_point
 from nilcarnot.shear import apply_shear, build_shear, component_from_exprs
 
@@ -26,17 +29,26 @@ ALGEBRAS["ladder5_x_engel4"] = direct_product(ladder5(), engel4(), 2)
 floats = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
 
 
-def bch_float_per_word(alg, x, y):
-    """The float BCH word by word: every right-nested bracket built anew."""
-    out = [0.0] * alg.dim
-    for word, coef in dynkin_words(alg.nilpotency_step):
+def per_word_sum(alg, words, x, y, bracket_with, scalar):
+    """A Dynkin sum word by word: every right-nested bracket built anew."""
+    out = [scalar(0)] * alg.dim
+    for word, coef in words:
         term = x if word[-1] == 0 else y
         for letter in reversed(word[:-1]):
-            term = bracket_float(alg, x if letter == 0 else y, term)
+            term = bracket_with(alg, x if letter == 0 else y, term)
         for i, a in enumerate(term):
             if a:
-                out[i] += float(coef) * a
+                out[i] += scalar(coef) * a
     return tuple(out)
+
+
+def bch_float_per_word(alg, x, y):
+    return per_word_sum(alg, dynkin_words(alg.nilpotency_step), x, y, bracket_float, float)
+
+
+def rational_point(rng, alg):
+    # dyadic, so the float round trip in _curve_velocity is exact
+    return tuple(Fraction(round(rng.symmetric(3.0) * 64), 64) for _ in range(alg.dim))
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -64,18 +76,48 @@ def test_bch_plan_is_bit_identical_to_the_per_word_sum(name):
         assert [a.hex() for a in got] == [a.hex() for a in bch_float_per_word(alg, x, y)]
 
 
-def test_step_three_float_bch_brackets_each_suffix_once(monkeypatch):
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_exact_bch_equals_the_per_word_sum(name):
+    alg = ALGEBRAS[name]
+    rng = CounterRng(29)
+    for _ in range(10):
+        x, y = rational_point(rng, alg), rational_point(rng, alg)
+        got = bch(alg, x, y)
+        assert all(type(a) is Fraction for a in got)
+        assert got == per_word_sum(alg, dynkin_words(alg.nilpotency_step), x, y, bracket, Fraction)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_curve_velocity_equals_the_words_with_one_direction_letter(name):
+    alg = ALGEBRAS[name]
+    linear = [(w, c) for w, c in dynkin_words(alg.nilpotency_step) if w.count(1) == 1]
+    rng = CounterRng(31)
+    for _ in range(10):
+        at, direction = rational_point(rng, alg), rational_point(rng, alg)
+        got = _curve_velocity(alg, at, direction)
+        assert all(type(a) is Fraction for a in got)
+        assert got == per_word_sum(alg, linear, at, direction, bracket, Fraction)
+
+
+def ladder5_bch_bracket_calls(monkeypatch, kernel, point):
     alg = ladder5()
-    # the per-word sum brackets once per letter after the first: 14 times
-    assert sum(len(w) - 1 for w, _ in dynkin_words(alg.nilpotency_step)) == 14
+    original = getattr(nilcarnot.group, kernel)
     calls = []
-    monkeypatch.setattr(
-        nilcarnot.group, "bracket_float", lambda *a: calls.append(1) or bracket_float(*a)
-    )
-    x = (0.3, -1.2, 0.7, 0.4, 2.0, -0.5)
-    y = (1.1, 0.2, -0.6, -1.3, 0.8, 0.9)
+    monkeypatch.setattr(nilcarnot.group, kernel, lambda *a: calls.append(1) or original(*a))
+    x = tuple(map(point, (0.25, -1.5, 0.75, 0.5, 2.0, -0.5)))
+    y = tuple(map(point, (1.0, 0.125, -0.625, -1.25, 0.75, 1.0)))
     bch(alg, x, y)
-    assert len(calls) == 6
+    return len(calls)
+
+
+def test_step_three_float_bch_brackets_each_suffix_once(monkeypatch):
+    # the per-word sum brackets once per letter after the first: 14 times
+    assert sum(len(w) - 1 for w, _ in dynkin_words(ladder5().nilpotency_step)) == 14
+    assert ladder5_bch_bracket_calls(monkeypatch, "bracket_float", float) == 6
+
+
+def test_step_three_exact_bch_brackets_each_suffix_once(monkeypatch):
+    assert ladder5_bch_bracket_calls(monkeypatch, "bracket", Fraction) == 6
 
 
 @pytest.fixture

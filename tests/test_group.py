@@ -1,11 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcarnot.algebra import LinearMap, bracket
+from nilcarnot.algebra import GradedAlgebra, LinearMap, bracket
 from nilcarnot.catalog import engel4, engel_heis7, heisenberg3, ladder5
 from nilcarnot.group import (
+    BERNOULLI_COEFFS,
+    DEFAULT_DEGREE_CEILING,
     AffineMap,
     BchDegreeError,
     bch,
@@ -108,6 +111,29 @@ def test_conjugate_adjoint_examples(heis):
     assert conjugate_adjoint(heis, zero_vector(3), x) == x
     z = heis.basis_vector(2)
     assert conjugate_adjoint(heis, y, z) == z
+
+
+def test_bernoulli_coeffs_are_the_taylor_coefficients():
+    # z / (1 - exp(-z)) times (1 - exp(-z)) / z = sum (-1)^m z^m / (m+1)! is 1
+    n = DEFAULT_DEGREE_CEILING + 1
+    assert len(BERNOULLI_COEFFS) == n
+    inv = [Fraction((-1) ** m, math.factorial(m + 1)) for m in range(n)]
+    product = [sum(BERNOULLI_COEFFS[j] * inv[k - j] for j in range(k + 1)) for k in range(n)]
+    assert product == [1] + [0] * (n - 1)
+
+
+def test_conjugate_adjoint_refuses_a_step_above_the_ceiling():
+    # filiform: [e0, e_i] = e_(i+1), nilpotent of step 7
+    filiform = GradedAlgebra(
+        8,
+        tuple(f"e{i}" for i in range(8)),
+        tuple(Fraction(max(i, 1)) for i in range(8)),
+        tuple((0, i, i + 1, Fraction(1)) for i in range(1, 7)),
+    )
+    assert filiform.nilpotency_step == DEFAULT_DEGREE_CEILING + 1
+    x, y = filiform.basis_vector(0), filiform.basis_vector(1)
+    with pytest.raises(BchDegreeError):
+        conjugate_adjoint(filiform, x, y)
 
 
 @settings(deadline=None, max_examples=30)

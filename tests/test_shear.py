@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from nilcarnot.algebra import GradedAlgebra, bracket
-from nilcarnot.carnot import decompose, integrate_bracket_form
+from nilcarnot.carnot import decompose, horizontal_connect, integrate_bracket_form
+from nilcarnot.catalog import direct_product, engel4, ladder5
 from nilcarnot.group import bch, quasi_dist, quasi_norm
 from nilcarnot.linalg import as_float, vneg
 from nilcarnot.rng import CounterRng, SamplerConfig, sample_ball_point
@@ -111,7 +112,7 @@ def test_loop_integral_value_matches_area():
     segs = ((d1, t), (d2, t), (vneg(d1), t), (vneg(d2), t))
     from nilcarnot.carnot import HorizontalPath
 
-    loop = HorizontalPath(qc, (0.0, 0.0), segs, (0.0, 0.0))
+    loop = HorizontalPath(qc, (0.0, 0.0), segs)
     val = integrate_bracket_form(dec, bad, loop)
     # integral of q2 [z1, theta] over the square: only dq1 legs contribute,
     # [z1, h1] = -[h1, z1] = +z3 gives (0 - t) * t = -t^2 on the z3 axis... sign below
@@ -296,3 +297,39 @@ def test_central_conjugation_bound_sampled(dec_l5):
         val = bch(alg, bch(alg, vneg(h), w), h)
         worst = max(worst, quasi_norm(alg, val) / max(b1, b2) ** (1.0 / alpha))
     assert worst <= 1.75  # measured 1.6883 with this seed
+
+
+def _hexes(v):
+    return [a.hex() for a in v]
+
+
+def test_multid_zigzag_values_are_pinned():
+    # ladder5 x engel4 has a 5-dim quotient, so its lift runs on zigzag
+    # paths; these bits were recorded before the bracket and BCH kernels
+    # of the two scalar modes were merged, and must not move
+    dec = decompose(direct_product(ladder5(), engel4(), 2))
+    sigma = component_from_exprs(dec, 1, SIGMA)
+    smap = build_shear(dec, {1: sigma})
+    assert sorted(smap.components) == [1, 3]
+    shifted = {
+        (0.5, -0.2, 1.0, 0.3, 0.1, -0.4, 0.8, -1.1, 0.6, 0.25): ("0x1.50f44d8921244p+0", "-0x1.9eff385d9c95ap-2"),
+        (-1.3, 0.4, -2.1, 0.7, -0.6, 1.2, 0.9, 0.35, -0.8, 1.5): ("-0x1.6ff2c89dca95fp+1", "0x1.1f5ecda3245f0p+0"),
+    }
+    for g, (c2, c5) in shifted.items():
+        want = list(g)
+        want[2], want[5] = float.fromhex(c2), float.fromhex(c5)
+        assert _hexes(apply_shear(smap, g)) == _hexes(want)
+
+    lifted = lift(dec, sigma, waive_membership=True)
+    want = [0.0] * 10
+    want[5] = float.fromhex("-0x1.8fcfdb2b289f5p-2")
+    assert _hexes(lifted.eval((0.7, -0.4, 1.1, 0.3, -0.9))) == _hexes(want)
+
+    path = horizontal_connect(dec.quotient_carnot, (1.2, -0.5, 0.8, 0.6, -0.3))
+    e1, e2 = (0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0, 0.0)
+    t1, t2 = float.fromhex("0x1.8c97ef43f7248p-1"), float.fromhex("0x1.739f352fc161ap-1")
+    want = [((1.2, -0.5, 0.8, 0.0, 0.0), 1.0)]
+    want += [(e1, t1), (e2, t1), (vneg(e1), t1), (vneg(e2), t1)]
+    for d in (e1, e2, e1, vneg(e2), vneg(e1), vneg(e1), e1, e2, vneg(e1), vneg(e2)):
+        want.append((d, t2))
+    assert [(_hexes(d), t.hex()) for d, t in path.segments] == [(_hexes(d), t.hex()) for d, t in want]

@@ -1,0 +1,46 @@
+"""The benchmark's span tracer still finds the kernels it wraps.
+
+``perfbench/tracer.py`` wraps library functions by module and name; a
+kernel renamed or bypassed would otherwise only show when a traced
+benchmark run breaks or reports zero calls.
+"""
+
+import importlib
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import nilcarnot.group
+from nilcarnot.catalog import ladder5
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_is_a_callable(tracer_module):
+    for modname, attr, _ in tracer_module.WRAPPED:
+        assert callable(getattr(importlib.import_module(f"nilcarnot.{modname}"), attr, None))
+
+
+@pytest.mark.parametrize("point, kernel", [(float, "algebra.bracket_float"), (Fraction, "algebra.bracket")])
+def test_traced_step_three_bch_records_six_brackets(tracer_module, point, kernel):
+    alg = ladder5()
+    alg.nilpotency_step, alg.bch_plan  # warm the tables built with brackets or words
+    x = tuple(map(point, (0.25, -1.5, 0.75, 0.5, 2.0, -0.5)))
+    y = tuple(map(point, (1.0, 0.125, -0.625, -1.25, 0.75, 1.0)))
+    tracer = tracer_module.Tracer().install()
+    try:
+        nilcarnot.group.bch(alg, x, y)
+    finally:
+        tracer.uninstall()
+    brackets = {k: n for k, n in tracer.calls.items() if k.startswith("algebra.bracket")}
+    assert brackets == {kernel: 6}
