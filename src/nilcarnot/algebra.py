@@ -363,8 +363,8 @@ class Subspace:
     def rows_float(self):
         return tuple(tuple(float(a) for a in row) for row in self.rows)
 
-    def contains(self, x, tol=0):
-        return in_span(self.rows, self.pivots, x, tol=tol)
+    def contains(self, x):
+        return in_span(self.rows, self.pivots, x)
 
 
 def subspace(alg: GradedAlgebra, vectors) -> Subspace:

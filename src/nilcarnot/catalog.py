@@ -14,7 +14,6 @@ Fixture notes:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -183,31 +182,6 @@ def central_product(alg1: GradedAlgebra, alg2: GradedAlgebra, pairing) -> Graded
         raise ValueError("pairing is not bijective")
     qalg, _ = quotient(prod, k_sub)
     return qalg
-
-
-@dataclass(frozen=True)
-class SolLikePair:
-    """A product algebra with the signed derivation D = (D1, -D2).
-
-    The derivation has negative eigenvalues on the second factor, so
-    this is not a GradedAlgebra in the positive-weight sense; it exists
-    for validation and demonstration and is rejected by decompose.
-    """
-
-    algebra: GradedAlgebra  # the direct product, with positive weights recorded
-    signed_weights: tuple[Fraction, ...]
-
-    def signed_grading_ok(self) -> bool:
-        return all(
-            c == 0 or self.signed_weights[i] + self.signed_weights[j] == self.signed_weights[k]
-            for i, j, k, c in self.algebra.brackets
-        )
-
-
-def sol_like(alg1: GradedAlgebra, alg2: GradedAlgebra) -> SolLikePair:
-    prod = direct_product(alg1, alg2)
-    signed = alg1.weights + tuple(-w for w in alg2.weights)
-    return SolLikePair(prod, signed)
 
 
 def save_algebra(alg: GradedAlgebra, path) -> None:

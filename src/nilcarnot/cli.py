@@ -152,8 +152,8 @@ class Report:
             entry["seed"] = seed
         self.data["checks"].append(entry)
 
-    def check(self, name, ok, value=None, tolerance=None, samples=None, seed=None):
-        self.add(name, "pass" if ok else "fail", value, tolerance, samples, seed)
+    def check(self, name, ok, value=None, tolerance=None):
+        self.add(name, "pass" if ok else "fail", value, tolerance)
 
     def extra(self, key, value):
         self.data[key] = value

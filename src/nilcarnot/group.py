@@ -75,7 +75,7 @@ def dynkin_words(max_degree: int):
     return tuple((w, c) for w, c in sorted(coeffs.items()) if c != 0)
 
 
-def bch(alg: GradedAlgebra, x, y, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
+def bch(alg: GradedAlgebra, x, y):
     """The product x * y, exact in rational mode.
 
     The Dynkin series is truncated at the nilpotency step, where it is
@@ -83,9 +83,9 @@ def bch(alg: GradedAlgebra, x, y, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
     silently truncated.  Both scalar modes walk ``alg.bch_plan``.
     """
     step = alg.nilpotency_step
-    if step > degree_ceiling:
+    if step > DEFAULT_DEGREE_CEILING:
         raise BchDegreeError(
-            f"nilpotency step {step} exceeds the supported Dynkin degree {degree_ceiling}"
+            f"nilpotency step {step} exceeds the supported Dynkin degree {DEFAULT_DEGREE_CEILING}"
         )
     if not (linalg.is_float_vector(x) and linalg.is_float_vector(y)):
         mx, my = linalg.scalar_mode(x), linalg.scalar_mode(y)

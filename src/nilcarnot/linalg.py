@@ -38,9 +38,7 @@ def zero_vector(n):
     return (Fraction(0),) * n
 
 
-def is_zero(x, tol=0):
-    if tol:
-        return all(abs(a) <= tol for a in x)
+def is_zero(x):
     return all(a == 0 for a in x)
 
 
@@ -88,10 +86,6 @@ def mat_mul(a, b):
 
 def identity_matrix(n):
     return tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n))
-
-
-def transpose(m):
-    return tuple(zip(*m))
 
 
 def rref(rows):
@@ -143,8 +137,8 @@ def reduce_against(rows, pivots, x):
     return tuple(y)
 
 
-def in_span(rows, pivots, x, tol=0):
-    return is_zero(reduce_against(rows, pivots, x), tol=tol)
+def in_span(rows, pivots, x):
+    return is_zero(reduce_against(rows, pivots, x))
 
 
 def span_coords(rows, pivots, x):

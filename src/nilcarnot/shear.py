@@ -8,10 +8,12 @@ of the base components, or vanish when the exponent is not an integer.
 ratios and sampling estimators probe the biLipschitz property at desk
 scale.
 
-Lifted evaluators memoize per exact input coordinates; memo writes are
-idempotent, so concurrent readers are safe.  All estimators draw from
-the counter-based generator in :mod:`nilcarnot.rng` and are
-deterministic per seed.
+Every lift integrates to ``quadrature.DEFAULT_TOL``, and the loop test
+flags a loop integral above ``1e-8`` times the loop length (scaled by
+the component's Holder hint).  Lifted evaluators memoize per exact
+input coordinates; memo writes are idempotent, so concurrent readers
+are safe.  All estimators draw from the counter-based generator in
+:mod:`nilcarnot.rng` and are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .carnot import CbCDecomposition, HorizontalPath, horizontal_connect, integr
 from .exprlang import parse_expression
 from .group import bch, dilate, quasi_dist
 from .linalg import as_float, vadd, vneg, vscale
+from .quadrature import DEFAULT_TOL
 from .rng import CounterRng, SamplerConfig, sample_ball_point
 
 
@@ -40,10 +43,11 @@ class PathDependenceError(RuntimeError):
 class ShearComponent:
     """A map from quotient coordinates into the center layer Z_j.
 
-    ``eval`` returns an ambient coordinate vector; ``trees`` optionally
-    holds one expression tree per RREF basis row of Z_j (enabling
-    symbolic derivatives), and ``holder_hint`` an a-priori bound for the
-    j/alpha-Holder norm.
+    ``eval`` maps a float tuple of quotient coordinates to a float tuple
+    of ambient coordinates, so callers use its values as they are;
+    ``trees`` optionally holds one expression tree per RREF basis row of
+    Z_j (enabling symbolic derivatives), and ``holder_hint`` an a-priori
+    bound for the j/alpha-Holder norm.
     """
 
     layer: int
@@ -78,7 +82,7 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
     trees = tuple(
         parse_expression(e, qdim) if isinstance(e, str) else e for e in exprs
     )
-    rows = tuple(as_float(r) for r in z.rows)
+    rows = z.rows_float
 
     def evaluate(q):
         out = (0.0,) * dec.base.dim
@@ -106,8 +110,6 @@ def loop_test_membership(
     dec: CbCDecomposition,
     component: ShearComponent,
     budget: SamplerConfig = SamplerConfig(seed=7, count=24, radius=4.0),
-    tol_factor: float = 1e-8,
-    quad_tol: float = 1e-10,
 ) -> LoopVerdict:
     """Falsification test for vanishing loop integrals.
 
@@ -148,22 +150,16 @@ def loop_test_membership(
         closing = horizontal_connect(qc, rel)
         segs.extend(closing.segments)
         loop = HorizontalPath(qc, base, tuple(segs))
-        val = integrate_bracket_form(dec, component, loop, tol=quad_tol)
+        val = integrate_bracket_form(dec, component, loop)
         size = math.sqrt(sum(a * a for a in val))
-        bound = tol_factor * loop.length * hint
+        bound = 1e-8 * loop.length * hint
         threshold = max(threshold, bound)
         if size > bound:
             worst = max(worst, size)
     return LoopVerdict(worst == 0.0, budget.count, worst, threshold)
 
 
-def lift(
-    dec: CbCDecomposition,
-    component: ShearComponent,
-    quad_tol: float = 1e-10,
-    waive_membership: bool = False,
-    membership_budget: SamplerConfig = SamplerConfig(seed=7, count=24, radius=4.0),
-) -> ShearComponent:
+def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: bool = False) -> ShearComponent:
     """The next-layer component: integrate [c, theta_H] from 0 to p.
 
     Membership in the loop-integral space is tested first unless
@@ -176,7 +172,7 @@ def lift(
     if not dec.alpha_is_integer:
         raise ValueError("lifts require an integer exponent")
     if not waive_membership:
-        verdict = loop_test_membership(dec, component, membership_budget, quad_tol=quad_tol)
+        verdict = loop_test_membership(dec, component)
         if not verdict.passed:
             raise MembershipError(
                 f"loop integrals do not vanish (max violation {verdict.max_violation:.3e})"
@@ -205,7 +201,7 @@ def lift(
             length = abs(key - base)
             direction = (1.0,) if key > base else (-1.0,)
             path = HorizontalPath(qc, (base,), ((direction, length),))
-            delta = integrate_bracket_form(dec, component, path, tol=quad_tol)
+            delta = integrate_bracket_form(dec, component, path)
             val = vadd(vals[base], delta)
             bisect.insort(xs, key)
             vals[key] = val
@@ -219,17 +215,15 @@ def lift(
         if hit is not None:
             return hit
         path = horizontal_connect(qc, key)
-        val = integrate_bracket_form(dec, component, path, tol=quad_tol)
+        val = integrate_bracket_form(dec, component, path)
         if verify and any(a != 0.0 for a in key):
             mid = dilate(qc, 0.5, key)
             rel = bch(qc, vneg(mid), key)
             alt_segments = horizontal_connect(qc, mid).segments + horizontal_connect(qc, rel).segments
-            alt = integrate_bracket_form(
-                dec, component, HorizontalPath(qc, (0.0,) * qc.dim, alt_segments), tol=quad_tol
-            )
+            alt = integrate_bracket_form(dec, component, HorizontalPath(qc, (0.0,) * qc.dim, alt_segments))
             gap = max(abs(a - b) for a, b in zip(val, alt))
             scale = max(1.0, max(abs(a) for a in val))
-            if gap > 10.0 * quad_tol * scale:
+            if gap > 10.0 * DEFAULT_TOL * scale:
                 raise PathDependenceError(
                     f"independent paths to {key} disagree by {gap:.3e}"
                 )
@@ -264,7 +258,7 @@ class ShearMap:
         out = (0.0,) * self.dec.base.dim
         q = as_float(qcoords)
         for comp in self.components.values():
-            out = vadd(out, as_float(comp.eval(q)))
+            out = vadd(out, comp.eval(q))
         return out
 
     def negated(self) -> "ShearMap":
@@ -276,12 +270,7 @@ class ShearMap:
         return apply_shear(self, g)
 
 
-def build_shear(
-    dec: CbCDecomposition,
-    base_components: dict,
-    quad_tol: float = 1e-10,
-    waive_membership: bool = False,
-) -> ShearMap:
+def build_shear(dec: CbCDecomposition, base_components: dict, waive_membership: bool = False) -> ShearMap:
     """Assemble the full shear tower from base components at layers <= alpha.
 
     Integer exponent: layers k*alpha + j are filled with iterated lifts
@@ -308,7 +297,7 @@ def build_shear(
                 nxt = layer + step
                 if dec.z_layer(nxt) is None:
                     break
-                current = lift(dec, current, quad_tol=quad_tol, waive_membership=waive_membership)
+                current = lift(dec, current, waive_membership=waive_membership)
                 components[nxt] = current
                 layer = nxt
     return ShearMap(dec, components)
@@ -348,7 +337,6 @@ def necessity_check(
     seed: int = 42,
     count: int = 300,
     radii=(1.0, 10.0, 100.0),
-    separation: float = 1.0,
 ) -> NecessityReport:
     """Per-layer ratios |pi_i K|^(1/i) / dbar^(1/alpha) over sampled pairs.
 
@@ -366,7 +354,7 @@ def necessity_check(
         worst = {i: 0.0 for i in layers}
         for _ in range(count):
             q1 = sample_ball_point(rng, qc, radius)
-            off = sample_ball_point(rng, qc, separation)
+            off = sample_ball_point(rng, qc, 1.0)
             q2 = bch(qc, q1, off)
             d = quasi_dist(qc, q1, q2)
             if d < 1e-9:

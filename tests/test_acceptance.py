@@ -181,7 +181,6 @@ def test_criterion_5_shear_lift(dec5):
     smap = build_shear(
         dec5,
         {1: component_from_exprs(dec5, 1, SIGMA, holder_hint=math.sqrt(2.0))},
-        quad_tol=1e-10,
     )
     ok = sorted(smap.components) == [1, 3]
     worst = 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,42 @@ def test_integrate_bracket_form_rejects_layer_escape(dec_l5):
     path = horizontal_connect(dec_l5.quotient_carnot, (1.0,))
     with pytest.raises(ValueError):
         integrate_bracket_form(dec_l5, hacked, path)
+
+
+def test_integrate_bracket_form_evaluates_the_component_once_per_node(dec_l5, monkeypatch):
+    import nilcarnot.carnot
+
+    quadrature = nilcarnot.carnot.integrate_vector
+    counts = {"integrand": 0, "component": 0}
+
+    def counted_integrate(f, a, b, *args, **kwargs):
+        def counted(t):
+            counts["integrand"] += 1
+            return f(t)
+
+        return quadrature(counted, a, b, *args, **kwargs)
+
+    def counted_eval(q):
+        counts["component"] += 1
+        return sigma.eval(q)
+
+    monkeypatch.setattr(nilcarnot.carnot, "integrate_vector", counted_integrate)
+    sigma = component_from_exprs(dec_l5, 1, "sign(q1)*sqrt(abs(q1))")
+    path = horizontal_connect(dec_l5.quotient_carnot, (2.5,))
+    assert path.segment_count == 1
+    integrate_bracket_form(dec_l5, dataclasses.replace(sigma, eval=counted_eval), path)
+    assert counts["integrand"] > 3
+    assert counts["component"] == counts["integrand"]
+
+
+def test_integrate_bracket_form_checks_the_segment_midpoint(dec_l5):
+    inside = component_from_exprs(dec_l5, 1, "q1")
+    outside = component_from_exprs(dec_l5, 3, "1")
+    # leaves Z_1 only at q1 = 1, the midpoint of the segment from 0 to 2
+    escaping = type(inside)(1, lambda q: outside.eval(q) if q == (1.0,) else inside.eval(q))
+    path = HorizontalPath(dec_l5.quotient_carnot, (0.0,), (((1.0,), 2.0),))
+    with pytest.raises(ValueError, match="escapes"):
+        integrate_bracket_form(dec_l5, escaping, path)
 
 
 def test_p_alpha_ladder5(dec_l5):

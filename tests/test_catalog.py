@@ -14,7 +14,6 @@ from nilcarnot.catalog import (
     heisenberg3,
     load_algebra,
     save_algebra,
-    sol_like,
 )
 from nilcarnot.linalg import is_zero
 
@@ -77,15 +76,6 @@ def test_central_product_rejects_noncentral_pairing():
     pairing = ([h.basis_vector(0)], [h.basis_vector(0)], ((Fraction(1),),))
     with pytest.raises(ValueError):
         central_product(h, h, pairing)
-
-
-def test_sol_like_signed_weights():
-    eh = fixture("engel_heis7")
-    pair = sol_like(eh, eh)
-    assert pair.signed_weights[: eh.dim] == eh.weights
-    assert pair.signed_weights[eh.dim :] == tuple(-w for w in eh.weights)
-    assert pair.signed_grading_ok()
-    assert validate_algebra(pair.algebra).ok
 
 
 def test_save_load_round_trip(tmp_path):

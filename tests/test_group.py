@@ -92,9 +92,22 @@ def test_bch_rejects_mixed_modes(heis):
         bch(heis, (1.0,) * 3, mixed)
 
 
-def test_bch_degree_ceiling(heis):
+@pytest.fixture(scope="module")
+def filiform():
+    # [e0, e_i] = e_(i+1), nilpotent of step 7, one above the ceiling
+    alg = GradedAlgebra(
+        8,
+        tuple(f"e{i}" for i in range(8)),
+        tuple(Fraction(max(i, 1)) for i in range(8)),
+        tuple((0, i, i + 1, Fraction(1)) for i in range(1, 7)),
+    )
+    assert alg.nilpotency_step == DEFAULT_DEGREE_CEILING + 1
+    return alg
+
+
+def test_bch_degree_ceiling(filiform):
     with pytest.raises(BchDegreeError):
-        bch(heis, heis.basis_vector(0), heis.basis_vector(1), degree_ceiling=1)
+        bch(filiform, filiform.basis_vector(0), filiform.basis_vector(1))
 
 
 def test_dynkin_words_low_degree_table():
@@ -122,15 +135,7 @@ def test_bernoulli_coeffs_are_the_taylor_coefficients():
     assert product == [1] + [0] * (n - 1)
 
 
-def test_conjugate_adjoint_refuses_a_step_above_the_ceiling():
-    # filiform: [e0, e_i] = e_(i+1), nilpotent of step 7
-    filiform = GradedAlgebra(
-        8,
-        tuple(f"e{i}" for i in range(8)),
-        tuple(Fraction(max(i, 1)) for i in range(8)),
-        tuple((0, i, i + 1, Fraction(1)) for i in range(1, 7)),
-    )
-    assert filiform.nilpotency_step == DEFAULT_DEGREE_CEILING + 1
+def test_conjugate_adjoint_refuses_a_step_above_the_ceiling(filiform):
     x, y = filiform.basis_vector(0), filiform.basis_vector(1)
     with pytest.raises(BchDegreeError):
         conjugate_adjoint(filiform, x, y)

@@ -124,7 +124,7 @@ def test_lift_requires_membership():
     dec = two_generator_fixture()
     bad = component_from_exprs(dec, 1, "q2")
     with pytest.raises(MembershipError):
-        lift(dec, bad, membership_budget=SamplerConfig(seed=3, count=12, radius=2.0))
+        lift(dec, bad)
 
 
 def test_build_shear_ladder5_layers(ladder_shear):
