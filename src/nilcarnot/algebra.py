@@ -17,14 +17,21 @@ words and the BCH plan) are cached properties of the instance: each is
 computed at most once per instance, and no module-level cache is keyed
 by an algebra.
 
-Float twins: the structure constants (``bracket_table_float``), the BCH
-coefficients (``bch_terms_float``), the rows of a :class:`Subspace`
-(``rows_float``) and the matrix of a :class:`LinearMap`
-(``float_matrix``) each have a float copy built once and read whenever
-the vector they meet is all-float.  CPython computes ``Fraction * float``
-as ``float(Fraction) * float``, so a twin gives the same bits as the
-exact table without a conversion per point.  One bracket loop reads the
-exact table (``bracket``, after its checks) or the twin (``bracket_float``).
+Kernels: the bracket and the BCH product are polynomials fixed by the
+algebra, so each is written out once per instance as straight-line
+Python (``bracket_kernel`` from ``bracket_table``, ``bch_kernel`` from
+``bch_plan``) and compiled; at these sizes interpreter overhead, not
+arithmetic, dominates a loop over the tables.  A kernel does the loop's
+arithmetic in the loop's order, and both scalar modes run it: it takes
+the exact coefficients and ``Fraction(0)``, or their float twin and
+``0.0``.  Its source holds only identifiers and indices.
+
+Float twins: the kernel coefficients, the weights (``weights_float``),
+the rows of a :class:`Subspace` (``rows_float``) and the matrix of a
+:class:`LinearMap` (``float_matrix``) each have a float copy built once
+and read whenever the vector they meet is all-float.  CPython computes
+``Fraction * float`` as ``float(Fraction) * float``, so a twin gives the
+same bits as the exact table without a conversion per point.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from . import linalg
 from .linalg import rref, reduce_against, in_span, kernel_basis, vadd, vscale, zero_vector
@@ -106,11 +114,13 @@ class GradedAlgebra:
         return tuple((i, j, tuple(entries)) for (i, j), entries in table.items())
 
     @cached_property
-    def bracket_table_float(self):
-        return tuple(
-            (i, j, tuple((k, float(c)) for k, c in entries))
-            for i, j, entries in self.bracket_table
-        )
+    def weights_float(self):
+        return tuple(float(w) for w in self.weights)
+
+    @cached_property
+    def bracket_kernel(self):
+        """``[x, y]`` as a generated :class:`Kernel` over ``bracket_table``."""
+        return _kernel(self.dim, self.bracket_table, ((0, 1),), None)
 
     @cached_property
     def lower_central_series(self):
@@ -172,9 +182,9 @@ class GradedAlgebra:
         return tuple(steps), tuple(terms)
 
     @cached_property
-    def bch_terms_float(self):
-        """The terms of ``bch_plan`` with float coefficients."""
-        return tuple((slot, float(coef)) for slot, coef in self.bch_plan[1])
+    def bch_kernel(self):
+        """The BCH product as a generated :class:`Kernel` over ``bch_plan``."""
+        return _kernel(self.dim, self.bracket_table, *self.bch_plan)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -321,19 +331,68 @@ def bracket_expressions(alg: GradedAlgebra):
     return alg.bracket_expressions
 
 
-def _bracket_rows(table, out, x, y):
-    """Add [x, y] into ``out`` from table rows (i, j, ((k, c), ...))."""
-    for i, j, entries in table:
-        coef = x[i] * y[j] - x[j] * y[i]
-        if coef:
-            for k, c in entries:
-                out[k] += c * coef
-    return tuple(out)
+class Kernel(NamedTuple):
+    """A generated ``run(x, y, coeffs, zero)`` with the coefficients it reads.
+
+    ``coeffs`` is ``exact`` with ``zero = Fraction(0)``, or its float twin
+    ``floats`` with ``zero = 0.0``.  ``source`` holds only identifiers and
+    integer indices: no label, weight or constant of the algebra.
+    """
+
+    source: str
+    run: Callable
+    exact: tuple
+    floats: tuple
+
+
+def _kernel(dim, table, steps, terms):
+    """Compile straight-line code for the bracket ``steps``, then the ``terms``.
+
+    Slots 0 and 1 hold the coordinates of x and y.  Step ``(letter, tail)``
+    writes a new slot ``[slot letter, slot tail]`` row by row in table
+    order: ``t = a_i*b_j - a_j*b_i``, then ``if t:`` adds ``c*t`` into each
+    target.  A coordinate that no row targets is never written and reads as
+    ``zero``; rows are not pruned, so inf and nan spread as in a loop.  The
+    result is the last slot when ``terms`` is None, else the sum of
+    ``coef*slot`` over the terms in order, skipping zero entries.
+    """
+    written = sorted({k for _, _, entries in table for k, _ in entries})
+    slots = [{k: f"x{k}" for k in range(dim)}, {k: f"y{k}" for k in range(dim)}]
+    lines = [f"{', '.join(slots[0].values())}, = x", f"{', '.join(slots[1].values())}, = y"]
+    for letter, tail in steps:
+        a, b, out = slots[letter], slots[tail], {k: f"s{len(slots)}_{k}" for k in written}
+        slots.append(out)
+        lines += [f"{' = '.join(out.values())} = zero"] if out else []
+        n = 0
+        for i, j, entries in table:
+            ai, aj, bi, bj = a.get(i, "zero"), a.get(j, "zero"), b.get(i, "zero"), b.get(j, "zero")
+            lines += [f"t = {ai}*{bj} - {aj}*{bi}", "if t:"]
+            for k, _ in entries:
+                lines.append(f"    {out[k]} += c{n}*t")
+                n += 1
+    exact = [c for _, _, entries in table for _, c in entries]
+    names = [f"c{n}" for n in range(len(exact))]
+    result = slots[-1]
+    if terms is not None:
+        result = {k: f"o{k}" for k in range(dim)}
+        lines.append(f"{' = '.join(result.values())} = zero")
+        for n, (slot, coef) in enumerate(terms):
+            exact.append(coef)
+            names.append(f"d{n}")
+            for k, name in slots[slot].items():
+                lines += [f"if {name}:", f"    o{k} += d{n}*{name}"]
+    lines = ([f"{', '.join(names)}, = c"] if names else []) + lines
+    lines.append(f"return ({', '.join(result.get(k, 'zero') for k in range(dim))},)")
+    source = "def kernel(x, y, c, zero):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {"__builtins__": {}}
+    exec(source, namespace)
+    return Kernel(source, namespace["kernel"], tuple(exact), tuple(float(c) for c in exact))
 
 
 def bracket_float(alg: GradedAlgebra, x, y):
     """Float-only bracket on the float twin; no mode checks, for inner loops."""
-    return _bracket_rows(alg.bracket_table_float, [0.0] * alg.dim, x, y)
+    kernel = alg.bracket_kernel
+    return kernel.run(x, y, kernel.floats, 0.0)
 
 
 def bracket(alg: GradedAlgebra, x, y):
@@ -344,7 +403,8 @@ def bracket(alg: GradedAlgebra, x, y):
     if mx != my:
         raise ValueError(f"scalar modes differ: {mx} vs {my}")
     zero = Fraction(0) if mx == "exact" else 0.0
-    return _bracket_rows(alg.bracket_table, [zero] * alg.dim, x, y)
+    kernel = alg.bracket_kernel
+    return kernel.run(x, y, kernel.exact, zero)
 
 
 @dataclass(frozen=True)

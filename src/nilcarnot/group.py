@@ -6,10 +6,11 @@ algebra.  Coefficients are exact rationals, so in exact mode the
 product is an oracle: associativity, inverses and the conjugation
 formula hold with zero defect.
 
-Both scalar modes walk the algebra's ``bch_plan``, bracketing each
+Both scalar modes run the algebra's ``bch_kernel``, straight-line code
+generated once per algebra from its ``bch_plan``, which brackets each
 distinct right-nested suffix of the Dynkin words once: exact inputs with
-``bracket`` and the exact coefficients, all-float inputs with
-``bracket_float`` and their float twin.  ``ad_series`` sums
+the exact coefficients, all-float inputs with their float twin.
+``ad_series`` sums
 ``c_k (ad a)^k b``, the conjugation for ``c_k = 1/k!`` and the velocity
 of ``t -> a * (t b)`` for the Bernoulli coefficients ``B_k/k!``.
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import GradedAlgebra, LinearMap, bracket, bracket_float
+from .algebra import GradedAlgebra, LinearMap, bracket
 from .linalg import vadd, vneg, vscale
 
 DEFAULT_DEGREE_CEILING = 6
@@ -80,32 +81,22 @@ def bch(alg: GradedAlgebra, x, y):
 
     The Dynkin series is truncated at the nilpotency step, where it is
     the whole product; steps above the ceiling are refused rather than
-    silently truncated.  Both scalar modes walk ``alg.bch_plan``.
+    silently truncated, before the kernel is built.  Both scalar modes
+    run ``alg.bch_kernel``.
     """
     step = alg.nilpotency_step
     if step > DEFAULT_DEGREE_CEILING:
         raise BchDegreeError(
             f"nilpotency step {step} exceeds the supported Dynkin degree {DEFAULT_DEGREE_CEILING}"
         )
+    kernel = alg.bch_kernel
     if not (linalg.is_float_vector(x) and linalg.is_float_vector(y)):
         mx, my = linalg.scalar_mode(x), linalg.scalar_mode(y)
         if mx != my:
             raise ValueError(f"scalar modes differ: {mx} vs {my}")
         if mx == "exact":
-            return _bch_sum(alg, x, y, bracket, alg.bch_plan[1], [Fraction(0)] * alg.dim)
-    return _bch_sum(alg, x, y, bracket_float, alg.bch_terms_float, [0.0] * alg.dim)
-
-
-def _bch_sum(alg, x, y, bracket_with, terms, out):
-    """Bracket each suffix of the plan once, then add the terms into ``out``."""
-    slots = [x, y]
-    for letter, tail in alg.bch_plan[0]:
-        slots.append(bracket_with(alg, slots[letter], slots[tail]))
-    for slot, coef in terms:
-        for i, a in enumerate(slots[slot]):
-            if a:
-                out[i] += coef * a
-    return tuple(out)
+            return kernel.run(x, y, kernel.exact, Fraction(0))
+    return kernel.run(x, y, kernel.floats, 0.0)
 
 
 def inverse(x):
@@ -136,8 +127,8 @@ def _dilation_factors(alg: GradedAlgebra, r):
         raise ValueError("dilation ratio must be positive")
     exact_r = isinstance(r, (int, Fraction)) and not isinstance(r, bool)
     return [
-        Fraction(r) ** int(lam) if exact_r and lam.denominator == 1 else float(r) ** float(lam)
-        for lam in alg.weights
+        Fraction(r) ** int(lam) if exact_r and lam.denominator == 1 else float(r) ** flam
+        for lam, flam in zip(alg.weights, alg.weights_float)
     ]
 
 

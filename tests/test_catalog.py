@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilcarnot.algebra import bracket, validate_algebra
+from nilcarnot.algebra import GradedAlgebra, bracket, validate_algebra
 from nilcarnot.carnot import decompose
 from nilcarnot.catalog import (
     central_product,
@@ -84,6 +84,26 @@ def test_save_load_round_trip(tmp_path):
     save_algebra(alg, path)
     loaded = load_algebra(path)
     assert loaded == alg
+
+
+def test_kernel_source_holds_no_label_weight_or_constant(tmp_path):
+    path = tmp_path / "hostile.json"
+    payload = {
+        "dim": 3,
+        "labels": ["__import__('os')", "exit()", "z"],
+        "weights": [[5, 3], [5, 3], [10, 3]],
+        "brackets": [[0, 1, 2, 7, 3]],
+    }
+    path.write_text(json.dumps(payload))
+    loaded = load_algebra(path)
+    plain = GradedAlgebra(3, ("x", "y", "z"), (Fraction(1), Fraction(1), Fraction(2)), ((0, 1, 2, Fraction(1)),))
+    for kernel in ("bracket_kernel", "bch_kernel"):
+        source = getattr(loaded, kernel).source
+        assert source == getattr(plain, kernel).source
+        for text in ("__import__", "exit", "7/3", "5/3", "Fraction"):
+            assert text not in source
+    e0, e1 = (Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))
+    assert bracket(loaded, e0, e1) == (0, 0, Fraction(7, 3))
 
 
 def test_load_rejects_diagonal_bracket(tmp_path):

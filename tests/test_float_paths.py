@@ -1,19 +1,24 @@
 """The float fast paths against the exact path they mirror.
 
-Both scalar modes of the BCH follow the algebra's ``bch_plan``; the
-float product is compared with the exact one (the oracle), and each is
-compared with the per-word Dynkin sum it replaced: the float one bit for
-bit, the exact one as ``Fraction``s.  The curve velocity, a Bernoulli
-series in ``ad``, is compared with the Dynkin words that hold the
-direction once.  The float twins of the structural tables must
-leave no ``Fraction`` conversion on a fresh point.
+Both scalar modes of the BCH run the algebra's generated ``bch_kernel``,
+built from its ``bch_plan``; the float product is compared with the
+exact one (the oracle), and each is compared with the per-word Dynkin
+sum the plan replaced: the float one bit for bit, the exact one as
+``Fraction``s.  The generated bracket and BCH kernels are compared with
+the table loops they replaced, kept here as references.  The curve
+velocity, a Bernoulli series in ``ad``, is compared with the Dynkin
+words that hold the direction once.  The float twins of the structural
+tables must leave no ``Fraction`` conversion on a fresh point.
 """
 
+import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nilcarnot.algebra
 import nilcarnot.group
 from nilcarnot.algebra import bracket, bracket_float
 from nilcarnot.carnot import decompose
@@ -99,25 +104,109 @@ def test_curve_velocity_equals_the_words_with_one_direction_letter(name):
         assert got == per_word_sum(alg, linear, at, direction, bracket, Fraction)
 
 
-def ladder5_bch_bracket_calls(monkeypatch, kernel, point):
+def bracket_rows(table, out, x, y):
+    """The table loop the bracket kernel replaced: add [x, y] into ``out``."""
+    for i, j, entries in table:
+        coef = x[i] * y[j] - x[j] * y[i]
+        if coef:
+            for k, c in entries:
+                out[k] += c * coef
+    return tuple(out)
+
+
+def bch_sum(alg, x, y, bracket_with, terms, out):
+    """The plan walk the BCH kernel replaced: one bracket per suffix, then the terms."""
+    slots = [x, y]
+    for letter, tail in alg.bch_plan[0]:
+        slots.append(bracket_with(alg, slots[letter], slots[tail]))
+    for slot, coef in terms:
+        for i, a in enumerate(slots[slot]):
+            if a:
+                out[i] += coef * a
+    return tuple(out)
+
+
+def float_table(alg):
+    return tuple((i, j, tuple((k, float(c)) for k, c in entries)) for i, j, entries in alg.bracket_table)
+
+
+def loop_bracket_float(alg, x, y):
+    return bracket_rows(float_table(alg), [0.0] * alg.dim, x, y)
+
+
+def loop_bracket_exact(alg, x, y):
+    return bracket_rows(alg.bracket_table, [Fraction(0)] * alg.dim, x, y)
+
+
+specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+edge_floats = st.one_of(floats, floats, floats, specials)
+fractions = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=64))
+
+
+def hexes(v):
+    return [a.hex() for a in v]
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_float_kernels_are_bit_identical_to_the_loops(name, data):
+    alg = ALGEBRAS[name]
+    x = data.draw(st.tuples(*[edge_floats] * alg.dim))
+    y = data.draw(st.tuples(*[edge_floats] * alg.dim))
+    assert hexes(bracket_float(alg, x, y)) == hexes(loop_bracket_float(alg, x, y))
+    # ``bracket`` reads the exact table; Fraction * float rounds as float(Fraction) * float
+    assert hexes(bracket(alg, x, y)) == hexes(loop_bracket_float(alg, x, y))
+    terms = tuple((slot, float(coef)) for slot, coef in alg.bch_plan[1])
+    want = bch_sum(alg, x, y, loop_bracket_float, terms, [0.0] * alg.dim)
+    assert hexes(bch(alg, x, y)) == hexes(want)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_exact_kernels_equal_the_loops(name, data):
+    alg = ALGEBRAS[name]
+    x = data.draw(st.tuples(*[fractions] * alg.dim))
+    y = data.draw(st.tuples(*[fractions] * alg.dim))
+    got = bracket(alg, x, y)
+    assert got == loop_bracket_exact(alg, x, y)
+    assert all(type(a) is Fraction for a in got)
+    got = bch(alg, x, y)
+    assert got == bch_sum(alg, x, y, loop_bracket_exact, alg.bch_plan[1], [Fraction(0)] * alg.dim)
+    assert all(type(a) is Fraction for a in got)
+
+
+def bracket_blocks(source):
+    """The slot written by each bracket block of a BCH kernel, in order."""
+    return re.findall(r"^    (s\d+)_\d+ = ", source, re.MULTILINE)
+
+
+def test_step_three_float_bch_brackets_each_suffix_once():
     alg = ladder5()
-    original = getattr(nilcarnot.group, kernel)
-    calls = []
-    monkeypatch.setattr(nilcarnot.group, kernel, lambda *a: calls.append(1) or original(*a))
-    x = tuple(map(point, (0.25, -1.5, 0.75, 0.5, 2.0, -0.5)))
-    y = tuple(map(point, (1.0, 0.125, -0.625, -1.25, 0.75, 1.0)))
-    bch(alg, x, y)
-    return len(calls)
-
-
-def test_step_three_float_bch_brackets_each_suffix_once(monkeypatch):
     # the per-word sum brackets once per letter after the first: 14 times
-    assert sum(len(w) - 1 for w, _ in dynkin_words(ladder5().nilpotency_step)) == 14
-    assert ladder5_bch_bracket_calls(monkeypatch, "bracket_float", float) == 6
+    assert sum(len(w) - 1 for w, _ in dynkin_words(alg.nilpotency_step)) == 14
+    steps, _ = alg.bch_plan
+    assert len(steps) == len(set(steps)) == 6
+    assert bracket_blocks(alg.bch_kernel.source) == [f"s{n}" for n in range(2, 8)]
 
 
 def test_step_three_exact_bch_brackets_each_suffix_once(monkeypatch):
-    assert ladder5_bch_bracket_calls(monkeypatch, "bracket", Fraction) == 6
+    # both modes run the one kernel once per product and call no bracket function
+    alg = ladder5()
+    kernel = alg.bch_kernel
+    runs = []
+    alg.__dict__["bch_kernel"] = kernel._replace(run=lambda *a: runs.append(a[2]) or kernel.run(*a))
+    for module in (nilcarnot.algebra, nilcarnot.group):
+        for name in ("bracket", "bracket_float"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, None)
+    for point in (Fraction, float):
+        x = tuple(map(point, (0.25, -1.5, 0.75, 0.5, 2.0, -0.5)))
+        y = tuple(map(point, (1.0, 0.125, -0.625, -1.25, 0.75, 1.0)))
+        bch(alg, x, y)
+    assert len(runs) == 2 and runs[0] is kernel.exact and runs[1] is kernel.floats
+    assert bracket_blocks(kernel.source) == [f"s{n}" for n in range(2, 2 + len(alg.bch_plan[0]))]
 
 
 @pytest.fixture
@@ -148,4 +237,13 @@ def test_apply_shear_reads_float_tables(fraction_to_float_calls):
     apply_shear(smap, (0.5, -0.2, 1.0, 0.3, 0.1, -0.4))
     fraction_to_float_calls.clear()
     apply_shear(smap, (1.3, 0.4, -2.1, 0.7, -0.6, 1.2))
+    assert fraction_to_float_calls == []
+
+
+def test_sample_ball_point_reads_float_weights(fraction_to_float_calls):
+    alg = ladder5()
+    rng = CounterRng(7)
+    sample_ball_point(rng, alg, 5.0)  # builds the float twins
+    fraction_to_float_calls.clear()
+    sample_ball_point(rng, alg, 5.0)
     assert fraction_to_float_calls == []

@@ -108,6 +108,8 @@ def filiform():
 def test_bch_degree_ceiling(filiform):
     with pytest.raises(BchDegreeError):
         bch(filiform, filiform.basis_vector(0), filiform.basis_vector(1))
+    # refused before the step-7 Dynkin words are expanded into a plan and kernel
+    assert "bch_plan" not in vars(filiform) and "bch_kernel" not in vars(filiform)
 
 
 def test_dynkin_words_low_degree_table():

@@ -1,9 +1,14 @@
-"""Every optional parameter under src/nilcarnot/ is passed by some call.
+"""Guards on the shape of src/nilcarnot/, checked with ``ast`` only.
 
-An option that only its default value reaches is a constant in disguise
-and doubles the configurations to test.  Calls are matched by function
-name across src/, tests/ and perfbench/; a class name stands for its
-``__init__``, and methods skip ``self``.
+Every optional parameter is passed by some call: an option that only its
+default value reaches is a constant in disguise and doubles the
+configurations to test.  Calls are matched by function name across
+src/, tests/ and perfbench/; a class name stands for its ``__init__``,
+and methods skip ``self``.
+
+Derived tables live on their owner as cached properties, so no
+``functools.lru_cache`` or ``functools.cache`` appears, and ``exec`` runs
+in one place: the generator of the bracket and BCH kernels.
 """
 
 import ast
@@ -11,10 +16,11 @@ import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "nilcarnot").glob("*.py"))
 
 
 def _optional_parameters():
-    for path in sorted((ROOT / "src" / "nilcarnot").glob("*.py")):
+    for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {}
         for cls in ast.walk(tree):
@@ -63,3 +69,43 @@ def test_every_optional_parameter_is_passed_somewhere():
         if not (param in keywords or most == math.inf or (index is not None and most > index)):
             unused.append(f"{module}:{name}({param})")
     assert unused == []
+
+
+def test_no_function_cache_decorators():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name in ("lru_cache", "cache")]
+            elif isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache") and (
+                getattr(node.value, "id", None) == "functools"
+            ):
+                found.append(f"{path.name}: {ast.unparse(node)}")
+    assert found == []
+
+
+class _ExecSites(ast.NodeVisitor):
+    """Names of the functions that call ``exec`` (``<module>`` at top level)."""
+
+    def __init__(self):
+        self.scope = ["<module>"]
+        self.sites = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", None) == "exec" or getattr(node.func, "attr", None) == "exec":
+            self.sites.append(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_exec_runs_only_in_the_kernel_generator():
+    sites = []
+    for path in SOURCES:
+        visitor = _ExecSites()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites += [f"{path.name}:{name}" for name in visitor.sites]
+    assert sites == ["algebra.py:_kernel"]

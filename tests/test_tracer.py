@@ -31,10 +31,11 @@ def test_every_wrapped_name_is_a_callable(tracer_module):
         assert callable(getattr(importlib.import_module(f"nilcarnot.{modname}"), attr, None))
 
 
-@pytest.mark.parametrize("point, kernel", [(float, "algebra.bracket_float"), (Fraction, "algebra.bracket")])
-def test_traced_step_three_bch_records_six_brackets(tracer_module, point, kernel):
+@pytest.mark.parametrize("point, span", [(float, "group.bch_float"), (Fraction, "group.bch_exact")])
+def test_traced_step_three_bch_records_one_span_and_no_bracket(tracer_module, point, span):
+    # the generated BCH kernel brackets inline: one bch span, no bracket span
     alg = ladder5()
-    alg.nilpotency_step, alg.bch_plan  # warm the tables built with brackets or words
+    alg.nilpotency_step, alg.bch_kernel  # warm the tables built with brackets or words
     x = tuple(map(point, (0.25, -1.5, 0.75, 0.5, 2.0, -0.5)))
     y = tuple(map(point, (1.0, 0.125, -0.625, -1.25, 0.75, 1.0)))
     tracer = tracer_module.Tracer().install()
@@ -42,5 +43,4 @@ def test_traced_step_three_bch_records_six_brackets(tracer_module, point, kernel
         nilcarnot.group.bch(alg, x, y)
     finally:
         tracer.uninstall()
-    brackets = {k: n for k, n in tracer.calls.items() if k.startswith("algebra.bracket")}
-    assert brackets == {kernel: 6}
+    assert tracer.calls == {span: 1}
