@@ -29,9 +29,10 @@ the exact coefficients and ``Fraction(0)``, or their float twin and
 Float twins: the kernel coefficients, the weights (``weights_float``),
 the rows of a :class:`Subspace` (``rows_float``) and the matrix of a
 :class:`LinearMap` (``float_matrix``) each have a float copy built once
-and read whenever the vector they meet is all-float.  CPython computes
-``Fraction * float`` as ``float(Fraction) * float``, so a twin gives the
-same bits as the exact table without a conversion per point.
+and read whenever ``linalg.scalar_mode`` finds the vector they meet
+float.  CPython computes ``Fraction * float`` as ``float(Fraction) *
+float``, so a twin gives the same bits as the exact table without a
+conversion per point.
 """
 
 from __future__ import annotations
@@ -399,10 +400,7 @@ def bracket(alg: GradedAlgebra, x, y):
     """Bilinear antisymmetric extension of the structure constants."""
     if len(x) != alg.dim or len(y) != alg.dim:
         raise ValueError("vector dimension does not match the algebra")
-    mx, my = linalg.scalar_mode(x), linalg.scalar_mode(y)
-    if mx != my:
-        raise ValueError(f"scalar modes differ: {mx} vs {my}")
-    zero = Fraction(0) if mx == "exact" else 0.0
+    zero = Fraction(0) if linalg.scalar_mode(x, y) == "exact" else 0.0
     kernel = alg.bracket_kernel
     return kernel.run(x, y, kernel.exact, zero)
 
@@ -562,7 +560,7 @@ class LinearMap:
         return tuple(tuple(float(a) for a in row) for row in self.matrix)
 
     def __call__(self, x):
-        if linalg.is_float_vector(x):
+        if linalg.scalar_mode(x) == "float":
             return linalg.mat_vec(self.float_matrix, x)
         return linalg.mat_vec(self.matrix, x)
 

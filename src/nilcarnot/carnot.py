@@ -259,7 +259,7 @@ class CbCDecomposition:
         return tuple(out)
 
     def w_embed(self, coords):
-        if linalg.is_float_vector(coords):
+        if linalg.scalar_mode(coords) == "float":
             out, rows = (0.0,) * self.base.dim, self.w.rows_float
         else:
             out, rows = linalg.zero_vector(self.base.dim), self.w.rows

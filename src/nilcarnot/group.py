@@ -9,8 +9,8 @@ formula hold with zero defect.
 Both scalar modes run the algebra's ``bch_kernel``, straight-line code
 generated once per algebra from its ``bch_plan``, which brackets each
 distinct right-nested suffix of the Dynkin words once: exact inputs with
-the exact coefficients, all-float inputs with their float twin.
-``ad_series`` sums
+the exact coefficients, float inputs with their float twin, the mode
+read once by ``linalg.scalar_mode``.  ``ad_series`` sums
 ``c_k (ad a)^k b``, the conjugation for ``c_k = 1/k!`` and the velocity
 of ``t -> a * (t b)`` for the Bernoulli coefficients ``B_k/k!``.
 
@@ -90,12 +90,8 @@ def bch(alg: GradedAlgebra, x, y):
             f"nilpotency step {step} exceeds the supported Dynkin degree {DEFAULT_DEGREE_CEILING}"
         )
     kernel = alg.bch_kernel
-    if not (linalg.is_float_vector(x) and linalg.is_float_vector(y)):
-        mx, my = linalg.scalar_mode(x), linalg.scalar_mode(y)
-        if mx != my:
-            raise ValueError(f"scalar modes differ: {mx} vs {my}")
-        if mx == "exact":
-            return kernel.run(x, y, kernel.exact, Fraction(0))
+    if linalg.scalar_mode(x, y) == "exact":
+        return kernel.run(x, y, kernel.exact, Fraction(0))
     return kernel.run(x, y, kernel.floats, 0.0)
 
 
@@ -160,13 +156,11 @@ def quasi_norm(alg: GradedAlgebra, x) -> float:
 def quasi_dist(alg: GradedAlgebra, x, y) -> float:
     """Left-invariant quasi-distance rho(x, y) = ||x^-1 * y||.
 
-    When both points are exact the difference is computed exactly, so
-    coinciding points report distance 0.0 instead of a rounding residue
-    amplified by the fractional layer exponents.
+    The points share one scalar mode (``bch`` rejects a mix).  When both
+    are exact the difference is computed exactly, so coinciding points
+    report distance 0.0 instead of a rounding residue amplified by the
+    fractional layer exponents.
     """
-    if not (linalg.is_float_vector(x) and linalg.is_float_vector(y)):
-        if linalg.scalar_mode(x) != "exact" or linalg.scalar_mode(y) != "exact":
-            x, y = linalg.as_float(x), linalg.as_float(y)
     return quasi_norm(alg, bch(alg, vneg(x), y))
 
 

@@ -4,6 +4,14 @@ All structural computations (spans, kernels, quotients) run over
 ``fractions.Fraction`` so that identities checked elsewhere are exact.
 Vectors are plain tuples; matrices are tuples of row tuples.  Nothing
 here mutates its inputs.
+
+One rule decides a vector's scalar mode, and ``scalar_mode`` is the one
+place that applies it: entries that are floats (``isinstance``) make a
+vector float, entries that are ``int`` (``bool`` included) or
+``Fraction`` make it exact, an empty vector is exact, and float and
+exact entries never meet, in one vector or across the vectors of one
+operation.  The one other float test, in ``as_exact``, decides no mode:
+it checks that a float entry converts to a rational without loss.
 """
 
 from __future__ import annotations
@@ -58,21 +66,18 @@ def as_float(x):
     return tuple(float(a) for a in x)
 
 
-def is_float_vector(x):
-    """True iff every entry is a float: such vectors read the float twins."""
-    return all(type(a) is float for a in x)
+def scalar_mode(*vectors):
+    """'float' or 'exact' for the entries of all the vectors together.
 
-
-def scalar_mode(x):
-    """'exact' if every entry is int/Fraction, 'float' if every entry is float.
-
-    Mixed vectors are rejected: operations never blend the two modes.
+    Raises ``ValueError`` when float and exact entries meet; entries of
+    any other type do not count.
     """
-    has_float = any(isinstance(a, float) for a in x)
-    has_exact = any(isinstance(a, (int, Fraction)) for a in x)
-    if has_float and has_exact:
-        raise ValueError("mixed exact/float coordinates in one vector")
-    return "float" if has_float else "exact"
+    types = {type(a) for v in vectors for a in v}
+    # True for a float type, False for an exact one.
+    kinds = {issubclass(t, float) for t in types if issubclass(t, (float, int, Fraction))}
+    if len(kinds) > 1:
+        raise ValueError("mixed exact/float coordinates")
+    return "float" if True in kinds else "exact"
 
 
 def mat_vec(m, x):

@@ -66,18 +66,23 @@ class ExtrapolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Translate:
+    """Left translation by ``point``; a float point or a float g gives floats."""
+
     point: tuple
+
+    @cached_property
+    def mode(self):
+        return linalg.scalar_mode(self.point)
 
     @cached_property
     def float_point(self):
         return as_float(self.point)
 
     def apply(self, alg, g):
-        if linalg.is_float_vector(g):
-            return bch(alg, self.float_point, g)
-        if linalg.scalar_mode(self.point) != linalg.scalar_mode(g):
-            return bch(alg, self.float_point, as_float(g))
-        return bch(alg, self.point, g)
+        mode = linalg.scalar_mode(g)
+        if mode == self.mode == "exact":
+            return bch(alg, self.point, g)
+        return bch(alg, self.float_point, g if mode == "float" else as_float(g))
 
     def linear_part(self, alg):
         return None  # identity
@@ -112,7 +117,7 @@ class Dilation:
         return tuple(float(f) for f in _dilation_factors(self.alg, self.ratio))
 
     def apply(self, alg, g):
-        if linalg.is_float_vector(g):
+        if linalg.scalar_mode(g) == "float":
             return dilate(self.alg, self.ratio, g, self.float_factors)
         return dilate(self.alg, self.ratio, g)
 
@@ -252,9 +257,9 @@ class CompatibleExpression:
 
 
 def _w_coords(dec: CbCDecomposition, x, tol=0.0):
-    rows = dec.w.rows_float if linalg.is_float_vector(x) else dec.w.rows
-    reduced = linalg.reduce_against(rows, dec.w.pivots, x)
-    if tol == 0.0 and linalg.scalar_mode(x) == "exact":
+    exact = linalg.scalar_mode(x) == "exact"
+    reduced = linalg.reduce_against(dec.w.rows if exact else dec.w.rows_float, dec.w.pivots, x)
+    if tol == 0.0 and exact:
         if not linalg.is_zero(reduced):
             raise ValueError("vector does not lie in the ideal")
     else:
@@ -269,12 +274,14 @@ def extract_compatible(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpre
 
     A and B are restrictions of the composed linear part; s is the
     exact residual ``A^-1[(Bh)^-1 * F(0)^-1 * F(h)]`` evaluated through
-    the chain.  For a bare shear factor the shear's own components (and
-    their expression trees) are reused.
+    the chain.  For a bare shear factor with F(0) = 0 the shear's own
+    components (and their expression trees) are reused; otherwise F(0)
+    = s(0) does not commute with h, and s comes from the residual.  A
+    chain with a float ingredient maps the exact zero to floats.
     """
     alg = dec.base
     phi = fmap.linear_part()
-    base = fmap(linalg.zero_vector(alg.dim) if _chain_is_exact(fmap) else (0.0,) * alg.dim)
+    base = fmap(linalg.zero_vector(alg.dim))
 
     keep = dec.transversal_indices
     b_cols = tuple(phi(alg.basis_vector(i)) for i in keep)
@@ -292,7 +299,7 @@ def extract_compatible(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpre
     quot_translation = dec.project(base)
 
     s_trees = None
-    if len(fmap.factors) == 1 and isinstance(fmap.factors[0], Shear):
+    if len(fmap.factors) == 1 and isinstance(fmap.factors[0], Shear) and linalg.is_zero(base):
         smap = fmap.factors[0].shear_map
 
         def s_eval(q):
@@ -323,21 +330,6 @@ def extract_compatible(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpre
         quot_matrix=quot_matrix,
         s_trees=s_trees,
     )
-
-
-def _chain_is_exact(fmap: FiberMap) -> bool:
-    for f in fmap.factors:
-        if isinstance(f, Shear):
-            return False
-        if isinstance(f, Translate) and linalg.scalar_mode(f.point) == "float":
-            return False
-        if isinstance(f, Dilation) and isinstance(f.ratio, float):
-            return False
-        if isinstance(f, Auto) and any(
-            isinstance(a, float) for row in f.matrix.matrix for a in row
-        ):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -399,19 +391,17 @@ def verify_compatible(
     for _ in range(sampler.count):
         g = sample_ball_point(rng, alg, sampler.radius)
         qbar = dec.project(g)
-        sval = as_float(expr.s_eval(qbar))
+        sval = expr.s_eval(qbar)
         resid = linalg.reduce_against(dec.center_w.rows, dec.center_w.pivots, sval)
         central_defect = max(central_defect, max(abs(float(a)) for a in resid))
         # reconstruction at g = h * w
-        h = as_float(dec.lift(qbar))
+        h = dec.lift(qbar)
         w_part = bch(alg, vneg(h), g)
-        rebuilt = bch(alg, as_float(expr.base), as_float(expr.b_apply(h)))
-        rebuilt = bch(alg, rebuilt, as_float(expr.a_apply_ambient(w_part, tol=1e-8)))
-        rebuilt = bch(alg, rebuilt, as_float(expr.a_apply_ambient(sval, tol=1e-6)))
+        rebuilt = bch(alg, as_float(expr.base), expr.b_apply(h))
+        rebuilt = bch(alg, rebuilt, expr.a_apply_ambient(w_part, tol=1e-8))
+        rebuilt = bch(alg, rebuilt, expr.a_apply_ambient(sval, tol=1e-6))
         direct = fmap(g)
-        recon_defect = max(
-            recon_defect, max(abs(a - b) for a, b in zip(rebuilt, as_float(direct)))
-        )
+        recon_defect = max(recon_defect, max(abs(a - b) for a, b in zip(rebuilt, direct)))
 
     same_b = True
     for _ in range(3):
@@ -440,16 +430,15 @@ def _component_directional(dec, component, at_q, direction_q):
     if component.trees is not None:
         jac = _curve_velocity(qalg, at_q, direction_q)
         z = dec.z_layer(component.layer)
-        out = linalg.zero_vector(dec.base.dim)
-        out = as_float(out)
-        for tree, row in zip(component.trees, z.rows):
-            partials = [tree.diff(k).eval(as_float(at_q)) for k in range(qalg.dim)]
+        out = (0.0,) * dec.base.dim
+        for tree, row in zip(component.trees, z.rows_float):
+            partials = [tree.diff(k).eval(at_q) for k in range(qalg.dim)]
             scalar = sum(p * float(j) for p, j in zip(partials, jac))
-            out = vadd(out, vscale(scalar, as_float(row)))
+            out = vadd(out, vscale(scalar, row))
         return out
     eps = 1e-6
-    plus = component.eval(bch(qalg, as_float(at_q), vscale(eps, as_float(direction_q))))
-    minus = component.eval(bch(qalg, as_float(at_q), vscale(-eps, as_float(direction_q))))
+    plus = component.eval(bch(qalg, at_q, vscale(eps, direction_q)))
+    minus = component.eval(bch(qalg, at_q, vscale(-eps, direction_q)))
     return tuple((a - b) / (2 * eps) for a, b in zip(plus, minus))
 
 
@@ -496,7 +485,7 @@ def d_alpha(dec: CbCDecomposition, fmap: FiberMap, p, v, mode: str = "closed"):
         expr = extract_compatible(dec, fmap)
         phi = fmap.linear_part()
         vf = as_float(v)
-        out = as_float(phi(vf))
+        out = phi(vf)
         alpha_int = int(dec.alpha)
         s_alpha = (
             expr.s_component(alpha_int)
@@ -512,7 +501,7 @@ def d_alpha(dec: CbCDecomposition, fmap: FiberMap, p, v, mode: str = "closed"):
             hbar = dec.project(h_part)
             if any(abs(a) > 0 for a in hbar):
                 deriv = _component_directional(dec, s_alpha, h0_bar, hbar)
-                out = vadd(out, as_float(expr.a_apply_ambient(deriv, tol=1e-6)))
+                out = vadd(out, expr.a_apply_ambient(deriv, tol=1e-6))
         zero = [0.0] * dec.base.dim
         for i in idx:
             zero[i] = out[i]
@@ -553,7 +542,7 @@ def chain_rule_check(dec: CbCDecomposition, f: FiberMap, g: FiberMap, p) -> floa
     """Operator-norm defect of D(F o G)(p) against D F(G(p)) . D G(p)."""
     composite = compose(g, f)  # apply g first
     lhs = d_alpha_matrix(dec, composite, p)
-    gp = as_float(g(as_float(p)))
+    gp = g(as_float(p))
     rhs = d_alpha_matrix(dec, f, gp) @ d_alpha_matrix(dec, g, p)
     return float(np.linalg.norm(lhs - rhs, 2))
 
@@ -579,7 +568,8 @@ def pansu_check(
     the basepoint are kept rational so that a map preserving exact
     arithmetic (in particular L itself, or any rational graded
     automorphism) reports an exactly zero numerator rather than a
-    rounding residue.
+    rounding residue; when F or L has float values the numerator is
+    compared in floats.
     """
     verdict = is_graded_automorphism(alg, l_map)
     if not verdict.homomorphism:
@@ -589,6 +579,7 @@ def pansu_check(
     except ValueError:
         xe = tuple(Fraction(a).limit_denominator(1 << 30) for a in as_float(x))
     fx = f(xe)
+    floats = "float" in (linalg.scalar_mode(fx), linalg.scalar_mode(l_map(xe)))
     out = []
     denom = 1 << 20
     for t in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)):
@@ -602,7 +593,11 @@ def pansu_check(
             if n < 1e-6:
                 continue
             y = bch(alg, xe, dilate(alg, t, u))
-            num = quasi_dist(alg, bch(alg, vneg(fx), f(y)), l_map(bch(alg, vneg(xe), y)))
+            lhs = bch(alg, vneg(fx), f(y))
+            rhs = l_map(bch(alg, vneg(xe), y))
+            if floats:
+                lhs, rhs = as_float(lhs), as_float(rhs)
+            num = quasi_dist(alg, lhs, rhs)
             den = quasi_dist(alg, xe, y)
             if den > 0:
                 worst = max(worst, num / den)
@@ -870,7 +865,7 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
         coords = _w_coords(dec, delta, tol=1e-7)
         return dec.w_embed(linalg.mat_vec(a_inv_powers[k], coords))
 
-    orbits = {tuple(q): tuple(as_float(q)) for q in grid}
+    orbits = {q: q for q in grid}
     orbit_0 = (0.0,) * dec.quotient.dim
     a_inv_power = linalg.identity_matrix(dec.w.rank)
     prev_change = None

@@ -10,10 +10,11 @@ scale.
 
 Every lift integrates to ``quadrature.DEFAULT_TOL``, and the loop test
 flags a loop integral above ``1e-8`` times the loop length (scaled by
-the component's Holder hint).  Lifted evaluators memoize per exact
-input coordinates; memo writes are idempotent, so concurrent readers
-are safe.  All estimators draw from the counter-based generator in
-:mod:`nilcarnot.rng` and are deterministic per seed.
+the component's Holder hint).  Lifted evaluators memoize per input
+point, keyed on its coordinates as a float tuple; memo writes are
+idempotent, so concurrent readers are safe.  All estimators draw from
+the counter-based generator in :mod:`nilcarnot.rng` and are
+deterministic per seed.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
     def evaluate(q):
         out = (0.0,) * dec.base.dim
         for tree, row in zip(trees, rows):
-            out = vadd(out, vscale(tree.eval(q), row))
+            v = tree.eval(q)
+            out = tuple(a + v * r for a, r in zip(out, row))
         return out
 
     return ShearComponent(layer, evaluate, trees, holder_hint)

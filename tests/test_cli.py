@@ -169,6 +169,18 @@ def test_maps_compatible_dilation(capsys):
     assert all(c["status"] == "pass" for c in report["checks"] if c["name"] != "s_central")
 
 
+def test_maps_compatible_bare_shear_with_nonzero_value_at_the_origin(capsys):
+    # F(0) = s(0) lies in Z(w), which does not commute with h, so the
+    # shear's own components are not the residual s of the normal form
+    code, report = run_cli(
+        capsys, "maps", "compatible", "--fixture", "ladder5", "--map", "shear:1=1+q1"
+    )
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["reconstruction"]["value"] <= 1e-15
+    assert all(c["status"] == "pass" for c in checks.values())
+    assert code == 0
+
+
 def test_maps_automorphism_shear(capsys):
     code, report = run_cli(
         capsys, "maps", "automorphism", "--fixture", "heisprod4", "--map", "shear:2=0.5*q1"

@@ -247,3 +247,22 @@ def test_sample_ball_point_reads_float_weights(fraction_to_float_calls):
     fraction_to_float_calls.clear()
     sample_ball_point(rng, alg, 5.0)
     assert fraction_to_float_calls == []
+
+
+@pytest.mark.parametrize(
+    "name, first, second",
+    [
+        ("ladder5", "-0x1.3988e1409212ep+0", "0x1.ac5eb3f7ab2f8p-1"),
+        ("ladder5_x_engel4", "-0x1.3988e1409212ep+0", "0x1.ac5eb3f7ab2f8p-1"),
+    ],
+)
+def test_expression_component_values_are_pinned(name, first, second):
+    # each row is added as 0.0 + v*r, so a negative value times a zero
+    # entry of the row gives 0.0, never -0.0
+    dec = decompose(ALGEBRAS[name])
+    comp = component_from_exprs(dec, 1, "sign(q1)*sqrt(abs(q1))")
+    rest = dec.quotient.dim - 1
+    for q, value in (((-1.5,) + (0.25,) * rest, first), ((0.7,) + (-2.0,) * rest, second)):
+        want = ["0x0.0p+0"] * dec.base.dim
+        want[2] = value
+        assert [a.hex() for a in comp.eval(q)] == want

@@ -1,8 +1,14 @@
 from fractions import Fraction
 
+import numpy
 import pytest
+from hypothesis import given, strategies as st
 
 from nilcarnot import linalg
+from nilcarnot.algebra import LinearMap, bracket
+from nilcarnot.group import bch, quasi_dist
+from nilcarnot.linalg import identity_matrix
+from nilcarnot.maps import Translate
 
 
 def fr(*nums):
@@ -47,6 +53,60 @@ def test_scalar_mode_rejects_mixed():
     assert linalg.scalar_mode((1.0, 2.0)) == "float"
     with pytest.raises(ValueError):
         linalg.scalar_mode((Fraction(1), 2.0))
+
+
+def per_vector_mode(x):
+    """The rule ``scalar_mode`` applied to one vector at a time, kept as the reference."""
+    has_float = any(isinstance(a, float) for a in x)
+    has_exact = any(isinstance(a, (int, Fraction)) for a in x)
+    if has_float and has_exact:
+        raise ValueError("mixed exact/float coordinates in one vector")
+    return "float" if has_float else "exact"
+
+
+entries = st.one_of(
+    st.floats(),
+    st.just(-0.0),
+    st.just(float("nan")),
+    st.floats().map(numpy.float64),
+    st.integers(),
+    st.booleans(),
+    st.fractions(),
+    st.integers(-5, 5).map(numpy.int64),  # neither float nor exact: does not count
+)
+vectors = st.lists(entries, max_size=5).map(tuple)
+
+
+@given(st.lists(vectors, min_size=1, max_size=4))
+def test_scalar_mode_is_the_per_vector_rule_over_all_entries(vs):
+    # float and exact entries may not meet across vectors either
+    try:
+        want = per_vector_mode(tuple(a for v in vs for a in v))
+    except ValueError:
+        with pytest.raises(ValueError, match="mixed"):
+            linalg.scalar_mode(*vs)
+        return
+    assert linalg.scalar_mode(*vs) == want
+
+
+def test_operations_reject_a_mix_where_it_enters(heis, dec_l5):
+    mixed = (1.0, Fraction(1), 0.0)
+    floats, exact = (1.0, 0.5, -2.0), (Fraction(1), Fraction(1, 2), Fraction(-2))
+    m = LinearMap(identity_matrix(3))
+    for call in (
+        lambda: bch(heis, mixed, floats),
+        lambda: bch(heis, floats, exact),
+        lambda: bracket(heis, mixed, mixed),
+        lambda: bracket(heis, exact, floats),
+        lambda: m(mixed),
+        lambda: quasi_dist(heis, mixed, floats),
+        lambda: quasi_dist(heis, exact, floats),
+        lambda: Translate(exact).apply(heis, mixed),
+        lambda: Translate(floats).apply(heis, mixed),
+        lambda: dec_l5.w_embed((Fraction(1), 0.5, 0.0, 0.0, 0.0)),
+    ):
+        with pytest.raises(ValueError, match="mixed"):
+            call()
 
 
 def test_as_exact_rejects_lossy_floats():

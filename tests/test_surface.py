@@ -7,8 +7,11 @@ src/, tests/ and perfbench/; a class name stands for its ``__init__``,
 and methods skip ``self``.
 
 Derived tables live on their owner as cached properties, so no
-``functools.lru_cache`` or ``functools.cache`` appears, and ``exec`` runs
-in one place: the generator of the bracket and BCH kernels.
+``functools.lru_cache`` or ``functools.cache`` appears.  ``exec`` runs
+in one place, the generator of the bracket and BCH kernels, and entry
+types are tested for float in ``linalg.scalar_mode``, which decides every
+vector's scalar mode, and in ``linalg.as_exact``, which checks that a
+float converts to a rational without loss.
 """
 
 import ast
@@ -84,28 +87,71 @@ def test_no_function_cache_decorators():
     assert found == []
 
 
-class _ExecSites(ast.NodeVisitor):
-    """Names of the functions that call ``exec`` (``<module>`` at top level)."""
+class _Sites(ast.NodeVisitor):
+    """Names of the functions holding a node ``match`` accepts (``<module>`` at top level)."""
 
-    def __init__(self):
+    def __init__(self, match):
+        self.match = match
         self.scope = ["<module>"]
         self.sites = []
 
-    def visit_FunctionDef(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    def visit_Call(self, node):
-        if getattr(node.func, "id", None) == "exec" or getattr(node.func, "attr", None) == "exec":
+    def visit(self, node):
+        if self.match(node):
             self.sites.append(self.scope[-1])
-        self.generic_visit(node)
+        if isinstance(node, ast.FunctionDef):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+        else:
+            self.generic_visit(node)
+
+
+def _sites(match):
+    sites = []
+    for path in SOURCES:
+        visitor = _Sites(match)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites += [f"{path.name}:{name}" for name in visitor.sites]
+    return sites
 
 
 def test_exec_runs_only_in_the_kernel_generator():
-    sites = []
-    for path in SOURCES:
-        visitor = _ExecSites()
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        sites += [f"{path.name}:{name}" for name in visitor.sites]
-    assert sites == ["algebra.py:_kernel"]
+    def calls_exec(node):
+        return isinstance(node, ast.Call) and "exec" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+
+    assert _sites(calls_exec) == ["algebra.py:_kernel"]
+
+
+def _is_float(node):
+    return isinstance(node, ast.Name) and node.id == "float"
+
+
+def _tests_for_float(node):
+    """``isinstance(x, float)`` or ``issubclass(t, float)`` (or a tuple naming
+    float), or ``type(x) is float``."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass"):
+        kinds = node.args[1:]
+        kinds = kinds[0].elts if kinds and isinstance(kinds[0], ast.Tuple) else kinds
+        return any(_is_float(k) for k in kinds)
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        typed = any(isinstance(s, ast.Call) and getattr(s.func, "id", None) == "type" for s in sides)
+        return typed and any(_is_float(s) for s in sides)
+    return False
+
+
+def test_scalar_mode_is_the_one_entry_type_check():
+    """Only ``linalg.scalar_mode`` decides a scalar mode.
+
+    The other two sites decide none: ``as_exact`` checks that a float
+    converts to a rational without loss, and the literal check of the
+    expression parser rejects non-numeric constants in the expression
+    source.
+    """
+    sites = sorted(set(_sites(_tests_for_float)))
+    assert sites == ["exprlang.py:_convert", "linalg.py:as_exact", "linalg.py:scalar_mode"]
+    defined = _sites(lambda node: isinstance(node, ast.FunctionDef) and node.name == "is_float_vector")
+    assert defined == []
