@@ -39,6 +39,10 @@ from .linalg import as_float, span_coords, vadd, vneg, vscale
 from .quadrature import integrate_vector
 
 
+# Relative residual (to 1 + max|x|) up to which a float vector lies in the ideal.
+W_TOL = 1e-9
+
+
 class DecompositionError(ValueError):
     def __init__(self, kind: str, message: str):
         super().__init__(message)
@@ -176,11 +180,18 @@ class CbCDecomposition:
     * ``v_alpha_indices``: the basis of V_alpha, the weight alpha*lambda1.
     * ``p_alpha``: see :func:`p_alpha_data`.
 
-    The float paths read float twins built once: ``projection`` is a
-    ``LinearMap`` (``float_matrix``), and ``w_embed``, the ideal
-    coordinates in ``maps`` and ``integrate_bracket_form`` read the
-    subspace rows through ``rows_float``.  ``w_layer_project`` selects
-    coordinates through ``base.layer_indices``.
+    The ideal's coordinates are one pair of maps: ``w_embed`` is the
+    ``LinearMap`` whose columns are the RREF rows of w, and ``w_coords``
+    is its checked inverse, which reads an exact vector exactly and a
+    float one within ``W_TOL`` relative to 1 + max|x|.  ``w_apply(m, x)``
+    is ``w_embed(m(w_coords(x)))``, the one way a map on ideal
+    coordinates acts on an ambient vector of w.
+
+    The float paths read float twins built once: ``projection`` and
+    ``w_embed`` are ``LinearMap`` instances (``float_matrix``), and
+    ``w_coords`` and ``integrate_bracket_form`` read the subspace rows
+    through ``rows_float``.  ``w_layer_project`` selects coordinates
+    through ``base.layer_indices``.
     """
 
     base: GradedAlgebra
@@ -258,14 +269,24 @@ class CbCDecomposition:
             out[i] = qcoords[pos]
         return tuple(out)
 
-    def w_embed(self, coords):
-        if linalg.scalar_mode(coords) == "float":
-            out, rows = (0.0,) * self.base.dim, self.w.rows_float
+    @cached_property
+    def w_embed(self) -> LinearMap:
+        return LinearMap(tuple(zip(*self.w.rows)))
+
+    def w_coords(self, x):
+        """Coordinates of x in the RREF row basis of w; raises outside w."""
+        if linalg.scalar_mode(x) == "exact":
+            if not self.w.contains(x):
+                raise ValueError("vector does not lie in the ideal")
         else:
-            out, rows = linalg.zero_vector(self.base.dim), self.w.rows
-        for c, row in zip(coords, rows):
-            out = vadd(out, vscale(c, row))
-        return out
+            reduced = linalg.reduce_against(self.w.rows_float, self.w.pivots, x)
+            if max(abs(a) for a in reduced) > W_TOL * (1.0 + max(abs(a) for a in x)):
+                raise ValueError("vector does not lie in the ideal (beyond tolerance)")
+        return tuple(x[p] for p in self.w.pivots)
+
+    def w_apply(self, m: LinearMap, x):
+        """The map m on ideal coordinates, acting on an ambient vector x of w."""
+        return self.w_embed(m(self.w_coords(x)))
 
     def z_layer(self, j) -> Subspace | None:
         return self.z_layers.get(j)

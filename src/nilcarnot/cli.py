@@ -8,7 +8,9 @@ across runs up to the wall-clock field.
 
 Factor grammar for map chains (applied in the order given):
 
-    translate:COORDS      comma-separated numbers (rationals like 3/2 allowed)
+    translate:COORDS      comma-separated numbers (rationals like 3/2 allowed);
+                          integers and rationals keep the translation exact,
+                          a decimal anywhere makes all of its coordinates float
     dilate:R              positive ratio
     auto:MATRIX           rows separated by ';', entries by ','
     shear:SPEC            components 'j=EXPR' separated by ';'
@@ -79,24 +81,28 @@ def _parse_number(text: str):
     return Fraction(int(text))
 
 
+def _parse_matrix(alg, payload: str, what: str) -> LinearMap:
+    rows = tuple(tuple(_parse_number(t) for t in row.split(",")) for row in payload.split(";"))
+    if len(rows) != alg.dim or any(len(r) != alg.dim for r in rows):
+        raise UsageError(f"{what} needs a {alg.dim}x{alg.dim} matrix")
+    return LinearMap(rows)
+
+
 def _parse_factor(alg, dec, spec: str):
     if ":" not in spec:
         raise UsageError(f"factor {spec!r} needs kind:payload")
     kind, payload = spec.split(":", 1)
     if kind == "translate":
-        coords = tuple(float(_parse_number(t)) for t in payload.split(","))
+        coords = tuple(_parse_number(t) for t in payload.split(","))
+        if any(ch in payload for ch in ".eE"):
+            coords = as_float(coords)
         if len(coords) != alg.dim:
             raise UsageError(f"translate needs {alg.dim} coordinates")
         return Translate(coords)
     if kind == "dilate":
         return Dilation(alg, _parse_number(payload))
     if kind == "auto":
-        rows = []
-        for row in payload.split(";"):
-            rows.append(tuple(_parse_number(t) for t in row.split(",")))
-        if len(rows) != alg.dim or any(len(r) != alg.dim for r in rows):
-            raise UsageError(f"auto needs a {alg.dim}x{alg.dim} matrix")
-        return Auto(LinearMap(tuple(rows)))
+        return Auto(_parse_matrix(alg, payload, "auto"))
     if kind == "shear":
         if dec is None:
             raise UsageError("shear factors need a Carnot-by-Carnot fixture")
@@ -276,7 +282,8 @@ def cmd_shear(args) -> int:
                 bch(alg, vneg(apply_shear(smap, g1)), apply_shear(smap, g2)),
             )
             worst = max(worst, max(abs(a - b) for a, b in zip(k_direct, k_indirect)))
-        report.check("k_identity", worst <= 1e-12 * max(1.0, args.radius**3), value=worst, tolerance=1e-12)
+        k_tol = 1e-12 * max(1.0, args.radius**3)
+        report.check("k_identity", worst <= k_tol, value=worst, tolerance=k_tol)
 
         # lift coherence for derived layers
         if dec.alpha_is_integer:
@@ -306,7 +313,7 @@ def cmd_maps(args) -> int:
         dec = decompose(alg)
     except DecompositionError:
         pass
-    chain = _parse_chain(alg, dec, args.map) if args.map else None
+    chain = _parse_chain(alg, dec, args.map)
     chain2 = _parse_chain(alg, dec, args.map2) if args.map2 else None
     point = (
         tuple(float(_parse_number(t)) for t in args.point.split(","))
@@ -356,8 +363,6 @@ def cmd_maps(args) -> int:
         defect = cocycle_identity_check(dec, chain, chain2)
         report.check("cocycle_identity", defect <= 1e-9, value=defect, tolerance=1e-9)
     elif sub == "conjugate":
-        if chain is None:
-            raise UsageError("conjugate needs --map for the conjugated element")
         if args.solve_layer is not None:
             c, fp = solve_single_generator_fixed_point(dec, chain, args.solve_layer)
             report.extra(
@@ -379,21 +384,15 @@ def cmd_maps(args) -> int:
                 "component_eliminated", crep.sup_new_component <= 1e-9, value=crep.sup_new_component, tolerance=1e-9
             )
     elif sub == "pansu":
-        if chain is None:
-            raise UsageError("pansu needs --map")
         if not args.linear:
             raise UsageError("pansu needs --linear MATRIX for the candidate differential")
-        rows = tuple(
-            tuple(_parse_number(t) for t in row.split(",")) for row in args.linear.split(";")
-        )
-        defects = pansu_check(alg, chain, point, LinearMap(rows), seed=args.seed)
+        l_map = _parse_matrix(alg, args.linear, "--linear")
+        defects = pansu_check(alg, chain, point, l_map, seed=args.seed)
         report.extra("defects", [[t, v] for t, v in defects])
         values = [v for _, v in defects]
         decreasing = all(b <= a * (1 + 1e-9) for a, b in zip(values, values[1:]))
         report.check("defect_sequence_decreasing", decreasing or max(values) <= 1e-12)
     elif sub == "automorphism":
-        if chain is None:
-            raise UsageError("automorphism needs --map")
         rep = automorphism_check(alg, chain, SamplerConfig(seed=args.seed, count=60, radius=3.0))
         report.check("automorphism", rep.passed, value=rep.defect, tolerance=rep.tolerance)
     else:

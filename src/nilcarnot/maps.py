@@ -220,8 +220,9 @@ class CompatibleExpression:
 
     ``b_matrix`` has one ambient column per transversal basis vector (in
     non-pivot coordinate order); ``a_matrix`` acts on ideal coordinates
-    in the RREF row basis of w.  ``s_eval`` maps quotient coordinates to
-    an ambient vector in Z(w).
+    in the RREF row basis of w, and ``a_apply_ambient`` applies it to an
+    ambient vector of w through ``dec.w_apply``.  ``s_eval`` maps
+    quotient coordinates to an ambient vector in Z(w).
     """
 
     dec: CbCDecomposition
@@ -241,10 +242,12 @@ class CompatibleExpression:
             acc = term if acc is None else vadd(acc, term)
         return acc if acc is not None else linalg.zero_vector(self.dec.base.dim)
 
-    def a_apply_ambient(self, w_vec, tol=0.0):
-        coords = _w_coords(self.dec, w_vec, tol)
-        img = linalg.mat_vec(self.a_matrix, coords)
-        return self.dec.w_embed(img)
+    @cached_property
+    def a_map(self):
+        return LinearMap(self.a_matrix)
+
+    def a_apply_ambient(self, w_vec):
+        return self.dec.w_apply(self.a_map, w_vec)
 
     def s_component(self, j) -> ShearComponent:
         trees = (self.s_trees or {}).get(j)
@@ -254,19 +257,6 @@ class CompatibleExpression:
             return dec.w_layer_project(self.s_eval(q), j)
 
         return ShearComponent(j, evaluate, trees)
-
-
-def _w_coords(dec: CbCDecomposition, x, tol=0.0):
-    exact = linalg.scalar_mode(x) == "exact"
-    reduced = linalg.reduce_against(dec.w.rows if exact else dec.w.rows_float, dec.w.pivots, x)
-    if tol == 0.0 and exact:
-        if not linalg.is_zero(reduced):
-            raise ValueError("vector does not lie in the ideal")
-    else:
-        scale = 1.0 + max(abs(float(a)) for a in x)
-        if max(abs(float(a)) for a in reduced) > max(tol, 1e-9) * scale:
-            raise ValueError("vector does not lie in the ideal (beyond tolerance)")
-    return tuple(x[p] for p in dec.w.pivots)
 
 
 def extract_compatible(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpression:
@@ -285,11 +275,7 @@ def extract_compatible(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpre
 
     keep = dec.transversal_indices
     b_cols = tuple(phi(alg.basis_vector(i)) for i in keep)
-    a_cols = []
-    for row in dec.w.rows:
-        img = phi(row)
-        a_cols.append(_w_coords(dec, img))
-    a_matrix = tuple(zip(*a_cols))
+    a_matrix = tuple(zip(*(dec.w_coords(phi(row)) for row in dec.w.rows)))
     a_inv = invert_matrix(LinearMap(a_matrix))
 
     quot_matrix = []
@@ -317,8 +303,7 @@ def extract_compatible(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpre
             fh = fmap(h)
             bh = phi(h)
             residual = bch(alg, vneg(bh), bch(alg, neg_base, fh))
-            coords = _w_coords(dec, residual, tol=1e-8)
-            return dec.w_embed(a_inv(coords))
+            return dec.w_apply(a_inv, residual)
 
     return CompatibleExpression(
         dec=dec,
@@ -398,8 +383,8 @@ def verify_compatible(
         h = dec.lift(qbar)
         w_part = bch(alg, vneg(h), g)
         rebuilt = bch(alg, as_float(expr.base), expr.b_apply(h))
-        rebuilt = bch(alg, rebuilt, expr.a_apply_ambient(w_part, tol=1e-8))
-        rebuilt = bch(alg, rebuilt, expr.a_apply_ambient(sval, tol=1e-6))
+        rebuilt = bch(alg, rebuilt, expr.a_apply_ambient(w_part))
+        rebuilt = bch(alg, rebuilt, expr.a_apply_ambient(sval))
         direct = fmap(g)
         recon_defect = max(recon_defect, max(abs(a - b) for a, b in zip(rebuilt, direct)))
 
@@ -501,7 +486,7 @@ def d_alpha(dec: CbCDecomposition, fmap: FiberMap, p, v, mode: str = "closed"):
             hbar = dec.project(h_part)
             if any(abs(a) > 0 for a in hbar):
                 deriv = _component_directional(dec, s_alpha, h0_bar, hbar)
-                out = vadd(out, expr.a_apply_ambient(deriv, tol=1e-6))
+                out = vadd(out, expr.a_apply_ambient(deriv))
         zero = [0.0] * dec.base.dim
         for i in idx:
             zero[i] = out[i]
@@ -613,10 +598,10 @@ def pansu_check(
 class SimilarityPair:
     """(A, Bbar): an ideal similarity and a quotient affine similarity.
 
-    ``a_inverse`` is the ``LinearMap`` from ``invert_matrix``.
-    ``quot_apply`` and ``a_inv_ambient`` read views built once: the
-    ``LinearMap`` float twins of both matrices and the translation as
-    floats.
+    ``a_inverse`` is the ``LinearMap`` from ``invert_matrix``; it acts
+    on ambient vectors of w through ``dec.w_apply``.  ``quot_apply``
+    reads views built once: the ``LinearMap`` float twin of the quotient
+    matrix and the translation as floats.
     """
 
     dec: CbCDecomposition
@@ -637,10 +622,6 @@ class SimilarityPair:
 
     def quot_apply(self, q):
         return bch(self.dec.quotient, self.quot_translation_float, self.quot_map(as_float(q)))
-
-    def a_inv_ambient(self, w_vec, tol=1e-8):
-        coords = _w_coords(self.dec, w_vec, tol)
-        return self.dec.w_embed(self.a_inverse(coords))
 
 
 def _similarity_ratio(block_rows, label):
@@ -707,10 +688,10 @@ def cocycle_action(dec: CbCDecomposition, pair: SimilarityPair, component: Shear
         raise ValueError("the pair does not satisfy lambda_B = lambda_A**alpha")
     b0 = pair.quot_apply((0.0,) * dec.quotient.dim)
     inner = component.eval
-    origin_val = pair.a_inv_ambient(inner(b0), tol=1e-6)
+    origin_val = dec.w_apply(pair.a_inverse, inner(b0))
 
     def evaluate(q):
-        val = pair.a_inv_ambient(inner(pair.quot_apply(q)), tol=1e-6)
+        val = dec.w_apply(pair.a_inverse, inner(pair.quot_apply(q)))
         return tuple(a - b for a, b in zip(val, origin_val))
 
     return ShearComponent(component.layer, evaluate, None, component.holder_hint)
@@ -836,10 +817,11 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     the action means contraction holds for smooth data with a
     contracting similarity, not universally).
 
-    The point-independent pieces of each term, the power A^-k (built
-    exactly, stored as floats) and s(B^k 0), are tabulated once while
-    the iteration runs; the returned component reads those tables, so
-    evaluating it at a point costs only the orbit B^k q and its s values.
+    The point-independent pieces of each term, the power A^-k (an exact
+    ``LinearMap``, whose float twin is built once) and s(B^k 0), are
+    tabulated once while the iteration runs; the returned component
+    reads those tables, so evaluating it at a point costs only the orbit
+    B^k q and its s values.
     """
     if Fraction(j) >= dec.alpha:
         raise ValueError("fixed points are solved only below the exponent")
@@ -855,15 +837,11 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
             s_memo[q] = s.eval(q)
         return s_memo[q]
 
-    # float(A^-k) gives mat_vec the same bits as A^-k: Fraction * float
-    # is computed as float(Fraction) * float
     a_inv_powers = []
     s_origin = []
 
     def term(k, orbit_q):
-        delta = linalg.vsub(s_at(orbit_q), s_origin[k])
-        coords = _w_coords(dec, delta, tol=1e-7)
-        return dec.w_embed(linalg.mat_vec(a_inv_powers[k], coords))
+        return dec.w_apply(a_inv_powers[k], linalg.vsub(s_at(orbit_q), s_origin[k]))
 
     orbits = {q: q for q in grid}
     orbit_0 = (0.0,) * dec.quotient.dim
@@ -871,7 +849,7 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     prev_change = None
     factor = 0.0
     for k in range(max_iter):
-        a_inv_powers.append(tuple(as_float(row) for row in a_inv_power))
+        a_inv_powers.append(LinearMap(a_inv_power))
         s_origin.append(s_at(orbit_0))
         change = 0.0
         for q, orbit_q in orbits.items():

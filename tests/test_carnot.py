@@ -2,9 +2,12 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from nilcarnot.algebra import bracket, subspace, validate_algebra
+from nilcarnot import linalg
+from nilcarnot.algebra import GradedAlgebra, bracket, subspace, validate_algebra
 from nilcarnot.carnot import (
+    W_TOL,
     DecompositionError,
     bracket_expressions,
     cc_upper_bound,
@@ -16,7 +19,7 @@ from nilcarnot.carnot import (
     p_alpha_project,
     HorizontalPath,
 )
-from nilcarnot.catalog import engel4, free_nilpotent_step2, heisenberg3
+from nilcarnot.catalog import engel4, free_nilpotent_step2, heisenberg3, ladder5
 from nilcarnot.group import bch, dilate, quasi_norm
 from nilcarnot.linalg import is_zero, vneg
 from nilcarnot.rng import CounterRng, sample_coords
@@ -282,3 +285,63 @@ def test_p_alpha_project_depends_only_on_the_decomposition(monkeypatch):
         dec = decompose(alg)
         x = tuple(Fraction(i + 1) for i in range(alg.dim))
         assert p_alpha_project(dec, x) == p_alpha_data(dec)[2](x)
+
+
+def ladder5_w2_plus_h():
+    """ladder5 in the basis (a, b, z1, w2 + h, h, z3).
+
+    The ideal's RREF row for w2 is (0, 0, 0, 1, -1, 0), so embedding ideal
+    coordinates sums two products in the h coordinate.
+    """
+    f = Fraction
+    return GradedAlgebra(
+        6,
+        ("a", "b", "z1", "w2h", "h", "z3"),
+        (f(1), f(1), f(1), f(2), f(2), f(3)),
+        ((0, 1, 3, f(1)), (0, 1, 4, f(-1)), (0, 3, 5, f(1)), (2, 3, 5, f(-1)), (2, 4, 5, f(-1))),
+    )
+
+
+DECS = {"ladder5": decompose(ladder5()), "ladder5_w2_plus_h": decompose(ladder5_w2_plus_h())}
+
+
+def test_non_unit_row_basis_change_keeps_the_structure():
+    dec = DECS["ladder5_w2_plus_h"]
+    assert dec.w.rows[3] == (0, 0, 0, 1, -1, 0)
+    assert dec.transversal_indices == (4,)
+    assert dec.alpha == 2 and {j: s.rank for j, s in dec.z_layers.items()} == {1: 1, 3: 1}
+
+
+@pytest.mark.parametrize("name", sorted(DECS))
+@given(st.lists(st.floats(-1e12, 1e12), min_size=5, max_size=5))
+def test_w_embed_is_the_row_by_row_sum(name, coords):
+    dec = DECS[name]
+    reference = (0.0,) * dec.base.dim
+    for c, row in zip(coords, dec.w.rows_float):
+        reference = tuple(a + c * r for a, r in zip(reference, row))
+    got = dec.w_embed(tuple(coords))
+    assert [a.hex() for a in got] == [a.hex() for a in reference]
+    exact = tuple(Fraction(c) for c in coords)
+    reference = linalg.zero_vector(dec.base.dim)
+    for c, row in zip(exact, dec.w.rows):
+        reference = tuple(a + c * r for a, r in zip(reference, row))
+    assert dec.w_embed(exact) == reference
+    assert dec.w_coords(reference) == exact
+
+
+def test_w_coords_reads_the_ideal_and_rejects_what_is_outside(dec_l5):
+    h = dec_l5.base.basis_vector(dec_l5.transversal_indices[0])
+    w = dec_l5.w_embed((Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(2), Fraction(5)))
+    with pytest.raises(ValueError, match="does not lie in the ideal"):
+        dec_l5.w_coords(tuple(a + b for a, b in zip(w, h)))
+
+    wf = dec_l5.w_embed((3.0, -0.5, 0.0, 2.0, 5.0))
+    scale = 1.0 + max(abs(a) for a in wf)
+    for relative, inside in ((1e-6, False), (1e-12, True)):
+        x = tuple(a + relative * scale * float(b) for a, b in zip(wf, h))
+        if inside:
+            assert dec_l5.w_coords(x) == (3.0, -0.5, 0.0, 2.0, 5.0)
+        else:
+            with pytest.raises(ValueError, match="does not lie in the ideal"):
+                dec_l5.w_coords(x)
+    assert 1e-12 < W_TOL < 1e-6

@@ -206,6 +206,28 @@ def test_maps_pansu_identity(capsys):
     assert all(v <= 1e-12 for _, v in report["defects"])
 
 
+def test_maps_pansu_exact_translation(capsys):
+    # rational coordinates keep the translation exact, so the numerator of
+    # every defect is exactly zero; a decimal makes the translation float
+    argv = ["maps", "pansu", "--fixture", "heisenberg3", "--linear", "1,0,0;0,1,0;0,0,1", "--point", "0,0,0"]
+    code, report = run_cli(capsys, *argv, "--map", "translate:1,-1/2,0")
+    assert code == 0
+    assert [v for _, v in report["defects"]] == [0.0] * 4
+    _, report = run_cli(capsys, *argv, "--map", "translate:1.0,-0.5,0")
+    assert all(v > 0.0 for _, v in report["defects"])
+
+
+def test_shear_k_identity_reports_the_bound_it_applies(capsys):
+    code, report = run_cli(
+        capsys, "shear", "--fixture", "ladder5", "--component", "1=0.3*q1",
+        "--verify", "--samples", "60", "--radius", "2",
+    )
+    check = next(c for c in report["checks"] if c["name"] == "k_identity")
+    assert check["tolerance"] == 1e-12 * 2.0**3
+    assert check["status"] == "pass" and check["value"] <= check["tolerance"]
+    assert code == 0
+
+
 def test_reports_are_deterministic(capsys):
     _, first = run_cli(
         capsys, "shear", "--fixture", "ladder5", "--component", "1=0.3*q1",
@@ -238,10 +260,19 @@ def test_usage_error_exit_codes(capsys):
         ["maps", "dalpha", "--fixture", "heisprod4", "--map", "shear:2=sign(q1)"],
         ["shear", "--fixture", "ladder5", "--component", "1=q1**400", "--verify"],
         ["shear", "--fixture", "ladder5", "--component", "1=2**(q1*q1*100)", "--verify"],
+        ["maps", "compatible", "--fixture", "ladder5"],
+        ["maps", "dalpha", "--fixture", "ladder5"],
+        ["maps", "chain", "--fixture", "ladder5", "--map2", "dilate:2"],
+        ["maps", "cocycle", "--fixture", "ladder5", "--map2", "dilate:2"],
+        [
+            "maps", "pansu", "--fixture", "heisenberg3", "--map", "translate:1,0,0",
+            "--linear", "1,0;0,1", "--point", "0,0,0",
+        ],
     ],
     ids=[
         "division_by_zero", "complex_power", "non_contraction", "extrapolation", "overflow",
-        "quadrature_budget",
+        "quadrature_budget", "compatible_without_map", "dalpha_without_map", "chain_without_map",
+        "cocycle_without_map", "linear_wrong_shape",
     ],
 )
 def test_failing_input_exits_2_with_one_line_message(capsys, argv):
