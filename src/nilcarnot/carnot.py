@@ -35,8 +35,8 @@ from .algebra import (
 )
 from .algebra import NotCarnotError, bracket_expressions, carnot_layers  # noqa: F401 (re-exported)
 from .group import bch, quasi_norm
-from .linalg import as_float, span_coords, vadd, vneg, vscale
-from .quadrature import integrate_vector
+from .linalg import as_float, span_coords, vneg, vscale
+from .quadrature import DEFAULT_TOL, integrate_vector
 
 
 # Relative residual (to 1 + max|x|) up to which a float vector lies in the ideal.
@@ -178,6 +178,8 @@ class CbCDecomposition:
     * ``central_product``: for non-integer alpha, whether the subalgebra
       generated by H_1 commutes with w; None for integer alpha.
     * ``v_alpha_indices``: the basis of V_alpha, the weight alpha*lambda1.
+    * ``pairing_targets``: center layer j -> the indices of weight
+      lambda1 * (j + alpha), where the pairing of Z_j with H lands.
     * ``p_alpha``: see :func:`p_alpha_data`.
 
     The ideal's coordinates are one pair of maps: ``w_embed`` is the
@@ -291,6 +293,10 @@ class CbCDecomposition:
     def z_layer(self, j) -> Subspace | None:
         return self.z_layers.get(j)
 
+    @cached_property
+    def pairing_targets(self) -> dict:
+        return {j: self.base.layer_indices(self.lambda1 * (j + self.alpha)) for j in self.z_layers}
+
     def w_layer_project(self, x, j):
         idx = self.base.layer_indices(self.lambda1 * j)
         zero = 0.0 if linalg.scalar_mode(x) == "float" else Fraction(0)
@@ -379,17 +385,21 @@ def decompose(alg: GradedAlgebra) -> CbCDecomposition:
     )
 
 
-def integrate_bracket_form(dec: CbCDecomposition, component, path: HorizontalPath):
+def integrate_bracket_form(dec: CbCDecomposition, component, path: HorizontalPath, tol=DEFAULT_TOL):
     """Integral of [c(x), theta_H(x)] along a horizontal quotient path.
 
     ``component`` evaluates quotient coordinates to an ambient vector in
     a center layer Z_j; the result lands in Z_(j+alpha).  The bracket of
     a quotient vector against a central vector is computed through the
-    transversal lift, which is exactly the well-defined pairing.
-    Segments are integrated by adaptive Simpson to the quadrature's
-    default tolerance and summed in order.  Membership in Z_j is
-    checked on the first three values of each segment, the quadrature's
-    nodes t = 0, duration and duration/2.
+    transversal lift, which is exactly the well-defined pairing.  By
+    grading, only the coordinates ``dec.pairing_targets[j]`` can be
+    nonzero; only those are integrated, and the rest of the result is
+    0.0.  Each segment is integrated by adaptive Simpson to the absolute
+    tolerance ``tol`` (lifts keep ``DEFAULT_TOL``; the loop test derives
+    a coarser one from its threshold) and the segments are summed in
+    order.  Membership in Z_j is checked on the first three values of
+    each segment, the quadrature's nodes t = 0, duration and
+    duration/2, even when the target layer is empty.
     """
     qc = dec.quotient_carnot
     if path.alg is not qc and path.alg != qc:
@@ -398,6 +408,7 @@ def integrate_bracket_form(dec: CbCDecomposition, component, path: HorizontalPat
     zj = dec.z_layer(j)
     if zj is None:
         raise ValueError(f"no center layer at index {j}")
+    target = dec.pairing_targets[j]
 
     def check_membership(point, val):
         resid = linalg.reduce_against(zj.rows_float, zj.pivots, val)
@@ -405,7 +416,7 @@ def integrate_bracket_form(dec: CbCDecomposition, component, path: HorizontalPat
         if math.sqrt(sum(a * a for a in resid)) > 1e-8 * scale:
             raise ValueError(f"component value escapes the center layer Z_{j} at {point}")
 
-    total = (0.0,) * dec.base.dim
+    total = [0.0] * dec.base.dim
     pos = as_float(path.start)
     for direction, duration in path.segments:
         direction = as_float(direction)
@@ -420,10 +431,12 @@ def integrate_bracket_form(dec: CbCDecomposition, component, path: HorizontalPat
             if checked < 3:
                 checked += 1
                 check_membership(point, val)
-            return bracket_float(dec.base, val, x_lift)
+            out = bracket_float(dec.base, val, x_lift)
+            return [out[i] for i in target]
 
-        piece = integrate_vector(integrand, 0.0, duration)
-        total = vadd(total, piece)
+        piece = integrate_vector(integrand, 0.0, duration, tol)
+        for i, a in zip(target, piece):
+            total[i] += a
         pos = bch(qc, pos, vscale(duration, direction))
     return tuple(total)
 

@@ -225,6 +225,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_shear(args) -> int:
+    if args.verify and (args.samples < 1 or not 0.0 < args.radius < math.inf):
+        raise UsageError("--verify needs --samples at least 1 and a finite positive --radius")
     alg = _load(args)
     report = Report("shear", args.seed)
     validation = validate_algebra(alg)
@@ -454,6 +456,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError, NonContractionError, ExtrapolationError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 2
 

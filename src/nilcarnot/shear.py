@@ -8,10 +8,11 @@ of the base components, or vanish when the exponent is not an integer.
 ratios and sampling estimators probe the biLipschitz property at desk
 scale.
 
-Every lift integrates to ``quadrature.DEFAULT_TOL``, and the loop test
+Every lift integrates to ``quadrature.DEFAULT_TOL``.  The loop test
 flags a loop integral above ``1e-8`` times the loop length (scaled by
-the component's Holder hint).  Lifted evaluators memoize per input
-point, keyed on its coordinates as a float tuple; memo writes are
+the component's Holder hint), and integrates each loop to a tenth of
+that threshold, not to ``DEFAULT_TOL``.  Lifted evaluators memoize per
+input point, keyed on its coordinates as a float tuple; memo writes are
 idempotent, so concurrent readers are safe.  All estimators draw from
 the counter-based generator in :mod:`nilcarnot.rng` and are
 deterministic per seed.
@@ -117,7 +118,11 @@ def loop_test_membership(
 
     Integrates [c, theta_H] over commutator rectangles at random
     basepoints and scales, closed up by a zigzag path back to the
-    basepoint.  Passing is evidence, not proof, of membership.
+    basepoint.  A loop fails when its integral exceeds
+    ``bound = 1e-8 * length * hint``; each of its segments is integrated
+    to ``bound / (10 * segments)``, a tenth of the bound in all, at any
+    loop scale (lifts keep ``DEFAULT_TOL``).  Passing is evidence, not
+    proof, of membership.
     """
     qc = dec.quotient_carnot
     rng = CounterRng(budget.seed)
@@ -152,10 +157,10 @@ def loop_test_membership(
         closing = horizontal_connect(qc, rel)
         segs.extend(closing.segments)
         loop = HorizontalPath(qc, base, tuple(segs))
-        val = integrate_bracket_form(dec, component, loop)
-        size = math.sqrt(sum(a * a for a in val))
         bound = 1e-8 * loop.length * hint
         threshold = max(threshold, bound)
+        val = integrate_bracket_form(dec, component, loop, bound / (10 * len(segs)))
+        size = math.sqrt(sum(a * a for a in val))
         if size > bound:
             worst = max(worst, size)
     return LoopVerdict(worst == 0.0, budget.count, worst, threshold)

@@ -198,6 +198,17 @@ def test_integrate_bracket_form_rejects_layer_escape(dec_l5):
         integrate_bracket_form(dec_l5, hacked, path)
 
 
+def test_integrate_bracket_form_checks_membership_when_the_target_layer_is_empty(dec_l5):
+    # Z_3 pairs into weight 3 + alpha, which ladder5 does not have
+    assert dec_l5.pairing_targets[3] == ()
+    path = horizontal_connect(dec_l5.quotient_carnot, (1.0,))
+    inside = component_from_exprs(dec_l5, 3, "q1")
+    assert integrate_bracket_form(dec_l5, inside, path) == (0.0,) * dec_l5.base.dim
+    escaping = dataclasses.replace(inside, eval=component_from_exprs(dec_l5, 1, "q1").eval)
+    with pytest.raises(ValueError, match="escapes"):
+        integrate_bracket_form(dec_l5, escaping, path)
+
+
 def test_integrate_bracket_form_evaluates_the_component_once_per_node(dec_l5, monkeypatch):
     import nilcarnot.carnot
 

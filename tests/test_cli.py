@@ -268,11 +268,17 @@ def test_usage_error_exit_codes(capsys):
             "maps", "pansu", "--fixture", "heisenberg3", "--map", "translate:1,0,0",
             "--linear", "1,0;0,1", "--point", "0,0,0",
         ],
+        ["shear", "--fixture", "ladder5", "--component", "1=q1", "--verify", "--samples", "0"],
+        ["shear", "--fixture", "ladder5", "--component", "1=q1", "--verify", "--radius", "nan"],
+        ["shear", "--fixture", "ladder5", "--component", "1=q1", "--verify", "--radius", "inf"],
+        ["shear", "--fixture", "ladder5", "--component", "1=q1", "--verify", "--radius", "1e300"],
+        ["maps", "chain", "--fixture", "heisprod4", "--map", "dilate:1/0"],
     ],
     ids=[
         "division_by_zero", "complex_power", "non_contraction", "extrapolation", "overflow",
         "quadrature_budget", "compatible_without_map", "dalpha_without_map", "chain_without_map",
-        "cocycle_without_map", "linear_wrong_shape",
+        "cocycle_without_map", "linear_wrong_shape", "zero_samples", "nan_radius", "inf_radius",
+        "radius_overflow", "zero_denominator",
     ],
 )
 def test_failing_input_exits_2_with_one_line_message(capsys, argv):

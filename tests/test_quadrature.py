@@ -35,6 +35,12 @@ def test_empty_interval():
     assert integrate_vector(lambda t: np.array([5.0]), 1.0, 1.0)[0] == 0.0
 
 
+def test_zero_length_vectors_still_evaluate_the_first_nodes():
+    points = []
+    assert integrate_vector(lambda t: points.append(t) or (), 0.0, 2.0) == ()
+    assert sorted(points) == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
 def test_jump_at_tight_tolerance_stops_at_the_budget():
     """Capped intervals keep the estimate above 1e-13; the budget ends the refinement."""
     points = []

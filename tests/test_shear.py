@@ -102,6 +102,59 @@ def test_loop_test_detects_area_pairing():
     assert verdict.passed
 
 
+@pytest.fixture(scope="module")
+def dec_multid():
+    return decompose(direct_product(ladder5(), engel4(), 2))
+
+
+@pytest.mark.parametrize("radius", [4.0, 1.0, 0.1, 0.01, 0.001])
+def test_loop_verdict_holds_across_scales(dec_multid, radius):
+    budget = SamplerConfig(seed=7, count=24, radius=radius)
+    member = component_from_exprs(dec_multid, 1, SIGMA)
+    assert loop_test_membership(dec_multid, member, budget).passed
+    assert not loop_test_membership(dec_multid, component_from_exprs(dec_multid, 1, "q1*q2"), budget).passed
+
+
+def test_loop_test_derives_its_tolerance_and_lifts_keep_the_default(dec_multid, monkeypatch):
+    import nilcarnot.carnot
+    import nilcarnot.shear
+    from nilcarnot.quadrature import DEFAULT_TOL
+
+    vector = nilcarnot.carnot.integrate_vector
+    form = nilcarnot.shear.integrate_bracket_form
+    calls, loops = [], []
+
+    def recording_vector(f, a, b, tol):
+        lengths = set()
+        calls.append((tol, lengths))
+
+        def integrand(t):
+            value = f(t)
+            lengths.add(len(value))
+            return value
+
+        return vector(integrand, a, b, tol)
+
+    def recording_form(dec, component, path, *tol):
+        loops.append((path, tol))
+        return form(dec, component, path, *tol)
+
+    monkeypatch.setattr(nilcarnot.carnot, "integrate_vector", recording_vector)
+    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_form", recording_form)
+    sigma = component_from_exprs(dec_multid, 1, SIGMA)
+    assert loop_test_membership(dec_multid, sigma, SamplerConfig(seed=7, count=4, radius=4.0)).passed
+    want = []
+    for path, tol in loops:
+        assert tol == (1e-8 * path.length * 1.0 / (10 * path.segment_count),)
+        want += [tol[0]] * path.segment_count
+    assert [tol for tol, _ in calls] == want
+    looped = len(calls)
+    lift(dec_multid, sigma, waive_membership=True).eval((0.7, -0.4, 1.1, 0.3, -0.9))
+    assert len(calls) > looped and {tol for tol, _ in calls[looped:]} == {DEFAULT_TOL}
+    # the pairing lands in the one-dimensional layer Z_3
+    assert all(lengths == {1} for _, lengths in calls)
+
+
 def test_loop_integral_value_matches_area():
     dec = two_generator_fixture()
     qc = dec.quotient_carnot
