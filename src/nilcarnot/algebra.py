@@ -311,17 +311,9 @@ class GradedAlgebra:
 # module-level names of the cached tables, part of the public API
 
 
-def nilpotency_step(alg: GradedAlgebra) -> int:
-    return alg.nilpotency_step
-
-
 def validate_algebra(alg: GradedAlgebra) -> ValidationReport:
     """Exact per-invariant report: antisymmetry, Jacobi, grading, nilpotency."""
     return alg.validation
-
-
-def carnot_layers(alg: GradedAlgebra):
-    return alg.carnot_layers
 
 
 def is_carnot(alg: GradedAlgebra) -> bool:
@@ -614,7 +606,8 @@ def quotient(alg: GradedAlgebra, ideal: Subspace):
 
 def layer_project(alg: GradedAlgebra, x, weight):
     """Zero out every coordinate whose weight differs from the given one."""
-    if weight not in alg.weight_set:
+    idx = alg.layer_indices(weight)
+    if not idx:
         raise ValueError(f"{weight} is not a weight of the algebra")
     zero = Fraction(0) if linalg.scalar_mode(x) == "exact" else 0.0
-    return tuple(a if alg.weights[i] == weight else zero for i, a in enumerate(x))
+    return tuple(a if i in idx else zero for i, a in enumerate(x))

@@ -27,13 +27,14 @@ from .algebra import (
     center,
     is_carnot,
     is_ideal,
+    layer_project,
     quotient,
     subalgebra_generated,
     subspace,
     validate_algebra,
     weight_slice,
 )
-from .algebra import NotCarnotError, bracket_expressions, carnot_layers  # noqa: F401 (re-exported)
+from .algebra import bracket_expressions  # noqa: F401 (re-exported)
 from .group import bch, quasi_norm
 from .linalg import as_float, span_coords, vneg, vscale
 from .quadrature import DEFAULT_TOL, integrate_vector
@@ -192,8 +193,7 @@ class CbCDecomposition:
     The float paths read float twins built once: ``projection`` and
     ``w_embed`` are ``LinearMap`` instances (``float_matrix``), and
     ``w_coords`` and ``integrate_bracket_form`` read the subspace rows
-    through ``rows_float``.  ``w_layer_project`` selects coordinates
-    through ``base.layer_indices``.
+    through ``rows_float``.
     """
 
     base: GradedAlgebra
@@ -298,9 +298,7 @@ class CbCDecomposition:
         return {j: self.base.layer_indices(self.lambda1 * (j + self.alpha)) for j in self.z_layers}
 
     def w_layer_project(self, x, j):
-        idx = self.base.layer_indices(self.lambda1 * j)
-        zero = 0.0 if linalg.scalar_mode(x) == "float" else Fraction(0)
-        return tuple(a if i in idx else zero for i, a in enumerate(x))
+        return layer_project(self.base, x, self.lambda1 * j)
 
 
 def decompose(alg: GradedAlgebra) -> CbCDecomposition:
@@ -448,7 +446,3 @@ def p_alpha_data(dec: CbCDecomposition):
     of weight >= alpha is checked central once per decomposition.
     """
     return dec.p_alpha
-
-
-def p_alpha_project(dec: CbCDecomposition, x):
-    return dec.p_alpha[2](x)

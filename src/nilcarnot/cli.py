@@ -77,8 +77,20 @@ def _parse_number(text: str):
         num, den = text.split("/")
         return Fraction(int(num), int(den))
     if any(ch in text for ch in ".eE"):
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise UsageError(f"{text!r} is not a finite number")
+        return value
     return Fraction(int(text))
+
+
+def _parse_point(alg, payload: str, what: str):
+    coords = tuple(_parse_number(t) for t in payload.split(","))
+    if any(ch in payload for ch in ".eE"):
+        coords = as_float(coords)
+    if len(coords) != alg.dim:
+        raise UsageError(f"{what} needs {alg.dim} coordinates")
+    return coords
 
 
 def _parse_matrix(alg, payload: str, what: str) -> LinearMap:
@@ -93,12 +105,7 @@ def _parse_factor(alg, dec, spec: str):
         raise UsageError(f"factor {spec!r} needs kind:payload")
     kind, payload = spec.split(":", 1)
     if kind == "translate":
-        coords = tuple(_parse_number(t) for t in payload.split(","))
-        if any(ch in payload for ch in ".eE"):
-            coords = as_float(coords)
-        if len(coords) != alg.dim:
-            raise UsageError(f"translate needs {alg.dim} coordinates")
-        return Translate(coords)
+        return Translate(_parse_point(alg, payload, "translate"))
     if kind == "dilate":
         return Dilation(alg, _parse_number(payload))
     if kind == "auto":
@@ -165,9 +172,10 @@ class Report:
         self.data[key] = value
 
     def finish(self) -> int:
+        """Write the report; a non-finite value raises ``ValueError`` before any output."""
         self.data["wall_clock_s"] = round(time.time() - self.t0, 6)
-        json.dump(self.data, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+        text = json.dumps(self.data, sort_keys=True, allow_nan=False)
+        sys.stdout.write(text + "\n")
         return 1 if any(c["status"] == "fail" for c in self.data["checks"]) else 0
 
 
@@ -317,11 +325,7 @@ def cmd_maps(args) -> int:
         pass
     chain = _parse_chain(alg, dec, args.map)
     chain2 = _parse_chain(alg, dec, args.map2) if args.map2 else None
-    point = (
-        tuple(float(_parse_number(t)) for t in args.point.split(","))
-        if args.point
-        else (0.0,) * alg.dim
-    )
+    point = as_float(_parse_point(alg, args.point, "--point")) if args.point else (0.0,) * alg.dim
 
     sub = args.subcommand
     if sub in ("compatible", "dalpha", "chain", "cocycle", "conjugate") and dec is None:

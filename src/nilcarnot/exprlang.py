@@ -195,6 +195,8 @@ def _convert(node, dim):
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ExprError(f"bad literal {node.value!r}")
+        if not math.isfinite(node.value):
+            raise ExprError(f"literal {node.value!r} is not finite")
         return Num(float(node.value))
     if isinstance(node, ast.Name):
         name = node.id

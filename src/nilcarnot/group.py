@@ -15,11 +15,10 @@ read once by ``linalg.scalar_mode``.  ``ad_series`` sums
 of ``t -> a * (t b)`` for the Bernoulli coefficients ``B_k/k!``.
 
 Also here: dilations ``delta_r`` (the automorphisms generated by the
-diagonal derivation), the homogeneous quasi-norm, graded-automorphism
-checks, and the affine-map calculus ``L_a o phi``.  ``dilate`` accepts a
-precomputed table of factors, so a dilation applied at many points (a
-``maps.Dilation`` factor, which keeps the float twin of its table) pays
-for its powers once.
+diagonal derivation), the homogeneous quasi-norm and graded-automorphism
+checks.  ``dilate`` accepts a precomputed table of factors, so a
+dilation applied at many points (a ``maps.Dilation`` factor, which keeps
+the float twin of its table) pays for its powers once.
 """
 
 from __future__ import annotations
@@ -93,11 +92,6 @@ def bch(alg: GradedAlgebra, x, y):
     if linalg.scalar_mode(x, y) == "exact":
         return kernel.run(x, y, kernel.exact, Fraction(0))
     return kernel.run(x, y, kernel.floats, 0.0)
-
-
-def inverse(x):
-    """Group inverse: coordinate negation."""
-    return vneg(x)
 
 
 def ad_series(alg: GradedAlgebra, coeffs, a, b):
@@ -218,32 +212,6 @@ def dilation_matrix(alg: GradedAlgebra, r) -> LinearMap:
     )
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """L_a o phi with phi a Lie-algebra automorphism (checked on build)."""
-
-    alg: GradedAlgebra
-    translation: tuple
-    auto: LinearMap
-
-    def __post_init__(self):
-        if not is_lie_homomorphism(self.alg, self.auto):
-            raise ValueError("automorphism part is not a Lie algebra homomorphism")
-        if linalg.rank(self.auto.matrix) != self.alg.dim:
-            raise ValueError("automorphism part is singular")
-
-    def __call__(self, g):
-        return bch(self.alg, self.translation, self.auto(g))
-
-
-def compose_affine(f: AffineMap, g: AffineMap) -> AffineMap:
-    """(L_a o phi) o (L_b o psi) = L_{a * phi(b)} o (phi psi)."""
-    if f.alg is not g.alg and f.alg != g.alg:
-        raise ValueError("affine maps live on different algebras")
-    trans = bch(f.alg, f.translation, f.auto(g.translation))
-    return AffineMap(f.alg, trans, LinearMap(linalg.mat_mul(f.auto.matrix, g.auto.matrix)))
-
-
 def invert_matrix(m: LinearMap) -> LinearMap:
     n = len(m.matrix)
     cols = [tuple(m.matrix[i][j] for i in range(n)) for j in range(n)]
@@ -251,7 +219,3 @@ def invert_matrix(m: LinearMap) -> LinearMap:
     inv_cols = [linalg.solve_exact(cols, unit(i)) for i in range(n)]
     return LinearMap(tuple(tuple(row) for row in zip(*inv_cols)))
 
-
-def invert_affine(f: AffineMap) -> AffineMap:
-    inv = invert_matrix(f.auto)
-    return AffineMap(f.alg, inv(vneg(f.translation)), inv)

@@ -18,10 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Scalar = Fraction | int | float
-Vector = tuple
-
-
 def vadd(x, y):
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")

@@ -12,8 +12,7 @@ admits a normal form
 with B the transversal restriction of the chain's composed linear part,
 A its ideal restriction, and s the central-valued residual.  Extraction
 is closed-form for this factor class; the residual formula
-``A s(hbar) = (Bh)^-1 * F(0)^-1 * F(h)`` is evaluated exactly in
-rational mode.
+``A s(hbar) = (Bh)^-1 * F(0)^-1 * F(h)`` is evaluated in floats.
 
 The differential in the exponent direction, its chain rule, numeric
 Pansu-differential probes, the similarity cocycle b_j and its affine
@@ -70,19 +69,10 @@ class Translate:
 
     point: tuple
 
-    @cached_property
-    def mode(self):
-        return linalg.scalar_mode(self.point)
-
-    @cached_property
-    def float_point(self):
-        return as_float(self.point)
-
     def apply(self, alg, g):
-        mode = linalg.scalar_mode(g)
-        if mode == self.mode == "exact":
+        if linalg.scalar_mode(self.point) == linalg.scalar_mode(g) == "exact":
             return bch(alg, self.point, g)
-        return bch(alg, self.float_point, g if mode == "float" else as_float(g))
+        return bch(alg, as_float(self.point), as_float(g))
 
     def linear_part(self, alg):
         return None  # identity
@@ -436,10 +426,6 @@ def _curve_velocity(qalg: GradedAlgebra, at, direction):
     at_e = tuple(Fraction(a).limit_denominator(10**12) for a in as_float(at))
     dir_e = tuple(Fraction(a).limit_denominator(10**12) for a in as_float(direction))
     return ad_series(qalg, BERNOULLI_COEFFS, at_e, dir_e)
-
-
-def v_alpha_indices(dec: CbCDecomposition):
-    return dec.v_alpha_indices
 
 
 def d_alpha_matrix(dec: CbCDecomposition, fmap: FiberMap, p, mode: str = "closed") -> np.ndarray:
@@ -823,8 +809,8 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     reads those tables, so evaluating it at a point costs only the orbit
     B^k q and its s values.
     """
-    if Fraction(j) >= dec.alpha:
-        raise ValueError("fixed points are solved only below the exponent")
+    if dec.z_layer(j) is None or Fraction(j) >= dec.alpha:
+        raise ValueError(f"layer {j} is not a center layer below the exponent")
     pair = similarity_pair(dec, gamma)
     s = cocycle_of(dec, gamma)[j]
     max_iter, tol = 80, 1e-12
@@ -904,12 +890,9 @@ class AutomorphismReport:
 def automorphism_check(
     alg: GradedAlgebra, f, sampler: SamplerConfig = SamplerConfig(seed=17, count=60, radius=3.0)
 ) -> AutomorphismReport:
-    """Sample F(x*y) against F(x)*F(y); recentres by F(0) when needed."""
+    """Sample F(x*y) against F(x)*F(y), recentred by F(0)."""
     f0 = as_float(f((0.0,) * alg.dim))
-    if max(abs(a) for a in f0) > 0:
-        g = lambda x: bch(alg, vneg(f0), as_float(f(x)))
-    else:
-        g = lambda x: as_float(f(x))
+    g = lambda x: bch(alg, vneg(f0), as_float(f(x)))
     rng = CounterRng(sampler.seed)
     defect = 0.0
     for _ in range(sampler.count):

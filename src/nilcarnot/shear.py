@@ -103,10 +103,14 @@ def zero_component(dec: CbCDecomposition, layer: int) -> ShearComponent:
 
 @dataclass(frozen=True)
 class LoopVerdict:
-    passed: bool
+    """``worst_ratio``: the largest |loop integral| / bound over the loops integrated."""
+
     loops_tested: int
-    max_violation: float
-    threshold: float
+    worst_ratio: float
+
+    @property
+    def passed(self):
+        return self.worst_ratio <= 1.0
 
 
 def loop_test_membership(
@@ -121,7 +125,8 @@ def loop_test_membership(
     basepoint.  A loop fails when its integral exceeds
     ``bound = 1e-8 * length * hint``; each of its segments is integrated
     to ``bound / (10 * segments)``, a tenth of the bound in all, at any
-    loop scale (lifts keep ``DEFAULT_TOL``).  Passing is evidence, not
+    loop scale (lifts keep ``DEFAULT_TOL``).  The verdict passes when no
+    loop's ratio |integral| / bound exceeds 1.  Passing is evidence, not
     proof, of membership.
     """
     qc = dec.quotient_carnot
@@ -130,10 +135,10 @@ def loop_test_membership(
     if len(first) == 1 and qc.dim == 1:
         # every horizontal loop is a backtrack: the integral vanishes for
         # any continuous component, so there is nothing to falsify
-        return LoopVerdict(True, 0, 0.0, 0.0)
+        return LoopVerdict(0, 0.0)
     hint = max(1.0, component.holder_hint or 1.0)
     worst = 0.0
-    threshold = 0.0
+    tested = 0
     for _ in range(budget.count):
         base = sample_ball_point(rng, qc, budget.radius)
         t = budget.radius * (1.0 - rng.uniform())
@@ -158,12 +163,10 @@ def loop_test_membership(
         segs.extend(closing.segments)
         loop = HorizontalPath(qc, base, tuple(segs))
         bound = 1e-8 * loop.length * hint
-        threshold = max(threshold, bound)
         val = integrate_bracket_form(dec, component, loop, bound / (10 * len(segs)))
-        size = math.sqrt(sum(a * a for a in val))
-        if size > bound:
-            worst = max(worst, size)
-    return LoopVerdict(worst == 0.0, budget.count, worst, threshold)
+        tested += 1
+        worst = max(worst, math.sqrt(sum(a * a for a in val)) / bound)
+    return LoopVerdict(tested, worst)
 
 
 def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: bool = False) -> ShearComponent:
@@ -182,7 +185,7 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
         verdict = loop_test_membership(dec, component)
         if not verdict.passed:
             raise MembershipError(
-                f"loop integrals do not vanish (max violation {verdict.max_violation:.3e})"
+                f"loop integrals do not vanish (worst |integral| / bound {verdict.worst_ratio:.3e})"
             )
     target_layer = component.layer + int(dec.alpha)
     qc = dec.quotient_carnot

@@ -16,7 +16,6 @@ from nilcarnot.carnot import (
     integrate_bracket_form,
     is_carnot,
     p_alpha_data,
-    p_alpha_project,
     HorizontalPath,
 )
 from nilcarnot.catalog import engel4, free_nilpotent_step2, heisenberg3, ladder5
@@ -249,7 +248,7 @@ def test_p_alpha_ladder5(dec_l5):
     qalg, keep, proj = p_alpha_data(dec_l5)
     assert qalg.dim == 5  # z3 killed, weight 3 > alpha = 2
     v1 = dec_l5.base.basis_vector(0)
-    img = p_alpha_project(dec_l5, v1)
+    img = proj(v1)
     assert sum(1 for a in img if a != 0) == 1
 
 
@@ -295,7 +294,8 @@ def test_p_alpha_project_depends_only_on_the_decomposition(monkeypatch):
     for alg in (ladder5(), heisprod4()):
         dec = decompose(alg)
         x = tuple(Fraction(i + 1) for i in range(alg.dim))
-        assert p_alpha_project(dec, x) == p_alpha_data(dec)[2](x)
+        qalg, keep, proj = p_alpha_data(dec)
+        assert proj(x) == tuple(x[i] for i in keep) and len(keep) == qalg.dim
 
 
 def ladder5_w2_plus_h():

@@ -273,12 +273,35 @@ def test_usage_error_exit_codes(capsys):
         ["shear", "--fixture", "ladder5", "--component", "1=q1", "--verify", "--radius", "inf"],
         ["shear", "--fixture", "ladder5", "--component", "1=q1", "--verify", "--radius", "1e300"],
         ["maps", "chain", "--fixture", "heisprod4", "--map", "dilate:1/0"],
+        ["maps", "chain", "--fixture", "heisprod4", "--map", "dilate:2", "--map2", "dilate:2", "--point", "1"],
+        [
+            "maps", "dalpha", "--fixture", "heisprod4", "--map", "shear:2=0.5*q1",
+            "--point", "0.3,-1,0.7,0.2,9,9",
+        ],
+        [
+            "maps", "pansu", "--fixture", "heisenberg3", "--map", "dilate:2",
+            "--linear", "1,0,0;0,1,0;0,0,1", "--point", "1,2,3,4",
+        ],
+        [
+            "maps", "conjugate", "--fixture", "ladder5", "--map", "dilate:1/2",
+            "--map", "shear:1=q1", "--solve-layer", "0",
+        ],
+        [
+            "maps", "conjugate", "--fixture", "ladder5", "--map", "dilate:1/2",
+            "--map", "shear:1=q1", "--solve-layer", "-1",
+        ],
+        ["maps", "compatible", "--fixture", "ladder5", "--map", "translate:1e400,0,0,0,0,0"],
+        ["maps", "automorphism", "--fixture", "ladder5", "--map", "translate:1e400,0,0,0,0,0"],
+        ["shear", "--fixture", "ladder5", "--component", "1=1e400*q1"],
+        ["shear", "--fixture", "ladder5", "--component", "1=1e300*1e300*q1"],
     ],
     ids=[
         "division_by_zero", "complex_power", "non_contraction", "extrapolation", "overflow",
         "quadrature_budget", "compatible_without_map", "dalpha_without_map", "chain_without_map",
         "cocycle_without_map", "linear_wrong_shape", "zero_samples", "nan_radius", "inf_radius",
-        "radius_overflow", "zero_denominator",
+        "radius_overflow", "zero_denominator", "short_point", "long_point", "pansu_long_point",
+        "solve_layer_zero", "solve_layer_negative", "infinite_translate", "infinite_translate_automorphism",
+        "infinite_literal", "infinite_report_value",
     ],
 )
 def test_failing_input_exits_2_with_one_line_message(capsys, argv):

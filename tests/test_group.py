@@ -9,14 +9,11 @@ from nilcarnot.catalog import engel4, engel_heis7, heisenberg3, ladder5
 from nilcarnot.group import (
     BERNOULLI_COEFFS,
     DEFAULT_DEGREE_CEILING,
-    AffineMap,
     BchDegreeError,
     bch,
-    compose_affine,
     conjugate_adjoint,
     dilate,
     dynkin_words,
-    invert_affine,
     is_graded_automorphism,
     quasi_dist,
     quasi_norm,
@@ -209,31 +206,6 @@ def test_graded_automorphism_verdicts(heis):
     # x -> x + z, others fixed: homomorphism but not layer preserving
     v = is_graded_automorphism(heis, shearish)
     assert v.homomorphism and not v.layer_preserving
-
-
-def test_affine_map_calculus(heis):
-    ident = LinearMap(tuple(tuple(Fraction(1 if i == j else 0) for j in range(3)) for i in range(3)))
-    t = AffineMap(heis, (Fraction(1), Fraction(2), Fraction(0)), ident)
-    assert t(zero_vector(3)) == (Fraction(1), Fraction(2), Fraction(0))
-
-    double = LinearMap(((Fraction(2), 0, 0), (0, Fraction(2), 0), (0, 0, Fraction(4))))
-    f = AffineMap(heis, (Fraction(1), Fraction(0), Fraction(0)), double)
-    g = AffineMap(heis, (Fraction(0), Fraction(1), Fraction(0)), ident)
-    fg = compose_affine(f, g)
-    rng = CounterRng(3)
-    for _ in range(15):
-        v = tuple(Fraction(int(10 * rng.symmetric()), 4) for _ in range(3))
-        assert fg(v) == f(g(v))
-        inv = invert_affine(f)
-        assert inv(f(v)) == v
-    # (L_a o phi) o (L_b o psi) = L_{a * phi(b)} o (phi psi)
-    assert fg.translation == bch(heis, f.translation, f.auto(g.translation))
-
-
-def test_affine_rejects_non_automorphism(heis):
-    bad = LinearMap(((Fraction(2), 0, 0), (0, Fraction(3), 0), (0, 0, Fraction(5))))
-    with pytest.raises(ValueError):
-        AffineMap(heis, zero_vector(3), bad)
 
 
 def test_fresh_equal_algebra_pays_no_equality_checks(monkeypatch):

@@ -34,7 +34,6 @@ from nilcarnot.maps import (
     similarity_exponent_check,
     similarity_pair,
     solve_single_generator_fixed_point,
-    v_alpha_indices,
     verify_compatible,
 )
 from nilcarnot.catalog import engel4, heisenberg3
@@ -210,7 +209,7 @@ def test_d_alpha_direction_validation(dec_hp4, kappa_shear):
 def test_d_alpha_zero_salpha_is_linear_part(dec_l5, ladder_sigma_shear):
     # ladder5 has Z_2 = 0, so the differential is B + A on V_alpha
     m = d_alpha_matrix(dec_l5, fiber_shear(ladder_sigma_shear), (1.0, 0.2, -0.4, 0.3, 2.0, 0.1))
-    assert np.allclose(m, np.eye(len(v_alpha_indices(dec_l5))), atol=1e-9)
+    assert np.allclose(m, np.eye(len(dec_l5.v_alpha_indices)), atol=1e-9)
 
 
 def test_curve_velocity_is_exact_left_invariant_field():

@@ -42,7 +42,7 @@ def test_zero_length_vectors_still_evaluate_the_first_nodes():
 
 
 def test_jump_at_tight_tolerance_stops_at_the_budget():
-    """Capped intervals keep the estimate above 1e-13; the budget ends the refinement."""
+    """Capped intervals keep the estimate above 1e-13, so the call stops within the budget."""
     points = []
 
     def jump(t):
@@ -54,6 +54,19 @@ def test_jump_at_tight_tolerance_stops_at_the_budget():
     assert info.value.evals == len(points) <= MAX_EVALS
     assert info.value.error > 1e-13
     assert f"{len(points)} evaluations" in str(info.value)
+
+
+def test_jump_at_tight_tolerance_stops_once_the_capped_error_exceeds_it():
+    """The capped intervals' error never shrinks: refining the others is wasted."""
+    points = []
+
+    def jump(t):
+        points.append(t)
+        return (1.0 if t >= 0.3 else 0.0,)
+
+    with pytest.raises(QuadratureError):
+        integrate_vector(jump, 0.0, 1.0, tol=1e-13)
+    assert len(points) <= 1_000
 
 
 def test_budget_that_is_met_leaves_the_value_unchanged(monkeypatch):

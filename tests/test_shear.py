@@ -115,6 +115,27 @@ def test_loop_verdict_holds_across_scales(dec_multid, radius):
     assert not loop_test_membership(dec_multid, component_from_exprs(dec_multid, 1, "q1*q2"), budget).passed
 
 
+def test_loop_verdict_states_the_worst_ratio(dec_multid, monkeypatch):
+    """The verdict's one number is the largest |loop integral| / bound, judged
+    against 1, and it counts the loops it integrated."""
+    import nilcarnot.shear
+
+    form = nilcarnot.shear.integrate_bracket_form
+    integrated = []
+
+    def counting_form(*args):
+        integrated.append(args)
+        return form(*args)
+
+    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_form", counting_form)
+    budget = SamplerConfig(seed=7, count=24, radius=0.001)
+    bad = loop_test_membership(dec_multid, component_from_exprs(dec_multid, 1, "q1*q2"), budget)
+    assert not bad.passed and bad.worst_ratio > 1.0
+    assert bad.loops_tested == len(integrated)
+    good = loop_test_membership(dec_multid, component_from_exprs(dec_multid, 1, SIGMA), budget)
+    assert good.passed and good.worst_ratio <= 1.0
+
+
 def test_loop_test_derives_its_tolerance_and_lifts_keep_the_default(dec_multid, monkeypatch):
     import nilcarnot.carnot
     import nilcarnot.shear
@@ -176,7 +197,7 @@ def test_loop_integral_value_matches_area():
 def test_lift_requires_membership():
     dec = two_generator_fixture()
     bad = component_from_exprs(dec, 1, "q2")
-    with pytest.raises(MembershipError):
+    with pytest.raises(MembershipError, match=r"worst \|integral\| / bound"):
         lift(dec, bad)
 
 

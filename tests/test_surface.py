@@ -12,10 +12,16 @@ in one place, the generator of the bracket and BCH kernels, and entry
 types are tested for float in ``linalg.scalar_mode``, which decides every
 vector's scalar mode, and in ``linalg.as_exact``, which checks that a
 float converts to a rational without loss.
+
+Every top-level function and class is named somewhere outside its own
+definition and ``__init__.py``, as a bare name, an imported name or an
+attribute, in src/, tests/ or perfbench/: a name that only the package's
+export list mentions is code that no caller needs.
 """
 
 import ast
 import math
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -155,3 +161,31 @@ def test_scalar_mode_is_the_one_entry_type_check():
     assert sites == ["exprlang.py:_convert", "linalg.py:as_exact", "linalg.py:scalar_mode"]
     defined = _sites(lambda node: isinstance(node, ast.FunctionDef) and node.name == "is_float_vector")
     assert defined == []
+
+
+def _mentions(tree):
+    """How often a tree names each identifier: bare names, imported names, attributes."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rpartition(".")[2]] += 1
+    return found
+
+
+def test_every_top_level_name_is_used():
+    mentions = Counter()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            if path.name != "__init__.py":
+                mentions += _mentions(ast.parse(path.read_text(encoding="utf-8")))
+    unused = []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if mentions[node.name] == _mentions(node)[node.name]:
+                    unused.append(f"{path.name}:{node.name}")
+    assert unused == []
