@@ -556,10 +556,6 @@ class LinearMap:
             return linalg.mat_vec(self.float_matrix, x)
         return linalg.mat_vec(self.matrix, x)
 
-    @property
-    def shape(self):
-        return (len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
-
 
 def is_graded_subspace(alg: GradedAlgebra, s: Subspace) -> bool:
     """True iff every RREF row is supported in a single weight layer."""

@@ -50,8 +50,8 @@ class DecompositionError(ValueError):
         self.kind = kind
 
 
-class ZigzagError(RuntimeError):
-    """Endpoint tolerance missed after the deterministic pass (a bug, not input)."""
+class ZigzagError(ArithmeticError):
+    """Endpoint tolerance missed after the full pass: floats cannot resolve far enough targets."""
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,9 @@ def horizontal_connect(alg: GradedAlgebra, g) -> HorizontalPath:
     group-commutator words of nested-bracket expressions scaled by
     |c|^(1/m) (sign by swapping the innermost operands).  Corrections
     land strictly above the current layer, so one pass per layer
-    suffices; a final residual above 1e-9 (relative to the quasi-norm of
-    g, floored at 1) raises :class:`ZigzagError`.
+    suffices.  A final residual coordinate of layer m above
+    ``1e-9 * max(1, rho)**m``, rho the quasi-norm of g (coordinates of
+    layer m scale like rho**m), raises :class:`ZigzagError`.
     """
     table = alg.bracket_expressions
     layers = alg.carnot_layers
@@ -145,12 +146,12 @@ def horizontal_connect(alg: GradedAlgebra, g) -> HorizontalPath:
     # the residual is measured on coordinates of endpoint^-1 * g: quasi-norm
     # residuals of order eps_machine^(1/r) are unavoidable in floats and
     # would drown the actual accuracy of the construction
+    scale = max(1.0, quasi_norm(alg, gf))
     residual = bch(alg, vneg(endpoint), gf)
-    residual_norm = max(abs(a) for a in residual)
-    if residual_norm > 1e-9 * max(1.0, quasi_norm(alg, gf)):
-        raise ZigzagError(
-            f"endpoint residual {residual_norm:.3e} exceeds tolerance after the full pass"
-        )
+    relative = tuple(a / scale ** layers[k] for k, a in enumerate(residual))
+    miss = linalg.max_gap(relative, (0.0,) * alg.dim)
+    if miss > 1e-9:
+        raise ZigzagError(f"endpoint residual {miss:.3e} in units max(1, rho)**layer exceeds 1e-9")
     return HorizontalPath(alg, (0.0,) * alg.dim, tuple(segments))
 
 
@@ -181,6 +182,13 @@ class CbCDecomposition:
     * ``v_alpha_indices``: the basis of V_alpha, the weight alpha*lambda1.
     * ``pairing_targets``: center layer j -> the indices of weight
       lambda1 * (j + alpha), where the pairing of Z_j with H lands.
+    * ``lift_tower``: center layer j -> the layers j + alpha,
+      j + 2 alpha, ... that the lifts of a component at j fill; a tower
+      stops at the first zero center layer or after a layer whose
+      pairing [Z_layer, n] vanishes exactly, and is empty for
+      non-integer alpha.
+    * ``cocycle_layers``: the center layers below alpha, where the
+      cocycles b_j live.
     * ``p_alpha``: see :func:`p_alpha_data`.
 
     The ideal's coordinates are one pair of maps: ``w_embed`` is the
@@ -282,7 +290,8 @@ class CbCDecomposition:
                 raise ValueError("vector does not lie in the ideal")
         else:
             reduced = linalg.reduce_against(self.w.rows_float, self.w.pivots, x)
-            if max(abs(a) for a in reduced) > W_TOL * (1.0 + max(abs(a) for a in x)):
+            miss = linalg.max_gap(reduced, (0.0,) * len(x))
+            if miss > W_TOL * (1.0 + max(abs(a) for a in x)):
                 raise ValueError("vector does not lie in the ideal (beyond tolerance)")
         return tuple(x[p] for p in self.w.pivots)
 
@@ -296,6 +305,28 @@ class CbCDecomposition:
     @cached_property
     def pairing_targets(self) -> dict:
         return {j: self.base.layer_indices(self.lambda1 * (j + self.alpha)) for j in self.z_layers}
+
+    @cached_property
+    def lift_tower(self) -> dict:
+        alg, step = self.base, int(self.alpha)
+        basis = [alg.basis_vector(i) for i in range(alg.dim)]
+        live = {
+            j
+            for j, z in self.z_layers.items()
+            if self.alpha_is_integer
+            and any(not linalg.is_zero(bracket(alg, r, e)) for r in z.rows for e in basis)
+        }
+        tower = {}
+        for j in self.z_layers:
+            layers = [j]
+            while layers[-1] in live and layers[-1] + step in self.z_layers:
+                layers.append(layers[-1] + step)
+            tower[j] = tuple(layers[1:])
+        return tower
+
+    @cached_property
+    def cocycle_layers(self) -> tuple:
+        return tuple(j for j in sorted(self.z_layers) if j < self.alpha)
 
     def w_layer_project(self, x, j):
         return layer_project(self.base, x, self.lambda1 * j)

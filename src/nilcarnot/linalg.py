@@ -16,6 +16,7 @@ it checks that a float entry converts to a rational without loss.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 def vadd(x, y):
@@ -74,6 +75,18 @@ def scalar_mode(*vectors):
     if len(kinds) > 1:
         raise ValueError("mixed exact/float coordinates")
     return "float" if True in kinds else "exact"
+
+
+def max_gap(x, y):
+    """The largest |a - b|, or inf when a difference is not finite (a nan
+    would drop out of a plain ``max``); every numeric check's defect."""
+    gap = 0.0
+    for a, b in zip(x, y):
+        d = abs(a - b)
+        if not d < math.inf:
+            return math.inf
+        gap = max(gap, d)
+    return gap
 
 
 def mat_vec(m, x):

@@ -49,11 +49,11 @@ from .rng import CounterRng, SamplerConfig, sample_ball_point
 from .shear import ShearComponent, ShearMap, apply_shear
 
 
-class NonContractionError(RuntimeError):
+class NonContractionError(ArithmeticError):
     """The measured Lipschitz factor of the affine iteration is not < 1."""
 
 
-class ExtrapolationError(RuntimeError):
+class ExtrapolationError(ArithmeticError):
     def __init__(self, message, sequence):
         super().__init__(message)
         self.sequence = sequence
@@ -316,14 +316,17 @@ class CompatibleReport:
     reconstruction_defect: float
     same_b: bool
 
+    S_CENTRAL_TOL = 1e-8
+    RECONSTRUCTION_TOL = 1e-10
+
     @property
     def passed(self):
         return (
             self.b_graded
             and self.b_projects
             and self.intertwines
-            and self.s_central_defect <= 1e-8
-            and self.reconstruction_defect <= 1e-10
+            and self.s_central_defect <= self.S_CENTRAL_TOL
+            and self.reconstruction_defect <= self.RECONSTRUCTION_TOL
             and self.same_b
         )
 
@@ -361,6 +364,7 @@ def verify_compatible(
                 intertwines = False
 
     rng = CounterRng(sampler.seed)
+    zero = (0.0,) * alg.dim
     central_defect = 0.0
     recon_defect = 0.0
     for _ in range(sampler.count):
@@ -368,7 +372,7 @@ def verify_compatible(
         qbar = dec.project(g)
         sval = expr.s_eval(qbar)
         resid = linalg.reduce_against(dec.center_w.rows, dec.center_w.pivots, sval)
-        central_defect = max(central_defect, max(abs(float(a)) for a in resid))
+        central_defect = max(central_defect, linalg.max_gap(resid, zero))
         # reconstruction at g = h * w
         h = dec.lift(qbar)
         w_part = bch(alg, vneg(h), g)
@@ -376,7 +380,7 @@ def verify_compatible(
         rebuilt = bch(alg, rebuilt, expr.a_apply_ambient(w_part))
         rebuilt = bch(alg, rebuilt, expr.a_apply_ambient(sval))
         direct = fmap(g)
-        recon_defect = max(recon_defect, max(abs(a - b) for a, b in zip(rebuilt, direct)))
+        recon_defect = max(recon_defect, linalg.max_gap(rebuilt, direct))
 
     same_b = True
     for _ in range(3):
@@ -401,7 +405,7 @@ def _component_directional(dec, component, at_q, direction_q):
     first-order Jacobian of the group curve), central difference
     otherwise.
     """
-    qalg = dec.quotient
+    qalg = dec.quotient_carnot
     if component.trees is not None:
         jac = _curve_velocity(qalg, at_q, direction_q)
         z = dec.z_layer(component.layer)
@@ -457,26 +461,16 @@ def d_alpha(dec: CbCDecomposition, fmap: FiberMap, p, v, mode: str = "closed"):
         phi = fmap.linear_part()
         vf = as_float(v)
         out = phi(vf)
-        alpha_int = int(dec.alpha)
-        s_alpha = (
-            expr.s_component(alpha_int)
-            if dec.z_layer(alpha_int) is not None
-            else None
-        )
-        if s_alpha is not None:
+        if dec.z_layer(int(dec.alpha)) is not None:
+            s_alpha = expr.s_component(int(dec.alpha))
             h0_bar = dec.project(as_float(p))
             # transversal part of v projects to the quotient's first layer
-            h_part = tuple(
-                vf[i] if i in dec.transversal_indices else 0.0 for i in range(dec.base.dim)
-            )
+            h_part = tuple(vf[i] if i in dec.transversal_indices else 0.0 for i in range(dec.base.dim))
             hbar = dec.project(h_part)
             if any(abs(a) > 0 for a in hbar):
                 deriv = _component_directional(dec, s_alpha, h0_bar, hbar)
                 out = vadd(out, expr.a_apply_ambient(deriv))
-        zero = [0.0] * dec.base.dim
-        for i in idx:
-            zero[i] = out[i]
-        return tuple(zero)
+        return tuple(out[i] if i in idx else 0.0 for i in range(dec.base.dim))
     if mode == "fd":
         return _d_alpha_fd(dec, fmap, p, v)
     raise ValueError(f"unknown mode {mode!r}")
@@ -497,16 +491,13 @@ def _d_alpha_fd(dec: CbCDecomposition, fmap: FiberMap, p, v):
 
     d12 = richardson(scales[0], vals[0], scales[1], vals[1])
     d23 = richardson(scales[1], vals[1], scales[2], vals[2])
-    gap = max(abs(a - b) for a, b in zip(d12, d23))
+    gap = linalg.max_gap(d12, d23)
     scale = max(1.0, max(abs(a) for a in d23))
     if gap > 1e-3 * scale:
         raise ExtrapolationError(
             f"Richardson extrapolation did not settle (gap {gap:.3e})", (scales, vals)
         )
-    out = [0.0] * dec.base.dim
-    for i in idx:
-        out[i] = d23[i]
-    return tuple(out)
+    return tuple(d23[i] if i in idx else 0.0 for i in range(dec.base.dim))
 
 
 def chain_rule_check(dec: CbCDecomposition, f: FiberMap, g: FiberMap, p) -> float:
@@ -607,7 +598,7 @@ class SimilarityPair:
         return as_float(self.quot_translation)
 
     def quot_apply(self, q):
-        return bch(self.dec.quotient, self.quot_translation_float, self.quot_map(as_float(q)))
+        return bch(self.dec.quotient_carnot, self.quot_translation_float, self.quot_map(as_float(q)))
 
 
 def _similarity_ratio(block_rows, label):
@@ -672,7 +663,7 @@ def cocycle_action(dec: CbCDecomposition, pair: SimilarityPair, component: Shear
     alpha = float(dec.alpha)
     if abs(pair.lambda_bbar - pair.lambda_a**alpha) > 1e-12 * max(1.0, pair.lambda_bbar):
         raise ValueError("the pair does not satisfy lambda_B = lambda_A**alpha")
-    b0 = pair.quot_apply((0.0,) * dec.quotient.dim)
+    b0 = pair.quot_apply((0.0,) * dec.quotient_carnot.dim)
     inner = component.eval
     origin_val = dec.w_apply(pair.a_inverse, inner(b0))
 
@@ -684,7 +675,7 @@ def cocycle_action(dec: CbCDecomposition, pair: SimilarityPair, component: Shear
 
 
 def _below_exponent_chain(dec: CbCDecomposition, fmap: FiberMap) -> FiberMap:
-    """Drop shear components at layers >= alpha from every factor.
+    """Keep only the shear components at ``dec.cocycle_layers`` in every factor.
 
     Central values at layers >= alpha enter products only at their own
     or higher layers, so the slices s_j with j < alpha of the extracted
@@ -695,11 +686,7 @@ def _below_exponent_chain(dec: CbCDecomposition, fmap: FiberMap) -> FiberMap:
     changed = False
     for f in fmap.factors:
         if isinstance(f, Shear):
-            kept = {
-                j: c
-                for j, c in f.shear_map.components.items()
-                if Fraction(j) < dec.alpha
-            }
+            kept = {j: c for j, c in f.shear_map.components.items() if j in dec.cocycle_layers}
             if len(kept) != len(f.shear_map.components):
                 changed = True
                 factors.append(Shear(ShearMap(dec, kept)))
@@ -713,11 +700,7 @@ def _below_exponent_chain(dec: CbCDecomposition, fmap: FiberMap) -> FiberMap:
 def cocycle_of(dec: CbCDecomposition, fmap: FiberMap) -> dict:
     """b_j(gamma) = s_gamma,j for the layers below the exponent."""
     expr = extract_compatible(dec, _below_exponent_chain(dec, fmap))
-    out = {}
-    for j in sorted(dec.z_layers):
-        if Fraction(j) < dec.alpha:
-            out[j] = expr.s_component(j)
-    return out
+    return {j: expr.s_component(j) for j in dec.cocycle_layers}
 
 
 def cocycle_identity_check(dec: CbCDecomposition, gamma1: FiberMap, gamma2: FiberMap) -> float:
@@ -734,7 +717,7 @@ def cocycle_identity_check(dec: CbCDecomposition, gamma1: FiberMap, gamma2: Fibe
         for q in grid:
             lhs = comp.eval(q)
             rhs = vadd(b1[j].eval(q), transported.eval(q))
-            defect = max(defect, max(abs(a - b) for a, b in zip(lhs, rhs)))
+            defect = max(defect, linalg.max_gap(lhs, rhs))
     return defect
 
 
@@ -763,7 +746,7 @@ def conjugate_by_shear(dec: CbCDecomposition, f0: ShearMap, gamma: FiberMap):
     of F0.  When c is a fixed point of the affine action the new
     component vanishes.
     """
-    base_layers = [j for j in sorted(f0.components) if Fraction(j) < dec.alpha]
+    base_layers = [j for j in sorted(f0.components) if j in dec.cocycle_layers]
     if not base_layers:
         raise ValueError("the conjugating shear must have a base layer below the exponent")
     j = base_layers[0]
@@ -773,13 +756,14 @@ def conjugate_by_shear(dec: CbCDecomposition, f0: ShearMap, gamma: FiberMap):
     s_gamma = cocycle_of(dec, gamma)[j]
     s_new = cocycle_of(dec, conj)[j]
     transported = cocycle_action(dec, pair, c)
+    zero = (0.0,) * dec.base.dim
     sup_new = 0.0
     defect = 0.0
     for q in quotient_grid(dec, count=60, seed=9, radius=4.0):
         new_val = s_new.eval(q)
-        sup_new = max(sup_new, max(abs(a) for a in new_val))
+        sup_new = max(sup_new, linalg.max_gap(new_val, zero))
         expected = vadd(linalg.vsub(s_gamma.eval(q), c.eval(q)), transported.eval(q))
-        defect = max(defect, max(abs(a - b) for a, b in zip(new_val, expected)))
+        defect = max(defect, linalg.max_gap(new_val, expected))
     return conj, ConjugationReport(j, sup_new, defect)
 
 
@@ -809,7 +793,7 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     reads those tables, so evaluating it at a point costs only the orbit
     B^k q and its s values.
     """
-    if dec.z_layer(j) is None or Fraction(j) >= dec.alpha:
+    if j not in dec.cocycle_layers:
         raise ValueError(f"layer {j} is not a center layer below the exponent")
     pair = similarity_pair(dec, gamma)
     s = cocycle_of(dec, gamma)[j]
@@ -830,7 +814,8 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
         return dec.w_apply(a_inv_powers[k], linalg.vsub(s_at(orbit_q), s_origin[k]))
 
     orbits = {q: q for q in grid}
-    orbit_0 = (0.0,) * dec.quotient.dim
+    orbit_0 = (0.0,) * dec.quotient_carnot.dim
+    zero = (0.0,) * dec.base.dim
     a_inv_power = linalg.identity_matrix(dec.w.rank)
     prev_change = None
     factor = 0.0
@@ -839,7 +824,7 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
         s_origin.append(s_at(orbit_0))
         change = 0.0
         for q, orbit_q in orbits.items():
-            change = max(change, max(abs(a) for a in term(k, orbit_q)))
+            change = max(change, linalg.max_gap(term(k, orbit_q), zero))
             orbits[q] = pair.quot_apply(orbit_q)
         orbit_0 = pair.quot_apply(orbit_0)
         a_inv_power = linalg.mat_mul(pair.a_inverse.matrix, a_inv_power)
@@ -900,5 +885,5 @@ def automorphism_check(
         y = sample_ball_point(rng, alg, sampler.radius)
         lhs = g(bch(alg, x, y))
         rhs = bch(alg, g(x), g(y))
-        defect = max(defect, max(abs(a - b) for a, b in zip(lhs, rhs)))
+        defect = max(defect, linalg.max_gap(lhs, rhs))
     return AutomorphismReport(defect, 1e-10 * max(1.0, sampler.radius**2))

@@ -26,7 +26,7 @@ MAX_DEPTH = 30
 MAX_EVALS = 50_000
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """The error estimate cannot meet the tolerance within the evaluation budget."""
 
     def __init__(self, evals, error, tol):
@@ -108,8 +108,6 @@ def integrate_vector(f, a: float, b: float, tol: float = DEFAULT_TOL):
             total_err += child.err
             heapq.heappush(heap, (-child.err, next(counter), child))
     pieces = [iv for _, _, iv in heap] + capped
-    if not pieces:
-        return root.value
     out = pieces[0].value
     for iv in pieces[1:]:
         out = tuple(x + y for x, y in zip(out, iv.value))

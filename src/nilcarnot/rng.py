@@ -51,9 +51,9 @@ class CounterRng:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    seed: int = 42
-    count: int = 1000
-    radius: float = 10.0
+    seed: int
+    count: int
+    radius: float
 
 
 def sample_coords(rng: CounterRng, dim: int, scale: float = 1.0):

@@ -37,7 +37,7 @@ class MembershipError(ValueError):
     """A component failed the closed-loop integral test."""
 
 
-class PathDependenceError(RuntimeError):
+class PathDependenceError(ArithmeticError):
     """Two independent horizontal paths gave different lift values."""
 
 
@@ -80,7 +80,7 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
         exprs = [exprs]
     if len(exprs) != z.rank:
         raise ValueError(f"layer {layer} needs {z.rank} expression(s), got {len(exprs)}")
-    qdim = dec.quotient.dim
+    qdim = dec.quotient_carnot.dim
     trees = tuple(
         parse_expression(e, qdim) if isinstance(e, str) else e for e in exprs
     )
@@ -131,8 +131,8 @@ def loop_test_membership(
     """
     qc = dec.quotient_carnot
     rng = CounterRng(budget.seed)
-    first = [i for i in range(qc.dim) if qc.weights[i] == min(qc.weights)]
-    if len(first) == 1 and qc.dim == 1:
+    first = qc.layer_indices(1)
+    if qc.dim == 1:
         # every horizontal loop is a backtrack: the integral vanishes for
         # any continuous component, so there is nothing to falsify
         return LoopVerdict(0, 0.0)
@@ -231,7 +231,7 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
             rel = bch(qc, vneg(mid), key)
             alt_segments = horizontal_connect(qc, mid).segments + horizontal_connect(qc, rel).segments
             alt = integrate_bracket_form(dec, component, HorizontalPath(qc, (0.0,) * qc.dim, alt_segments))
-            gap = max(abs(a - b) for a, b in zip(val, alt))
+            gap = linalg.max_gap(val, alt)
             scale = max(1.0, max(abs(a) for a in val))
             if gap > 10.0 * DEFAULT_TOL * scale:
                 raise PathDependenceError(
@@ -241,20 +241,6 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
         return val
 
     return ShearComponent(target_layer, evaluate, None, None)
-
-
-def _pairing_vanishes(dec: CbCDecomposition, layer: int) -> bool:
-    """Exact check that [Z_layer, n] = 0, which kills every further lift."""
-    z = dec.z_layer(layer)
-    if z is None:
-        return True
-    from .algebra import bracket
-
-    for row in z.rows:
-        for i in range(dec.base.dim):
-            if not linalg.is_zero(bracket(dec.base, row, dec.base.basis_vector(i))):
-                return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,16 +262,14 @@ class ShearMap:
             self.dec, {j: c.scaled(-1.0) for j, c in self.components.items()}
         )
 
-    def __call__(self, g):
-        return apply_shear(self, g)
-
 
 def build_shear(dec: CbCDecomposition, base_components: dict, waive_membership: bool = False) -> ShearMap:
     """Assemble the full shear tower from base components at layers <= alpha.
 
-    Integer exponent: layers k*alpha + j are filled with iterated lifts
-    until the center layer vanishes or the bracket pairing is zero.
-    Non-integer exponent: components above alpha are identically zero.
+    The base component at j is lifted once per layer of
+    ``dec.lift_tower[j]`` (j + alpha, j + 2 alpha, ...), each lift
+    integrating the one below it; the table is empty for a non-integer
+    exponent, where components above alpha are identically zero.
     """
     components = {}
     for j, comp in base_components.items():
@@ -296,20 +280,11 @@ def build_shear(dec: CbCDecomposition, base_components: dict, waive_membership: 
         if comp.layer != j:
             raise ValueError("component layer tag does not match its key")
         components[j] = comp
-    if dec.alpha_is_integer:
-        step = int(dec.alpha)
-        for j in sorted(base_components):
-            current = components[j]
-            layer = j
-            while True:
-                if _pairing_vanishes(dec, layer):
-                    break
-                nxt = layer + step
-                if dec.z_layer(nxt) is None:
-                    break
-                current = lift(dec, current, waive_membership=waive_membership)
-                components[nxt] = current
-                layer = nxt
+    for j in sorted(base_components):
+        current = components[j]
+        for layer in dec.lift_tower[j]:
+            current = lift(dec, current, waive_membership=waive_membership)
+            components[layer] = current
     return ShearMap(dec, components)
 
 

@@ -356,3 +356,20 @@ def test_w_coords_reads_the_ideal_and_rejects_what_is_outside(dec_l5):
             with pytest.raises(ValueError, match="does not lie in the ideal"):
                 dec_l5.w_coords(x)
     assert 1e-12 < W_TOL < 1e-6
+
+
+def test_lift_tower_and_cocycle_layers():
+    from nilcarnot.catalog import direct_product, engel_heis7, heisprod4
+
+    cases = {
+        "ladder5": (ladder5(), {1: (3,), 3: ()}, (1,)),
+        "ladder5_x_engel4": (direct_product(ladder5(), engel4(), 2), {1: (3,), 3: ()}, (1,)),
+        "heisprod4": (heisprod4(), {2: ()}, ()),
+        "engel_heis7": (engel_heis7(), {3: ()}, ()),
+        # non-integer alpha 3/2: no lifts, and the one center layer sits above alpha
+        "central_product": (direct_product(heisenberg3(), heisenberg3(), Fraction(3, 2)), {2: ()}, ()),
+    }
+    for name, (alg, tower, cocycles) in cases.items():
+        dec = decompose(alg)
+        assert dec.lift_tower == tower, name
+        assert dec.cocycle_layers == cocycles, name

@@ -2,7 +2,18 @@ import json
 
 import pytest
 
+from nilcarnot.catalog import direct_product, engel4, ladder5, save_algebra
 from nilcarnot.cli import main
+
+# stands for the path of a saved ladder5 x engel4 (5-dimensional quotient)
+MULTID = "<ladder5_x_engel4>"
+
+
+@pytest.fixture(scope="module")
+def multid_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("algebras") / "ladder5_x_engel4.json"
+    save_algebra(direct_product(ladder5(), engel4(), 2), path)
+    return str(path)
 
 
 def run_cli(capsys, *argv):
@@ -294,6 +305,12 @@ def test_usage_error_exit_codes(capsys):
         ["maps", "automorphism", "--fixture", "ladder5", "--map", "translate:1e400,0,0,0,0,0"],
         ["shear", "--fixture", "ladder5", "--component", "1=1e400*q1"],
         ["shear", "--fixture", "ladder5", "--component", "1=1e300*1e300*q1"],
+        ["maps", "compatible", "--fixture", "ladder5", "--map", "translate:1e300,0,0,0,0,0"],
+        ["maps", "automorphism", "--fixture", "ladder5", "--map", "translate:1e300,0,0,0,0,0"],
+        [
+            "shear", "--algebra", MULTID, "--component", "1=0.001*q1", "--verify",
+            "--samples", "3", "--radius", "1e7",
+        ],
     ],
     ids=[
         "division_by_zero", "complex_power", "non_contraction", "extrapolation", "overflow",
@@ -301,15 +318,48 @@ def test_usage_error_exit_codes(capsys):
         "cocycle_without_map", "linear_wrong_shape", "zero_samples", "nan_radius", "inf_radius",
         "radius_overflow", "zero_denominator", "short_point", "long_point", "pansu_long_point",
         "solve_layer_zero", "solve_layer_negative", "infinite_translate", "infinite_translate_automorphism",
-        "infinite_literal", "infinite_report_value",
+        "infinite_literal", "infinite_report_value", "overflowing_translate",
+        "overflowing_translate_automorphism", "zigzag_out_of_reach",
     ],
 )
-def test_failing_input_exits_2_with_one_line_message(capsys, argv):
-    assert main(argv) == 2
+def test_failing_input_exits_2_with_one_line_message(capsys, multid_path, argv):
+    assert main([multid_path if a == MULTID else a for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_non_finite_defect_names_its_check(capsys):
+    argv = ["maps", "compatible", "--fixture", "ladder5", "--map", "translate:1e300,0,0,0,0,0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: check reconstruction has the non-finite value inf\n"
+
+
+def test_shear_verify_far_radius_on_a_multid_quotient(capsys, multid_path):
+    # the zigzag holds a residual coordinate of layer m to 1e-9 * max(1, rho)**m
+    code, report = run_cli(
+        capsys, "shear", "--algebra", multid_path, "--component", "1=0.001*q1",
+        "--verify", "--samples", "3", "--radius", "300",
+    )
+    assert code == 0
+    names = {c["name"]: c for c in report["checks"]}
+    assert names["k_identity"]["status"] == names["lift_coherence"]["status"] == "pass"
+    assert report["component_layers"] == [1, 3]
+
+
+@pytest.mark.parametrize("coefficient, sup_new", [("0.4", 0.0), ("0.8", 0.799)])
+def test_maps_conjugate_with_given_component(capsys, coefficient, sup_new):
+    # c = 0.4*q1 is the fixed point of the action of this gamma, so it removes s_1
+    code, report = run_cli(
+        capsys, "maps", "conjugate", "--fixture", "ladder5", "--map", "dilate:1/2",
+        "--map", "shear:1=0.4*q1", "--component", f"1={coefficient}*q1",
+    )
+    assert code == 0
+    assert report["sup_new_component"] == pytest.approx(sup_new, abs=1e-3)
+    names = {c["name"]: c for c in report["checks"]}
+    assert names["conjugation_identity"]["status"] == "pass"
+    assert "component_eliminated" not in names
 
 
 def test_maps_conjugate_with_solved_fixed_point(capsys):

@@ -113,3 +113,12 @@ def test_as_exact_rejects_lossy_floats():
     assert linalg.as_exact((2.0, 3)) == (Fraction(2), Fraction(3))
     with pytest.raises(ValueError):
         linalg.as_exact((0.1,))
+
+
+def test_max_gap_reads_a_non_finite_difference_as_inf():
+    assert linalg.max_gap((1.0, -2.0, 0.5), (1.5, 1.0, 0.5)) == 3.0
+    assert linalg.max_gap((), ()) == 0.0
+    # a plain max keeps 0.0 when the nan comes second: max(0.0, nan) == 0.0
+    assert linalg.max_gap((0.0, float("nan")), (0.0, 0.0)) == float("inf")
+    assert linalg.max_gap((float("inf"),), (float("inf"),)) == float("inf")
+    assert linalg.max_gap((Fraction(1, 2),), (Fraction(0),)) == Fraction(1, 2)

@@ -205,6 +205,23 @@ def test_build_shear_ladder5_layers(ladder_shear):
     assert sorted(ladder_shear.components) == [1, 3]
 
 
+def test_build_shear_runs_the_exact_pairing_test_once(monkeypatch):
+    import nilcarnot.carnot
+
+    dec = decompose(ladder5())
+    component = component_from_exprs(dec, 1, SIGMA)
+    calls = []
+    exact_bracket = nilcarnot.carnot.bracket
+    monkeypatch.setattr(
+        nilcarnot.carnot, "bracket", lambda *args: calls.append(args) or exact_bracket(*args)
+    )
+    first = build_shear(dec, {1: component}, waive_membership=True)
+    tested = len(calls)
+    second = build_shear(dec, {1: component}, waive_membership=True)
+    assert tested > 0 and len(calls) == tested
+    assert sorted(first.components) == sorted(second.components) == [1, 3]
+
+
 def test_build_shear_zero_components_identity(dec_l5):
     smap = build_shear(dec_l5, {})
     g = (0.3, -0.5, 1.0, 0.7, 2.0, -1.2)
