@@ -238,73 +238,57 @@ class GradedAlgebra:
         return tuple(layers)
 
     @cached_property
-    def is_carnot(self) -> bool:
-        """Weights are 1..r multiples of the smallest and each layer is generated."""
+    def _layer_words(self):
+        """Layer m -> ((word, vector), ...) spanning layer m, or None if not Carnot.
+
+        A word is a tuple of first-layer basis indices standing for the
+        right-nested bracket ``[e_w0, [e_w1, [...]]]``.  Layer m keeps, in
+        order, each ``[e_i, word]`` over the words of layer m-1 that
+        enlarges their span.  None when the weights are not integer
+        multiples of the smallest, a layer is empty, or the words of a
+        layer do not span exactly that layer.
+        """
         try:
             layers = self.carnot_layers
         except NotCarnotError:
-            return False
-        r = max(layers)
-        slices = {
-            m: [self.basis_vector(i) for i in range(self.dim) if layers[i] == m]
-            for m in range(1, r + 1)
-        }
-        if any(not slices[m] for m in range(1, r + 1)):
-            return False
-        current = subspace(self, slices[1])
-        for m in range(2, r + 1):
-            gen = [
-                bracket(self, v, row)
-                for v in slices[1]
-                for row in current.rows
-            ]
-            nxt = subspace(self, gen)
-            target = subspace(self, slices[m])
-            if nxt.rows != target.rows:
-                return False
-            current = nxt
-        return True
+            return None
+        first = [i for i in range(self.dim) if layers[i] == 1]
+        words = {1: tuple(((i,), self.basis_vector(i)) for i in first)}
+        for m in range(2, max(layers) + 1):
+            chosen = []
+            rows = pivots = ()
+            for i in first:
+                for word, vec in words[m - 1]:
+                    v = bracket(self, self.basis_vector(i), vec)
+                    if not linalg.is_zero(v) and not linalg.in_span(rows, pivots, v):
+                        chosen.append(((i,) + word, v))
+                        rows, pivots = linalg.rref(rows + (v,))
+            target = weight_slice(self, self.weight_set[0] * m).rows
+            if not target or rows != target:
+                return None
+            words[m] = tuple(chosen)
+        return words
+
+    @property
+    def is_carnot(self) -> bool:
+        """Weights are 1..r multiples of the smallest and each layer is generated."""
+        return self._layer_words is not None
 
     @cached_property
     def bracket_expressions(self):
         """Nested-bracket expressions of higher-layer basis vectors.
 
         For each basis index k of layer >= 2 returns a rational combination
-        ``[(coeff, word), ...]`` where ``word`` is a tuple of first-layer
-        basis indices standing for the right-nested bracket
-        ``[e_w0, [e_w1, [...]]]``.
+        ``[(coeff, word), ...]`` of the words of ``_layer_words``.
         """
         if not self.is_carnot:
             raise NotCarnotError("bracket expressions require a Carnot algebra")
-        layers = self.carnot_layers
-        r = max(layers)
-        first = [i for i in range(self.dim) if layers[i] == 1]
-        words = {1: [((i,), self.basis_vector(i)) for i in first]}
         table = {}
-        for m in range(2, r + 1):
-            chosen = []
-            rows = ()
-            pivots = ()
-            for i in first:
-                for word, vec in words[m - 1]:
-                    v = bracket(self, self.basis_vector(i), vec)
-                    if linalg.is_zero(v):
-                        continue
-                    if not linalg.in_span(rows, pivots, v):
-                        chosen.append(((i,) + word, v))
-                        rows, pivots = linalg.rref(rows + (v,))
-            words[m] = chosen
-            layer_idx = [k for k in range(self.dim) if layers[k] == m]
-            for k in layer_idx:
-                target = self.basis_vector(k)
-                cols = [vec for _, vec in chosen]
-                try:
-                    coeffs = linalg.solve_exact(cols, target)
-                except ValueError as exc:
-                    raise NotCarnotError(f"layer {m} is not spanned by brackets") from exc
-                table[k] = tuple(
-                    (c, chosen[t][0]) for t, c in enumerate(coeffs) if c != 0
-                )
+        for m, chosen in list(self._layer_words.items())[1:]:
+            cols = [vec for _, vec in chosen]
+            for k in self.layer_indices(self.weight_set[0] * m):
+                coeffs = linalg.solve_exact(cols, self.basis_vector(k))
+                table[k] = tuple((c, chosen[t][0]) for t, c in enumerate(coeffs) if c != 0)
         return table
 
 

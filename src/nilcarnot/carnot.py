@@ -194,9 +194,9 @@ class CbCDecomposition:
     The ideal's coordinates are one pair of maps: ``w_embed`` is the
     ``LinearMap`` whose columns are the RREF rows of w, and ``w_coords``
     is its checked inverse, which reads an exact vector exactly and a
-    float one within ``W_TOL`` relative to 1 + max|x|.  ``w_apply(m, x)``
-    is ``w_embed(m(w_coords(x)))``, the one way a map on ideal
-    coordinates acts on an ambient vector of w.
+    finite float one within ``W_TOL`` relative to 1 + max|x|.
+    ``w_apply(m, x)`` is ``w_embed(m(w_coords(x)))``, the one way a map
+    on ideal coordinates acts on an ambient vector of w.
 
     The float paths read float twins built once: ``projection`` and
     ``w_embed`` are ``LinearMap`` instances (``float_matrix``), and
@@ -289,9 +289,11 @@ class CbCDecomposition:
             if not self.w.contains(x):
                 raise ValueError("vector does not lie in the ideal")
         else:
+            if not all(map(math.isfinite, x)):
+                raise ValueError("vector has a non-finite coordinate")
             reduced = linalg.reduce_against(self.w.rows_float, self.w.pivots, x)
             miss = linalg.max_gap(reduced, (0.0,) * len(x))
-            if miss > W_TOL * (1.0 + max(abs(a) for a in x)):
+            if miss > W_TOL * (1.0 + max(map(abs, x))):
                 raise ValueError("vector does not lie in the ideal (beyond tolerance)")
         return tuple(x[p] for p in self.w.pivots)
 

@@ -212,7 +212,11 @@ class CompatibleExpression:
     non-pivot coordinate order); ``a_matrix`` acts on ideal coordinates
     in the RREF row basis of w, and ``a_apply_ambient`` applies it to an
     ambient vector of w through ``dec.w_apply``.  ``s_eval`` maps
-    quotient coordinates to an ambient vector in Z(w).
+    quotient coordinates to an ambient vector in Z(w); it must not refer
+    back to the expression, or each one waits for the cyclic collector.
+    Psi(gamma) = (A, Bbar) is read off here: ``a_inverse``,
+    ``quot_apply`` (through float views built once) and
+    ``similarity_ratios`` = (lambda_A, lambda_Bbar).
     """
 
     dec: CbCDecomposition
@@ -238,6 +242,31 @@ class CompatibleExpression:
 
     def a_apply_ambient(self, w_vec):
         return self.dec.w_apply(self.a_map, w_vec)
+
+    @cached_property
+    def a_inverse(self):
+        return invert_matrix(self.a_map)
+
+    @cached_property
+    def quot_map(self):
+        return LinearMap(self.quot_matrix)
+
+    @cached_property
+    def quot_translation_float(self):
+        return as_float(self.quot_translation)
+
+    def quot_apply(self, q):
+        return bch(self.dec.quotient_carnot, self.quot_translation_float, self.quot_map(as_float(q)))
+
+    @cached_property
+    def similarity_ratios(self):
+        """(lambda_A, lambda_Bbar); raises unless both first-layer blocks are similarities."""
+        w1 = self.dec.w_algebra.layer_indices(1)
+        a_block = [[float(self.a_matrix[r][c]) for c in w1] for r in w1]
+        lambda_a = _similarity_ratio(a_block, "the ideal automorphism")
+        q1 = self.dec.quotient_carnot.layer_indices(1)
+        q_block = [[float(self.quot_matrix[r][c]) for c in q1] for r in q1]
+        return lambda_a, _similarity_ratio(q_block, "the quotient action")
 
     def s_component(self, j) -> ShearComponent:
         trees = (self.s_trees or {}).get(j)
@@ -349,7 +378,7 @@ def verify_compatible(
         if any(col[t] != 0 and alg.weights[t] != w_i for t in range(alg.dim)):
             b_graded = False
         lhs = dec.project(col)
-        rhs = linalg.mat_vec(expr.quot_matrix, dec.project(alg.basis_vector(i)))
+        rhs = expr.quot_map(dec.project(alg.basis_vector(i)))
         if tuple(lhs) != tuple(rhs):
             b_projects = False
 
@@ -568,37 +597,7 @@ def pansu_check(
 
 
 # ---------------------------------------------------------------------------
-# similarity pairs and the cocycle calculus
-
-
-@dataclass(frozen=True)
-class SimilarityPair:
-    """(A, Bbar): an ideal similarity and a quotient affine similarity.
-
-    ``a_inverse`` is the ``LinearMap`` from ``invert_matrix``; it acts
-    on ambient vectors of w through ``dec.w_apply``.  ``quot_apply``
-    reads views built once: the ``LinearMap`` float twin of the quotient
-    matrix and the translation as floats.
-    """
-
-    dec: CbCDecomposition
-    a_matrix: tuple
-    a_inverse: LinearMap
-    quot_translation: tuple
-    quot_matrix: tuple
-    lambda_a: float
-    lambda_bbar: float
-
-    @cached_property
-    def quot_map(self):
-        return LinearMap(self.quot_matrix)
-
-    @cached_property
-    def quot_translation_float(self):
-        return as_float(self.quot_translation)
-
-    def quot_apply(self, q):
-        return bch(self.dec.quotient_carnot, self.quot_translation_float, self.quot_map(as_float(q)))
+# the cocycle calculus; Psi(gamma) is read off the normal form
 
 
 def _similarity_ratio(block_rows, label):
@@ -611,57 +610,25 @@ def _similarity_ratio(block_rows, label):
     return math.sqrt(lam2)
 
 
-def similarity_pair(dec: CbCDecomposition, fmap: FiberMap) -> SimilarityPair:
-    """Psi(gamma) = (A_gamma, gammabar); both parts must be similarities."""
+def similarity_pair(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpression:
+    """Psi(gamma) = (A_gamma, gammabar), read off the normal form; both must be similarities."""
     expr = extract_compatible(dec, fmap)
-    w1 = dec.w_algebra.layer_indices(1)
-    a_block = [
-        [float(expr.a_matrix[r][c]) for c in w1] for r in w1
-    ]
-    lambda_a = _similarity_ratio(a_block, "the ideal automorphism")
-    qc = dec.quotient_carnot
-    q1 = qc.layer_indices(1)
-    q_block = [[float(expr.quot_matrix[r][c]) for c in q1] for r in q1]
-    lambda_b = _similarity_ratio(q_block, "the quotient action")
-    return SimilarityPair(
-        dec=dec,
-        a_matrix=expr.a_matrix,
-        a_inverse=invert_matrix(LinearMap(expr.a_matrix)),
-        quot_translation=tuple(expr.quot_translation),
-        quot_matrix=expr.quot_matrix,
-        lambda_a=lambda_a,
-        lambda_bbar=lambda_b,
-    )
-
-
-def compose_pairs(second: SimilarityPair, first: SimilarityPair) -> SimilarityPair:
-    """Psi(gamma2 o gamma1) from Psi(gamma2) and Psi(gamma1)."""
-    dec = second.dec
-    a = linalg.mat_mul(second.a_matrix, first.a_matrix)
-    qmat = linalg.mat_mul(second.quot_matrix, first.quot_matrix)
-    qtrans = second.quot_apply(first.quot_translation)
-    return SimilarityPair(
-        dec=dec,
-        a_matrix=a,
-        a_inverse=invert_matrix(LinearMap(a)),
-        quot_translation=qtrans,
-        quot_matrix=qmat,
-        lambda_a=second.lambda_a * first.lambda_a,
-        lambda_bbar=second.lambda_bbar * first.lambda_bbar,
-    )
+    expr.similarity_ratios  # raises here, not at the first action
+    return expr
 
 
 def similarity_exponent_check(dec: CbCDecomposition, fmap: FiberMap):
     """(lambda_A, lambda_Bbar, lambda_Bbar - lambda_A**alpha)."""
-    pair = similarity_pair(dec, fmap)
+    lambda_a, lambda_bbar = extract_compatible(dec, fmap).similarity_ratios
     alpha = float(dec.alpha)
-    return pair.lambda_a, pair.lambda_bbar, pair.lambda_bbar - pair.lambda_a**alpha
+    return lambda_a, lambda_bbar, lambda_bbar - lambda_a**alpha
 
 
-def cocycle_action(dec: CbCDecomposition, pair: SimilarityPair, component: ShearComponent) -> ShearComponent:
-    """(pi_(A,B) c)(hbar) = A^-1 c(B hbar) - A^-1 c(B 0)."""
+def cocycle_action(dec: CbCDecomposition, pair: CompatibleExpression, component: ShearComponent) -> ShearComponent:
+    """(pi_(A,B) c)(hbar) = A^-1 c(B hbar) - A^-1 c(B 0), with (A, B) read off ``pair``."""
     alpha = float(dec.alpha)
-    if abs(pair.lambda_bbar - pair.lambda_a**alpha) > 1e-12 * max(1.0, pair.lambda_bbar):
+    lambda_a, lambda_bbar = pair.similarity_ratios
+    if abs(lambda_bbar - lambda_a**alpha) > 1e-12 * max(1.0, lambda_bbar):
         raise ValueError("the pair does not satisfy lambda_B = lambda_A**alpha")
     b0 = pair.quot_apply((0.0,) * dec.quotient_carnot.dim)
     inner = component.eval

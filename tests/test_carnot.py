@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -356,6 +357,14 @@ def test_w_coords_reads_the_ideal_and_rejects_what_is_outside(dec_l5):
             with pytest.raises(ValueError, match="does not lie in the ideal"):
                 dec_l5.w_coords(x)
     assert 1e-12 < W_TOL < 1e-6
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_w_coords_rejects_a_non_finite_coordinate_anywhere(dec_l5, bad):
+    for pos in range(dec_l5.base.dim):
+        x = tuple(bad if i == pos else 0.0 for i in range(dec_l5.base.dim))
+        with pytest.raises(ValueError, match="non-finite"):
+            dec_l5.w_coords(x)
 
 
 def test_lift_tower_and_cocycle_layers():

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +23,6 @@ from nilcarnot.maps import (
     cocycle_identity_check,
     cocycle_of,
     compose,
-    compose_pairs,
     conjugate_by_shear,
     d_alpha,
     d_alpha_matrix,
@@ -324,16 +326,10 @@ def test_cocycle_action_identity_pair(dec_l5):
 
 def test_cocycle_action_rejects_mismatched_ratios(dec_l5):
     pair = similarity_pair(dec_l5, fiber_dilation(dec_l5.base, 2))
-    hacked = type(pair)(
-        dec=pair.dec,
-        a_matrix=pair.a_matrix,
-        a_inverse=pair.a_inverse,
-        quot_translation=pair.quot_translation,
-        quot_matrix=pair.quot_matrix,
-        lambda_a=pair.lambda_a,
-        lambda_bbar=pair.lambda_bbar * 1.5,
-    )
-    with pytest.raises(ValueError):
+    # lambda_Bbar becomes 6, not lambda_A**alpha = 4
+    scaled = tuple(tuple(Fraction(3, 2) * a for a in row) for row in pair.quot_matrix)
+    hacked = dataclasses.replace(pair, quot_matrix=scaled)
+    with pytest.raises(ValueError, match="lambda_B = lambda_A"):
         cocycle_action(dec_l5, hacked, component_from_exprs(dec_l5, 1, "q1"))
 
 
@@ -407,7 +403,7 @@ def test_pair_composition_opposite_law(dec_l5):
     g2 = fiber_dilation(alg, Fraction(1, 2))
     p1 = similarity_pair(dec_l5, g1)
     p2 = similarity_pair(dec_l5, g2)
-    both = compose_pairs(p2, p1)
+    both = similarity_pair(dec_l5, compose(g1, g2))
     c = component_from_exprs(dec_l5, 1, "sin(q1)")
     lhs = cocycle_action(dec_l5, both, c)
     # opposite-group law: the composed pair acts as pi_1 after pi_2
@@ -527,6 +523,23 @@ def test_similarity_pair_rejects_non_similarity(dec_l5):
     gamma = fiber_auto(alg, LinearMap(rows))
     with pytest.raises(ValueError):
         similarity_pair(dec_l5, gamma)
+
+
+def test_expressions_are_freed_without_the_cyclic_collector(dec_l5, ladder_sigma_shear):
+    """No reference cycle holds an expression: its s_eval must not close over it."""
+    gamma = compose(fiber_dilation(dec_l5.base, 2), fiber_shear(ladder_sigma_shear))
+    gc.disable()
+    try:
+        expr = extract_compatible(dec_l5, gamma)
+        expr.s_eval((0.5,))
+        pair = similarity_pair(dec_l5, gamma)
+        pair.quot_apply((0.5,))
+        pair.a_inverse
+        refs = (weakref.ref(expr), weakref.ref(pair))
+        del expr, pair
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_fd_extrapolation_error_carries_sequence(dec_hp4):

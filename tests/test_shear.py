@@ -11,6 +11,7 @@ from nilcarnot.linalg import as_float, vneg
 from nilcarnot.rng import CounterRng, SamplerConfig, sample_ball_point
 from nilcarnot.shear import (
     MembershipError,
+    PathDependenceError,
     ShearComponent,
     ShearMap,
     apply_shear,
@@ -113,6 +114,13 @@ def test_loop_verdict_holds_across_scales(dec_multid, radius):
     member = component_from_exprs(dec_multid, 1, SIGMA)
     assert loop_test_membership(dec_multid, member, budget).passed
     assert not loop_test_membership(dec_multid, component_from_exprs(dec_multid, 1, "q1*q2"), budget).passed
+
+
+def test_waived_lift_checks_a_second_path(dec_multid):
+    """With membership waived, a lift whose value depends on the path raises."""
+    bad = lift(dec_multid, component_from_exprs(dec_multid, 1, "q4"), waive_membership=True)
+    with pytest.raises(PathDependenceError, match="independent paths to .* disagree by"):
+        bad.eval((0.7, -0.4, 1.1, 0.3, -0.9))
 
 
 def test_loop_verdict_states_the_worst_ratio(dec_multid, monkeypatch):
