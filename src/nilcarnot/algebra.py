@@ -24,7 +24,9 @@ Python (``bracket_kernel`` from ``bracket_table``, ``bch_kernel`` from
 arithmetic, dominates a loop over the tables.  A kernel does the loop's
 arithmetic in the loop's order, and both scalar modes run it: it takes
 the exact coefficients and ``Fraction(0)``, or their float twin and
-``0.0``.  Its source holds only identifiers and indices.
+``0.0``.  Its source holds only identifiers and indices.  The float
+array forms (``bch_array_kernel``, and ``pairing_array_kernel`` for the
+loop test's pairing) are the same code without its ``if`` guards.
 
 Float twins: the kernel coefficients, the weights (``weights_float``),
 the rows of a :class:`Subspace` (``rows_float``) and the matrix of a
@@ -188,6 +190,11 @@ class GradedAlgebra:
         return _kernel(self.dim, self.bracket_table, *self.bch_plan)
 
     @cached_property
+    def bch_array_kernel(self):
+        """``bch_kernel`` without its guards, for float arrays (see :func:`_kernel`)."""
+        return _kernel(self.dim, self.bracket_table, *self.bch_plan, guarded=False)
+
+    @cached_property
     def validation(self) -> ValidationReport:
         """See :func:`validate_algebra`."""
         checks = []
@@ -322,7 +329,7 @@ class Kernel(NamedTuple):
     floats: tuple
 
 
-def _kernel(dim, table, steps, terms):
+def _kernel(dim, table, steps, terms, guarded=True):
     """Compile straight-line code for the bracket ``steps``, then the ``terms``.
 
     Slots 0 and 1 hold the coordinates of x and y.  Step ``(letter, tail)``
@@ -332,10 +339,20 @@ def _kernel(dim, table, steps, terms):
     ``zero``; rows are not pruned, so inf and nan spread as in a loop.  The
     result is the last slot when ``terms`` is None, else the sum of
     ``coef*slot`` over the terms in order, skipping zero entries.
+
+    ``guarded=False`` drops the ``if`` guards, so the code runs on float
+    arrays.  The bits do not change: every accumulator starts at +0.0 and
+    so never holds -0.0, and adding the +-0.0 that a skipped product
+    gives leaves it as it is.  Exact kernels keep their guards, which
+    skip a ``Fraction`` product per zero.
     """
     written = sorted({k for _, _, entries in table for k, _ in entries})
     slots = [{k: f"x{k}" for k in range(dim)}, {k: f"y{k}" for k in range(dim)}]
     lines = [f"{', '.join(slots[0].values())}, = x", f"{', '.join(slots[1].values())}, = y"]
+
+    def add(test, line):
+        return [f"if {test}:", f"    {line}"] if guarded else [line]
+
     for letter, tail in steps:
         a, b, out = slots[letter], slots[tail], {k: f"s{len(slots)}_{k}" for k in written}
         slots.append(out)
@@ -343,9 +360,9 @@ def _kernel(dim, table, steps, terms):
         n = 0
         for i, j, entries in table:
             ai, aj, bi, bj = a.get(i, "zero"), a.get(j, "zero"), b.get(i, "zero"), b.get(j, "zero")
-            lines += [f"t = {ai}*{bj} - {aj}*{bi}", "if t:"]
+            lines.append(f"t = {ai}*{bj} - {aj}*{bi}")
             for k, _ in entries:
-                lines.append(f"    {out[k]} += c{n}*t")
+                lines += add("t", f"{out[k]} += c{n}*t")
                 n += 1
     exact = [c for _, _, entries in table for _, c in entries]
     names = [f"c{n}" for n in range(len(exact))]
@@ -357,13 +374,34 @@ def _kernel(dim, table, steps, terms):
             exact.append(coef)
             names.append(f"d{n}")
             for k, name in slots[slot].items():
-                lines += [f"if {name}:", f"    o{k} += d{n}*{name}"]
+                lines += add(name, f"o{k} += d{n}*{name}")
     lines = ([f"{', '.join(names)}, = c"] if names else []) + lines
     lines.append(f"return ({', '.join(result.get(k, 'zero') for k in range(dim))},)")
     source = "def kernel(x, y, c, zero):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = {"__builtins__": {}}
+    run = compile_source(source, "kernel", {"__builtins__": {}})
+    return Kernel(source, run, tuple(exact), tuple(float(c) for c in exact))
+
+
+def compile_source(source, name, namespace):
+    """The function ``name`` that generated ``source`` defines, run in a
+    copy of ``namespace``: the one place generated code is executed.  The
+    function is taken out of its namespace, so that the two form no
+    reference cycle and go with the last reference to the function."""
+    namespace = dict(namespace)
     exec(source, namespace)
-    return Kernel(source, namespace["kernel"], tuple(exact), tuple(float(c) for c in exact))
+    return namespace.pop(name)
+
+
+def pairing_array_kernel(alg: GradedAlgebra, targets):
+    """The bracket on float arrays, unguarded, writing only the coordinates
+    ``targets``: each of them sums the same products in the same order as
+    in ``bracket_kernel``, and every other coordinate reads ``zero``."""
+    table = tuple(
+        (i, j, kept)
+        for i, j, entries in alg.bracket_table
+        if (kept := tuple((k, c) for k, c in entries if k in targets))
+    )
+    return _kernel(alg.dim, table, ((0, 1),), None, guarded=False)
 
 
 def bracket_float(alg: GradedAlgebra, x, y):

@@ -7,7 +7,8 @@ exactly.  ``horizontal_connect`` builds zigzag paths out of horizontal
 line segments using group-commutator words for nested brackets, and
 ``integrate_bracket_form`` integrates the bracket pairing of a
 center-valued map against the horizontal tautological one-form along
-such paths.
+such paths; ``integrate_bracket_forms`` integrates many paths at once,
+on node arrays, to the same bits.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .algebra import (
     is_carnot,
     is_ideal,
     layer_project,
+    pairing_array_kernel,
     quotient,
     subalgebra_generated,
     subspace,
@@ -37,7 +39,7 @@ from .algebra import (
 from .algebra import bracket_expressions  # noqa: F401 (re-exported)
 from .group import bch, quasi_norm
 from .linalg import as_float, span_coords, vneg, vscale
-from .quadrature import DEFAULT_TOL, integrate_vector
+from .quadrature import DEFAULT_TOL, integrate_batch, integrate_vector
 
 
 # Relative residual (to 1 + max|x|) up to which a float vector lies in the ideal.
@@ -416,7 +418,7 @@ def decompose(alg: GradedAlgebra) -> CbCDecomposition:
     )
 
 
-def integrate_bracket_form(dec: CbCDecomposition, component, path: HorizontalPath, tol=DEFAULT_TOL):
+def integrate_bracket_form(dec: CbCDecomposition, component, path: HorizontalPath):
     """Integral of [c(x), theta_H(x)] along a horizontal quotient path.
 
     ``component`` evaluates quotient coordinates to an ambient vector in
@@ -426,50 +428,142 @@ def integrate_bracket_form(dec: CbCDecomposition, component, path: HorizontalPat
     grading, only the coordinates ``dec.pairing_targets[j]`` can be
     nonzero; only those are integrated, and the rest of the result is
     0.0.  Each segment is integrated by adaptive Simpson to the absolute
-    tolerance ``tol`` (lifts keep ``DEFAULT_TOL``; the loop test derives
-    a coarser one from its threshold) and the segments are summed in
-    order.  Membership in Z_j is checked on the first three values of
-    each segment, the quadrature's nodes t = 0, duration and
-    duration/2, even when the target layer is empty.
+    tolerance ``DEFAULT_TOL`` and the segments are summed in order.
+    Membership in Z_j is checked on the first three values of each
+    segment, the quadrature's nodes t = 0, duration and duration/2, even
+    when the target layer is empty; a value that is not finite fails the
+    check.
     """
-    qc = dec.quotient_carnot
-    if path.alg is not qc and path.alg != qc:
-        raise ValueError("path must live in the Carnot-renormalized quotient")
+    zj, target = _pairing(dec, component, path)
     j = component.layer
-    zj = dec.z_layer(j)
-    if zj is None:
-        raise ValueError(f"no center layer at index {j}")
-    target = dec.pairing_targets[j]
-
-    def check_membership(point, val):
-        resid = linalg.reduce_against(zj.rows_float, zj.pivots, val)
-        scale = 1.0 + math.sqrt(sum(a * a for a in val))
-        if math.sqrt(sum(a * a for a in resid)) > 1e-8 * scale:
-            raise ValueError(f"component value escapes the center layer Z_{j} at {point}")
 
     total = [0.0] * dec.base.dim
-    pos = as_float(path.start)
-    for direction, duration in path.segments:
-        direction = as_float(direction)
-        duration = float(duration)
+    for pos, direction, duration in _segments(dec, path):
         x_lift = dec.lift(direction)
         checked = 0
 
         def integrand(t):
             nonlocal checked
-            point = bch(qc, pos, vscale(t, direction))
+            point = bch(dec.quotient_carnot, pos, vscale(t, direction))
             val = component.eval(point)
             if checked < 3:
                 checked += 1
-                check_membership(point, val)
+                if not all(map(math.isfinite, val)):
+                    raise ValueError(f"component value is not finite at {point}")
+                resid = linalg.reduce_against(zj.rows_float, zj.pivots, val)
+                scale = 1.0 + math.sqrt(sum(a * a for a in val))
+                if math.sqrt(sum(a * a for a in resid)) > 1e-8 * scale:
+                    raise ValueError(f"component value escapes the center layer Z_{j} at {point}")
             out = bracket_float(dec.base, val, x_lift)
             return [out[i] for i in target]
 
-        piece = integrate_vector(integrand, 0.0, duration, tol)
+        piece = integrate_vector(integrand, 0.0, duration, DEFAULT_TOL)
         for i, a in zip(target, piece):
             total[i] += a
-        pos = bch(qc, pos, vscale(duration, direction))
     return tuple(total)
+
+
+def integrate_bracket_forms(dec: CbCDecomposition, component, jobs):
+    """``integrate_bracket_form(dec, component, path, tol)`` for every
+    ``(path, tol)`` of ``jobs``, all at once; one tuple per path.
+
+    Every segment of every path is one quadrature process of
+    :func:`quadrature.integrate_batch`, so each round's nodes go out in
+    one array call: the quotient's ``bch_array_kernel`` from the
+    segment's start, the component on the resulting points, and the
+    pairing against the segment's lifted direction, restricted to
+    ``dec.pairing_targets[j]``.  The component runs its ``trees``' numpy
+    code when it has trees, and its ``eval`` node by node otherwise.  The
+    membership check of the first three nodes of each segment is that of
+    ``integrate_bracket_form``, on arrays, and fails at the first failing
+    node in the order ``integrate_bracket_form`` evaluates them.  The
+    results are bit for bit those of ``integrate_bracket_form``.
+    """
+    import numpy as np
+
+    segments, owners = [], []
+    for n, (path, tol) in enumerate(jobs):
+        zj, target = _pairing(dec, component, path)
+        for segment in _segments(dec, path):
+            segments.append((*segment, tol))
+            owners.append(n)
+    totals = [[0.0] * dec.base.dim for _ in jobs]
+    if not segments:
+        return [tuple(total) for total in totals]
+    starts, directions, durations, tols = zip(*segments)
+    starts = np.array(starts, dtype=float).T.copy()
+    steps = np.array(directions, dtype=float).T.copy()
+    lifts = np.array([dec.lift(d) for d in directions], dtype=float).T.copy()
+    rows = zj.rows_float
+    head = sum(1 if d == 0.0 else 3 for d in durations)
+    walk = dec.quotient_carnot.bch_array_kernel
+    pairing = pairing_array_kernel(dec.base, target)
+    checked = False
+
+    def integrand(which, t):
+        nonlocal checked
+        point = walk.run(tuple(starts[:, which]), tuple(steps[:, which] * t), walk.floats, 0.0)
+        if component.trees is None:
+            values = [component.eval(q) for q in zip(*(p.tolist() for p in point))]
+            val = tuple(np.array(values, dtype=float).reshape(len(t), -1).T)
+        else:
+            val = linalg.combine([tree.array(point) for tree in component.trees], rows)
+        if not checked:
+            checked = True
+            nodes = [np.broadcast_to(v, t.shape)[:head] for v in val]
+            _check_nodes(zj, component.layer, [p[:head] for p in point], nodes)
+        out = pairing.run(val, tuple(lifts[:, which]), pairing.floats, 0.0)
+        values = np.empty((len(t), len(target)))
+        for column, i in enumerate(target):
+            values[:, column] = out[i]
+        return values
+
+    pieces = integrate_batch(integrand, [(0.0, d, tol) for d, tol in zip(durations, tols)])
+    for n, piece in zip(owners, pieces.tolist()):
+        for i, a in zip(target, piece):
+            totals[n][i] += a
+    return [tuple(total) for total in totals]
+
+
+def _pairing(dec, component, path):
+    """Z_j of the component's layer and the pairing targets; checks the path's algebra."""
+    qc = dec.quotient_carnot
+    if path.alg is not qc and path.alg != qc:
+        raise ValueError("path must live in the Carnot-renormalized quotient")
+    zj = dec.z_layer(component.layer)
+    if zj is None:
+        raise ValueError(f"no center layer at index {component.layer}")
+    return zj, dec.pairing_targets[component.layer]
+
+
+def _segments(dec, path):
+    """(start, direction, duration) per segment, as floats."""
+    pos = as_float(path.start)
+    for direction, duration in path.segments:
+        direction = as_float(direction)
+        duration = float(duration)
+        yield pos, direction, duration
+        pos = bch(dec.quotient_carnot, pos, vscale(duration, direction))
+
+
+def _check_nodes(zj, j, points, vals):
+    """The membership check of ``integrate_bracket_form`` on node arrays;
+    ``np.add.accumulate`` sums the squares in ``sum``'s order."""
+    import numpy as np
+
+    vals = np.array(vals)
+    resid = vals
+    for row, p in zip(zj.rows_float, zj.pivots):
+        c = resid[p]
+        resid = np.where(c != 0, resid - c * np.array(row)[:, None], resid)
+    finite = np.isfinite(vals).all(axis=0)
+    scale = 1.0 + np.sqrt(np.add.accumulate(vals * vals)[-1])
+    bad = np.flatnonzero(~finite | (np.sqrt(np.add.accumulate(resid * resid)[-1]) > 1e-8 * scale))
+    if bad.size:
+        point = tuple(float(p[bad[0]]) for p in points)
+        if not finite[bad[0]]:
+            raise ValueError(f"component value is not finite at {point}")
+        raise ValueError(f"component value escapes the center layer Z_{j} at {point}")
 
 
 def p_alpha_data(dec: CbCDecomposition):

@@ -3,32 +3,80 @@
 Closed-form component formulas are written over the quotient
 coordinates ``q1 .. qn`` with arithmetic (+ - * / ** and unary minus)
 and the functions abs, sqrt, sign, sin, min, max.  Strings are parsed
-with the stdlib ``ast`` module against a strict whitelist and compiled
-into an expression tree that can be evaluated and differentiated.
+with the stdlib ``ast`` module against a strict whitelist into an
+expression tree, which is differentiated as a tree and evaluated as
+compiled code.
+
+Compiled: each tree is written once as straight-line Python source
+(``source``), one assignment per operation in the order a recursive walk
+would evaluate them, and the source runs with one of two namespaces:
+
+* ``math`` (``tree.scalar(q)``, q a tuple of floats): division by zero,
+  zero to a negative power, ``**`` overflow and a complex ``**`` raise
+  ``ExprError`` naming the node; a negative ``sqrt`` and ``sin`` of an
+  infinity raise the ``ValueError`` of :mod:`math`.
+* numpy (``tree.array(q)``, q a tuple of float arrays of one shape),
+  built on first use: every node acts elementwise with the ``math``
+  namespace's bits and exceptions.  ``+ - * /``, ``sqrt`` and ``abs``
+  are correctly rounded in both; ``sin``, ``cos`` and ``**`` run element
+  by element through the scalar functions, since numpy's SIMD loops may
+  round differently; ``min``/``max`` are ``np.where`` chains, which keep
+  Python's first-argument rule on nan.  When several elements fail, the
+  values an error message quotes may come from another element than the
+  scalar walk would meet first.  Overflow and invalid operations stay
+  silent, as they are on Python floats.
 
 Differentiation is almost-everywhere: sign differentiates to 0, abs to
 sign, min/max follow the active branch.  The derivative tree may use
 cos internally (for sin) even though cos is not part of the surface
-grammar.
+grammar.  A min/max branch evaluates only the active argument's
+derivative, so derivative trees run on the ``math`` namespace only.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+from .algebra import compile_source
 
 
 class ExprError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Node:
+    """A tree node; its compiled forms are built once, on first use."""
 
-    def eval(self, env):
-        return self.value
+    @cached_property
+    def source(self):
+        lines = []
+        result = _emit(self, lines, "    ", itertools.count())
+        return "def expression(q):\n" + "".join(f"{line}\n" for line in lines) + f"    return {result}\n"
+
+    @cached_property
+    def scalar(self):
+        return compile_source(self.source, "expression", _MATH)
+
+    @cached_property
+    def array(self):
+        import numpy as np
+
+        run = compile_source(self.source, "expression", _numpy_namespace())
+
+        def evaluate(q):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return run(q)
+
+        return evaluate
+
+
+@dataclass(frozen=True)
+class Num(_Node):
+    value: float
 
     def diff(self, var):
         return Num(0.0)
@@ -38,11 +86,8 @@ class Num:
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     index: int  # 0-based coordinate index
-
-    def eval(self, env):
-        return float(env[self.index])
 
     def diff(self, var):
         return Num(1.0 if var == self.index else 0.0)
@@ -52,35 +97,10 @@ class Var:
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str
     left: object
     right: object
-
-    def eval(self, env):
-        a = self.left.eval(env)
-        b = self.right.eval(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if b == 0:
-                raise ExprError(f"division by zero in {self}")
-            return a / b
-        if self.op == "**":
-            if a == 0 and b < 0:
-                raise ExprError(f"zero to a negative power in {self}")
-            try:
-                out = a ** b
-            except OverflowError as exc:
-                raise ExprError(f"{a!r} ** {b!r} overflows in {self}") from exc
-            if isinstance(out, complex):
-                raise ExprError(f"complex value {a!r} ** {b!r} in {self}")
-            return out
-        raise ExprError(f"unknown operator {self.op}")
 
     def diff(self, var):
         l, r = self.left, self.right
@@ -107,11 +127,8 @@ class BinOp:
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: object
-
-    def eval(self, env):
-        return -self.arg.eval(env)
 
     def diff(self, var):
         return Neg(self.arg.diff(var))
@@ -121,27 +138,9 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     name: str
     args: tuple
-
-    def eval(self, env):
-        vals = [a.eval(env) for a in self.args]
-        if self.name == "abs":
-            return abs(vals[0])
-        if self.name == "sqrt":
-            return math.sqrt(vals[0])
-        if self.name == "sign":
-            return math.copysign(1.0, vals[0]) if vals[0] != 0 else 0.0
-        if self.name == "sin":
-            return math.sin(vals[0])
-        if self.name == "cos":
-            return math.cos(vals[0])
-        if self.name == "min":
-            return min(vals)
-        if self.name == "max":
-            return max(vals)
-        raise ExprError(f"unknown function {self.name}")
 
     def diff(self, var):
         u = self.args[0]
@@ -165,25 +164,149 @@ class Call:
 
 
 @dataclass(frozen=True)
-class _Branch:
+class _Branch(_Node):
     """Derivative of min/max: the derivative of the active argument."""
 
     kind: str
     args: tuple
     derivs: tuple
 
-    def eval(self, env):
-        vals = [a.eval(env) for a in self.args]
-        pick = min(range(len(vals)), key=vals.__getitem__) if self.kind == "min" else max(
-            range(len(vals)), key=vals.__getitem__
-        )
-        return self.derivs[pick].eval(env)
-
     def diff(self, var):
         raise ExprError("second derivatives of min/max are not supported")
 
     def __str__(self):
         return f"d({self.kind})"
+
+
+def _emit(node, lines, pad, names):
+    """Append the lines that compute ``node``; return the expression holding its value.
+
+    Operands are computed left to right before their node, so an error is
+    raised at the node and in the order a recursive walk would meet it.
+    """
+    if isinstance(node, Num):
+        return f"({node.value!r})"
+    if isinstance(node, Var):
+        return f"var(q[{node.index}])"
+    out = f"t{next(names)}"
+    if isinstance(node, Neg):
+        lines.append(f"{pad}{out} = -{_emit(node.arg, lines, pad, names)}")
+    elif isinstance(node, BinOp):
+        a = _emit(node.left, lines, pad, names)
+        b = _emit(node.right, lines, pad, names)
+        if node.op in ("+", "-", "*"):
+            lines.append(f"{pad}{out} = {a} {node.op} {b}")
+        elif node.op in ("/", "**"):
+            guarded = "div" if node.op == "/" else "power"
+            lines.append(f"{pad}{out} = {guarded}({a}, {b}, {str(node)!r})")
+        else:
+            raise ExprError(f"unknown operator {node.op}")
+    elif isinstance(node, Call):
+        if node.name not in _MATH:
+            raise ExprError(f"unknown function {node.name}")
+        args = [_emit(a, lines, pad, names) for a in node.args]
+        lines.append(f"{pad}{out} = {node.name}({', '.join(args)})")
+    else:
+        # the first argument that is strictly below (min) or above (max)
+        # every earlier one is active, as in Python's min and max
+        args = [_emit(a, lines, pad, names) for a in node.args]
+        pick, best = f"t{next(names)}", f"t{next(names)}"
+        beats = "<" if node.kind == "min" else ">"
+        lines += [f"{pad}{pick} = 0", f"{pad}{best} = {args[0]}"]
+        for i, a in enumerate(args[1:], 1):
+            lines += [f"{pad}if {a} {beats} {best}:", f"{pad}    {pick} = {i}", f"{pad}    {best} = {a}"]
+        for i, deriv in enumerate(node.derivs):
+            lines.append(f"{pad}{'if' if i == 0 else 'elif'} {pick} == {i}:")
+            lines.append(f"{pad}    {out} = {_emit(deriv, lines, pad + '    ', names)}")
+    return out
+
+
+def _div(a, b, where):
+    if b == 0:
+        raise ExprError(f"division by zero in {where}")
+    return a / b
+
+
+def _power(a, b, where):
+    if a == 0 and b < 0:
+        raise ExprError(f"zero to a negative power in {where}")
+    try:
+        out = a ** b
+    except OverflowError as exc:
+        raise ExprError(f"{a!r} ** {b!r} overflows in {where}") from exc
+    if isinstance(out, complex):
+        raise ExprError(f"complex value {a!r} ** {b!r} in {where}")
+    return out
+
+
+def _sign(a):
+    return math.copysign(1.0, a) if a != 0 else 0.0
+
+
+_MATH = {
+    "__builtins__": {},
+    "var": float,
+    "div": _div,
+    "power": _power,
+    "abs": abs,
+    "sqrt": math.sqrt,
+    "sign": _sign,
+    "sin": math.sin,
+    "cos": math.cos,
+    "min": min,
+    "max": max,
+}
+
+
+def _numpy_namespace():
+    """The ``math`` namespace's operations on float arrays, elementwise."""
+    import numpy as np
+
+    def each(fn):
+        def run(*args):
+            arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+            values = [fn(*xs) for xs in zip(*(a.ravel().tolist() for a in arrays))]
+            return np.array(values, dtype=float).reshape(arrays[0].shape)
+
+        return run
+
+    def div(a, b, where):
+        if np.any(np.asarray(b) == 0):
+            raise ExprError(f"division by zero in {where}")
+        return a / b
+
+    def power(a, b, where):
+        return each(lambda x, y: _power(x, y, where))(a, b)
+
+    def sqrt(a):
+        a = np.asarray(a, dtype=float)
+        negative = a[a < 0]
+        if negative.size:
+            math.sqrt(negative[0])  # raises the math namespace's ValueError
+        return np.sqrt(a)
+
+    def chain(beats):
+        def pick(first, *rest):
+            out = first
+            for b in rest:
+                out = np.where(beats(b, out), b, out)
+            return out
+
+        return pick
+
+    return {
+        "__builtins__": {},
+        "var": lambda a: np.asarray(a, dtype=float),
+        "div": div,
+        "power": power,
+        "abs": np.abs,
+        "sqrt": sqrt,
+        "sign": lambda a: np.where(a != 0, np.copysign(1.0, a), 0.0),
+        "sin": each(math.sin),
+        "cos": each(math.cos),
+        "min": chain(np.less),
+        "max": chain(np.greater),
+    }
 
 
 _FUNCTIONS = {"abs": (1,), "sqrt": (1,), "sign": (1,), "sin": (1,), "min": (2, 3, 4), "max": (2, 3, 4)}

@@ -440,7 +440,7 @@ def _component_directional(dec, component, at_q, direction_q):
         z = dec.z_layer(component.layer)
         out = (0.0,) * dec.base.dim
         for tree, row in zip(component.trees, z.rows_float):
-            partials = [tree.diff(k).eval(at_q) for k in range(qalg.dim)]
+            partials = [tree.diff(k).scalar(at_q) for k in range(qalg.dim)]
             scalar = sum(p * float(j) for p, j in zip(partials, jac))
             out = vadd(out, vscale(scalar, row))
         return out
@@ -758,7 +758,8 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     ``LinearMap``, whose float twin is built once) and s(B^k 0), are
     tabulated once while the iteration runs; the returned component
     reads those tables, so evaluating it at a point costs only the orbit
-    B^k q and its s values.
+    B^k q and its s values.  Each s value is checked to lie in w once,
+    when its ideal coordinates are memoized.
     """
     if j not in dec.cocycle_layers:
         raise ValueError(f"layer {j} is not a center layer below the exponent")
@@ -770,15 +771,18 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     s_memo: dict = {}
 
     def s_at(q):
+        """Ideal coordinates of s(q), checked in w once per point."""
         if q not in s_memo:
-            s_memo[q] = s.eval(q)
+            s_memo[q] = dec.w_coords(s.eval(q))
         return s_memo[q]
 
     a_inv_powers = []
     s_origin = []
 
     def term(k, orbit_q):
-        return dec.w_apply(a_inv_powers[k], linalg.vsub(s_at(orbit_q), s_origin[k]))
+        # w_coords reads pivot entries, so the coordinates of a difference
+        # are the difference of the coordinates, bit for bit
+        return dec.w_embed(a_inv_powers[k](linalg.vsub(s_at(orbit_q), s_origin[k])))
 
     orbits = {q: q for q in grid}
     orbit_0 = (0.0,) * dec.quotient_carnot.dim

@@ -8,10 +8,14 @@ of the base components, or vanish when the exponent is not an integer.
 ratios and sampling estimators probe the biLipschitz property at desk
 scale.
 
-Every lift integrates to ``quadrature.DEFAULT_TOL``.  The loop test
-flags a loop integral above ``1e-8`` times the loop length (scaled by
-the component's Holder hint), and integrates each loop to a tenth of
-that threshold, not to ``DEFAULT_TOL``.  Lifted evaluators memoize per
+Every lift integrates to ``quadrature.DEFAULT_TOL``, one segment at a
+time.  The loop test flags a loop integral above ``1e-8`` times the loop
+length (scaled by the component's Holder hint), and integrates each loop
+to a tenth of that threshold, not to ``DEFAULT_TOL``; it integrates all
+segments of all its loops at once, on node arrays
+(``carnot.integrate_bracket_forms``), with the bits of the one-segment
+path.  A loop integral that is not finite fails the test.  Lifted
+evaluators memoize per
 input point, keyed on its coordinates as a float tuple; memo writes are
 idempotent, so concurrent readers are safe.  All estimators draw from
 the counter-based generator in :mod:`nilcarnot.rng` and are
@@ -25,7 +29,13 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import GradedAlgebra
-from .carnot import CbCDecomposition, HorizontalPath, horizontal_connect, integrate_bracket_form
+from .carnot import (
+    CbCDecomposition,
+    HorizontalPath,
+    horizontal_connect,
+    integrate_bracket_form,
+    integrate_bracket_forms,
+)
 from .exprlang import parse_expression
 from .group import bch, dilate, quasi_dist
 from .linalg import as_float, vadd, vneg, vscale
@@ -49,7 +59,9 @@ class ShearComponent:
     of ambient coordinates, so callers use its values as they are;
     ``trees`` optionally holds one expression tree per RREF basis row of
     Z_j (enabling symbolic derivatives), and ``holder_hint`` an a-priori
-    bound for the j/alpha-Holder norm.
+    bound for the j/alpha-Holder norm.  The loop test evaluates the
+    trees' numpy code when ``trees`` is set, and ``eval`` otherwise, so an
+    ``eval`` replaced next to trees must agree with them.
     """
 
     layer: int
@@ -87,11 +99,7 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
     rows = z.rows_float
 
     def evaluate(q):
-        out = (0.0,) * dec.base.dim
-        for tree, row in zip(trees, rows):
-            v = tree.eval(q)
-            out = tuple(a + v * r for a, r in zip(out, row))
-        return out
+        return linalg.combine([tree.scalar(q) for tree in trees], rows)
 
     return ShearComponent(layer, evaluate, trees, holder_hint)
 
@@ -125,9 +133,12 @@ def loop_test_membership(
     basepoint.  A loop fails when its integral exceeds
     ``bound = 1e-8 * length * hint``; each of its segments is integrated
     to ``bound / (10 * segments)``, a tenth of the bound in all, at any
-    loop scale (lifts keep ``DEFAULT_TOL``).  The verdict passes when no
-    loop's ratio |integral| / bound exceeds 1.  Passing is evidence, not
-    proof, of membership.
+    loop scale (lifts keep ``DEFAULT_TOL``).  All loops are built first,
+    then every segment of every loop is integrated in lockstep by one
+    ``integrate_bracket_forms`` call.  The verdict passes when no loop's
+    ratio |integral| / bound exceeds 1; a loop integral that is not
+    finite counts as ratio inf.  Passing is evidence, not proof, of
+    membership.
     """
     qc = dec.quotient_carnot
     rng = CounterRng(budget.seed)
@@ -137,8 +148,7 @@ def loop_test_membership(
         # any continuous component, so there is nothing to falsify
         return LoopVerdict(0, 0.0)
     hint = max(1.0, component.holder_hint or 1.0)
-    worst = 0.0
-    tested = 0
+    loops = []
     for _ in range(budget.count):
         base = sample_ball_point(rng, qc, budget.radius)
         t = budget.radius * (1.0 - rng.uniform())
@@ -161,12 +171,17 @@ def loop_test_membership(
         rel = bch(qc, vneg(pos), base)
         closing = horizontal_connect(qc, rel)
         segs.extend(closing.segments)
-        loop = HorizontalPath(qc, base, tuple(segs))
-        bound = 1e-8 * loop.length * hint
-        val = integrate_bracket_form(dec, component, loop, bound / (10 * len(segs)))
-        tested += 1
-        worst = max(worst, math.sqrt(sum(a * a for a in val)) / bound)
-    return LoopVerdict(tested, worst)
+        loops.append(HorizontalPath(qc, base, tuple(segs)))
+    bounds = [1e-8 * loop.length * hint for loop in loops]
+    values = integrate_bracket_forms(
+        dec, component, [(loop, bound / (10 * loop.segment_count)) for loop, bound in zip(loops, bounds)]
+    )
+    worst = 0.0
+    for val, bound in zip(values, bounds):
+        ratio = math.sqrt(sum(a * a for a in val)) / bound
+        # a nan would drop out of max() and pass the loop
+        worst = max(worst, ratio if all(map(math.isfinite, val)) else math.inf)
+    return LoopVerdict(len(loops), worst)
 
 
 def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: bool = False) -> ShearComponent:

@@ -15,11 +15,12 @@ from nilcarnot.carnot import (
     decompose,
     horizontal_connect,
     integrate_bracket_form,
+    integrate_bracket_forms,
     is_carnot,
     p_alpha_data,
     HorizontalPath,
 )
-from nilcarnot.catalog import engel4, free_nilpotent_step2, heisenberg3, ladder5
+from nilcarnot.catalog import direct_product, engel4, free_nilpotent_step2, heisenberg3, ladder5
 from nilcarnot.group import bch, dilate, quasi_norm
 from nilcarnot.linalg import is_zero, vneg
 from nilcarnot.rng import CounterRng, sample_coords
@@ -243,6 +244,54 @@ def test_integrate_bracket_form_checks_the_segment_midpoint(dec_l5):
     path = HorizontalPath(dec_l5.quotient_carnot, (0.0,), (((1.0,), 2.0),))
     with pytest.raises(ValueError, match="escapes"):
         integrate_bracket_form(dec_l5, escaping, path)
+
+
+def test_integrate_bracket_form_rejects_a_non_finite_value(dec_l5):
+    """A nan passes every comparison of the residual check, so finiteness is
+    checked first, on the same three nodes."""
+    path = HorizontalPath(dec_l5.quotient_carnot, (0.0,), (((1.0,), 2.0),))
+    nan = component_from_exprs(dec_l5, 1, "q1*(1e308*1e308 - 1e308*1e308)")
+    with pytest.raises(ValueError, match=r"not finite at \(0\.0,\)"):
+        integrate_bracket_form(dec_l5, nan, path)
+    inside = component_from_exprs(dec_l5, 1, "q1")
+    at_midpoint = type(inside)(1, lambda q: (math.inf,) * 6 if q == (1.0,) else inside.eval(q))
+    with pytest.raises(ValueError, match=r"not finite at \(1\.0,\)"):
+        integrate_bracket_form(dec_l5, at_midpoint, path)
+
+
+def test_integrate_bracket_forms_checks_the_first_three_nodes(dec_l5):
+    inside = component_from_exprs(dec_l5, 1, "q1")
+    outside = component_from_exprs(dec_l5, 3, "1")
+    path = HorizontalPath(dec_l5.quotient_carnot, (0.0,), (((1.0,), 2.0),))
+    escaping = type(inside)(1, lambda q: outside.eval(q) if q == (1.0,) else inside.eval(q))
+    with pytest.raises(ValueError, match=r"escapes the center layer Z_1 at \(1\.0,\)"):
+        integrate_bracket_forms(dec_l5, escaping, [(path, 1e-10)])
+    at_end = type(inside)(1, lambda q: (math.nan,) * 6 if q == (2.0,) else inside.eval(q))
+    with pytest.raises(ValueError, match=r"not finite at \(2\.0,\)"):
+        integrate_bracket_forms(dec_l5, at_end, [(path, 1e-10)])
+    # a quarter point is no checked node
+    at_quarter = type(inside)(1, lambda q: outside.eval(q) if q == (0.5,) else inside.eval(q))
+    integrate_bracket_forms(dec_l5, at_quarter, [(path, 1e-10)])
+
+
+def test_integrate_bracket_forms_equals_the_scalar_form():
+    """Every path of the batch gets integrate_bracket_form's bits, zero-length
+    segments and a segmentless path included."""
+    import nilcarnot.carnot
+
+    dec = decompose(direct_product(ladder5(), engel4(), 2))
+    qc = dec.quotient_carnot
+    paths = [
+        horizontal_connect(qc, (1.2, -0.5, 0.8, 0.6, -0.3)),
+        horizontal_connect(qc, (-0.7, 0.4, 0.0, -1.1, 0.2)),
+        HorizontalPath(qc, (0.5, 0.1, -0.2, 0.0, 0.3), (((1.0, 0.0, 0.0, 0.0, 0.0), 0.0), ((0.0, 0.6, 0.8, 0.0, 0.0), 1.5))),
+        HorizontalPath(qc, (0.0,) * 5, ()),
+    ]
+    for text in ("sign(q1)*sqrt(abs(q1))", "q1*q2 + sin(q3)"):
+        component = component_from_exprs(dec, 1, text)
+        batched = integrate_bracket_forms(dec, component, [(path, nilcarnot.carnot.DEFAULT_TOL) for path in paths])
+        scalar = [integrate_bracket_form(dec, component, path) for path in paths]
+        assert [[a.hex() for a in v] for v in batched] == [[a.hex() for a in v] for v in scalar]
 
 
 def test_p_alpha_ladder5(dec_l5):

@@ -336,6 +336,17 @@ def test_non_finite_defect_names_its_check(capsys):
     assert capsys.readouterr().err == "error: check reconstruction has the non-finite value inf\n"
 
 
+def test_nan_component_exits_2_naming_the_point(capsys, multid_path):
+    """The loop test's membership check stops a nan component before it
+    reaches the report."""
+    argv = ["shear", "--algebra", multid_path, "--component", "1=q2*(1e308*1e308 - 1e308*1e308)"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: component value is not finite at (-0.3093")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_shear_verify_far_radius_on_a_multid_quotient(capsys, multid_path):
     # the zigzag holds a residual coordinate of layer m to 1e-9 * max(1, rho)**m
     code, report = run_cli(

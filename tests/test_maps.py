@@ -454,6 +454,30 @@ def test_fixed_point_evaluation_builds_no_matrix_power(dec_l5, monkeypatch):
     assert calls == []
 
 
+def test_fixed_point_solver_checks_each_s_value_in_the_ideal(dec_l5, monkeypatch):
+    """s values are checked once each, as coordinates are memoized; one that
+    leaves w still raises."""
+    import nilcarnot.maps
+
+    gamma = compose(
+        fiber_dilation(dec_l5.base, Fraction(1, 2)),
+        fiber_shear(build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, "0.4*q1")})),
+    )
+    cocycles = nilcarnot.maps.cocycle_of(dec_l5, gamma)
+    h = dec_l5.transversal_indices[0]
+
+    def leaving(q):
+        value = list(cocycles[1].eval(q))
+        value[h] += q[0]
+        return tuple(value)
+
+    monkeypatch.setattr(
+        nilcarnot.maps, "cocycle_of", lambda dec, g: {**cocycles, 1: dataclasses.replace(cocycles[1], eval=leaving)}
+    )
+    with pytest.raises(ValueError, match="does not lie in the ideal"):
+        solve_single_generator_fixed_point(dec_l5, gamma, 1)
+
+
 def test_fixed_point_solver_zero_map(dec_l5):
     gamma = fiber_dilation(dec_l5.base, Fraction(1, 2))
     c, report = solve_single_generator_fixed_point(dec_l5, gamma, 1)

@@ -128,14 +128,14 @@ def test_loop_verdict_states_the_worst_ratio(dec_multid, monkeypatch):
     against 1, and it counts the loops it integrated."""
     import nilcarnot.shear
 
-    form = nilcarnot.shear.integrate_bracket_form
+    forms = nilcarnot.shear.integrate_bracket_forms
     integrated = []
 
-    def counting_form(*args):
-        integrated.append(args)
-        return form(*args)
+    def counting_forms(dec, component, jobs):
+        integrated.extend(jobs)
+        return forms(dec, component, jobs)
 
-    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_form", counting_form)
+    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_forms", counting_forms)
     budget = SamplerConfig(seed=7, count=24, radius=0.001)
     bad = loop_test_membership(dec_multid, component_from_exprs(dec_multid, 1, "q1*q2"), budget)
     assert not bad.passed and bad.worst_ratio > 1.0
@@ -149,9 +149,20 @@ def test_loop_test_derives_its_tolerance_and_lifts_keep_the_default(dec_multid, 
     import nilcarnot.shear
     from nilcarnot.quadrature import DEFAULT_TOL
 
+    batch = nilcarnot.carnot.integrate_batch
     vector = nilcarnot.carnot.integrate_vector
-    form = nilcarnot.shear.integrate_bracket_form
-    calls, loops = [], []
+    forms = nilcarnot.shear.integrate_bracket_forms
+    segments, widths, loops, calls = [], set(), [], []
+
+    def recording_batch(f, jobs):
+        segments.extend(tol for _, _, tol in jobs)
+
+        def integrand(which, t):
+            values = f(which, t)
+            widths.add(values.shape[1])
+            return values
+
+        return batch(integrand, jobs)
 
     def recording_vector(f, a, b, tol):
         lengths = set()
@@ -164,24 +175,76 @@ def test_loop_test_derives_its_tolerance_and_lifts_keep_the_default(dec_multid, 
 
         return vector(integrand, a, b, tol)
 
-    def recording_form(dec, component, path, *tol):
-        loops.append((path, tol))
-        return form(dec, component, path, *tol)
+    def recording_forms(dec, component, jobs):
+        loops.extend(jobs)
+        return forms(dec, component, jobs)
 
+    monkeypatch.setattr(nilcarnot.carnot, "integrate_batch", recording_batch)
     monkeypatch.setattr(nilcarnot.carnot, "integrate_vector", recording_vector)
-    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_form", recording_form)
+    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_forms", recording_forms)
     sigma = component_from_exprs(dec_multid, 1, SIGMA)
-    assert loop_test_membership(dec_multid, sigma, SamplerConfig(seed=7, count=4, radius=4.0)).passed
+    verdict = loop_test_membership(dec_multid, sigma, SamplerConfig(seed=7, count=4, radius=4.0))
+    assert verdict.passed and verdict.loops_tested == len(loops)
+    # the loop test runs on the batched driver only
+    assert calls == []
     want = []
     for path, tol in loops:
-        assert tol == (1e-8 * path.length * 1.0 / (10 * path.segment_count),)
-        want += [tol[0]] * path.segment_count
-    assert [tol for tol, _ in calls] == want
-    looped = len(calls)
+        assert tol == 1e-8 * path.length * 1.0 / (10 * path.segment_count)
+        want += [tol] * path.segment_count
+    assert segments == want
     lift(dec_multid, sigma, waive_membership=True).eval((0.7, -0.4, 1.1, 0.3, -0.9))
-    assert len(calls) > looped and {tol for tol, _ in calls[looped:]} == {DEFAULT_TOL}
+    assert calls and {tol for tol, _ in calls} == {DEFAULT_TOL}
     # the pairing lands in the one-dimensional layer Z_3
+    assert widths == {1}
     assert all(lengths == {1} for _, lengths in calls)
+
+
+# worst_ratio of seed 7, count 24 at radii 4, 1, 0.1, 0.01, 0.001, as the
+# loop test gave when it integrated one segment at a time
+PINNED_WORST_RATIOS = {
+    SIGMA: (
+        "0x1.565104c7c56c2p-6", "0x1.c087a66fb13f6p-5", "0x1.b908473e4638fp-2",
+        "0x1.14d0563058984p-3", "0x1.137e5a353a3dbp-4",
+    ),
+    "q1*q2": (
+        "0x1.45bfe9206269bp+24", "0x1.45bfe9206269bp+20", "0x1.a0f5a5482c0d2p+13",
+        "0x1.0adaa7386e1c9p+7", "0x1.5592c18fe91a3p+0",
+    ),
+}
+
+
+def test_loop_verdict_worst_ratios_are_pinned(dec_multid):
+    import dataclasses
+
+    radii = (4.0, 1.0, 0.1, 0.01, 0.001)
+    for text, pinned in PINNED_WORST_RATIOS.items():
+        component = component_from_exprs(dec_multid, 1, text)
+        for radius, want in zip(radii, pinned):
+            budget = SamplerConfig(seed=7, count=24, radius=radius)
+            assert loop_test_membership(dec_multid, component, budget).worst_ratio.hex() == want
+    # without trees the loop test applies eval node by node, to the same bits
+    sigma = dataclasses.replace(component_from_exprs(dec_multid, 1, SIGMA), trees=None)
+    for radius, want in zip(radii, PINNED_WORST_RATIOS[SIGMA]):
+        budget = SamplerConfig(seed=7, count=24, radius=radius)
+        assert loop_test_membership(dec_multid, sigma, budget).worst_ratio.hex() == want
+
+
+def test_loop_test_fails_a_non_finite_loop_integral(dec_multid):
+    """Finite at every checked node, the constant overflows the Simpson sums,
+    so every loop integrates to nan; a nan drops out of max(), so these loops
+    used to pass with worst_ratio 0.0."""
+    huge = component_from_exprs(dec_multid, 1, "1.7e308")
+    verdict = loop_test_membership(dec_multid, huge, SamplerConfig(seed=7, count=4, radius=4.0))
+    assert verdict.loops_tested == 4
+    assert verdict.worst_ratio == math.inf and not verdict.passed
+    with pytest.raises(MembershipError, match="worst .* inf"):
+        lift(dec_multid, huge)
+
+
+def test_loop_test_rejects_a_non_finite_component_value(dec_multid):
+    nan = component_from_exprs(dec_multid, 1, "q2*(1e308*1e308 - 1e308*1e308)")
+    with pytest.raises(ValueError, match=r"component value is not finite at \(-0\.3093"):
+        loop_test_membership(dec_multid, nan)
 
 
 def test_loop_integral_value_matches_area():

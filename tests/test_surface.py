@@ -8,7 +8,8 @@ and methods skip ``self``.
 
 Derived tables live on their owner as cached properties, so no
 ``functools.lru_cache`` or ``functools.cache`` appears.  ``exec`` runs
-in one place, the generator of the bracket and BCH kernels, and entry
+in one place, ``algebra.compile_source``, which loads the generated code
+of the bracket and BCH kernels and of the expression trees, and entry
 types are tested for float in ``linalg.scalar_mode``, which decides every
 vector's scalar mode, and in ``linalg.as_exact``, which checks that a
 float converts to a rational without loss.
@@ -128,7 +129,7 @@ def test_exec_runs_only_in_the_kernel_generator():
             getattr(node.func, "attr", None),
         )
 
-    assert _sites(calls_exec) == ["algebra.py:_kernel"]
+    assert _sites(calls_exec) == ["algebra.py:compile_source"]
 
 
 def _is_float(node):
