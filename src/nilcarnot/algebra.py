@@ -22,11 +22,16 @@ algebra, so each is written out once per instance as straight-line
 Python (``bracket_kernel`` from ``bracket_table``, ``bch_kernel`` from
 ``bch_plan``) and compiled; at these sizes interpreter overhead, not
 arithmetic, dominates a loop over the tables.  A kernel does the loop's
-arithmetic in the loop's order, and both scalar modes run it: it takes
-the exact coefficients and ``Fraction(0)``, or their float twin and
-``0.0``.  Its source holds only identifiers and indices.  The float
-array forms (``bch_array_kernel``, and ``pairing_array_kernel`` for the
-loop test's pairing) are the same code without its ``if`` guards.
+arithmetic in the loop's order.  The BCH kernel runs in both scalar
+modes: it takes the exact coefficients and ``Fraction(0)``, or their
+float twin and ``0.0``; the bracket kernel runs on the float twin only.
+Its source holds only identifiers and indices.  The float array forms
+(``bch_array_kernel``, and ``pairing_array_kernel`` for the loop test's
+pairing) are the same code without its ``if`` guards.
+
+The exact oracle reads the structure constants (``ad``): the exact
+bracket sums over nonzero coordinates and constants only, and the Jacobi
+check sums products of constants, so it runs none of the kernels.
 
 Float twins: the kernel coefficients, the weights (``weights_float``),
 the rows of a :class:`Subspace` (``rows_float``) and the matrix of a
@@ -42,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from . import linalg
@@ -115,6 +121,15 @@ class GradedAlgebra:
         for i, j, k, c in self.brackets:
             table.setdefault((i, j), []).append((k, c))
         return tuple((i, j, tuple(entries)) for (i, j), entries in table.items())
+
+    @cached_property
+    def ad(self):
+        """Per index i, a read-only map j -> ((k, c), ...): [e_i, e_j] = sum c e_k, both orders."""
+        rows = [{} for _ in range(self.dim)]
+        for i, j, entries in self.bracket_table:
+            rows[i][j] = entries
+            rows[j][i] = tuple((k, -c) for k, c in entries)
+        return tuple(MappingProxyType(row) for row in rows)
 
     @cached_property
     def weights_float(self):
@@ -303,7 +318,7 @@ class GradedAlgebra:
 
 
 def validate_algebra(alg: GradedAlgebra) -> ValidationReport:
-    """Exact per-invariant report: antisymmetry, Jacobi, grading, nilpotency."""
+    """Exact per-invariant report: antisymmetry, grading, Jacobi (from ``ad``), nilpotency."""
     return alg.validation
 
 
@@ -411,12 +426,20 @@ def bracket_float(alg: GradedAlgebra, x, y):
 
 
 def bracket(alg: GradedAlgebra, x, y):
-    """Bilinear antisymmetric extension of the structure constants."""
+    """Bilinear antisymmetric extension of the structure constants: exact
+    vectors sum ``x_i*y_j*c`` over their nonzero entries and ``alg.ad``."""
     if len(x) != alg.dim or len(y) != alg.dim:
         raise ValueError("vector dimension does not match the algebra")
-    zero = Fraction(0) if linalg.scalar_mode(x, y) == "exact" else 0.0
-    kernel = alg.bracket_kernel
-    return kernel.run(x, y, kernel.exact, zero)
+    if linalg.scalar_mode(x, y) == "float":
+        return alg.bracket_kernel.run(x, y, alg.bracket_kernel.floats, 0.0)
+    out = [Fraction(0)] * alg.dim
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    for a, row in zip(x, alg.ad):
+        if a:
+            for j, b in ys:
+                for k, c in row.get(j, ()):
+                    out[k] += a * b * c
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -470,19 +493,18 @@ class ValidationReport:
 
 
 def _jacobi_defects(alg: GradedAlgebra):
+    """Triples i < j < k whose Jacobi sum is nonzero, read off ``alg.ad``:
+    the cyclic sum of ``[e_a, [e_b, e_c]] = sum_l c_bc^l c_al^m e_m``."""
     defects = []
-    basis = [alg.basis_vector(i) for i in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             for k in range(j + 1, alg.dim):
-                s = vadd(
-                    vadd(
-                        bracket(alg, basis[i], bracket(alg, basis[j], basis[k])),
-                        bracket(alg, basis[j], bracket(alg, basis[k], basis[i])),
-                    ),
-                    bracket(alg, basis[k], bracket(alg, basis[i], basis[j])),
-                )
-                if not linalg.is_zero(s):
+                total = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, s in alg.ad[b].get(c, ()):
+                        for m, t in alg.ad[a].get(l, ()):
+                            total[m] = total.get(m, 0) + s * t
+                if any(total.values()):
                     defects.append((i, j, k))
     return defects
 

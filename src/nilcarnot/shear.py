@@ -366,7 +366,7 @@ def necessity_check(
                 if size == 0.0:
                     continue
                 ratio = size ** (1.0 / i) / d ** (1.0 / alpha)
-                worst[i] = max(worst[i], ratio)
+                worst[i] = max(worst[i], ratio if ratio < math.inf else math.inf)
         out[radius] = worst
     return NecessityReport(out)
 
@@ -388,12 +388,13 @@ def holder_norm_estimate(
         vp = component.eval(p)
         vq = component.eval(q)
         num = math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(vp, vq)))
-        best = max(best, num / d**exponent)
+        ratio = num / d**exponent
+        best = max(best, ratio if ratio < math.inf else math.inf)
     return best
 
 
 def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
-    """Empirical (sup, inf) of rho(F x, F y) / rho(x, y) over sampled pairs."""
+    """Empirical (sup, inf) of rho(F x, F y) / rho(x, y) over pairs; (inf, 0.0) once one is not finite."""
     rng = CounterRng(sampler.seed)
     sup_ratio = 0.0
     inf_ratio = math.inf
@@ -404,6 +405,8 @@ def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
         if d < 1e-9:
             continue
         ratio = quasi_dist(alg, f(x), f(y)) / d
+        if not ratio < math.inf:
+            return math.inf, 0.0
         sup_ratio = max(sup_ratio, ratio)
         inf_ratio = min(inf_ratio, ratio)
     return sup_ratio, inf_ratio

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from nilcarnot.carnot import decompose
@@ -44,3 +46,19 @@ def dec_hp4(hp4):
 @pytest.fixture(scope="session")
 def dec_l5(l5):
     return decompose(l5)
+
+
+def bracket_rows(table, out, x, y):
+    """The table loop the bracket kernel replaced: add [x, y] into ``out``."""
+    for i, j, entries in table:
+        coef = x[i] * y[j] - x[j] * y[i]
+        if coef:
+            for k, c in entries:
+                out[k] += c * coef
+    return tuple(out)
+
+
+def loop_bracket_exact(alg, x, y):
+    """The exact bracket as a loop over ``bracket_table``: the reference
+    that shares no code with ``algebra.bracket`` or its kernels."""
+    return bracket_rows(alg.bracket_table, [Fraction(0)] * alg.dim, x, y)

@@ -1,10 +1,14 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nilcarnot.algebra
+
 from nilcarnot.algebra import (
     GradedAlgebra,
+    _jacobi_defects,
     bracket,
     center,
     full_space,
@@ -16,8 +20,10 @@ from nilcarnot.algebra import (
     validate_algebra,
     weight_slice,
 )
-from nilcarnot.catalog import engel_heis7, ladder5
+from nilcarnot.catalog import engel4, engel_heis7, ladder5
 from nilcarnot.linalg import is_zero, vadd
+
+from conftest import loop_bracket_exact
 
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -29,18 +35,20 @@ def coords(alg):
 
 
 def brute_force_jacobi(alg):
-    """Independent oracle: check all basis triples directly."""
+    """Independent oracle: each basis triple i < j < k through the table
+    loop (the Jacobi sum of an antisymmetric bracket is alternating)."""
     failures = []
+    loop = loop_bracket_exact
     for i in range(alg.dim):
-        for j in range(alg.dim):
-            for k in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            for k in range(j + 1, alg.dim):
                 ei, ej, ek = (alg.basis_vector(t) for t in (i, j, k))
                 total = vadd(
                     vadd(
-                        bracket(alg, ei, bracket(alg, ej, ek)),
-                        bracket(alg, ej, bracket(alg, ek, ei)),
+                        loop(alg, ei, loop(alg, ej, ek)),
+                        loop(alg, ej, loop(alg, ek, ei)),
                     ),
-                    bracket(alg, ek, bracket(alg, ei, ej)),
+                    loop(alg, ek, loop(alg, ei, ej)),
                 )
                 if not is_zero(total):
                     failures.append((i, j, k))
@@ -58,6 +66,58 @@ def test_validate_engel_with_bruteforce_jacobi(engel):
     assert report.ok
     assert report.step == 3
     assert brute_force_jacobi(engel) == []
+
+
+@st.composite
+def structure_constants(draw):
+    """A random table, Jacobi-breaking or not: dims 3-7, sparse entries, zeros included."""
+    dim = draw(st.integers(min_value=3, max_value=7))
+    weights = draw(st.lists(st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2)]), min_size=dim, max_size=dim))
+    slots = [(i, j, k) for i in range(dim) for j in range(i + 1, dim) for k in range(dim)]
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=2 * dim))
+    coefs = draw(st.lists(rationals, min_size=len(chosen), max_size=len(chosen)))
+    entries = tuple(sorted((i, j, k, c) for (i, j, k), c in zip(chosen, coefs)))
+    return GradedAlgebra(dim, tuple(f"e{i}" for i in range(dim)), tuple(weights), entries)
+
+
+@settings(deadline=None, max_examples=150)
+@given(alg=structure_constants())
+def test_jacobi_defects_equal_the_table_loop(alg):
+    want = brute_force_jacobi(alg)
+    assert _jacobi_defects(alg) == want
+    detail = "" if not want else f"failing triples: {want}"
+    assert validate_algebra(alg).check("jacobi") == (not want, detail)
+
+
+# J(0,1,2) = e0/4 - e1, J(0,2,3) = e3, J(1,2,3) = e3/4, J(0,1,3) = 0
+BROKEN = GradedAlgebra(
+    dim=4,
+    labels=("a", "b", "c", "d"),
+    weights=(Fraction(1),) * 4,
+    brackets=((0, 2, 3, Fraction(2)), (0, 3, 0, Fraction(1, 2)), (1, 2, 3, Fraction(1, 2)), (1, 3, 1, Fraction(1, 2))),
+)
+
+
+def test_jacobi_reads_only_the_structure_constants(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Jacobi check ran a bracket")
+
+    monkeypatch.setattr(nilcarnot.algebra, "bracket", refuse)
+    monkeypatch.setattr(GradedAlgebra, "bracket_kernel", property(refuse))
+    assert _jacobi_defects(engel4()) == []
+    assert _jacobi_defects(BROKEN) == [(0, 1, 2), (0, 2, 3), (1, 2, 3)]
+
+
+def test_ad_cannot_be_changed_through_the_instance():
+    alg = engel4()
+    assert alg.ad[1][0] == tuple((k, -c) for k, c in alg.ad[0][1])
+    with pytest.raises(FrozenInstanceError):
+        alg.ad = ()
+    with pytest.raises(TypeError):
+        alg.ad[0] = {}
+    with pytest.raises(TypeError):
+        alg.ad[0][1] = ((3, Fraction(5)),)
+    assert alg.ad == engel4().ad
 
 
 def test_validate_bad_grading_entry():

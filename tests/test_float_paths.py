@@ -4,8 +4,9 @@ Both scalar modes of the BCH run the algebra's generated ``bch_kernel``,
 built from its ``bch_plan``; the float product is compared with the
 exact one (the oracle), and each is compared with the per-word Dynkin
 sum the plan replaced: the float one bit for bit, the exact one as
-``Fraction``s.  The generated bracket and BCH kernels are compared with
-the table loops they replaced, kept here as references.  The curve
+``Fraction``s.  The generated bracket and BCH kernels, and the exact
+bracket that reads ``ad``, are compared with the table loops the kernels
+replaced, kept as references (the bracket loop in ``conftest``).  The curve
 velocity, a Bernoulli series in ``ad``, is compared with the Dynkin
 words that hold the direction once.  The float twins of the structural
 tables must leave no ``Fraction`` conversion on a fresh point.
@@ -27,6 +28,8 @@ from nilcarnot.group import bch, dynkin_words
 from nilcarnot.maps import _curve_velocity, compose, fiber_dilation, fiber_shear, solve_single_generator_fixed_point
 from nilcarnot.rng import CounterRng, sample_ball_point
 from nilcarnot.shear import apply_shear, build_shear, component_from_exprs
+
+from conftest import bracket_rows, loop_bracket_exact
 
 ALGEBRAS = {name: fixture(name) for name in fixture_names()}
 ALGEBRAS["ladder5_x_engel4"] = direct_product(ladder5(), engel4(), 2)
@@ -83,6 +86,9 @@ def test_bch_plan_is_bit_identical_to_the_per_word_sum(name):
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_exact_bch_equals_the_per_word_sum(name):
+    """The BCH kernel against the Dynkin words built by ``bracket``, whose
+    exact branch reads ``ad`` and runs no generated kernel: an independent
+    bracket."""
     alg = ALGEBRAS[name]
     rng = CounterRng(29)
     for _ in range(10):
@@ -102,16 +108,6 @@ def test_curve_velocity_equals_the_words_with_one_direction_letter(name):
         got = _curve_velocity(alg, at, direction)
         assert all(type(a) is Fraction for a in got)
         assert got == per_word_sum(alg, linear, at, direction, bracket, Fraction)
-
-
-def bracket_rows(table, out, x, y):
-    """The table loop the bracket kernel replaced: add [x, y] into ``out``."""
-    for i, j, entries in table:
-        coef = x[i] * y[j] - x[j] * y[i]
-        if coef:
-            for k, c in entries:
-                out[k] += c * coef
-    return tuple(out)
 
 
 def bch_sum(alg, x, y, bracket_with, terms, out):
@@ -134,13 +130,10 @@ def loop_bracket_float(alg, x, y):
     return bracket_rows(float_table(alg), [0.0] * alg.dim, x, y)
 
 
-def loop_bracket_exact(alg, x, y):
-    return bracket_rows(alg.bracket_table, [Fraction(0)] * alg.dim, x, y)
-
-
 specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
 edge_floats = st.one_of(floats, floats, floats, specials)
 fractions = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=64))
+rationals = st.one_of(fractions, st.integers(min_value=-3, max_value=3))
 
 
 def hexes(v):
@@ -155,7 +148,7 @@ def test_float_kernels_are_bit_identical_to_the_loops(name, data):
     x = data.draw(st.tuples(*[edge_floats] * alg.dim))
     y = data.draw(st.tuples(*[edge_floats] * alg.dim))
     assert hexes(bracket_float(alg, x, y)) == hexes(loop_bracket_float(alg, x, y))
-    # ``bracket`` reads the exact table; Fraction * float rounds as float(Fraction) * float
+    # ``bracket`` runs the float twin on float vectors
     assert hexes(bracket(alg, x, y)) == hexes(loop_bracket_float(alg, x, y))
     terms = tuple((slot, float(coef)) for slot, coef in alg.bch_plan[1])
     want = bch_sum(alg, x, y, loop_bracket_float, terms, [0.0] * alg.dim)
@@ -169,11 +162,21 @@ def test_exact_kernels_equal_the_loops(name, data):
     alg = ALGEBRAS[name]
     x = data.draw(st.tuples(*[fractions] * alg.dim))
     y = data.draw(st.tuples(*[fractions] * alg.dim))
-    got = bracket(alg, x, y)
-    assert got == loop_bracket_exact(alg, x, y)
-    assert all(type(a) is Fraction for a in got)
     got = bch(alg, x, y)
     assert got == bch_sum(alg, x, y, loop_bracket_exact, alg.bch_plan[1], [Fraction(0)] * alg.dim)
+    assert all(type(a) is Fraction for a in got)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_bracket_equals_the_table_loop(name, data):
+    # ints, zeros and Fractions mixed: the sparse sum skips zeros and starts at Fraction(0)
+    alg = ALGEBRAS[name]
+    x = data.draw(st.tuples(*[rationals] * alg.dim))
+    y = data.draw(st.tuples(*[rationals] * alg.dim))
+    got = bracket(alg, x, y)
+    assert got == loop_bracket_exact(alg, x, y)
     assert all(type(a) is Fraction for a in got)
 
 

@@ -413,6 +413,31 @@ def test_necessity_flags_broken_sign(dec_l5, sigma_component):
     assert large >= 2.0 * small
 
 
+def nan_where_q1_positive(layer, n):
+    return ShearComponent(layer, lambda q: tuple(math.nan if i == n - 1 and q[0] > 0 else 0.0 for i in range(n)))
+
+
+def test_necessity_counts_a_nan_ratio_as_inf(dec_l5):
+    # a plain ``max`` keeps the first of (worst, nan): the nan would drop out
+    smap = ShearMap(dec_l5, {3: nan_where_q1_positive(3, 6)})
+    report = necessity_check(dec_l5, smap, seed=7, count=30, radii=(1.0,))
+    assert report.max_ratio(1.0) == math.inf
+
+
+def test_holder_norm_counts_a_nan_ratio_as_inf(dec_l5):
+    nan_everywhere = component_from_exprs(dec_l5, 1, "sqrt(abs(q1))*(1e308*1e308 - 1e308*1e308)")
+    assert holder_norm_estimate(dec_l5, nan_everywhere, SamplerConfig(5, 20, 4.0)) == math.inf
+    assert holder_norm_estimate(dec_l5, nan_where_q1_positive(1, 6), SamplerConfig(5, 20, 4.0)) == math.inf
+
+
+def test_bilip_estimate_shows_a_nan_ratio_on_both_sides(l5):
+    def f(g):
+        return (math.nan,) + tuple(g[1:]) if g[0] > 0 else g
+
+    # the sup must not drop the nan, nor the inf side keep a bound it cannot show
+    assert bilip_estimate(l5, f, SamplerConfig(seed=1, count=50, radius=4.0)) == (math.inf, 0.0)
+
+
 def test_holder_norm_estimates(dec_l5, sigma_component):
     assert holder_norm_estimate(dec_l5, zero_component(dec_l5, 1), SamplerConfig(5, 100, 4.0)) == 0.0
     est = holder_norm_estimate(dec_l5, sigma_component, SamplerConfig(5, 400, 8.0))
