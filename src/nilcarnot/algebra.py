@@ -27,7 +27,8 @@ modes: it takes the exact coefficients and ``Fraction(0)``, or their
 float twin and ``0.0``; the bracket kernel runs on the float twin only.
 Its source holds only identifiers and indices.  The float array forms
 (``bch_array_kernel``, and ``pairing_array_kernel`` for the loop test's
-pairing) are the same code without its ``if`` guards.
+pairing) are the same code without its ``if`` guards.  Each
+:class:`LinearMap` compiles its product once (``kernel``), for both modes.
 
 The exact oracle reads the structure constants (``ad``): the exact
 bracket sums over nonzero coordinates and constants only, and the Jacobi
@@ -35,7 +36,7 @@ check sums products of constants, so it runs none of the kernels.
 
 Float twins: the kernel coefficients, the weights (``weights_float``),
 the rows of a :class:`Subspace` (``rows_float``) and the matrix of a
-:class:`LinearMap` (``float_matrix``) each have a float copy built once
+:class:`LinearMap` (``flat_float``) each have a float copy built once
 and read whenever ``linalg.scalar_mode`` finds the vector they meet
 float.  CPython computes ``Fraction * float`` as ``float(Fraction) *
 float``, so a twin gives the same bits as the exact table without a
@@ -587,18 +588,33 @@ def center(alg: GradedAlgebra, s: Subspace):
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A matrix acting on coordinate vectors (rows act from the left)."""
+    """A matrix acting on coordinate vectors (rows act from the left) through
+    ``kernel(x, m)``: row i is ``0 + m_i0*x0 + m_i1*x1 + ...`` as ``sum`` adds,
+    zeros kept, on ``flat_exact`` or its float twin; x of another length raises."""
 
     matrix: tuple[tuple, ...]
 
     @cached_property
-    def float_matrix(self):
-        return tuple(tuple(float(a) for a in row) for row in self.matrix)
+    def flat_exact(self):
+        return tuple(a for row in self.matrix for a in row)
+
+    @cached_property
+    def flat_float(self):
+        return tuple(map(float, self.flat_exact))
+
+    @cached_property
+    def kernel(self):
+        cols = range(len(self.matrix[0]) if self.matrix else 0)
+        rows = [[f"m{i}_{j}" for j in cols] for i in range(len(self.matrix))]
+        names = lambda seq: "(" + "".join(f"{n}, " for n in seq) + ")"
+        sums = ["0" + "".join(f" + {m}*x{j}" for j, m in enumerate(r)) for r in rows]
+        source = f"def kernel(x, m):\n    {names(f'x{j}' for j in cols)} = x\n"
+        source += f"    {names(m for r in rows for m in r)} = m\n    return {names(sums)}\n"
+        return compile_source(source, "kernel", {"__builtins__": {}})
 
     def __call__(self, x):
-        if linalg.scalar_mode(x) == "float":
-            return linalg.mat_vec(self.float_matrix, x)
-        return linalg.mat_vec(self.matrix, x)
+        m = self.flat_float if linalg.scalar_mode(x) == "float" else self.flat_exact
+        return self.kernel(x, m)
 
 
 def is_graded_subspace(alg: GradedAlgebra, s: Subspace) -> bool:

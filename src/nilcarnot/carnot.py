@@ -28,7 +28,6 @@ from .algebra import (
     center,
     is_carnot,
     is_ideal,
-    layer_project,
     pairing_array_kernel,
     quotient,
     subalgebra_generated,
@@ -184,6 +183,7 @@ class CbCDecomposition:
     * ``v_alpha_indices``: the basis of V_alpha, the weight alpha*lambda1.
     * ``pairing_targets``: center layer j -> the indices of weight
       lambda1 * (j + alpha), where the pairing of Z_j with H lands.
+    * ``z_layer_indices``: center layer j -> the indices of weight lambda1 * j.
     * ``lift_tower``: center layer j -> the layers j + alpha,
       j + 2 alpha, ... that the lifts of a component at j fill; a tower
       stops at the first zero center layer or after a layer whose
@@ -201,7 +201,7 @@ class CbCDecomposition:
     on ideal coordinates acts on an ambient vector of w.
 
     The float paths read float twins built once: ``projection`` and
-    ``w_embed`` are ``LinearMap`` instances (``float_matrix``), and
+    ``w_embed`` are ``LinearMap`` instances (``flat_float``), and
     ``w_coords`` and ``integrate_bracket_form`` read the subspace rows
     through ``rows_float``.
     """
@@ -311,6 +311,10 @@ class CbCDecomposition:
         return {j: self.base.layer_indices(self.lambda1 * (j + self.alpha)) for j in self.z_layers}
 
     @cached_property
+    def z_layer_indices(self) -> dict:
+        return {j: self.base.layer_indices(self.lambda1 * j) for j in self.z_layers}
+
+    @cached_property
     def lift_tower(self) -> dict:
         alg, step = self.base, int(self.alpha)
         basis = [alg.basis_vector(i) for i in range(alg.dim)]
@@ -333,7 +337,9 @@ class CbCDecomposition:
         return tuple(j for j in sorted(self.z_layers) if j < self.alpha)
 
     def w_layer_project(self, x, j):
-        return layer_project(self.base, x, self.lambda1 * j)
+        idx = self.z_layer_indices[j]
+        zero = Fraction(0) if linalg.scalar_mode(x) == "exact" else 0.0
+        return tuple(a if i in idx else zero for i, a in enumerate(x))
 
 
 def decompose(alg: GradedAlgebra) -> CbCDecomposition:

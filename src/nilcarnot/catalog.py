@@ -24,7 +24,6 @@ from .algebra import (
     center,
     full_space,
 )
-from .linalg import mat_vec
 
 def _fr(x):
     return Fraction(x)
@@ -161,19 +160,15 @@ def central_product(alg1: GradedAlgebra, alg2: GradedAlgebra, pairing) -> Graded
     if not is_graded_subspace(alg1, s1) or not is_graded_subspace(alg2, s2):
         raise ValueError("pairing sides must be graded")
     prod = direct_product(alg1, alg2)
-    n1 = alg1.dim
     anti = []
     for idx, v in enumerate(vecs1):
-        img = mat_vec(phi, tuple(Fraction(1) if t == idx else Fraction(0) for t in range(len(vecs1))))
+        # (v, -phi(v)) with phi(v) = sum_t phi[t][idx] * vecs2[t], column idx of phi
         w = [Fraction(0)] * prod.dim
         for i, a in enumerate(v):
             w[i] += Fraction(a)
-        mapped = [Fraction(0)] * alg2.dim
-        for t, coeff in enumerate(img):
+        for t, row in enumerate(phi):
             for i, a in enumerate(vecs2[t]):
-                mapped[i] += coeff * Fraction(a)
-        for i, a in enumerate(mapped):
-            w[n1 + i] -= a
+                w[alg1.dim + i] -= row[idx] * Fraction(a)
         anti.append(tuple(w))
     k_sub = subspace(prod, anti)
     if not is_graded_subspace(prod, k_sub):

@@ -116,10 +116,13 @@ def _dilation_factors(alg: GradedAlgebra, r):
     if r <= 0:
         raise ValueError("dilation ratio must be positive")
     exact_r = isinstance(r, (int, Fraction)) and not isinstance(r, bool)
-    return [
-        Fraction(r) ** int(lam) if exact_r and lam.denominator == 1 else float(r) ** flam
-        for lam, flam in zip(alg.weights, alg.weights_float)
-    ]
+    try:
+        return [
+            Fraction(r) ** int(lam) if exact_r and lam.denominator == 1 else float(r) ** flam
+            for lam, flam in zip(alg.weights, alg.weights_float)
+        ]
+    except OverflowError:
+        raise OverflowError(f"the dilation by {r} overflows a float coordinate") from None
 
 
 def dilate(alg: GradedAlgebra, r, x, factors=None):
@@ -136,14 +139,18 @@ def dilate(alg: GradedAlgebra, r, x, factors=None):
 
 
 def quasi_norm(alg: GradedAlgebra, x) -> float:
-    """sum over layers of |x_lambda|^(1/lambda), |.| the Euclidean slice norm."""
+    """sum over layers of |x_lambda|^(1/lambda), |.| the Euclidean slice norm (hypot on overflow)."""
     total = 0.0
     for inv_w, idx in alg.norm_layers:
         sq = 0.0
-        for i in idx:
-            sq += float(x[i]) ** 2
+        try:
+            for i in idx:
+                sq += float(x[i]) ** 2
+        except OverflowError:
+            sq = math.inf
         if sq:
-            total += math.sqrt(sq) ** inv_w
+            norm = math.hypot(*(float(x[i]) for i in idx)) if sq == math.inf else math.sqrt(sq)
+            total += norm ** inv_w
     return total
 
 

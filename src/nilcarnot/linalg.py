@@ -79,6 +79,10 @@ def scalar_mode(*vectors):
     any other type do not count.
     """
     types = {type(a) for v in vectors for a in v}
+    if types == {float}:  # the two common cases, decided by the type set alone
+        return "float"
+    if types <= {int, Fraction}:
+        return "exact"
     # True for a float type, False for an exact one.
     kinds = {issubclass(t, float) for t in types if issubclass(t, (float, int, Fraction))}
     if len(kinds) > 1:
@@ -96,10 +100,6 @@ def max_gap(x, y):
             return math.inf
         gap = max(gap, d)
     return gap
-
-
-def mat_vec(m, x):
-    return tuple(sum(r[j] * x[j] for j in range(len(x))) for r in m)
 
 
 def mat_mul(a, b):

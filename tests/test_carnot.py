@@ -431,3 +431,21 @@ def test_lift_tower_and_cocycle_layers():
         dec = decompose(alg)
         assert dec.lift_tower == tower, name
         assert dec.cocycle_layers == cocycles, name
+
+
+def test_w_layer_project_reads_its_table_and_keeps_the_zero_type():
+    """``w_layer_project`` reads ``z_layer_indices`` and gives what
+    ``layer_project`` gives at the weight lambda1 * j, in both modes."""
+    from nilcarnot.algebra import layer_project
+    from nilcarnot.catalog import engel_heis7, heisprod4
+
+    for alg in (ladder5(), direct_product(ladder5(), engel4(), 2), heisprod4(), engel_heis7()):
+        dec = decompose(alg)
+        assert sorted(dec.z_layer_indices) == sorted(dec.z_layers)
+        exact = tuple(Fraction(i + 1, 3) for i in range(alg.dim))
+        for x, zero in ((exact, Fraction(0)), (tuple(map(float, exact)), 0.0)):
+            for j in dec.z_layers:
+                got = dec.w_layer_project(x, j)
+                assert got == layer_project(alg, x, dec.lambda1 * j)
+                assert [type(a) for a in got] == [type(zero)] * alg.dim
+                assert {i for i, a in enumerate(got) if a} == set(dec.z_layer_indices[j])

@@ -330,6 +330,15 @@ def test_failing_input_exits_2_with_one_line_message(capsys, multid_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_radius_past_the_float_range_names_the_dilation(capsys):
+    """At radius 1e160 the quasi-norm of a sample is finite, but a layer-3
+    coordinate would be about 1e480: the dilation that samples it says so."""
+    argv = ["shear", "--fixture", "ladder5", "--component", "1=q1", "--verify", "--radius", "1e160",
+            "--samples", "20"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: OverflowError: the dilation by ")
+
+
 def test_non_finite_defect_names_its_check(capsys):
     argv = ["maps", "compatible", "--fixture", "ladder5", "--map", "translate:1e300,0,0,0,0,0"]
     assert main(argv) == 2

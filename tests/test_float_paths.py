@@ -6,7 +6,8 @@ exact one (the oracle), and each is compared with the per-word Dynkin
 sum the plan replaced: the float one bit for bit, the exact one as
 ``Fraction``s.  The generated bracket and BCH kernels, and the exact
 bracket that reads ``ad``, are compared with the table loops the kernels
-replaced, kept as references (the bracket loop in ``conftest``).  The curve
+replaced, kept as references (the bracket loop in ``conftest``), and so
+is each ``LinearMap`` kernel with the ``sum`` loop it replaced.  The curve
 velocity, a Bernoulli series in ``ad``, is compared with the Dynkin
 words that hold the direction once.  The float twins of the structural
 tables must leave no ``Fraction`` conversion on a fresh point.
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import nilcarnot.algebra
 import nilcarnot.group
-from nilcarnot.algebra import bracket, bracket_float
+from nilcarnot.algebra import LinearMap, bracket, bracket_float
 from nilcarnot.carnot import decompose
 from nilcarnot.catalog import direct_product, engel4, fixture, fixture_names, ladder5
 from nilcarnot.group import bch, dynkin_words
@@ -178,6 +179,39 @@ def test_exact_bracket_equals_the_table_loop(name, data):
     got = bracket(alg, x, y)
     assert got == loop_bracket_exact(alg, x, y)
     assert all(type(a) is Fraction for a in got)
+
+
+def mat_vec_loop(rows, x):
+    """The product that ``LinearMap`` computed before its generated kernel."""
+    return tuple(sum(r[j] * x[j] for j in range(len(x))) for r in rows)
+
+
+def typed_hexes(v):
+    # a row without columns sums to the int 0, in the loop as in the kernel
+    return [(type(a), float(a).hex()) for a in v]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(0, 7), cols=st.integers(0, 7))
+def test_linear_map_kernel_is_the_sum_loop(data, rows, cols):
+    cols = cols if rows else 0  # no row gives a map without rows a column count
+    shape = lambda entries: st.tuples(*[st.tuples(*[entries] * cols)] * rows)
+    floats_m, exact_m = data.draw(shape(edge_floats)), data.draw(shape(rationals))
+    x_float = data.draw(st.tuples(*[edge_floats] * cols))
+    x_exact = data.draw(st.tuples(*[rationals] * (cols - 1)) if cols else st.just(()))
+    x_exact += (Fraction(1, 3),) if cols else ()
+    twin = tuple(tuple(map(float, r)) for r in exact_m)
+    # float vectors: bit for bit, inf, nan and -0.0 included; an exact map reads its float twin
+    for matrix, want in ((floats_m, floats_m), (exact_m, twin)):
+        got = LinearMap(matrix)(x_float)
+        assert typed_hexes(got) == typed_hexes(mat_vec_loop(want, x_float))
+    got = LinearMap(exact_m)(x_exact)
+    assert got == mat_vec_loop(exact_m, x_exact)
+    assert all(type(a) is Fraction for a in got) if cols else got == (0,) * rows
+    # the loop truncated a short vector and failed on a long one; the kernel refuses both
+    for bad in (x_float + (1.0,), x_exact[:-1]) if cols else (x_float + (1.0,),):
+        with pytest.raises(ValueError):
+            LinearMap(floats_m)(bad)
 
 
 def bracket_blocks(source):

@@ -171,6 +171,35 @@ def test_quasi_norm_examples(heis):
     assert quasi_dist(heis, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0)) == 0.0
 
 
+def quasi_norm_by_squares(alg, x):
+    """``quasi_norm`` before its overflow branch, kept as the reference."""
+    total = 0.0
+    for inv_w, idx in alg.norm_layers:
+        sq = 0.0
+        for i in idx:
+            sq += float(x[i]) ** 2
+        if sq:
+            total += math.sqrt(sq) ** inv_w
+    return total
+
+
+def test_quasi_norm_of_a_point_whose_squares_overflow(l5):
+    assert quasi_norm(l5, (1e160, 0, 0, 0, 0, 0)) == 1e160
+    assert quasi_norm(l5, (1e150, 0, 0, 0, 0, 0)) == 1e150
+    # each square is finite, their sum is not
+    assert quasi_norm(l5, (1.5e154, -1.5e154, 0, 0, 0, 0)) == math.hypot(1.5e154, 1.5e154)
+    assert quasi_norm(l5, (0, 0, 0, 1e200, 0, 8.0)) == pytest.approx(1e100 + 2.0, rel=1e-15)
+    assert quasi_norm(l5, (math.inf, 1e200, 0, 0, 0, 0)) == math.inf
+    assert math.isnan(quasi_norm(l5, (math.nan, 1e200, 0, 0, 0, 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.floats(-1e150, 1e150)] * 6))
+def test_quasi_norm_keeps_its_bits_where_no_square_overflows(x):
+    alg = ladder5()
+    assert quasi_norm(alg, x).hex() == quasi_norm_by_squares(alg, x).hex()
+
+
 def test_quasi_dist_definition_and_inverse(heis):
     x = (0.3, -0.4, 1.2)
     y = (1.0, 0.5, -0.7)

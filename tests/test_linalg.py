@@ -89,6 +89,37 @@ def test_scalar_mode_is_the_per_vector_rule_over_all_entries(vs):
     assert linalg.scalar_mode(*vs) == want
 
 
+def scalar_mode_by_kinds(*vectors):
+    """``scalar_mode`` before its type-set fast path, kept as the reference."""
+    types = {type(a) for v in vectors for a in v}
+    kinds = {issubclass(t, float) for t in types if issubclass(t, (float, int, Fraction))}
+    if len(kinds) > 1:
+        raise ValueError("mixed exact/float coordinates")
+    return "float" if True in kinds else "exact"
+
+
+mixed_entries = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.fractions(),
+    st.floats(),
+    st.floats().map(numpy.float64),
+    st.none(),  # None and str do not count
+    st.text(max_size=2),
+)
+
+
+@given(st.lists(st.lists(mixed_entries, max_size=5).map(tuple), max_size=4))
+def test_scalar_mode_fast_path_keeps_the_rule(vs):
+    try:
+        want = scalar_mode_by_kinds(*vs)
+    except ValueError:
+        with pytest.raises(ValueError, match="mixed"):
+            linalg.scalar_mode(*vs)
+        return
+    assert linalg.scalar_mode(*vs) == want
+
+
 def test_operations_reject_a_mix_where_it_enters(heis, dec_l5):
     mixed = (1.0, Fraction(1), 0.0)
     floats, exact = (1.0, 0.5, -2.0), (Fraction(1), Fraction(1, 2), Fraction(-2))

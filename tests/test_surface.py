@@ -9,10 +9,11 @@ and methods skip ``self``.
 Derived tables live on their owner as cached properties, so no
 ``functools.lru_cache`` or ``functools.cache`` appears.  ``exec`` runs
 in one place, ``algebra.compile_source``, which loads the generated code
-of the bracket and BCH kernels and of the expression trees, and entry
-types are tested for float in ``linalg.scalar_mode``, which decides every
-vector's scalar mode, and in ``linalg.as_exact``, which checks that a
-float converts to a rational without loss.
+of the bracket and BCH kernels, of the ``LinearMap`` kernels and of the
+expression trees, and entry types are tested for float in
+``linalg.scalar_mode``, which decides every vector's scalar mode, and in
+``linalg.as_exact``, which checks that a float converts to a rational
+without loss.
 
 Every top-level function and class is named somewhere outside its own
 definition and ``__init__.py``, as a bare name, an imported name or an
