@@ -480,10 +480,11 @@ def integrate_bracket_forms(dec: CbCDecomposition, component, jobs):
     pairing against the segment's lifted direction, restricted to
     ``dec.pairing_targets[j]``.  The component runs its ``trees``' numpy
     code when it has trees, and its ``eval`` node by node otherwise.  The
-    membership check of the first three nodes of each segment is that of
-    ``integrate_bracket_form``, on arrays, and fails at the first failing
-    node in the order ``integrate_bracket_form`` evaluates them.  The
-    results are bit for bit those of ``integrate_bracket_form``.
+    first call holds exactly the first three nodes of each segment, so
+    the membership check of ``integrate_bracket_form`` runs on that whole
+    call, on arrays, and fails at the first failing node in the order
+    ``integrate_bracket_form`` evaluates them.  The results are bit for
+    bit those of ``integrate_bracket_form``.
     """
     import numpy as np
 
@@ -501,7 +502,6 @@ def integrate_bracket_forms(dec: CbCDecomposition, component, jobs):
     steps = np.array(directions, dtype=float).T.copy()
     lifts = np.array([dec.lift(d) for d in directions], dtype=float).T.copy()
     rows = zj.rows_float
-    head = sum(1 if d == 0.0 else 3 for d in durations)
     walk = dec.quotient_carnot.bch_array_kernel
     pairing = pairing_array_kernel(dec.base, target)
     checked = False
@@ -516,8 +516,7 @@ def integrate_bracket_forms(dec: CbCDecomposition, component, jobs):
             val = linalg.combine([tree.array(point) for tree in component.trees], rows)
         if not checked:
             checked = True
-            nodes = [np.broadcast_to(v, t.shape)[:head] for v in val]
-            _check_nodes(zj, component.layer, [p[:head] for p in point], nodes)
+            _check_nodes(zj, component.layer, point, [np.broadcast_to(v, t.shape) for v in val])
         out = pairing.run(val, tuple(lifts[:, which]), pairing.floats, 0.0)
         values = np.empty((len(t), len(target)))
         for column, i in enumerate(target):

@@ -394,7 +394,10 @@ def holder_norm_estimate(
 
 
 def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
-    """Empirical (sup, inf) of rho(F x, F y) / rho(x, y) over pairs; (inf, 0.0) once one is not finite."""
+    """Empirical (sup, inf) of rho(F x, F y) / rho(x, y) over pairs; (inf, 0.0) once one is not finite.
+
+    Pairs closer than 1e-9 are skipped; a ``ValueError`` says so when every
+    pair was, since then no ratio was measured."""
     rng = CounterRng(sampler.seed)
     sup_ratio = 0.0
     inf_ratio = math.inf
@@ -409,4 +412,9 @@ def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
             return math.inf, 0.0
         sup_ratio = max(sup_ratio, ratio)
         inf_ratio = min(inf_ratio, ratio)
+    if inf_ratio == math.inf:
+        raise ValueError(
+            f"bilip_estimate skipped all {sampler.count} sampled pairs: each was closer than 1e-9, "
+            "so no ratio was measured"
+        )
     return sup_ratio, inf_ratio

@@ -339,6 +339,17 @@ def test_radius_past_the_float_range_names_the_dilation(capsys):
     assert capsys.readouterr().err.startswith("error: OverflowError: the dilation by ")
 
 
+def test_radius_below_the_skip_distance_says_no_ratio_was_measured(capsys):
+    """At radius 1e-12 every sampled pair is closer than 1e-9, so the
+    biLipschitz estimate has no ratio to report."""
+    argv = ["shear", "--fixture", "ladder5", "--component", "1=q1", "--verify", "--samples", "5", "--radius",
+            "1e-12"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: bilip_estimate skipped all 5 sampled pairs: each was closer than 1e-9, so no ratio was measured\n"
+    )
+
+
 def test_non_finite_defect_names_its_check(capsys):
     argv = ["maps", "compatible", "--fixture", "ladder5", "--map", "translate:1e300,0,0,0,0,0"]
     assert main(argv) == 2

@@ -155,3 +155,41 @@ def test_batch_equals_integrate_vector_per_job(jobs, width, max_evals, max_depth
             assert (info.value.evals, info.value.error.hex(), str(info.value)) == (
                 miss.evals, miss.error.hex(), str(miss),
             )
+
+
+def _quarters(a, b):
+    m = 0.5 * (a + b)
+    return 0.5 * (a + m), 0.5 * (m + b)
+
+
+def test_batch_schedule_runs_each_process_in_lockstep():
+    """One call per round: every job's a, b and midpoint (a alone when a == b),
+    job by job, then the quarter points, then the four new nodes of one
+    bisection per job still running, left to right.  ``carnot`` checks
+    membership on the first call as the first three nodes of each segment."""
+    funcs = [_integrand(kind, 1.0, 0.3, 1) for kind in ("holder", "smooth", "jump", "cusp", "smooth")]
+    intervals = [(0.0, 1.0, 1e-9), (0.0, 2.0, 1e-6), (0.5, 0.5, 1e-9), (-1.0, 1.0, 1e-7), (0.0, 0.25, 1e-3)]
+    calls = []
+
+    def batch_f(which, t):
+        calls.append(list(zip(which.tolist(), t.tolist())))
+        return np.array([funcs[j](x) for j, x in calls[-1]]).reshape(len(t), 1)
+
+    integrate_batch(batch_f, intervals)
+    assert calls[0] == [
+        (j, x) for j, (a, b, _) in enumerate(intervals) for x in ((a,) if a == b else (a, b, 0.5 * (a + b)))
+    ]
+    assert calls[1] == [(j, x) for j, (a, b, _) in enumerate(intervals) if a != b for x in _quarters(a, b)]
+    assert len(calls) > 3
+    running = None
+    for call in calls[2:]:
+        groups = [call[k : k + 4] for k in range(0, len(call), 4)]
+        jobs = [group[0][0] for group in groups]
+        assert all(len(group) == 4 and {j for j, _ in group} == {jobs[n]} for n, group in enumerate(groups))
+        assert all(sorted(x for _, x in group) == [x for _, x in group] for group in groups)
+        assert jobs == sorted(jobs) and (running is None or set(jobs) <= running)
+        running = set(jobs)
+    for j, (f, (a, b, tol)) in enumerate(zip(funcs, intervals)):
+        nodes = []
+        integrate_vector(lambda t: nodes.append(t) or f(t), a, b, tol)
+        assert [x for call in calls for k, x in call if k == j] == nodes

@@ -438,6 +438,12 @@ def test_bilip_estimate_shows_a_nan_ratio_on_both_sides(l5):
     assert bilip_estimate(l5, f, SamplerConfig(seed=1, count=50, radius=4.0)) == (math.inf, 0.0)
 
 
+def test_bilip_estimate_with_every_pair_skipped_says_so(l5):
+    """At radius 1e-12 every sampled pair is closer than 1e-9: no ratio was measured."""
+    with pytest.raises(ValueError, match=r"^bilip_estimate skipped all 5 sampled pairs: each was closer than 1e-9"):
+        bilip_estimate(l5, lambda g: g, SamplerConfig(seed=42, count=5, radius=1e-12))
+
+
 def test_holder_norm_estimates(dec_l5, sigma_component):
     assert holder_norm_estimate(dec_l5, zero_component(dec_l5, 1), SamplerConfig(5, 100, 4.0)) == 0.0
     est = holder_norm_estimate(dec_l5, sigma_component, SamplerConfig(5, 400, 8.0))

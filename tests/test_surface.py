@@ -13,7 +13,8 @@ of the bracket and BCH kernels, of the ``LinearMap`` kernels and of the
 expression trees, and entry types are tested for float in
 ``linalg.scalar_mode``, which decides every vector's scalar mode, and in
 ``linalg.as_exact``, which checks that a float converts to a rational
-without loss.
+without loss.  The adaptive Simpson algorithm is written once: only
+``quadrature._process`` calls ``heapq``.
 
 Every top-level function and class is named somewhere outside its own
 definition and ``__init__.py``, as a bare name, an imported name or an
@@ -131,6 +132,16 @@ def test_exec_runs_only_in_the_kernel_generator():
         )
 
     assert _sites(calls_exec) == ["algebra.py:compile_source"]
+
+
+def test_heapq_runs_only_in_the_quadrature_process():
+    def calls_heapq(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and (
+            getattr(getattr(func, "value", None), "id", None) == "heapq" or getattr(func, "id", "").startswith("heap")
+        )
+
+    assert sorted(set(_sites(calls_heapq))) == ["quadrature.py:_process"]
 
 
 def _is_float(node):
