@@ -15,7 +15,7 @@ round.  The batch scheduler imports numpy where it runs (so do ``carnot``
 and ``exprlang``): loaded after the rest of the package, as ``maps``
 loads it, numpy leaves a process's peak RSS where it was without the
 batch code, while a module-level import here measured 0.5 MB more on
-``shear_verify_ladder5``, which never batches.
+``shear_verify_ladder5`` when that workload did not yet batch.
 
 The work is bounded: a call raises :class:`QuadratureError` instead of
 refining on when it would evaluate the integrand more than ``MAX_EVALS``

@@ -8,18 +8,21 @@ of the base components, or vanish when the exponent is not an integer.
 ratios and sampling estimators probe the biLipschitz property at desk
 scale.
 
-Every lift integrates to ``quadrature.DEFAULT_TOL``, one segment at a
-time.  The loop test flags a loop integral above ``1e-8`` times the loop
-length (scaled by the component's Holder hint), and integrates each loop
-to a tenth of that threshold, not to ``DEFAULT_TOL``; it integrates all
-segments of all its loops at once, on node arrays
-(``carnot.integrate_bracket_forms``), with the bits of the one-segment
-path.  A loop integral that is not finite fails the test.  Lifted
-evaluators memoize per
-input point, keyed on its coordinates as a float tuple; memo writes are
-idempotent, so concurrent readers are safe.  All estimators draw from
-the counter-based generator in :mod:`nilcarnot.rng` and are
-deterministic per seed.
+Every lift integrates to ``quadrature.DEFAULT_TOL``.  A lifted
+component evaluates one point with the scalar quadrature, one segment at
+a time, and many points (``ShearComponent.values``) with one
+``carnot.integrate_bracket_forms`` call over the segments of every point
+not yet memoized, on node arrays, with the bits of the one-point path.
+``bilip_estimate`` and ``necessity_check`` send the points of
+``PAIR_BLOCK`` pairs at a time.  The loop test flags a loop integral
+above ``1e-8`` times the loop length (scaled by the component's Holder
+hint), and integrates all segments of all its loops at once, each loop
+to a tenth of that threshold, not to ``DEFAULT_TOL``.  A loop integral
+that is not finite fails the test.  Lifted evaluators memoize per input
+point, keyed on its coordinates as a float tuple; a batch writes its
+values only once all of them are computed, so one that raises leaves the
+memo as it was.  All estimators draw from the counter-based generator
+in :mod:`nilcarnot.rng` and are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -43,6 +46,12 @@ from .quadrature import DEFAULT_TOL
 from .rng import CounterRng, SamplerConfig, sample_ball_point
 
 
+# pairs whose points the estimators send to the lifts in one batch: on
+# shear_verify_ladder5, 64 runs within a few percent of the fastest size
+# measured, with about half the peak-RSS growth of 128 (see CHANGES.md)
+PAIR_BLOCK = 64
+
+
 class MembershipError(ValueError):
     """A component failed the closed-loop integral test."""
 
@@ -61,13 +70,22 @@ class ShearComponent:
     Z_j (enabling symbolic derivatives), and ``holder_hint`` an a-priori
     bound for the j/alpha-Holder norm.  The loop test evaluates the
     trees' numpy code when ``trees`` is set, and ``eval`` otherwise, so an
-    ``eval`` replaced next to trees must agree with them.
+    ``eval`` replaced next to trees must agree with them.  ``batch``, set
+    on lifted components, maps a list of float tuples to their values at
+    once, bit for bit ``eval`` on each in turn; ``values`` calls it.
     """
 
     layer: int
     eval: object
     trees: tuple | None = None
     holder_hint: float | None = None
+    batch: object = None
+
+    def values(self, points):
+        """``eval`` at every point of ``points`` (float tuples), in order."""
+        if self.batch is None:
+            return [self.eval(q) for q in points]
+        return self.batch(points)
 
     def scaled(self, factor):
         inner = self.eval
@@ -192,7 +210,10 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
     with a second independent path.  Over a one-dimensional quotient the
     evaluator chains from the nearest previously computed point (the
     integral is an antiderivative along the line), which keeps dense
-    sampling cheap; values are memoized either way.
+    sampling cheap; values are memoized either way.  The batch form plans
+    each chain base in request order, as one-point calls would; it is
+    left out when the integrand has no trees, since such an integrand may
+    itself be a chain whose values depend on the order of evaluation.
     """
     if not dec.alpha_is_integer:
         raise ValueError("lifts require an integer exponent")
@@ -207,6 +228,9 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
     memo: dict = {}
     verify = waive_membership
 
+    def integrate_all(paths):
+        return integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in paths])
+
     if qc.dim == 1 and not verify:
         # one-dimensional quotient: the integral is an antiderivative
         # along the line, so chain from the nearest cached point
@@ -215,47 +239,81 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
         xs = [0.0]
         vals = {0.0: (0.0,) * dec.base.dim}
 
+        def nearest(known, key):
+            pos = bisect.bisect_left(known, key)
+            candidates = [known[i] for i in (pos - 1, pos) if 0 <= i < len(known)]
+            return min(candidates, key=lambda x: abs(x - key))
+
+        def step(base, key):
+            direction = (1.0,) if key > base else (-1.0,)
+            return HorizontalPath(qc, (base,), ((direction, abs(key - base)),))
+
         def evaluate(q):
             key = float(q[0])
             hit = vals.get(key)
             if hit is not None:
                 return hit
-            pos = bisect.bisect_left(xs, key)
-            candidates = [xs[i] for i in (pos - 1, pos) if 0 <= i < len(xs)]
-            base = min(candidates, key=lambda x: abs(x - key))
-            length = abs(key - base)
-            direction = (1.0,) if key > base else (-1.0,)
-            path = HorizontalPath(qc, (base,), ((direction, length),))
-            delta = integrate_bracket_form(dec, component, path)
-            val = vadd(vals[base], delta)
+            base = nearest(xs, key)
+            val = vadd(vals[base], integrate_bracket_form(dec, component, step(base, key)))
             bisect.insort(xs, key)
             vals[key] = val
             return val
 
-        return ShearComponent(target_layer, evaluate, None, None)
+        def batch(points):
+            # plan every miss's base in request order, as evaluate would
+            # chain them, then integrate all the steps at once
+            keys = [float(q[0]) for q in points]
+            planned, bases = list(xs), {}
+            for key in keys:
+                if key not in vals and key not in bases:
+                    bases[key] = nearest(planned, key)
+                    bisect.insort(planned, key)
+            deltas = integrate_all([step(base, key) for key, base in bases.items()])
+            new = {}
+            for (key, base), delta in zip(bases.items(), deltas):
+                new[key] = vadd(new[base] if base in new else vals[base], delta)
+            vals.update(new)
+            xs[:] = planned
+            return [vals[key] for key in keys]
+
+        return ShearComponent(target_layer, evaluate, None, None, None if component.trees is None else batch)
+
+    def second_path(key):
+        mid = dilate(qc, 0.5, key)
+        rel = bch(qc, vneg(mid), key)
+        segments = horizontal_connect(qc, mid).segments + horizontal_connect(qc, rel).segments
+        return HorizontalPath(qc, (0.0,) * qc.dim, segments)
+
+    def check_paths_agree(key, val, alt):
+        gap = linalg.max_gap(val, alt)
+        scale = max(1.0, max(abs(a) for a in val))
+        if gap > 10.0 * DEFAULT_TOL * scale:
+            raise PathDependenceError(f"independent paths to {key} disagree by {gap:.3e}")
 
     def evaluate(q):
         key = tuple(float(a) for a in q)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        path = horizontal_connect(qc, key)
-        val = integrate_bracket_form(dec, component, path)
+        val = integrate_bracket_form(dec, component, horizontal_connect(qc, key))
         if verify and any(a != 0.0 for a in key):
-            mid = dilate(qc, 0.5, key)
-            rel = bch(qc, vneg(mid), key)
-            alt_segments = horizontal_connect(qc, mid).segments + horizontal_connect(qc, rel).segments
-            alt = integrate_bracket_form(dec, component, HorizontalPath(qc, (0.0,) * qc.dim, alt_segments))
-            gap = linalg.max_gap(val, alt)
-            scale = max(1.0, max(abs(a) for a in val))
-            if gap > 10.0 * DEFAULT_TOL * scale:
-                raise PathDependenceError(
-                    f"independent paths to {key} disagree by {gap:.3e}"
-                )
+            check_paths_agree(key, val, integrate_bracket_form(dec, component, second_path(key)))
         memo[key] = val
         return val
 
-    return ShearComponent(target_layer, evaluate, None, None)
+    def batch(points):
+        keys = [tuple(float(a) for a in q) for q in points]
+        misses = list(dict.fromkeys(key for key in keys if key not in memo))
+        checked = [key for key in misses if verify and any(a != 0.0 for a in key)]
+        paths = [horizontal_connect(qc, key) for key in misses] + [second_path(key) for key in checked]
+        results = integrate_all(paths)
+        new = dict(zip(misses, results))
+        for key, alt in zip(checked, results[len(misses):]):
+            check_paths_agree(key, new[key], alt)
+        memo.update(new)
+        return [memo[key] for key in keys]
+
+    return ShearComponent(target_layer, evaluate, None, None, None if component.trees is None else batch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,6 +329,21 @@ class ShearMap:
         for comp in self.components.values():
             out = vadd(out, comp.eval(q))
         return out
+
+    def s_values(self, points):
+        """``s_value`` at every point, each component evaluating all of them in one call.
+
+        A component with neither trees nor a batch form (a lift of a lift
+        over a one-dimensional quotient, say) may make another
+        component's values depend on the order of evaluation, so then
+        the points go one at a time, as ``s_value`` takes them."""
+        if any(c.trees is None and c.batch is None for c in self.components.values()):
+            return [self.s_value(q) for q in points]
+        qs = [as_float(q) for q in points]
+        outs = [(0.0,) * self.dec.base.dim] * len(qs)
+        for comp in self.components.values():
+            outs = [vadd(out, v) for out, v in zip(outs, comp.values(qs))]
+        return outs
 
     def negated(self) -> "ShearMap":
         return ShearMap(
@@ -309,13 +382,22 @@ def apply_shear(smap: ShearMap, g):
     return bch(smap.dec.base, gf, smap.s_value(qbar))
 
 
+def apply_shears(smap: ShearMap, gs):
+    """``apply_shear`` at every point of ``gs``, with one ``s_values`` call."""
+    gfs = [as_float(g) for g in gs]
+    svals = smap.s_values([smap.dec.project(gf) for gf in gfs])
+    return [bch(smap.dec.base, gf, s) for gf, s in zip(gfs, svals)]
+
+
 def k_function(dec: CbCDecomposition, smap: ShearMap, g1, g2):
     """K(g1bar, g2bar) = s(g2bar) * u^-1 * (-s(g1bar)) * u with u = g1^-1 * g2."""
-    alg = dec.base
     g1f, g2f = as_float(g1), as_float(g2)
+    return _k_from_s(dec.base, g1f, g2f, smap.s_value(dec.project(g1f)), smap.s_value(dec.project(g2f)))
+
+
+def _k_from_s(alg, g1f, g2f, s1, s2):
+    """``k_function`` given the float points and their s-values s1, s2."""
     u = bch(alg, vneg(g1f), g2f)
-    s1 = smap.s_value(dec.project(g1f))
-    s2 = smap.s_value(dec.project(g2f))
     out = bch(alg, s2, vneg(u))
     out = bch(alg, out, vneg(s1))
     return bch(alg, out, u)
@@ -352,21 +434,25 @@ def necessity_check(
     for radius in radii:
         rng = CounterRng(seed)
         worst = {i: 0.0 for i in layers}
-        for _ in range(count):
+
+        def draw():
             q1 = sample_ball_point(rng, qc, radius)
             off = sample_ball_point(rng, qc, 1.0)
             q2 = bch(qc, q1, off)
             d = quasi_dist(qc, q1, q2)
-            if d < 1e-9:
-                continue
-            k = k_function(dec, smap, dec.lift(q1), dec.lift(q2))
-            for i in layers:
-                comp = dec.w_layer_project(k, i)
-                size = math.sqrt(sum(float(a) ** 2 for a in comp))
-                if size == 0.0:
-                    continue
-                ratio = size ** (1.0 / i) / d ** (1.0 / alpha)
-                worst[i] = max(worst[i], ratio if ratio < math.inf else math.inf)
+            return None if d < 1e-9 else (as_float(dec.lift(q1)), as_float(dec.lift(q2)), d)
+
+        for block in _pair_blocks(count, draw):
+            svals = iter(smap.s_values([dec.project(g) for g1, g2, _ in block for g in (g1, g2)]))
+            for g1, g2, d in block:
+                s1, s2 = next(svals), next(svals)
+                k = _k_from_s(dec.base, g1, g2, s1, s2)
+                for i in layers:
+                    size = _length([float(a) for a in dec.w_layer_project(k, i)])
+                    if size == 0.0:
+                        continue
+                    ratio = size ** (1.0 / i) / d ** (1.0 / alpha)
+                    worst[i] = max(worst[i], ratio if ratio < math.inf else math.inf)
         out[radius] = worst
     return NecessityReport(out)
 
@@ -387,7 +473,7 @@ def holder_norm_estimate(
             continue
         vp = component.eval(p)
         vq = component.eval(q)
-        num = math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(vp, vq)))
+        num = _length([float(a) - float(b) for a, b in zip(vp, vq)])
         ratio = num / d**exponent
         best = max(best, ratio if ratio < math.inf else math.inf)
     return best
@@ -396,25 +482,52 @@ def holder_norm_estimate(
 def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
     """Empirical (sup, inf) of rho(F x, F y) / rho(x, y) over pairs; (inf, 0.0) once one is not finite.
 
-    Pairs closer than 1e-9 are skipped; a ``ValueError`` says so when every
-    pair was, since then no ratio was measured."""
+    F is a callable, called once per point in sample order, or a
+    ``ShearMap``, whose images of a block of ``PAIR_BLOCK`` pairs come
+    from one ``apply_shears`` call; so when a ratio is not finite, the
+    images of the rest of its block are already in the lifts' memos.
+    Pairs closer than 1e-9 are skipped (and not mapped); a ``ValueError``
+    says so when every pair was, since then no ratio was measured."""
     rng = CounterRng(sampler.seed)
     sup_ratio = 0.0
     inf_ratio = math.inf
-    for _ in range(sampler.count):
+
+    def draw():
         x = sample_ball_point(rng, alg, sampler.radius)
         y = sample_ball_point(rng, alg, sampler.radius)
         d = quasi_dist(alg, x, y)
-        if d < 1e-9:
-            continue
-        ratio = quasi_dist(alg, f(x), f(y)) / d
-        if not ratio < math.inf:
-            return math.inf, 0.0
-        sup_ratio = max(sup_ratio, ratio)
-        inf_ratio = min(inf_ratio, ratio)
+        return None if d < 1e-9 else (x, y, d)
+
+    for block in _pair_blocks(sampler.count, draw):
+        points = [g for x, y, _ in block for g in (x, y)]
+        images = iter(apply_shears(f, points) if isinstance(f, ShearMap) else map(f, points))
+        for _, _, d in block:
+            fx, fy = next(images), next(images)
+            ratio = quasi_dist(alg, fx, fy) / d
+            if not ratio < math.inf:
+                return math.inf, 0.0
+            sup_ratio = max(sup_ratio, ratio)
+            inf_ratio = min(inf_ratio, ratio)
     if inf_ratio == math.inf:
         raise ValueError(
             f"bilip_estimate skipped all {sampler.count} sampled pairs: each was closer than 1e-9, "
             "so no ratio was measured"
         )
     return sup_ratio, inf_ratio
+
+
+def _pair_blocks(count, draw):
+    """``count`` calls of ``draw`` in lists of up to ``PAIR_BLOCK``, each
+    without the ``None`` results (skipped pairs)."""
+    for start in range(0, count, PAIR_BLOCK):
+        drawn = [draw() for _ in range(min(PAIR_BLOCK, count - start))]
+        yield [pair for pair in drawn if pair is not None]
+
+
+def _length(v):
+    """Euclidean norm of a float vector: ``sqrt(sum(a ** 2))``, or ``hypot`` where that overflows."""
+    try:
+        sq = sum(a**2 for a in v)
+    except OverflowError:
+        sq = math.inf
+    return math.hypot(*v) if sq == math.inf else math.sqrt(sq)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -365,6 +366,17 @@ def test_nan_component_exits_2_naming_the_point(capsys, multid_path):
     assert captured.out == ""
     assert captured.err.startswith("error: component value is not finite at (-0.3093")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_necessity_ratios_survive_an_overflowing_square(capsys):
+    # the layer-2 values reach 2e200, whose square overflows a float
+    code, report = run_cli(
+        capsys, "shear", "--fixture", "heisprod4", "--component", "2=1e200*q1",
+        "--verify", "--samples", "5", "--radius", "2",
+    )
+    assert code == 0
+    ratios = next(c for c in report["checks"] if c["name"] == "necessity_ratios")["value"]
+    assert all(math.isfinite(v) and v > 0.0 for layers in ratios.values() for v in layers.values())
 
 
 def test_shear_verify_far_radius_on_a_multid_quotient(capsys, multid_path):

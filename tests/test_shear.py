@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,11 +11,13 @@ from nilcarnot.group import bch, quasi_dist, quasi_norm
 from nilcarnot.linalg import as_float, vneg
 from nilcarnot.rng import CounterRng, SamplerConfig, sample_ball_point
 from nilcarnot.shear import (
+    PAIR_BLOCK,
     MembershipError,
     PathDependenceError,
     ShearComponent,
     ShearMap,
     apply_shear,
+    apply_shears,
     bilip_estimate,
     build_shear,
     component_from_exprs,
@@ -526,3 +529,108 @@ def test_multid_zigzag_values_are_pinned():
     for d in (e1, e2, e1, vneg(e2), vneg(e1), vneg(e1), e1, e2, vneg(e1), vneg(e2)):
         want.append((d, t2))
     assert [(_hexes(d), t.hex()) for d, t in path.segments] == [(_hexes(d), t.hex()) for d, t in want]
+
+
+def _sigma_shear(dec):
+    return build_shear(dec, {1: component_from_exprs(dec, 1, SIGMA)})
+
+
+def _bilip_points(alg, sampler):
+    rng = CounterRng(sampler.seed)
+    return [sample_ball_point(rng, alg, sampler.radius) for _ in range(2 * sampler.count)]
+
+
+def test_batched_1d_chain_gives_the_one_point_bits(dec_l5):
+    # every point bilip_estimate draws on seed 42, in sample order: the
+    # batch plans each miss's chain base as one-point calls would
+    points = _bilip_points(dec_l5.base, SamplerConfig(42, 1000, 10.0))
+    one, many = _sigma_shear(dec_l5), _sigma_shear(dec_l5)
+    want = [_hexes(apply_shear(one, g)) for g in points]
+    assert [_hexes(v) for v in apply_shears(many, points)] == want
+    # again, every lift value a memo hit
+    assert [_hexes(v) for v in apply_shears(many, points)] == want
+    # the many-point form is a field, so it survives a replaced eval
+    lifted = dataclasses.replace(many.components[3], eval=None)
+    assert [_hexes(v) for v in lifted.values([dec_l5.project(g) for g in points[:50]])] == [
+        _hexes(one.components[3].eval(dec_l5.project(g))) for g in points[:50]
+    ]
+
+
+@pytest.mark.parametrize("waive", [False, True])
+def test_batched_multid_lift_gives_the_one_point_bits(dec_multid, waive):
+    qc = dec_multid.quotient_carnot
+    rng = CounterRng(3)
+    points = [sample_ball_point(rng, qc, 4.0) for _ in range(20)]
+    sigma = component_from_exprs(dec_multid, 1, SIGMA)
+    one = lift(dec_multid, sigma, waive_membership=waive)
+    many = lift(dec_multid, sigma, waive_membership=waive)
+    want = [_hexes(one.eval(q)) for q in points]
+    assert [_hexes(v) for v in many.values(points + points[:3])] == want + want[:3]
+
+
+def test_s_values_match_s_value(dec_l5):
+    points = [(x,) for x in (0.0, 2.5, -1.25, 2.5, 7.0, -0.5)]
+    one, many = _sigma_shear(dec_l5), _sigma_shear(dec_l5)
+    assert [_hexes(v) for v in many.s_values(points)] == [_hexes(one.s_value(q)) for q in points]
+
+
+def test_s_values_keep_the_point_order_when_a_component_reads_a_chain(dec_l5, sigma_component):
+    # a component without trees that evaluates a 1-D chain elsewhere moves
+    # the chain's later bases, so the points must go as s_value takes them
+    def reading_shear():
+        chain = lift(dec_l5, sigma_component)
+        reader = ShearComponent(1, lambda q: tuple(0.0 * a for a in chain.eval((q[0] + 0.3,))))
+        return ShearMap(dec_l5, {3: chain, 1: reader})
+
+    points = [(x,) for x in (2.0, 2.45, -1.0, 2.2, 0.9, 3.1)]
+    one, many = reading_shear(), reading_shear()
+    assert [_hexes(v) for v in many.s_values(points)] == [_hexes(one.s_value(q)) for q in points]
+
+
+@pytest.mark.parametrize("count", [1, PAIR_BLOCK, PAIR_BLOCK + 1])
+def test_bilip_estimate_of_a_shear_map_matches_the_callable_form(dec_l5, count):
+    sampler = SamplerConfig(42, count, 10.0)
+    one = _sigma_shear(dec_l5)
+    want = bilip_estimate(dec_l5.base, lambda g: apply_shear(one, g), sampler)
+    got = bilip_estimate(dec_l5.base, _sigma_shear(dec_l5), sampler)
+    assert [a.hex() for a in got] == [a.hex() for a in want]
+
+
+def test_necessity_check_values_are_pinned(dec_l5):
+    # recorded while every s-value was evaluated one point at a time
+    report = necessity_check(dec_l5, _sigma_shear(dec_l5), seed=42, count=300)
+    assert {r: {i: v.hex() for i, v in layers.items()} for r, layers in report.per_radius.items()} == {
+        1.0: {1: "0x1.6a088cff09264p+0", 3: "0x1.e8f8674b5ab41p-1"},
+        10.0: {1: "0x1.688c6a5294075p+0", 3: "0x1.e64ec706f828ap-1"},
+        100.0: {1: "0x1.82d664476540dp-2", 3: "0x1.210865985a994p-1"},
+    }
+
+
+@pytest.mark.parametrize("multid", [False, True])
+def test_a_failing_batch_leaves_the_lift_memo_as_it_was(dec_l5, dec_multid, multid):
+    # 1e300*q1*q1 overflows to inf at |q1| > 1.4e4, which fails the membership
+    # check; over ladder5 the lift chains, over ladder5 x engel4 it is waived
+    dec = dec_multid if multid else dec_l5
+    comp = component_from_exprs(dec, 1, "1e300*q1*q1")
+    used, fresh = (lift(dec, comp, waive_membership=multid) for _ in range(2))
+    dim = dec.quotient_carnot.dim
+    points = [tuple(x if i == 0 else 0.0 for i in range(dim)) for x in (1.5, -2.0, 3.0)]
+    far = tuple(1e5 if i == 0 else 0.0 for i in range(dim))
+    with pytest.raises(ValueError, match="not finite"):
+        used.values(points + [far])
+    assert [_hexes(v) for v in used.values(points)] == [_hexes(v) for v in fresh.values(points)]
+
+
+def test_a_path_dependent_batch_memoizes_nothing(dec_multid):
+    bad = lift(dec_multid, component_from_exprs(dec_multid, 1, "q4"), waive_membership=True)
+    for _ in range(2):
+        with pytest.raises(PathDependenceError, match="independent paths to .* disagree by"):
+            bad.values([(0.0,) * 5, (0.7, -0.4, 1.1, 0.3, -0.9)])
+
+
+def test_holder_norm_estimate_survives_an_overflowing_square(dec_l5):
+    # (1e200 * dq1) ** 2 overflows, though the difference itself is finite
+    sampler = SamplerConfig(5, 20, 4.0)
+    big = holder_norm_estimate(dec_l5, component_from_exprs(dec_l5, 1, "1e200*q1"), sampler)
+    small = holder_norm_estimate(dec_l5, component_from_exprs(dec_l5, 1, "q1"), sampler)
+    assert math.isfinite(big) and big == pytest.approx(1e200 * small, rel=1e-12)
