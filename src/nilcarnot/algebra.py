@@ -27,8 +27,9 @@ modes: it takes the exact coefficients and ``Fraction(0)``, or their
 float twin and ``0.0``; the bracket kernel runs on the float twin only.
 Its source holds only identifiers and indices.  The float array forms
 (``bch_array_kernel``, and ``pairing_array_kernel`` for the loop test's
-pairing) are the same code without its ``if`` guards.  Each
-:class:`LinearMap` compiles its product once (``kernel``), for both modes.
+pairing) are the same code without its ``if`` guards.  A
+:class:`LinearMap` runs the product kernel of its shape, compiled once
+per shape (``linear_kernel``), for both modes and on coordinate columns.
 
 The exact oracle reads the structure constants (``ad``): the exact
 bracket sums over nonzero coordinates and constants only, and the Jacobi
@@ -604,17 +605,29 @@ class LinearMap:
 
     @cached_property
     def kernel(self):
-        cols = range(len(self.matrix[0]) if self.matrix else 0)
-        rows = [[f"m{i}_{j}" for j in cols] for i in range(len(self.matrix))]
-        names = lambda seq: "(" + "".join(f"{n}, " for n in seq) + ")"
-        sums = ["0" + "".join(f" + {m}*x{j}" for j, m in enumerate(r)) for r in rows]
-        source = f"def kernel(x, m):\n    {names(f'x{j}' for j in cols)} = x\n"
-        source += f"    {names(m for r in rows for m in r)} = m\n    return {names(sums)}\n"
-        return compile_source(source, "kernel", {"__builtins__": {}})
+        return linear_kernel(len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
 
     def __call__(self, x):
         m = self.flat_float if linalg.scalar_mode(x) == "float" else self.flat_exact
         return self.kernel(x, m)
+
+
+# (rows, cols) -> the kernel of every LinearMap of that shape
+_LINEAR_KERNELS: dict = {}
+
+
+def linear_kernel(rows, cols):
+    """``LinearMap.kernel`` of a rows x cols matrix.  The coefficients are
+    passed in, so the source depends on the shape alone and is compiled
+    once per shape; the table is keyed by two ints, never by an algebra."""
+    if (rows, cols) not in _LINEAR_KERNELS:
+        names = lambda seq: "(" + "".join(f"{n}, " for n in seq) + ")"
+        m = [[f"m{i}_{j}" for j in range(cols)] for i in range(rows)]
+        sums = ["0" + "".join(f" + {e}*x{j}" for j, e in enumerate(r)) for r in m]
+        source = f"def kernel(x, m):\n    {names(f'x{j}' for j in range(cols))} = x\n"
+        source += f"    {names(e for r in m for e in r)} = m\n    return {names(sums)}\n"
+        _LINEAR_KERNELS[rows, cols] = compile_source(source, "kernel", {"__builtins__": {}})
+    return _LINEAR_KERNELS[rows, cols]
 
 
 def is_graded_subspace(alg: GradedAlgebra, s: Subspace) -> bool:

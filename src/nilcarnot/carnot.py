@@ -196,7 +196,8 @@ class CbCDecomposition:
     The ideal's coordinates are one pair of maps: ``w_embed`` is the
     ``LinearMap`` whose columns are the RREF rows of w, and ``w_coords``
     is its checked inverse, which reads an exact vector exactly and a
-    finite float one within ``W_TOL`` relative to 1 + max|x|.
+    finite float one within ``W_TOL`` relative to 1 + max|x|, point by
+    point on coordinate columns.
     ``w_apply(m, x)`` is ``w_embed(m(w_coords(x)))``, the one way a map
     on ideal coordinates acts on an ambient vector of w.
 
@@ -286,17 +287,31 @@ class CbCDecomposition:
         return LinearMap(tuple(zip(*self.w.rows)))
 
     def w_coords(self, x):
-        """Coordinates of x in the RREF row basis of w; raises outside w."""
+        """Coordinates of x in the RREF row basis of w; raises outside w.
+
+        A float x, one point or coordinate columns, is checked point by
+        point, and raises the error of its first failing point.  The
+        reduction subtracts every row, where ``reduce_against`` skips a
+        zero multiple; that changes only the sign of a zero residual.
+        """
         if linalg.scalar_mode(x) == "exact":
             if not self.w.contains(x):
                 raise ValueError("vector does not lie in the ideal")
-        else:
-            if not all(map(math.isfinite, x)):
-                raise ValueError("vector has a non-finite coordinate")
-            reduced = linalg.reduce_against(self.w.rows_float, self.w.pivots, x)
-            miss = linalg.max_gap(reduced, (0.0,) * len(x))
-            if miss > W_TOL * (1.0 + max(map(abs, x))):
-                raise ValueError("vector does not lie in the ideal (beyond tolerance)")
+            return tuple(x[p] for p in self.w.pivots)
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.array(np.broadcast_arrays(*x), dtype=float).reshape(len(x), -1)
+            resid = vals
+            for row, p in zip(self.w.rows_float, self.w.pivots):
+                resid = resid - resid[p] * np.array(row)[:, None]
+            finite = np.isfinite(vals).all(axis=0)
+            inside = np.abs(resid).max(axis=0) <= W_TOL * (1.0 + np.abs(vals).max(axis=0))
+        bad = np.flatnonzero(~(finite & inside))
+        if bad.size and not finite[bad[0]]:
+            raise ValueError("vector has a non-finite coordinate")
+        if bad.size:
+            raise ValueError("vector does not lie in the ideal (beyond tolerance)")
         return tuple(x[p] for p in self.w.pivots)
 
     def w_apply(self, m: LinearMap, x):

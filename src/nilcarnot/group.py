@@ -81,7 +81,7 @@ def bch(alg: GradedAlgebra, x, y):
     The Dynkin series is truncated at the nilpotency step, where it is
     the whole product; steps above the ceiling are refused rather than
     silently truncated, before the kernel is built.  Both scalar modes
-    run ``alg.bch_kernel``.
+    run ``alg.bch_kernel``; coordinate columns run ``alg.bch_array_kernel``.
     """
     step = alg.nilpotency_step
     if step > DEFAULT_DEGREE_CEILING:
@@ -89,8 +89,11 @@ def bch(alg: GradedAlgebra, x, y):
             f"nilpotency step {step} exceeds the supported Dynkin degree {DEFAULT_DEGREE_CEILING}"
         )
     kernel = alg.bch_kernel
-    if linalg.scalar_mode(x, y) == "exact":
+    mode = linalg.scalar_mode(x, y, arrays="columns")
+    if mode == "exact":
         return kernel.run(x, y, kernel.exact, Fraction(0))
+    if mode == "columns":
+        kernel = alg.bch_array_kernel
     return kernel.run(x, y, kernel.floats, 0.0)
 
 

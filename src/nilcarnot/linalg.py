@@ -12,6 +12,11 @@ vector float, entries that are ``int`` (``bool`` included) or
 exact entries never meet, in one vector or across the vectors of one
 operation.  The one other float test, in ``as_exact``, decides no mode:
 it checks that a float entry converts to a rational without loss.
+
+Coordinate columns hold many points at once: a tuple with one float
+array per coordinate (a scalar entry is shared by every point).  They
+count as float, and the vector operations here act on them point by
+point with the bits of one point at a time.
 """
 
 from __future__ import annotations
@@ -69,12 +74,20 @@ def as_exact(x):
 
 
 def as_float(x):
-    return tuple(float(a) for a in x)
+    """Float entries; the arrays of coordinate columns pass as they are."""
+    try:
+        return tuple(map(float, x))
+    except TypeError:  # numpy refuses float() of an array of points
+        import numpy as np
+        return tuple(a if isinstance(a, np.ndarray) else float(a) for a in x)
 
 
-def scalar_mode(*vectors):
+def scalar_mode(*vectors, arrays="float"):
     """'float' or 'exact' for the entries of all the vectors together.
 
+    A numpy array (a coordinate column) counts as float; when one is
+    among the entries the answer is ``arrays``, which a caller that runs
+    another kernel on coordinate columns sets to tell them apart.
     Raises ``ValueError`` when float and exact entries meet; entries of
     any other type do not count.
     """
@@ -83,19 +96,40 @@ def scalar_mode(*vectors):
         return "float"
     if types <= {int, Fraction}:
         return "exact"
-    # True for a float type, False for an exact one.
-    kinds = {issubclass(t, float) for t in types if issubclass(t, (float, int, Fraction))}
+    import numpy as np
+
+    # True for a float type or an array, False for an exact one.
+    kinds = {issubclass(t, (float, np.ndarray)) for t in types if issubclass(t, (float, int, Fraction, np.ndarray))}
     if len(kinds) > 1:
         raise ValueError("mixed exact/float coordinates")
+    if np.ndarray in types:
+        return arrays
     return "float" if True in kinds else "exact"
+
+
+def columns(points):
+    """Coordinate columns holding the float points ``points``, in order."""
+    import numpy as np
+    return tuple(np.array(points, dtype=float).T)
+
+
+def points(cols, n):
+    """The n points that coordinate columns hold, each a tuple of floats."""
+    import numpy as np
+    return list(zip(*(np.broadcast_to(c, (n,)).tolist() for c in cols)))
 
 
 def max_gap(x, y):
     """The largest |a - b|, or inf when a difference is not finite (a nan
-    would drop out of a plain ``max``); every numeric check's defect."""
+    would drop out of a plain ``max``); every numeric check's defect.  On
+    coordinate columns, the largest over all their points."""
+    import numpy as np
+
     gap = 0.0
     for a, b in zip(x, y):
         d = abs(a - b)
+        if isinstance(d, np.ndarray):
+            d = float(d.max(initial=0.0))  # a nan stays nan
         if not d < math.inf:
             return math.inf
         gap = max(gap, d)

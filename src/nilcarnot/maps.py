@@ -672,7 +672,7 @@ def cocycle_of(dec: CbCDecomposition, fmap: FiberMap) -> dict:
 
 def cocycle_identity_check(dec: CbCDecomposition, gamma1: FiberMap, gamma2: FiberMap) -> float:
     """Defect of b_j(g2 o g1) = b_j(g1) + pi_Psi(g1) b_j(g2) on a grid."""
-    grid = quotient_grid(dec, count=100, seed=5, radius=4.0)
+    grid = linalg.columns(quotient_grid(dec, count=100, seed=5, radius=4.0))
     composite = compose(gamma1, gamma2)
     b1 = cocycle_of(dec, gamma1)
     b2 = cocycle_of(dec, gamma2)
@@ -681,10 +681,10 @@ def cocycle_identity_check(dec: CbCDecomposition, gamma1: FiberMap, gamma2: Fibe
     defect = 0.0
     for j, comp in bc.items():
         transported = cocycle_action(dec, pair1, b2[j])
-        for q in grid:
-            lhs = comp.eval(q)
-            rhs = vadd(b1[j].eval(q), transported.eval(q))
-            defect = max(defect, linalg.max_gap(lhs, rhs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = comp.eval(grid)
+            rhs = vadd(b1[j].eval(grid), transported.eval(grid))
+        defect = max(defect, linalg.max_gap(lhs, rhs))
     return defect
 
 
@@ -723,15 +723,12 @@ def conjugate_by_shear(dec: CbCDecomposition, f0: ShearMap, gamma: FiberMap):
     s_gamma = cocycle_of(dec, gamma)[j]
     s_new = cocycle_of(dec, conj)[j]
     transported = cocycle_action(dec, pair, c)
-    zero = (0.0,) * dec.base.dim
-    sup_new = 0.0
-    defect = 0.0
-    for q in quotient_grid(dec, count=60, seed=9, radius=4.0):
-        new_val = s_new.eval(q)
-        sup_new = max(sup_new, linalg.max_gap(new_val, zero))
-        expected = vadd(linalg.vsub(s_gamma.eval(q), c.eval(q)), transported.eval(q))
-        defect = max(defect, linalg.max_gap(new_val, expected))
-    return conj, ConjugationReport(j, sup_new, defect)
+    grid = linalg.columns(quotient_grid(dec, count=60, seed=9, radius=4.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_val = s_new.eval(grid)
+        expected = vadd(linalg.vsub(s_gamma.eval(grid), c.eval(grid)), transported.eval(grid))
+    sup_new = linalg.max_gap(new_val, (0.0,) * dec.base.dim)
+    return conj, ConjugationReport(j, sup_new, linalg.max_gap(new_val, expected))
 
 
 @dataclass(frozen=True)
@@ -754,50 +751,51 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     the action means contraction holds for smooth data with a
     contracting similarity, not universally).
 
-    The point-independent pieces of each term, the power A^-k (an exact
+    The orbits run as coordinate columns: the 40 grid orbits and the
+    origin's advance together, and each step makes one call of s on the
+    orbit points and applies A^-k once to all of them.  The
+    point-independent pieces of each term, the power A^-k (an exact
     ``LinearMap``, whose float twin is built once) and s(B^k 0), are
-    tabulated once while the iteration runs; the returned component
-    reads those tables, so evaluating it at a point costs only the orbit
-    B^k q and its s values.  Each s value is checked to lie in w once,
-    when its ideal coordinates are memoized.
+    tabulated while the iteration runs; the returned component reads
+    those tables.  Its ``eval`` takes one point or coordinate columns and
+    sends the orbit points of all its memo misses, for every power, to s
+    in one call.  Each s value is checked to lie in w once, when its
+    ideal coordinates are memoized; both memos are keyed by each point's
+    float tuple and written only when the call that fills them returns.
+    Every value has the bits of one point at a time.
     """
     if j not in dec.cocycle_layers:
         raise ValueError(f"layer {j} is not a center layer below the exponent")
     pair = similarity_pair(dec, gamma)
     s = cocycle_of(dec, gamma)[j]
     max_iter, tol = 80, 1e-12
-    grid = quotient_grid(dec, count=40, seed=13, radius=4.0)
 
     s_memo: dict = {}
-
-    def s_at(q):
-        """Ideal coordinates of s(q), checked in w once per point."""
-        if q not in s_memo:
-            s_memo[q] = dec.w_coords(s.eval(q))
-        return s_memo[q]
-
     a_inv_powers = []
     s_origin = []
 
-    def term(k, orbit_q):
+    def s_at(orbit, n):
+        """Ideal coordinates of s at the n points of the columns ``orbit``."""
+        return _memoized(s_memo, lambda cols: dec.w_coords(s.eval(cols)), orbit, n)
+
+    def term(k, coords):
         # w_coords reads pivot entries, so the coordinates of a difference
         # are the difference of the coordinates, bit for bit
-        return dec.w_embed(a_inv_powers[k](linalg.vsub(s_at(orbit_q), s_origin[k])))
+        return dec.w_embed(a_inv_powers[k](linalg.vsub(coords, s_origin[k])))
 
-    orbits = {q: q for q in grid}
-    orbit_0 = (0.0,) * dec.quotient_carnot.dim
+    # the origin's orbit rides along as point 0, whose own term is zero
+    grid = ((0.0,) * dec.quotient_carnot.dim,) + quotient_grid(dec, count=40, seed=13, radius=4.0)
+    orbit = linalg.columns(grid)
     zero = (0.0,) * dec.base.dim
     a_inv_power = linalg.identity_matrix(dec.w.rank)
     prev_change = None
     factor = 0.0
     for k in range(max_iter):
         a_inv_powers.append(LinearMap(a_inv_power))
-        s_origin.append(s_at(orbit_0))
-        change = 0.0
-        for q, orbit_q in orbits.items():
-            change = max(change, linalg.max_gap(term(k, orbit_q), zero))
-            orbits[q] = pair.quot_apply(orbit_q)
-        orbit_0 = pair.quot_apply(orbit_0)
+        coords = s_at(orbit, len(grid))
+        s_origin.append(tuple(float(c[0]) for c in coords))
+        change = linalg.max_gap(term(k, coords), zero)
+        orbit = pair.quot_apply(orbit)
         a_inv_power = linalg.mat_mul(pair.a_inverse.matrix, a_inv_power)
         if prev_change is not None and prev_change > 0:
             factor = max(factor, change / prev_change)
@@ -813,20 +811,39 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
             f"iteration did not reach {tol} within {max_iter} steps (factor {factor:.3f})"
         )
 
+    def sweep(q):
+        """The sums at the points of the columns q, s at all their orbit points in one call."""
+        n, count = len(q[0]), len(a_inv_powers)
+        orbits = [q]
+        for _ in range(1, count):
+            orbits.append(pair.quot_apply(orbits[-1]))
+        coords = s_at(tuple(map(np.concatenate, zip(*orbits))), n * count)
+        total = zero
+        for k in range(count):
+            total = vadd(total, term(k, tuple(c[k * n : (k + 1) * n] for c in coords)))
+        return total
+
     memo: dict = {}
 
     def evaluate(q):
-        key = tuple(float(a) for a in q)
-        if key not in memo:
-            total = (0.0,) * dec.base.dim
-            orbit_q = key
-            for k in range(len(a_inv_powers)):
-                total = vadd(total, term(k, orbit_q))
-                orbit_q = pair.quot_apply(orbit_q)
-            memo[key] = total
-        return memo[key]
+        if any(isinstance(a, np.ndarray) for a in q):  # coordinate columns
+            return _memoized(memo, sweep, q, np.broadcast(*q).size)
+        return linalg.points(_memoized(memo, sweep, linalg.columns([q]), 1), 1)[0]
 
     return ShearComponent(j, evaluate), FixedPointReport(len(a_inv_powers), prev_change, factor)
+
+
+def _memoized(memo, fn, cols, n):
+    """``fn`` at the n points of the columns ``cols`` through ``memo``,
+    keyed by each point's float tuple: the misses go out in one call, and
+    the memo is written only when it returns."""
+    keys = linalg.points(cols, n)
+    misses = list(dict.fromkeys(key for key in keys if key not in memo))
+    if misses:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = fn(linalg.columns(misses))
+        memo.update(zip(misses, linalg.points(values, len(misses))))
+    return linalg.columns([memo[key] for key in keys])
 
 
 # ---------------------------------------------------------------------------

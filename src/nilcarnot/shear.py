@@ -65,7 +65,10 @@ class ShearComponent:
     """A map from quotient coordinates into the center layer Z_j.
 
     ``eval`` maps a float tuple of quotient coordinates to a float tuple
-    of ambient coordinates, so callers use its values as they are;
+    of ambient coordinates, so callers use its values as they are.  An
+    expression component's ``eval``, and those ``maps`` builds on it, also
+    map coordinate columns to coordinate columns with the bits of one
+    point at a time; a lift's ``eval`` takes one point.
     ``trees`` optionally holds one expression tree per RREF basis row of
     Z_j (enabling symbolic derivatives), and ``holder_hint`` an a-priori
     bound for the j/alpha-Holder norm.  The loop test evaluates the
@@ -88,12 +91,14 @@ class ShearComponent:
         return self.batch(points)
 
     def scaled(self, factor):
-        inner = self.eval
+        """``factor`` times this component; a many-point form is kept, scaled value by value."""
+        f, inner, batch = float(factor), self.eval, self.batch
         return ShearComponent(
             self.layer,
-            lambda q, _f=float(factor), _e=inner: vscale(_f, _e(q)),
+            lambda q: vscale(f, inner(q)),
             None,
             None if self.holder_hint is None else abs(factor) * self.holder_hint,
+            None if batch is None else lambda points: [vscale(f, v) for v in batch(points)],
         )
 
 
@@ -101,7 +106,8 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
     """Build a component from scalar expressions over q1..qn.
 
     One expression per RREF basis row of Z_layer, in order; a single
-    string is accepted when the layer is one-dimensional.
+    string is accepted when the layer is one-dimensional.  Coordinate
+    columns run the trees' numpy code.
     """
     z = dec.z_layer(layer)
     if z is None:
@@ -117,7 +123,11 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
     rows = z.rows_float
 
     def evaluate(q):
-        return linalg.combine([tree.scalar(q) for tree in trees], rows)
+        try:
+            values = [tree.scalar(q) for tree in trees]
+        except TypeError:  # float() refuses an array of points: coordinate columns
+            values = [tree.array(q) for tree in trees]
+        return linalg.combine(values, rows)
 
     return ShearComponent(layer, evaluate, trees, holder_hint)
 

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import gc
+import io
 import math
 import weakref
 from fractions import Fraction
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import nilcarnot.linalg
+import nilcarnot.maps
 from nilcarnot.algebra import LinearMap, bracket
 from nilcarnot.group import bch, dilation_matrix
 from nilcarnot.linalg import as_float, identity_matrix, is_zero, vadd, vneg, vscale
@@ -40,7 +43,7 @@ from nilcarnot.maps import (
 )
 from nilcarnot.catalog import engel4, heisenberg3
 from nilcarnot.rng import CounterRng, SamplerConfig, sample_ball_point
-from nilcarnot.shear import apply_shear, build_shear, component_from_exprs
+from nilcarnot.shear import ShearMap, apply_shear, build_shear, component_from_exprs
 
 
 @pytest.fixture(scope="module")
@@ -566,6 +569,24 @@ def test_expressions_are_freed_without_the_cyclic_collector(dec_l5, ladder_sigma
         gc.enable()
 
 
+def test_solved_component_is_freed_without_the_cyclic_collector(dec_l5):
+    """Its memos go with the component: no reference cycle holds its eval."""
+    gamma = compose(
+        fiber_dilation(dec_l5.base, Fraction(1, 2)),
+        fiber_shear(build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, "0.4*q1")})),
+    )
+    gc.disable()
+    try:
+        c, _ = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+        c.eval((0.5,))
+        c.eval(nilcarnot.linalg.columns([(0.5,), (-1.5,)]))
+        ref = weakref.ref(c.eval)
+        del c
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_fd_extrapolation_error_carries_sequence(dec_hp4):
     # a cubic component makes the first-order Richardson model fail loudly
     smap = build_shear(dec_hp4, {2: component_from_exprs(dec_hp4, 2, "q1**2/(0.001 + abs(q1))")})
@@ -607,3 +628,208 @@ def test_extract_graded_automorphism_chain_on_engel_heis7(dec_eh7):
     fd = d_alpha_matrix(dec_eh7, gamma, (0.1,) * 7, mode="fd")
     assert np.allclose(np.diag(closed), [6.0, 6.0, 4.0], atol=1e-12)
     assert np.max(np.abs(closed - fd)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# coordinate columns: many points at once, with the bits of one at a time
+
+
+def _hexes(v):
+    return [float(a).hex() for a in v]
+
+
+def _column_hexes(cols, n):
+    return [_hexes(p) for p in nilcarnot.linalg.points(cols, n)]
+
+
+def _gamma(dec):
+    """The map of the maps_conjugate_ladder5 golden: delta_1/2, then the shear 37/100 q1."""
+    return compose(
+        fiber_dilation(dec.base, Fraction(1, 2)),
+        fiber_shear(build_shear(dec, {1: component_from_exprs(dec, 1, "37/100*q1")})),
+    )
+
+
+def one_point_solved(dec, gamma, iterations):
+    """The solved component's value at one point on one-point floats
+    throughout: sum_{k<n} A^-k [s(B^k q) - s(B^k 0)], term by term."""
+    pair, s = similarity_pair(dec, gamma), nilcarnot.maps.cocycle_of(dec, gamma)[1]
+    powers = [identity_matrix(dec.w.rank)]
+    while len(powers) < iterations:
+        powers.append(nilcarnot.linalg.mat_mul(pair.a_inverse.matrix, powers[-1]))
+    powers = [LinearMap(p) for p in powers]
+
+    def evaluate(q):
+        total, orbit_q, orbit_0 = (0.0,) * dec.base.dim, tuple(q), (0.0,) * dec.quotient_carnot.dim
+        for power in powers:
+            diff = nilcarnot.linalg.vsub(dec.w_coords(s.eval(orbit_q)), dec.w_coords(s.eval(orbit_0)))
+            total = vadd(total, dec.w_embed(power(diff)))
+            orbit_q, orbit_0 = pair.quot_apply(orbit_q), pair.quot_apply(orbit_0)
+        return total
+
+    return evaluate
+
+
+def test_solved_component_on_columns_gives_the_one_point_bits(dec_l5):
+    gamma = _gamma(dec_l5)
+    c, report = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    assert report.iterations == 41  # the golden's count
+    grid = quotient_grid(dec_l5, count=40, seed=13, radius=4.0)  # the solver's own points
+    fresh = quotient_grid(dec_l5, count=60, seed=21, radius=6.0)
+    scalar = one_point_solved(dec_l5, gamma, report.iterations)
+    for points in (grid, fresh):
+        want = [_hexes(scalar(q)) for q in points]
+        assert _column_hexes(c.eval(nilcarnot.linalg.columns(points)), len(points)) == want
+        # one point at a time, on a component whose memo has not seen them
+        one, _ = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+        assert [_hexes(one.eval(q)) for q in points] == want
+    # memo hits, a repeated point and a one-point call on a memoized point
+    again = grid[:3] + grid[:1]
+    assert _column_hexes(c.eval(nilcarnot.linalg.columns(again)), 4) == [_hexes(c.eval(q)) for q in again]
+
+
+def test_conjugated_component_on_columns_gives_the_one_point_bits(dec_l5):
+    """The new component of conjugate_by_shear: the chain F0^-1, gamma, F0."""
+    gamma = _gamma(dec_l5)
+    c, report = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    # the same component, evaluated on one-point floats throughout
+    scalar = dataclasses.replace(c, eval=one_point_solved(dec_l5, gamma, report.iterations))
+
+    def new_component(component):
+        f0 = build_shear(dec_l5, {1: component}, waive_membership=True)
+        return cocycle_of(dec_l5, compose(fiber_shear(f0.negated()), gamma, fiber_shear(f0)))[1]
+
+    points = quotient_grid(dec_l5, count=60, seed=9, radius=4.0)  # conjugate_by_shear's grid
+    want = [_hexes(new_component(scalar).eval(q)) for q in points]
+    assert _column_hexes(new_component(c).eval(nilcarnot.linalg.columns(points)), 60) == want
+    assert max(abs(float.fromhex(a)) for v in want for a in v) == 3.361755318564974e-13
+
+
+def test_cocycle_action_on_columns_gives_the_one_point_bits(dec_l5):
+    alg = dec_l5.base
+    translation = (Fraction(1, 2), Fraction(-1), Fraction(1, 4), Fraction(0), Fraction(1), Fraction(0))
+    pair = similarity_pair(dec_l5, compose(fiber_translate(alg, translation), fiber_dilation(alg, Fraction(1, 2))))
+    action = cocycle_action(dec_l5, pair, component_from_exprs(dec_l5, 1, "sin(q1)"))
+    points = quotient_grid(dec_l5, count=100, seed=5, radius=4.0)
+    want = [_hexes(action.eval(q)) for q in points]
+    assert _column_hexes(action.eval(nilcarnot.linalg.columns(points)), 100) == want
+
+
+def test_factor_chain_on_columns_gives_the_one_point_bits(dec_l5):
+    # the factors of the maps_compatible_ladder5_translate_auto golden, and a dilation
+    # (a lift evaluates one point per eval: cocycle_of leaves the lifted
+    # layer out, and the second chain's shear has none)
+    alg = dec_l5.base
+    translation = (Fraction(1, 2), Fraction(-1), Fraction(1, 4), Fraction(0), Fraction(1), Fraction(0))
+    q1_squared = component_from_exprs(dec_l5, 1, "q1*q1")
+
+    def chain(smap):
+        return compose(
+            fiber_translate(alg, translation),
+            fiber_auto(alg, dilation_matrix(alg, 2)),
+            fiber_dilation(alg, Fraction(3, 4)),
+            fiber_shear(smap),
+        )
+
+    points = quotient_grid(dec_l5, count=50, seed=3, radius=4.0)
+    components = (
+        cocycle_of(dec_l5, chain(build_shear(dec_l5, {1: q1_squared})))[1],
+        extract_compatible(dec_l5, chain(ShearMap(dec_l5, {1: q1_squared}))).s_component(3),
+    )
+    for component in components:
+        want = [_hexes(component.eval(q)) for q in points]
+        assert _column_hexes(component.eval(nilcarnot.linalg.columns(points)), 50) == want
+
+
+def test_w_coords_on_columns_raises_for_the_first_failing_point(dec_l5):
+    h = dec_l5.transversal_indices[0]
+    good = dec_l5.w_embed((0.5, -1.0, 0.25, 2.0, 1.5))
+    outside = tuple(a + (1.0 if i == h else 0.0) for i, a in enumerate(good))
+    for bad in (math.nan, math.inf):
+        non_finite = (bad,) + good[1:]
+        for order in ([good, outside, non_finite, good], [good, non_finite, outside]):
+            with pytest.raises(ValueError) as one:
+                for x in order:
+                    dec_l5.w_coords(x)
+            with pytest.raises(ValueError) as many:
+                dec_l5.w_coords(nilcarnot.linalg.columns(order))
+            assert str(many.value) == str(one.value)
+    want = _hexes(dec_l5.w_coords(good))
+    assert _column_hexes(dec_l5.w_coords(nilcarnot.linalg.columns([good, good])), 2) == [want, want]
+
+
+def _failing_cocycle(monkeypatch, dec, gamma, far, values, side=1.0):
+    """Make cocycle_of's layer-1 component turn non-finite (nan) at
+    side * q1 > far and leave w at side * q1 < -far; ``values`` records
+    each call's point count."""
+    cocycles = nilcarnot.maps.cocycle_of(dec, gamma)
+    h = dec.transversal_indices[0]
+
+    def failing(q):
+        values.append(np.size(q[0]))
+        value = list(cocycles[1].eval(q))
+        x = side * q[0]
+        value[h] = value[h] + np.where(x > far, math.nan, np.where(x < -far, 1.0, 0.0))
+        return tuple(value)
+
+    failing_component = dataclasses.replace(cocycles[1], eval=failing)
+    monkeypatch.setattr(nilcarnot.maps, "cocycle_of", lambda dec, g: {**cocycles, 1: failing_component})
+    return failing_component
+
+
+def test_fixed_point_solver_raises_as_one_point_at_a_time(dec_l5, monkeypatch):
+    """The solver raises for its first failing s value in one-point order
+    (the origin, then the grid), whichever kind of failure comes first."""
+    gamma = _gamma(dec_l5)
+    grid = quotient_grid(dec_l5, count=40, seed=13, radius=4.0)
+    messages = set()
+    for side in (1.0, -1.0):
+        with monkeypatch.context() as patch:
+            failing = _failing_cocycle(patch, dec_l5, gamma, 2.0, [], side)
+            with pytest.raises(ValueError) as one:
+                for q in ((0.0,),) + grid:
+                    dec_l5.w_coords(failing.eval(q))
+            with pytest.raises(ValueError) as many:
+                solve_single_generator_fixed_point(dec_l5, gamma, 1)
+        assert str(many.value) == str(one.value)
+        messages.add(str(one.value))
+    assert len(messages) == 2
+
+
+@pytest.mark.parametrize("bad, message", [(30.0, "non-finite"), (-30.0, "does not lie in the ideal")])
+def test_solved_component_on_columns_raises_as_one_point_and_keeps_its_memos(dec_l5, monkeypatch, bad, message):
+    gamma = _gamma(dec_l5)
+    sizes = []
+    failing = _failing_cocycle(monkeypatch, dec_l5, gamma, 10.0, sizes)  # the solver's orbits stay within 4
+    c, report = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    with pytest.raises(ValueError, match=message) as one:
+        dec_l5.w_coords(failing.eval((bad,)))
+    good = [(0.5,), (-3.0,)]
+    for call in (lambda: c.eval((bad,)), lambda: c.eval(nilcarnot.linalg.columns(good + [(bad,)]))):
+        with pytest.raises(ValueError) as many:
+            call()
+        assert str(many.value) == str(one.value)
+    # no value of the failed calls was kept: every orbit point of the good
+    # points goes out again, in one call
+    sizes.clear()
+    got = _column_hexes(c.eval(nilcarnot.linalg.columns(good)), 2)
+    assert sizes == [2 * report.iterations]
+    assert got == [_hexes(one_point_solved(dec_l5, gamma, report.iterations)(q)) for q in good]
+
+
+def test_conjugate_solve_layer_makes_few_w_coords_calls(monkeypatch):
+    """The golden's ``maps conjugate --solve-layer 1`` run sends its grids
+    as coordinate columns: per-point loops made 8,528 w_coords calls."""
+    from nilcarnot.carnot import CbCDecomposition
+    from nilcarnot.cli import main
+
+    calls = []
+    original = CbCDecomposition.w_coords
+    monkeypatch.setattr(CbCDecomposition, "w_coords", lambda self, x: calls.append(x) or original(self, x))
+    argv = [
+        "maps", "conjugate", "--fixture", "ladder5", "--map", "dilate:1/2",
+        "--map", "shear:1=37/100*q1", "--solve-layer", "1", "--seed", "42",
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert 0 < len(calls) < 1000

@@ -574,6 +574,18 @@ def test_s_values_match_s_value(dec_l5):
     assert [_hexes(v) for v in many.s_values(points)] == [_hexes(one.s_value(q)) for q in points]
 
 
+def test_negated_lift_keeps_its_many_point_form(dec_l5):
+    # F0^-1 in conjugate_by_shear is a negated map: its lifted layer still
+    # goes out as one batch, with the bits of one point at a time
+    points = [(x,) for x in (0.0, 2.5, -1.25, 2.5, 7.0, -0.5, 3.75)]
+    one, many = _sigma_shear(dec_l5).negated(), _sigma_shear(dec_l5).negated()
+    assert many.components[3].batch is not None
+    want = [_hexes(one.components[3].eval(q)) for q in points]
+    assert [_hexes(v) for v in many.components[3].values(points)] == want
+    assert [_hexes(v) for v in many.s_values(points)] == [_hexes(one.s_value(q)) for q in points]
+    assert one.s_value((2.5,)) == vneg(_sigma_shear(dec_l5).s_value((2.5,)))
+
+
 def test_s_values_keep_the_point_order_when_a_component_reads_a_chain(dec_l5, sigma_component):
     # a component without trees that evaluates a 1-D chain elsewhere moves
     # the chain's later bases, so the points must go as s_value takes them
