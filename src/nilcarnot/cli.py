@@ -34,7 +34,7 @@ from .algebra import GradedAlgebra, LinearMap, validate_algebra
 from .carnot import CbCDecomposition, DecompositionError, decompose
 from .catalog import fixture, fixture_names, load_algebra
 from .group import bch
-from .linalg import as_float, max_gap, vneg
+from .linalg import as_float, columns, max_gap, vneg
 from .maps import (
     Auto,
     CompatibleReport,
@@ -277,35 +277,29 @@ def cmd_shear(args) -> int:
         )
         report.extra("metric_note", necessity.cc_surrogate)
 
-        # K-identity on sampled pairs
+        # K-identity on sampled pairs, all of them as coordinate columns
         from .rng import CounterRng, sample_ball_point
 
         rng = CounterRng(args.seed)
-        worst = 0.0
-        for _ in range(min(200, args.samples)):
-            g1 = sample_ball_point(rng, alg, args.radius)
-            g2 = sample_ball_point(rng, alg, args.radius)
-            k_direct = k_function(dec, smap, g1, g2)
-            u = bch(alg, vneg(as_float(g1)), as_float(g2))
-            k_indirect = bch(
-                alg,
-                vneg(u),
-                bch(alg, vneg(apply_shear(smap, g1)), apply_shear(smap, g2)),
-            )
-            worst = max(worst, max_gap(k_direct, k_indirect))
+        draws = [sample_ball_point(rng, alg, args.radius) for _ in range(2 * min(200, args.samples))]
+        g1, g2 = columns(draws[0::2]), columns(draws[1::2])
+        k_direct = k_function(dec, smap, g1, g2)
+        u = bch(alg, vneg(g1), g2)
+        k_indirect = bch(alg, vneg(u), bch(alg, vneg(apply_shear(smap, g1)), apply_shear(smap, g2)))
+        worst = max_gap(k_direct, k_indirect)
         k_tol = 1e-12 * max(1.0, args.radius**3)
         report.check("k_identity", worst <= k_tol, value=worst, tolerance=k_tol)
 
         # lift coherence: the tower again, lifted with membership waived (second-path checks)
         if dec.alpha_is_integer:
             reference = build_shear(dec, components, waive_membership=True)
+            probes = columns(probe_points)
             coherence = 0.0
             for j in sorted(components):
                 # increasing layers: a lifted 1-D evaluator chains through the layer below
                 for layer in dec.lift_tower[j]:
-                    refs = reference.components[layer].values(probe_points)
-                    for p, ref in zip(probe_points, refs):
-                        coherence = max(coherence, max_gap(smap.components[layer].eval(p), ref))
+                    ref = reference.components[layer].eval(probes)
+                    coherence = max(coherence, max_gap(smap.components[layer].eval(probes), ref))
             report.check("lift_coherence", coherence <= 1e-9, value=coherence, tolerance=1e-9)
     return report.finish()
 

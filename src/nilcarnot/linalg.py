@@ -113,10 +113,28 @@ def columns(points):
     return tuple(np.array(points, dtype=float).T)
 
 
-def points(cols, n):
-    """The n points that coordinate columns hold, each a tuple of floats."""
+def points(cols, n=None):
+    """The n points that coordinate columns hold, each a tuple of floats;
+    n defaults to the length of their arrays."""
     import numpy as np
+    n = np.broadcast(*cols).size if n is None else n
     return list(zip(*(np.broadcast_to(c, (n,)).tolist() for c in cols)))
+
+
+def memoized(memo, fn, cols):
+    """``fn`` at the points of the coordinate columns ``cols`` through
+    ``memo``, keyed by each point's float tuple: the misses go out in one
+    call of ``fn`` on their columns, and the memo is written only when it
+    returns."""
+    import numpy as np
+
+    keys = points(cols)
+    misses = list(dict.fromkeys(key for key in keys if key not in memo))
+    if misses:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = fn(columns(misses))
+        memo.update(zip(misses, points(values, len(misses))))
+    return columns([memo[key] for key in keys])
 
 
 def max_gap(x, y):

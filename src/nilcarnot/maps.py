@@ -638,7 +638,7 @@ def cocycle_action(dec: CbCDecomposition, pair: CompatibleExpression, component:
         val = dec.w_apply(pair.a_inverse, inner(pair.quot_apply(q)))
         return tuple(a - b for a, b in zip(val, origin_val))
 
-    return ShearComponent(component.layer, evaluate, None, component.holder_hint)
+    return ShearComponent(component.layer, evaluate, None, component.holder_hint, component.column_safe)
 
 
 def _below_exponent_chain(dec: CbCDecomposition, fmap: FiberMap) -> FiberMap:
@@ -757,7 +757,8 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     point-independent pieces of each term, the power A^-k (an exact
     ``LinearMap``, whose float twin is built once) and s(B^k 0), are
     tabulated while the iteration runs; the returned component reads
-    those tables.  Its ``eval`` takes one point or coordinate columns and
+    those tables.  Its ``eval`` takes one point or coordinate columns
+    (``column_safe``: s, a slice below the exponent, reads no lift) and
     sends the orbit points of all its memo misses, for every power, to s
     in one call.  Each s value is checked to lie in w once, when its
     ideal coordinates are memoized; both memos are keyed by each point's
@@ -774,9 +775,9 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     a_inv_powers = []
     s_origin = []
 
-    def s_at(orbit, n):
-        """Ideal coordinates of s at the n points of the columns ``orbit``."""
-        return _memoized(s_memo, lambda cols: dec.w_coords(s.eval(cols)), orbit, n)
+    def s_at(orbit):
+        """Ideal coordinates of s at the points of the columns ``orbit``."""
+        return linalg.memoized(s_memo, lambda cols: dec.w_coords(s.eval(cols)), orbit)
 
     def term(k, coords):
         # w_coords reads pivot entries, so the coordinates of a difference
@@ -792,7 +793,7 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     factor = 0.0
     for k in range(max_iter):
         a_inv_powers.append(LinearMap(a_inv_power))
-        coords = s_at(orbit, len(grid))
+        coords = s_at(orbit)
         s_origin.append(tuple(float(c[0]) for c in coords))
         change = linalg.max_gap(term(k, coords), zero)
         orbit = pair.quot_apply(orbit)
@@ -817,7 +818,7 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
         orbits = [q]
         for _ in range(1, count):
             orbits.append(pair.quot_apply(orbits[-1]))
-        coords = s_at(tuple(map(np.concatenate, zip(*orbits))), n * count)
+        coords = s_at(tuple(map(np.concatenate, zip(*orbits))))
         total = zero
         for k in range(count):
             total = vadd(total, term(k, tuple(c[k * n : (k + 1) * n] for c in coords)))
@@ -826,24 +827,11 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     memo: dict = {}
 
     def evaluate(q):
-        if any(isinstance(a, np.ndarray) for a in q):  # coordinate columns
-            return _memoized(memo, sweep, q, np.broadcast(*q).size)
-        return linalg.points(_memoized(memo, sweep, linalg.columns([q]), 1), 1)[0]
+        if linalg.scalar_mode(q, arrays="columns") == "columns":
+            return linalg.memoized(memo, sweep, q)
+        return linalg.points(linalg.memoized(memo, sweep, linalg.columns([q])))[0]
 
-    return ShearComponent(j, evaluate), FixedPointReport(len(a_inv_powers), prev_change, factor)
-
-
-def _memoized(memo, fn, cols, n):
-    """``fn`` at the n points of the columns ``cols`` through ``memo``,
-    keyed by each point's float tuple: the misses go out in one call, and
-    the memo is written only when it returns."""
-    keys = linalg.points(cols, n)
-    misses = list(dict.fromkeys(key for key in keys if key not in memo))
-    if misses:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = fn(linalg.columns(misses))
-        memo.update(zip(misses, linalg.points(values, len(misses))))
-    return linalg.columns([memo[key] for key in keys])
+    return ShearComponent(j, evaluate, None, None, True), FixedPointReport(len(a_inv_powers), prev_change, factor)
 
 
 # ---------------------------------------------------------------------------

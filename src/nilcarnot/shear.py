@@ -8,21 +8,24 @@ of the base components, or vanish when the exponent is not an integer.
 ratios and sampling estimators probe the biLipschitz property at desk
 scale.
 
-Every lift integrates to ``quadrature.DEFAULT_TOL``.  A lifted
-component evaluates one point with the scalar quadrature, one segment at
-a time, and many points (``ShearComponent.values``) with one
-``carnot.integrate_bracket_forms`` call over the segments of every point
-not yet memoized, on node arrays, with the bits of the one-point path.
-``bilip_estimate`` and ``necessity_check`` send the points of
-``PAIR_BLOCK`` pairs at a time.  The loop test flags a loop integral
-above ``1e-8`` times the loop length (scaled by the component's Holder
-hint), and integrates all segments of all its loops at once, each loop
-to a tenth of that threshold, not to ``DEFAULT_TOL``.  A loop integral
-that is not finite fails the test.  Lifted evaluators memoize per input
-point, keyed on its coordinates as a float tuple; a batch writes its
-values only once all of them are computed, so one that raises leaves the
-memo as it was.  All estimators draw from the counter-based generator
-in :mod:`nilcarnot.rng` and are deterministic per seed.
+Many points travel as coordinate columns (:mod:`nilcarnot.linalg`)
+through the calls that take one point: a component's ``eval``,
+``ShearMap.s_value`` and ``apply_shear``, with the bits of one point at a
+time.  Every lift integrates to ``quadrature.DEFAULT_TOL`` and memoizes
+per point, keyed by its float tuple.  It evaluates one point with the
+scalar quadrature, and the misses of columns with one
+``carnot.integrate_bracket_forms`` call (``linalg.memoized``); the memo
+is written after that call returns, so one that raises leaves it as it
+was.  A lift over a one-dimensional quotient chains each value from those
+asked for before it, so where a component may read such a chain, the
+points of columns go one at a time (``ShearComponent.column_safe``).
+``bilip_estimate`` and ``necessity_check`` send ``PAIR_BLOCK`` pairs at a
+time.  The loop test flags a loop integral above ``1e-8`` times the loop
+length (scaled by the component's Holder hint), and integrates all
+segments of all its loops at once, each loop to a tenth of that
+threshold, not to ``DEFAULT_TOL``.  A loop integral that is not finite
+fails the test.  All estimators draw from the counter-based generator in
+:mod:`nilcarnot.rng` and are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .quadrature import DEFAULT_TOL
 from .rng import CounterRng, SamplerConfig, sample_ball_point
 
 
-# pairs whose points the estimators send to the lifts in one batch: on
+# pairs whose points the estimators send to the lifts in one call: on
 # shear_verify_ladder5, 64 runs within a few percent of the fastest size
 # measured, with about half the peak-RSS growth of 128 (see CHANGES.md)
 PAIR_BLOCK = 64
@@ -65,40 +68,35 @@ class ShearComponent:
     """A map from quotient coordinates into the center layer Z_j.
 
     ``eval`` maps a float tuple of quotient coordinates to a float tuple
-    of ambient coordinates, so callers use its values as they are.  An
-    expression component's ``eval``, and those ``maps`` builds on it, also
-    map coordinate columns to coordinate columns with the bits of one
-    point at a time; a lift's ``eval`` takes one point.
-    ``trees`` optionally holds one expression tree per RREF basis row of
-    Z_j (enabling symbolic derivatives), and ``holder_hint`` an a-priori
-    bound for the j/alpha-Holder norm.  The loop test evaluates the
-    trees' numpy code when ``trees`` is set, and ``eval`` otherwise, so an
-    ``eval`` replaced next to trees must agree with them.  ``batch``, set
-    on lifted components, maps a list of float tuples to their values at
-    once, bit for bit ``eval`` on each in turn; ``values`` calls it.
+    of ambient coordinates, so callers use its values as they are.  The
+    ``eval`` of every component this module and ``maps`` build also maps
+    coordinate columns to coordinate columns, with the bits of one point
+    at a time.  ``trees`` optionally holds one expression tree per RREF
+    basis row of Z_j (enabling symbolic derivatives), and ``holder_hint``
+    an a-priori bound for the j/alpha-Holder norm.  The loop test
+    evaluates the trees' numpy code when ``trees`` is set, and ``eval``
+    otherwise, so an ``eval`` replaced next to trees must agree with
+    them.  ``column_safe``, set by this module's builders, says that
+    ``eval`` takes columns and reads no other component's lift, so
+    ``ShearMap.s_value`` may send it all points at once; by default the
+    points go one at a time, in order.
     """
 
     layer: int
     eval: object
     trees: tuple | None = None
     holder_hint: float | None = None
-    batch: object = None
-
-    def values(self, points):
-        """``eval`` at every point of ``points`` (float tuples), in order."""
-        if self.batch is None:
-            return [self.eval(q) for q in points]
-        return self.batch(points)
+    column_safe: bool = False
 
     def scaled(self, factor):
-        """``factor`` times this component; a many-point form is kept, scaled value by value."""
-        f, inner, batch = float(factor), self.eval, self.batch
+        """``factor`` times this component, on one point or columns."""
+        f, inner = float(factor), self.eval
         return ShearComponent(
             self.layer,
             lambda q: vscale(f, inner(q)),
             None,
             None if self.holder_hint is None else abs(factor) * self.holder_hint,
-            None if batch is None else lambda points: [vscale(f, v) for v in batch(points)],
+            self.column_safe,
         )
 
 
@@ -129,12 +127,12 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
             values = [tree.array(q) for tree in trees]
         return linalg.combine(values, rows)
 
-    return ShearComponent(layer, evaluate, trees, holder_hint)
+    return ShearComponent(layer, evaluate, trees, holder_hint, True)
 
 
 def zero_component(dec: CbCDecomposition, layer: int) -> ShearComponent:
     n = dec.base.dim
-    return ShearComponent(layer, lambda q: (0.0,) * n, None, 0.0)
+    return ShearComponent(layer, lambda q: (0.0,) * n, None, 0.0, True)
 
 
 @dataclass(frozen=True)
@@ -220,10 +218,12 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
     with a second independent path.  Over a one-dimensional quotient the
     evaluator chains from the nearest previously computed point (the
     integral is an antiderivative along the line), which keeps dense
-    sampling cheap; values are memoized either way.  The batch form plans
-    each chain base in request order, as one-point calls would; it is
-    left out when the integrand has no trees, since such an integrand may
-    itself be a chain whose values depend on the order of evaluation.
+    sampling cheap; values are memoized either way.  ``eval`` takes one
+    point, through the scalar quadrature, or coordinate columns, whose
+    misses go out in one ``integrate_bracket_forms`` call; the chain plans
+    their bases in request order, as one-point calls would.  An integrand
+    without trees may itself be a chain, so then columns go one point at a
+    time and the lift is not ``column_safe``.
     """
     if not dec.alpha_is_integer:
         raise ValueError("lifts require an integer exponent")
@@ -235,11 +235,20 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
             )
     target_layer = component.layer + int(dec.alpha)
     qc = dec.quotient_carnot
-    memo: dict = {}
     verify = waive_membership
+    memo: dict = {}
 
-    def integrate_all(paths):
-        return integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in paths])
+    def lifted(evaluate, many):
+        """The component: one point through ``evaluate``, columns through ``many`` and the memo."""
+
+        def dispatch(q):
+            if linalg.scalar_mode(q, arrays="columns") != "columns":
+                return evaluate(q)
+            if component.trees is None:
+                return linalg.columns([evaluate(p) for p in linalg.points(q)])
+            return linalg.memoized(memo, many, q)
+
+        return ShearComponent(target_layer, dispatch, None, None, component.trees is not None)
 
     if qc.dim == 1 and not verify:
         # one-dimensional quotient: the integral is an antiderivative
@@ -247,7 +256,7 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
         import bisect
 
         xs = [0.0]
-        vals = {0.0: (0.0,) * dec.base.dim}
+        memo[(0.0,)] = (0.0,) * dec.base.dim
 
         def nearest(known, key):
             pos = bisect.bisect_left(known, key)
@@ -260,33 +269,31 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
 
         def evaluate(q):
             key = float(q[0])
-            hit = vals.get(key)
+            hit = memo.get((key,))
             if hit is not None:
                 return hit
             base = nearest(xs, key)
-            val = vadd(vals[base], integrate_bracket_form(dec, component, step(base, key)))
+            val = vadd(memo[(base,)], integrate_bracket_form(dec, component, step(base, key)))
             bisect.insort(xs, key)
-            vals[key] = val
+            memo[(key,)] = val
             return val
 
-        def batch(points):
+        def chain(cols):
             # plan every miss's base in request order, as evaluate would
             # chain them, then integrate all the steps at once
-            keys = [float(q[0]) for q in points]
             planned, bases = list(xs), {}
-            for key in keys:
-                if key not in vals and key not in bases:
-                    bases[key] = nearest(planned, key)
-                    bisect.insort(planned, key)
-            deltas = integrate_all([step(base, key) for key, base in bases.items()])
+            for key in cols[0].tolist():
+                bases[key] = nearest(planned, key)
+                bisect.insort(planned, key)
+            jobs = [(step(base, key), DEFAULT_TOL) for key, base in bases.items()]
+            deltas = integrate_bracket_forms(dec, component, jobs)
             new = {}
             for (key, base), delta in zip(bases.items(), deltas):
-                new[key] = vadd(new[base] if base in new else vals[base], delta)
-            vals.update(new)
+                new[key] = vadd(new[base] if base in new else memo[(base,)], delta)
             xs[:] = planned
-            return [vals[key] for key in keys]
+            return linalg.columns(list(new.values()))
 
-        return ShearComponent(target_layer, evaluate, None, None, None if component.trees is None else batch)
+        return lifted(evaluate, chain)
 
     def second_path(key):
         mid = dilate(qc, 0.5, key)
@@ -311,19 +318,17 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
         memo[key] = val
         return val
 
-    def batch(points):
-        keys = [tuple(float(a) for a in q) for q in points]
-        misses = list(dict.fromkeys(key for key in keys if key not in memo))
-        checked = [key for key in misses if verify and any(a != 0.0 for a in key)]
-        paths = [horizontal_connect(qc, key) for key in misses] + [second_path(key) for key in checked]
-        results = integrate_all(paths)
-        new = dict(zip(misses, results))
-        for key, alt in zip(checked, results[len(misses):]):
-            check_paths_agree(key, new[key], alt)
-        memo.update(new)
-        return [memo[key] for key in keys]
+    def connect(cols):
+        keys = linalg.points(cols)
+        checked = [key for key in keys if verify and any(a != 0.0 for a in key)]
+        paths = [horizontal_connect(qc, key) for key in keys] + [second_path(key) for key in checked]
+        results = integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in paths])
+        values = dict(zip(keys, results))
+        for key, alt in zip(checked, results[len(keys):]):
+            check_paths_agree(key, values[key], alt)
+        return linalg.columns(results[: len(keys)])
 
-    return ShearComponent(target_layer, evaluate, None, None, None if component.trees is None else batch)
+    return lifted(evaluate, connect)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,26 +339,19 @@ class ShearMap:
     components: dict
 
     def s_value(self, qcoords):
-        out = (0.0,) * self.dec.base.dim
+        """s at one quotient point, or at coordinate columns with one call
+        per component.  Unless every component is ``column_safe`` (one may
+        read a lift over a one-dimensional quotient, whose values depend on
+        the order of evaluation), the points of columns go one at a time."""
         q = as_float(qcoords)
+        if linalg.scalar_mode(q, arrays="columns") == "columns" and not all(
+            c.column_safe for c in self.components.values()
+        ):
+            return linalg.columns([self.s_value(p) for p in linalg.points(q)])
+        out = (0.0,) * self.dec.base.dim
         for comp in self.components.values():
             out = vadd(out, comp.eval(q))
         return out
-
-    def s_values(self, points):
-        """``s_value`` at every point, each component evaluating all of them in one call.
-
-        A component with neither trees nor a batch form (a lift of a lift
-        over a one-dimensional quotient, say) may make another
-        component's values depend on the order of evaluation, so then
-        the points go one at a time, as ``s_value`` takes them."""
-        if any(c.trees is None and c.batch is None for c in self.components.values()):
-            return [self.s_value(q) for q in points]
-        qs = [as_float(q) for q in points]
-        outs = [(0.0,) * self.dec.base.dim] * len(qs)
-        for comp in self.components.values():
-            outs = [vadd(out, v) for out, v in zip(outs, comp.values(qs))]
-        return outs
 
     def negated(self) -> "ShearMap":
         return ShearMap(
@@ -387,20 +385,15 @@ def build_shear(dec: CbCDecomposition, base_components: dict, waive_membership: 
 
 
 def apply_shear(smap: ShearMap, g):
+    """F(g) at one point, or at coordinate columns with one ``s_value`` call."""
     gf = as_float(g)
     qbar = smap.dec.project(gf)
     return bch(smap.dec.base, gf, smap.s_value(qbar))
 
 
-def apply_shears(smap: ShearMap, gs):
-    """``apply_shear`` at every point of ``gs``, with one ``s_values`` call."""
-    gfs = [as_float(g) for g in gs]
-    svals = smap.s_values([smap.dec.project(gf) for gf in gfs])
-    return [bch(smap.dec.base, gf, s) for gf, s in zip(gfs, svals)]
-
-
 def k_function(dec: CbCDecomposition, smap: ShearMap, g1, g2):
-    """K(g1bar, g2bar) = s(g2bar) * u^-1 * (-s(g1bar)) * u with u = g1^-1 * g2."""
+    """K(g1bar, g2bar) = s(g2bar) * u^-1 * (-s(g1bar)) * u with u = g1^-1 * g2;
+    on one pair of points, or on coordinate columns of pairs."""
     g1f, g2f = as_float(g1), as_float(g2)
     return _k_from_s(dec.base, g1f, g2f, smap.s_value(dec.project(g1f)), smap.s_value(dec.project(g2f)))
 
@@ -453,7 +446,8 @@ def necessity_check(
             return None if d < 1e-9 else (as_float(dec.lift(q1)), as_float(dec.lift(q2)), d)
 
         for block in _pair_blocks(count, draw):
-            svals = iter(smap.s_values([dec.project(g) for g1, g2, _ in block for g in (g1, g2)]))
+            qs = linalg.columns([dec.project(g) for g1, g2, _ in block for g in (g1, g2)])
+            svals = iter(linalg.points(smap.s_value(qs), 2 * len(block)))
             for g1, g2, d in block:
                 s1, s2 = next(svals), next(svals)
                 k = _k_from_s(dec.base, g1, g2, s1, s2)
@@ -494,8 +488,9 @@ def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
 
     F is a callable, called once per point in sample order, or a
     ``ShearMap``, whose images of a block of ``PAIR_BLOCK`` pairs come
-    from one ``apply_shears`` call; so when a ratio is not finite, the
-    images of the rest of its block are already in the lifts' memos.
+    from one ``apply_shear`` call on their columns; so when a ratio is not
+    finite, the images of the rest of its block are already in the lifts'
+    memos.
     Pairs closer than 1e-9 are skipped (and not mapped); a ``ValueError``
     says so when every pair was, since then no ratio was measured."""
     rng = CounterRng(sampler.seed)
@@ -510,7 +505,8 @@ def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
 
     for block in _pair_blocks(sampler.count, draw):
         points = [g for x, y, _ in block for g in (x, y)]
-        images = iter(apply_shears(f, points) if isinstance(f, ShearMap) else map(f, points))
+        many = isinstance(f, ShearMap)
+        images = iter(linalg.points(apply_shear(f, linalg.columns(points)), len(points)) if many else map(f, points))
         for _, _, d in block:
             fx, fy = next(images), next(images)
             ratio = quasi_dist(alg, fx, fy) / d
@@ -528,10 +524,12 @@ def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
 
 def _pair_blocks(count, draw):
     """``count`` calls of ``draw`` in lists of up to ``PAIR_BLOCK``, each
-    without the ``None`` results (skipped pairs)."""
+    without the ``None`` results (skipped pairs); an empty list is left out."""
     for start in range(0, count, PAIR_BLOCK):
         drawn = [draw() for _ in range(min(PAIR_BLOCK, count - start))]
-        yield [pair for pair in drawn if pair is not None]
+        block = [pair for pair in drawn if pair is not None]
+        if block:
+            yield block
 
 
 def _length(v):

@@ -8,7 +8,7 @@ from nilcarnot.algebra import GradedAlgebra, bracket
 from nilcarnot.carnot import decompose, horizontal_connect, integrate_bracket_form
 from nilcarnot.catalog import direct_product, engel4, ladder5
 from nilcarnot.group import bch, quasi_dist, quasi_norm
-from nilcarnot.linalg import as_float, vneg
+from nilcarnot.linalg import as_float, columns, points as column_points, scalar_mode, vneg
 from nilcarnot.rng import CounterRng, SamplerConfig, sample_ball_point
 from nilcarnot.shear import (
     PAIR_BLOCK,
@@ -17,7 +17,6 @@ from nilcarnot.shear import (
     ShearComponent,
     ShearMap,
     apply_shear,
-    apply_shears,
     bilip_estimate,
     build_shear,
     component_from_exprs,
@@ -540,20 +539,27 @@ def _bilip_points(alg, sampler):
     return [sample_ball_point(rng, alg, sampler.radius) for _ in range(2 * sampler.count)]
 
 
+def _column_hexes(cols, n):
+    return [_hexes(p) for p in column_points(cols, n)]
+
+
 def test_batched_1d_chain_gives_the_one_point_bits(dec_l5):
-    # every point bilip_estimate draws on seed 42, in sample order: the
-    # batch plans each miss's chain base as one-point calls would
+    # every point bilip_estimate draws on seed 42, in sample order, as
+    # columns: the lift plans each miss's chain base as one-point calls would
     points = _bilip_points(dec_l5.base, SamplerConfig(42, 1000, 10.0))
     one, many = _sigma_shear(dec_l5), _sigma_shear(dec_l5)
     want = [_hexes(apply_shear(one, g)) for g in points]
-    assert [_hexes(v) for v in apply_shears(many, points)] == want
+    assert _column_hexes(apply_shear(many, columns(points)), len(points)) == want
     # again, every lift value a memo hit
-    assert [_hexes(v) for v in apply_shears(many, points)] == want
-    # the many-point form is a field, so it survives a replaced eval
-    lifted = dataclasses.replace(many.components[3], eval=None)
-    assert [_hexes(v) for v in lifted.values([dec_l5.project(g) for g in points[:50]])] == [
-        _hexes(one.components[3].eval(dec_l5.project(g))) for g in points[:50]
-    ]
+    assert _column_hexes(apply_shear(many, columns(points)), len(points)) == want
+    # the many-point form is eval itself, so an eval put in its place sees
+    # the column call: there is no second callable left behind
+    lifted, calls = many.components[3], []
+    wrapped = dataclasses.replace(lifted, eval=lambda q: calls.append(q) or lifted.eval(q))
+    qs = dec_l5.project(columns(points[:50]))
+    got = ShearMap(dec_l5, {1: many.components[1], 3: wrapped}).s_value(qs)
+    assert _column_hexes(got, 50) == [_hexes(one.s_value(dec_l5.project(g))) for g in points[:50]]
+    assert len(calls) == 1 and scalar_mode(calls[0], arrays="columns") == "columns"
 
 
 @pytest.mark.parametrize("waive", [False, True])
@@ -565,28 +571,28 @@ def test_batched_multid_lift_gives_the_one_point_bits(dec_multid, waive):
     one = lift(dec_multid, sigma, waive_membership=waive)
     many = lift(dec_multid, sigma, waive_membership=waive)
     want = [_hexes(one.eval(q)) for q in points]
-    assert [_hexes(v) for v in many.values(points + points[:3])] == want + want[:3]
+    assert _column_hexes(many.eval(columns(points + points[:3])), 23) == want + want[:3]
 
 
-def test_s_values_match_s_value(dec_l5):
+def test_s_value_on_columns_matches_one_point_calls(dec_l5):
     points = [(x,) for x in (0.0, 2.5, -1.25, 2.5, 7.0, -0.5)]
     one, many = _sigma_shear(dec_l5), _sigma_shear(dec_l5)
-    assert [_hexes(v) for v in many.s_values(points)] == [_hexes(one.s_value(q)) for q in points]
+    assert _column_hexes(many.s_value(columns(points)), 6) == [_hexes(one.s_value(q)) for q in points]
 
 
 def test_negated_lift_keeps_its_many_point_form(dec_l5):
     # F0^-1 in conjugate_by_shear is a negated map: its lifted layer still
-    # goes out as one batch, with the bits of one point at a time
+    # takes columns, with the bits of one point at a time
     points = [(x,) for x in (0.0, 2.5, -1.25, 2.5, 7.0, -0.5, 3.75)]
     one, many = _sigma_shear(dec_l5).negated(), _sigma_shear(dec_l5).negated()
-    assert many.components[3].batch is not None
+    assert many.components[3].column_safe
     want = [_hexes(one.components[3].eval(q)) for q in points]
-    assert [_hexes(v) for v in many.components[3].values(points)] == want
-    assert [_hexes(v) for v in many.s_values(points)] == [_hexes(one.s_value(q)) for q in points]
+    assert _column_hexes(many.components[3].eval(columns(points)), 7) == want
+    assert _column_hexes(many.s_value(columns(points)), 7) == [_hexes(one.s_value(q)) for q in points]
     assert one.s_value((2.5,)) == vneg(_sigma_shear(dec_l5).s_value((2.5,)))
 
 
-def test_s_values_keep_the_point_order_when_a_component_reads_a_chain(dec_l5, sigma_component):
+def test_s_value_on_columns_keeps_the_point_order_when_a_component_reads_a_chain(dec_l5, sigma_component):
     # a component without trees that evaluates a 1-D chain elsewhere moves
     # the chain's later bases, so the points must go as s_value takes them
     def reading_shear():
@@ -596,7 +602,7 @@ def test_s_values_keep_the_point_order_when_a_component_reads_a_chain(dec_l5, si
 
     points = [(x,) for x in (2.0, 2.45, -1.0, 2.2, 0.9, 3.1)]
     one, many = reading_shear(), reading_shear()
-    assert [_hexes(v) for v in many.s_values(points)] == [_hexes(one.s_value(q)) for q in points]
+    assert _column_hexes(many.s_value(columns(points)), 6) == [_hexes(one.s_value(q)) for q in points]
 
 
 @pytest.mark.parametrize("count", [1, PAIR_BLOCK, PAIR_BLOCK + 1])
@@ -629,15 +635,15 @@ def test_a_failing_batch_leaves_the_lift_memo_as_it_was(dec_l5, dec_multid, mult
     points = [tuple(x if i == 0 else 0.0 for i in range(dim)) for x in (1.5, -2.0, 3.0)]
     far = tuple(1e5 if i == 0 else 0.0 for i in range(dim))
     with pytest.raises(ValueError, match="not finite"):
-        used.values(points + [far])
-    assert [_hexes(v) for v in used.values(points)] == [_hexes(v) for v in fresh.values(points)]
+        used.eval(columns(points + [far]))
+    assert _column_hexes(used.eval(columns(points)), 3) == _column_hexes(fresh.eval(columns(points)), 3)
 
 
 def test_a_path_dependent_batch_memoizes_nothing(dec_multid):
     bad = lift(dec_multid, component_from_exprs(dec_multid, 1, "q4"), waive_membership=True)
     for _ in range(2):
         with pytest.raises(PathDependenceError, match="independent paths to .* disagree by"):
-            bad.values([(0.0,) * 5, (0.7, -0.4, 1.1, 0.3, -0.9)])
+            bad.eval(columns([(0.0,) * 5, (0.7, -0.4, 1.1, 0.3, -0.9)]))
 
 
 def test_holder_norm_estimate_survives_an_overflowing_square(dec_l5):
