@@ -557,13 +557,16 @@ def _pairing(dec, component, path):
 
 
 def _segments(dec, path):
-    """(start, direction, duration) per segment, as floats."""
-    pos = as_float(path.start)
-    for direction, duration in path.segments:
+    """(start, direction, duration) per segment, as floats; the start of
+    a segment is the product of the one before it with its step, made
+    only when another segment follows."""
+    pos, last = as_float(path.start), path.segment_count - 1
+    for n, (direction, duration) in enumerate(path.segments):
         direction = as_float(direction)
         duration = float(duration)
         yield pos, direction, duration
-        pos = bch(dec.quotient_carnot, pos, vscale(duration, direction))
+        if n < last:
+            pos = bch(dec.quotient_carnot, pos, vscale(duration, direction))
 
 
 def _check_nodes(zj, j, points, vals):

@@ -296,7 +296,6 @@ def cmd_shear(args) -> int:
             probes = columns(probe_points)
             coherence = 0.0
             for j in sorted(components):
-                # increasing layers: a lifted 1-D evaluator chains through the layer below
                 for layer in dec.lift_tower[j]:
                     ref = reference.components[layer].eval(probes)
                     coherence = max(coherence, max_gap(smap.components[layer].eval(probes), ref))

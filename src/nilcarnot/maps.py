@@ -638,7 +638,7 @@ def cocycle_action(dec: CbCDecomposition, pair: CompatibleExpression, component:
         val = dec.w_apply(pair.a_inverse, inner(pair.quot_apply(q)))
         return tuple(a - b for a, b in zip(val, origin_val))
 
-    return ShearComponent(component.layer, evaluate, None, component.holder_hint, component.column_safe)
+    return ShearComponent(component.layer, evaluate, None, component.holder_hint)
 
 
 def _below_exponent_chain(dec: CbCDecomposition, fmap: FiberMap) -> FiberMap:
@@ -757,8 +757,7 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     point-independent pieces of each term, the power A^-k (an exact
     ``LinearMap``, whose float twin is built once) and s(B^k 0), are
     tabulated while the iteration runs; the returned component reads
-    those tables.  Its ``eval`` takes one point or coordinate columns
-    (``column_safe``: s, a slice below the exponent, reads no lift) and
+    those tables.  Its ``eval`` takes one point or coordinate columns and
     sends the orbit points of all its memo misses, for every power, to s
     in one call.  Each s value is checked to lie in w once, when its
     ideal coordinates are memoized; both memos are keyed by each point's
@@ -831,7 +830,7 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
             return linalg.memoized(memo, sweep, q)
         return linalg.points(linalg.memoized(memo, sweep, linalg.columns([q])))[0]
 
-    return ShearComponent(j, evaluate, None, None, True), FixedPointReport(len(a_inv_powers), prev_change, factor)
+    return ShearComponent(j, evaluate), FixedPointReport(len(a_inv_powers), prev_change, factor)
 
 
 # ---------------------------------------------------------------------------

@@ -9,22 +9,21 @@ ratios and sampling estimators probe the biLipschitz property at desk
 scale.
 
 Many points travel as coordinate columns (:mod:`nilcarnot.linalg`)
-through the calls that take one point: a component's ``eval``,
+through the calls that take one point: every component's ``eval``,
 ``ShearMap.s_value`` and ``apply_shear``, with the bits of one point at a
 time.  Every lift integrates to ``quadrature.DEFAULT_TOL`` and memoizes
-per point, keyed by its float tuple.  It evaluates one point with the
+per point, keyed by its float tuple; its values depend only on the
+point, since a lift over a one-dimensional quotient integrates from the
+nearest anchor of a fixed dyadic grid.  It evaluates one point with the
 scalar quadrature, and the misses of columns with one
 ``carnot.integrate_bracket_forms`` call (``linalg.memoized``); the memo
 is written after that call returns, so one that raises leaves it as it
-was.  A lift over a one-dimensional quotient chains each value from those
-asked for before it, so where a component may read such a chain, the
-points of columns go one at a time (``ShearComponent.column_safe``).
-``bilip_estimate`` and ``necessity_check`` send ``PAIR_BLOCK`` pairs at a
-time.  The loop test flags a loop integral above ``1e-8`` times the loop
-length (scaled by the component's Holder hint), and integrates all
-segments of all its loops at once, each loop to a tenth of that
-threshold, not to ``DEFAULT_TOL``.  A loop integral that is not finite
-fails the test.  All estimators draw from the counter-based generator in
+was.  ``bilip_estimate`` and ``necessity_check`` send ``PAIR_BLOCK``
+pairs at a time.  The loop test flags a loop integral above ``1e-8``
+times the loop length (scaled by the component's Holder hint), and
+integrates all segments of all its loops at once, each loop to a tenth
+of that threshold, not to ``DEFAULT_TOL``.  A loop integral that is not
+finite fails the test.  All estimators draw from the counter-based generator in
 :mod:`nilcarnot.rng` and are deterministic per seed.
 """
 
@@ -54,6 +53,12 @@ from .rng import CounterRng, SamplerConfig, sample_ball_point
 # measured, with about half the peak-RSS growth of 128 (see CHANGES.md)
 PAIR_BLOCK = 64
 
+# the anchors of a lift over a one-dimensional quotient: 0 and +-m * 2^e
+# for m = 2^ANCHOR_BITS, ..., 2^(ANCHOR_BITS + 1) - 1 (4 to 7), none
+# smaller in size than ANCHOR_FLOOR; each is an exact dyadic number
+ANCHOR_BITS = 2
+ANCHOR_FLOOR = 2.0**-42
+
 
 class MembershipError(ValueError):
     """A component failed the closed-loop integral test."""
@@ -68,25 +73,20 @@ class ShearComponent:
     """A map from quotient coordinates into the center layer Z_j.
 
     ``eval`` maps a float tuple of quotient coordinates to a float tuple
-    of ambient coordinates, so callers use its values as they are.  The
-    ``eval`` of every component this module and ``maps`` build also maps
-    coordinate columns to coordinate columns, with the bits of one point
-    at a time.  ``trees`` optionally holds one expression tree per RREF
+    of ambient coordinates, or coordinate columns to coordinate columns
+    with the bits of one point at a time, so callers use its values as
+    they are.  ``trees`` optionally holds one expression tree per RREF
     basis row of Z_j (enabling symbolic derivatives), and ``holder_hint``
     an a-priori bound for the j/alpha-Holder norm.  The loop test
     evaluates the trees' numpy code when ``trees`` is set, and ``eval``
     otherwise, so an ``eval`` replaced next to trees must agree with
-    them.  ``column_safe``, set by this module's builders, says that
-    ``eval`` takes columns and reads no other component's lift, so
-    ``ShearMap.s_value`` may send it all points at once; by default the
-    points go one at a time, in order.
+    them.
     """
 
     layer: int
     eval: object
     trees: tuple | None = None
     holder_hint: float | None = None
-    column_safe: bool = False
 
     def scaled(self, factor):
         """``factor`` times this component, on one point or columns."""
@@ -96,7 +96,6 @@ class ShearComponent:
             lambda q: vscale(f, inner(q)),
             None,
             None if self.holder_hint is None else abs(factor) * self.holder_hint,
-            self.column_safe,
         )
 
 
@@ -127,12 +126,12 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
             values = [tree.array(q) for tree in trees]
         return linalg.combine(values, rows)
 
-    return ShearComponent(layer, evaluate, trees, holder_hint, True)
+    return ShearComponent(layer, evaluate, trees, holder_hint)
 
 
 def zero_component(dec: CbCDecomposition, layer: int) -> ShearComponent:
     n = dec.base.dim
-    return ShearComponent(layer, lambda q: (0.0,) * n, None, 0.0, True)
+    return ShearComponent(layer, lambda q: (0.0,) * n, None, 0.0)
 
 
 @dataclass(frozen=True)
@@ -210,20 +209,40 @@ def loop_test_membership(
     return LoopVerdict(len(loops), worst)
 
 
+def _anchor(x):
+    """The anchor nearest x on its side of 0, or 0 below ``ANCHOR_FLOOR``."""
+    if not math.isfinite(x):
+        raise ValueError("target must be finite")
+    if abs(x) < ANCHOR_FLOOR:
+        return 0.0
+    f, e = math.frexp(x)
+    return math.ldexp(round(math.ldexp(f, ANCHOR_BITS + 1)), e - ANCHOR_BITS - 1)
+
+
+def _inner_anchor(a):
+    """The anchor next to the nonzero anchor a toward 0."""
+    f, e = math.frexp(a)  # below |a| = 2^(e - 1), where |f| = 1/2, the steps halve
+    b = a - math.copysign(math.ldexp(1.0, e - ANCHOR_BITS - 1 - (abs(f) == 0.5)), a)
+    return b if abs(b) >= ANCHOR_FLOOR else 0.0
+
+
 def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: bool = False) -> ShearComponent:
     """The next-layer component: integrate [c, theta_H] from 0 to p.
 
     Membership in the loop-integral space is tested first unless
     explicitly waived; a waiver switches on per-evaluation verification
-    with a second independent path.  Over a one-dimensional quotient the
-    evaluator chains from the nearest previously computed point (the
-    integral is an antiderivative along the line), which keeps dense
-    sampling cheap; values are memoized either way.  ``eval`` takes one
-    point, through the scalar quadrature, or coordinate columns, whose
-    misses go out in one ``integrate_bracket_forms`` call; the chain plans
-    their bases in request order, as one-point calls would.  An integrand
-    without trees may itself be a chain, so then columns go one point at a
-    time and the lift is not ``column_safe``.
+    with a second independent path.  Over a one-dimensional quotient
+    (membership tested) s(q) = s(a) + the integral from a to q, with a
+    the anchor nearest q (``_anchor``); each anchor's value is its inner
+    neighbour's plus the integral over the cell between them, so no piece
+    crosses 0 and every value depends on q alone.  Otherwise the integral
+    runs along the zigzag path from 0 to p.  One planner turns the points
+    asked for into jobs: the missing cells and the pieces, or the zigzag
+    paths plus the second paths.  ``eval`` takes one point, whose jobs go
+    one by one through the scalar quadrature, or coordinate columns, whose
+    memo misses go out in one ``integrate_bracket_forms`` call.  The memo
+    (values per point) and the anchor table are written only after the
+    jobs return.
     """
     if not dec.alpha_is_integer:
         raise ValueError("lifts require an integer exponent")
@@ -235,65 +254,11 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
             )
     target_layer = component.layer + int(dec.alpha)
     qc = dec.quotient_carnot
-    verify = waive_membership
+    anchors = {0.0: (0.0,) * dec.base.dim}
     memo: dict = {}
 
-    def lifted(evaluate, many):
-        """The component: one point through ``evaluate``, columns through ``many`` and the memo."""
-
-        def dispatch(q):
-            if linalg.scalar_mode(q, arrays="columns") != "columns":
-                return evaluate(q)
-            if component.trees is None:
-                return linalg.columns([evaluate(p) for p in linalg.points(q)])
-            return linalg.memoized(memo, many, q)
-
-        return ShearComponent(target_layer, dispatch, None, None, component.trees is not None)
-
-    if qc.dim == 1 and not verify:
-        # one-dimensional quotient: the integral is an antiderivative
-        # along the line, so chain from the nearest cached point
-        import bisect
-
-        xs = [0.0]
-        memo[(0.0,)] = (0.0,) * dec.base.dim
-
-        def nearest(known, key):
-            pos = bisect.bisect_left(known, key)
-            candidates = [known[i] for i in (pos - 1, pos) if 0 <= i < len(known)]
-            return min(candidates, key=lambda x: abs(x - key))
-
-        def step(base, key):
-            direction = (1.0,) if key > base else (-1.0,)
-            return HorizontalPath(qc, (base,), ((direction, abs(key - base)),))
-
-        def evaluate(q):
-            key = float(q[0])
-            hit = memo.get((key,))
-            if hit is not None:
-                return hit
-            base = nearest(xs, key)
-            val = vadd(memo[(base,)], integrate_bracket_form(dec, component, step(base, key)))
-            bisect.insort(xs, key)
-            memo[(key,)] = val
-            return val
-
-        def chain(cols):
-            # plan every miss's base in request order, as evaluate would
-            # chain them, then integrate all the steps at once
-            planned, bases = list(xs), {}
-            for key in cols[0].tolist():
-                bases[key] = nearest(planned, key)
-                bisect.insort(planned, key)
-            jobs = [(step(base, key), DEFAULT_TOL) for key, base in bases.items()]
-            deltas = integrate_bracket_forms(dec, component, jobs)
-            new = {}
-            for (key, base), delta in zip(bases.items(), deltas):
-                new[key] = vadd(new[base] if base in new else memo[(base,)], delta)
-            xs[:] = planned
-            return linalg.columns(list(new.values()))
-
-        return lifted(evaluate, chain)
+    def segment(start, end):
+        return HorizontalPath(qc, (start,), (((1.0,) if end > start else (-1.0,), abs(end - start)),))
 
     def second_path(key):
         mid = dilate(qc, 0.5, key)
@@ -301,34 +266,54 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
         segments = horizontal_connect(qc, mid).segments + horizontal_connect(qc, rel).segments
         return HorizontalPath(qc, (0.0,) * qc.dim, segments)
 
-    def check_paths_agree(key, val, alt):
-        gap = linalg.max_gap(val, alt)
-        scale = max(1.0, max(abs(a) for a in val))
-        if gap > 10.0 * DEFAULT_TOL * scale:
-            raise PathDependenceError(f"independent paths to {key} disagree by {gap:.3e}")
+    def plan(keys):
+        """The paths that the points ``keys`` need, and the map from the
+        paths' integrals to the points' values."""
+        if qc.dim == 1 and not waive_membership:
+            ends = [(_anchor(x), x) for (x,) in keys]
+            cells = {}  # every anchor missing from the table -> its inner neighbour
+            for a, _ in ends:
+                while a not in anchors and a not in cells:
+                    cells[a] = _inner_anchor(a)
+                    a = cells[a]
+            pieces = [segment(a, x) for a, x in ends if a != x]
+
+            def finish(results):
+                deltas = dict(zip(cells, results))
+                for a in sorted(cells, key=abs):  # outward from 0
+                    anchors[a] = vadd(anchors[cells[a]], deltas[a])
+                rest = iter(results[len(cells) :])
+                return [anchors[a] if a == x else vadd(anchors[a], next(rest)) for a, x in ends]
+
+            return [segment(inner, a) for a, inner in cells.items()] + pieces, finish
+
+        checked = [key for key in keys if waive_membership and any(key)]
+
+        def check(results):
+            values = dict(zip(keys, results))
+            for key, alt in zip(checked, results[len(keys) :]):
+                gap = linalg.max_gap(values[key], alt)
+                if gap > 10.0 * DEFAULT_TOL * max(1.0, max(abs(a) for a in values[key])):
+                    raise PathDependenceError(f"independent paths to {key} disagree by {gap:.3e}")
+            return results[: len(keys)]
+
+        return [horizontal_connect(qc, key) for key in keys] + [second_path(key) for key in checked], check
+
+    def values(keys, many):
+        paths, finish = plan(keys)
+        if many:
+            return finish(integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in paths]))
+        return finish([integrate_bracket_form(dec, component, path) for path in paths])
 
     def evaluate(q):
+        if linalg.scalar_mode(q, arrays="columns") == "columns":
+            return linalg.memoized(memo, lambda cols: linalg.columns(values(linalg.points(cols), True)), q)
         key = tuple(float(a) for a in q)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        val = integrate_bracket_form(dec, component, horizontal_connect(qc, key))
-        if verify and any(a != 0.0 for a in key):
-            check_paths_agree(key, val, integrate_bracket_form(dec, component, second_path(key)))
-        memo[key] = val
-        return val
+        if key not in memo:
+            memo[key] = values([key], False)[0]
+        return memo[key]
 
-    def connect(cols):
-        keys = linalg.points(cols)
-        checked = [key for key in keys if verify and any(a != 0.0 for a in key)]
-        paths = [horizontal_connect(qc, key) for key in keys] + [second_path(key) for key in checked]
-        results = integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in paths])
-        values = dict(zip(keys, results))
-        for key, alt in zip(checked, results[len(keys):]):
-            check_paths_agree(key, values[key], alt)
-        return linalg.columns(results[: len(keys)])
-
-    return lifted(evaluate, connect)
+    return ShearComponent(target_layer, evaluate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,15 +324,8 @@ class ShearMap:
     components: dict
 
     def s_value(self, qcoords):
-        """s at one quotient point, or at coordinate columns with one call
-        per component.  Unless every component is ``column_safe`` (one may
-        read a lift over a one-dimensional quotient, whose values depend on
-        the order of evaluation), the points of columns go one at a time."""
+        """s at one quotient point, or at coordinate columns with one call per component."""
         q = as_float(qcoords)
-        if linalg.scalar_mode(q, arrays="columns") == "columns" and not all(
-            c.column_safe for c in self.components.values()
-        ):
-            return linalg.columns([self.s_value(p) for p in linalg.points(q)])
         out = (0.0,) * self.dec.base.dim
         for comp in self.components.values():
             out = vadd(out, comp.eval(q))
@@ -488,9 +466,7 @@ def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
 
     F is a callable, called once per point in sample order, or a
     ``ShearMap``, whose images of a block of ``PAIR_BLOCK`` pairs come
-    from one ``apply_shear`` call on their columns; so when a ratio is not
-    finite, the images of the rest of its block are already in the lifts'
-    memos.
+    from one ``apply_shear`` call on their columns.
     Pairs closer than 1e-9 are skipped (and not mapped); a ``ValueError``
     says so when every pair was, since then no ratio was measured."""
     rng = CounterRng(sampler.seed)

@@ -294,6 +294,25 @@ def test_integrate_bracket_forms_equals_the_scalar_form():
         assert [[a.hex() for a in v] for v in batched] == [[a.hex() for a in v] for v in scalar]
 
 
+def test_each_path_costs_one_start_product_per_segment_after_the_first(monkeypatch):
+    # no product is made past the last segment of a path
+    import nilcarnot.carnot
+
+    dec = decompose(direct_product(ladder5(), engel4(), 2))
+    qc = dec.quotient_carnot
+    component = component_from_exprs(dec, 1, "q1")
+    paths = [
+        horizontal_connect(qc, (1.2, -0.5, 0.8, 0.6, -0.3)),
+        HorizontalPath(qc, (0.5, 0.1, -0.2, 0.0, 0.3), (((0.0, 0.6, 0.8, 0.0, 0.0), 1.5),)),
+    ]
+    calls = []
+    monkeypatch.setattr(nilcarnot.carnot, "bch", lambda *args: calls.append(args) or bch(*args))
+    for path in paths:
+        calls.clear()
+        integrate_bracket_forms(dec, component, [(path, 1e-10)])
+        assert len(calls) == path.segment_count - 1
+
+
 def test_p_alpha_ladder5(dec_l5):
     qalg, keep, proj = p_alpha_data(dec_l5)
     assert qalg.dim == 5  # z3 killed, weight 3 > alpha = 2

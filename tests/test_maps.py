@@ -850,7 +850,7 @@ def test_conjugate_solve_layer_makes_few_w_coords_calls(monkeypatch):
 
 
 def test_conjugate_solve_layer_sends_the_solved_component_columns(monkeypatch):
-    """The solved component is ``column_safe``, so the shear maps that hold
+    """The solved component takes columns, and the shear maps that hold
     it hand it whole grids; only single points (the origin's image under
     each chain) arrive one at a time.  Sent point by point, the same run made
     123 one-point calls and took about six times as long."""

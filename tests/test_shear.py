@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nilcarnot.algebra import GradedAlgebra, bracket
@@ -9,8 +10,11 @@ from nilcarnot.carnot import decompose, horizontal_connect, integrate_bracket_fo
 from nilcarnot.catalog import direct_product, engel4, ladder5
 from nilcarnot.group import bch, quasi_dist, quasi_norm
 from nilcarnot.linalg import as_float, columns, points as column_points, scalar_mode, vneg
+from nilcarnot.quadrature import DEFAULT_TOL
 from nilcarnot.rng import CounterRng, SamplerConfig, sample_ball_point
 from nilcarnot.shear import (
+    ANCHOR_BITS,
+    ANCHOR_FLOOR,
     PAIR_BLOCK,
     MembershipError,
     PathDependenceError,
@@ -416,7 +420,12 @@ def test_necessity_flags_broken_sign(dec_l5, sigma_component):
 
 
 def nan_where_q1_positive(layer, n):
-    return ShearComponent(layer, lambda q: tuple(math.nan if i == n - 1 and q[0] > 0 else 0.0 for i in range(n)))
+    # every component's eval takes one point or coordinate columns
+    def evaluate(q):
+        last = np.where(np.asarray(q[0]) > 0, math.nan, 0.0)
+        return (0.0,) * (n - 1) + (last if last.ndim else float(last),)
+
+    return ShearComponent(layer, evaluate)
 
 
 def test_necessity_counts_a_nan_ratio_as_inf(dec_l5):
@@ -545,7 +554,7 @@ def _column_hexes(cols, n):
 
 def test_batched_1d_chain_gives_the_one_point_bits(dec_l5):
     # every point bilip_estimate draws on seed 42, in sample order, as
-    # columns: the lift plans each miss's chain base as one-point calls would
+    # columns: each gets the bits of one-point calls
     points = _bilip_points(dec_l5.base, SamplerConfig(42, 1000, 10.0))
     one, many = _sigma_shear(dec_l5), _sigma_shear(dec_l5)
     want = [_hexes(apply_shear(one, g)) for g in points]
@@ -585,7 +594,6 @@ def test_negated_lift_keeps_its_many_point_form(dec_l5):
     # takes columns, with the bits of one point at a time
     points = [(x,) for x in (0.0, 2.5, -1.25, 2.5, 7.0, -0.5, 3.75)]
     one, many = _sigma_shear(dec_l5).negated(), _sigma_shear(dec_l5).negated()
-    assert many.components[3].column_safe
     want = [_hexes(one.components[3].eval(q)) for q in points]
     assert _column_hexes(many.components[3].eval(columns(points)), 7) == want
     assert _column_hexes(many.s_value(columns(points)), 7) == [_hexes(one.s_value(q)) for q in points]
@@ -593,8 +601,8 @@ def test_negated_lift_keeps_its_many_point_form(dec_l5):
 
 
 def test_s_value_on_columns_keeps_the_point_order_when_a_component_reads_a_chain(dec_l5, sigma_component):
-    # a component without trees that evaluates a 1-D chain elsewhere moves
-    # the chain's later bases, so the points must go as s_value takes them
+    # a component without trees that evaluates the lift at other points, in
+    # another order than s_value takes them, moves no value of the lift
     def reading_shear():
         chain = lift(dec_l5, sigma_component)
         reader = ShearComponent(1, lambda q: tuple(0.0 * a for a in chain.eval((q[0] + 0.3,))))
@@ -615,12 +623,13 @@ def test_bilip_estimate_of_a_shear_map_matches_the_callable_form(dec_l5, count):
 
 
 def test_necessity_check_values_are_pinned(dec_l5):
-    # recorded while every s-value was evaluated one point at a time
+    # layer 1 recorded while every s-value was evaluated one point at a time;
+    # layer 3 re-pinned when the one-dimensional lift moved to its anchor grid
     report = necessity_check(dec_l5, _sigma_shear(dec_l5), seed=42, count=300)
     assert {r: {i: v.hex() for i, v in layers.items()} for r, layers in report.per_radius.items()} == {
-        1.0: {1: "0x1.6a088cff09264p+0", 3: "0x1.e8f8674b5ab41p-1"},
-        10.0: {1: "0x1.688c6a5294075p+0", 3: "0x1.e64ec706f828ap-1"},
-        100.0: {1: "0x1.82d664476540dp-2", 3: "0x1.210865985a994p-1"},
+        1.0: {1: "0x1.6a088cff09264p+0", 3: "0x1.e8f8674b6cd1ep-1"},
+        10.0: {1: "0x1.688c6a5294075p+0", 3: "0x1.e64ec7064594ap-1"},
+        100.0: {1: "0x1.82d664476540dp-2", 3: "0x1.210865998fffbp-1"},
     }
 
 
@@ -637,6 +646,63 @@ def test_a_failing_batch_leaves_the_lift_memo_as_it_was(dec_l5, dec_multid, mult
     with pytest.raises(ValueError, match="not finite"):
         used.eval(columns(points + [far]))
     assert _column_hexes(used.eval(columns(points)), 3) == _column_hexes(fresh.eval(columns(points)), 3)
+
+
+# Holder at q1 = 1: off 0 and off the anchor grid
+HOLDER_OFF_GRID = "sqrt(abs(q1-1))"
+
+
+def _lift_hexes(lifted, qs, form):
+    """The lift at the points qs: one call per point, or one call on their columns."""
+    if form == "point":
+        return [_hexes(lifted.eval(q)) for q in qs]
+    return _column_hexes(lifted.eval(columns(qs)), len(qs))
+
+
+@pytest.mark.parametrize("form", ["point", "columns"])
+@pytest.mark.parametrize("expr", [SIGMA, HOLDER_OFF_GRID])
+def test_a_1d_lift_value_does_not_depend_on_the_points_asked_before(dec_l5, expr, form):
+    first, after = (lift(dec_l5, component_from_exprs(dec_l5, 1, expr)) for _ in range(2))
+    _lift_hexes(after, [(1.7,)], form)
+    assert _lift_hexes(first, [(3.3,)], form) == _lift_hexes(after, [(3.3,)], form)
+
+
+@pytest.mark.parametrize("form", ["point", "columns"])
+@pytest.mark.parametrize("expr", [SIGMA, HOLDER_OFF_GRID])
+def test_a_1d_lift_walked_by_an_estimate_gives_the_bits_of_a_fresh_one(dec_l5, expr, form):
+    walked, fresh = (build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, expr)}) for _ in range(2))
+    f = (lambda g: apply_shear(walked, g)) if form == "point" else walked
+    bilip_estimate(dec_l5.base, f, SamplerConfig(42, 1000, 10.0))
+    rng = CounterRng(5)
+    probes = [sample_ball_point(rng, dec_l5.quotient_carnot, 10.0) for _ in range(50)]
+    assert _lift_hexes(walked.components[3], probes, form) == _lift_hexes(fresh.components[3], probes, form)
+
+
+@pytest.mark.parametrize("form", ["point", "columns"])
+def test_a_1d_lift_meets_its_tolerance_against_the_closed_form(dec_l5, form):
+    # the lift of sigma is s_3 = -(2/3)|q|^(3/2); sigma is only Holder at 0
+    qs = [(q,) for q in (1e-9, 1e-6, -1e-4, 1e-3, 0.05, 0.3, 1.3, 3.3, -7.7, 22.0)]
+    lifted = lift(dec_l5, component_from_exprs(dec_l5, 1, SIGMA))
+    for (q,), value in zip(qs, _lift_hexes(lifted, qs, form)):
+        assert abs(float.fromhex(value[5]) + (2.0 / 3.0) * abs(q) ** 1.5) <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("form", ["point", "columns"])
+def test_a_far_1d_lift_needs_logarithmically_many_cells(dec_l5, monkeypatch, form):
+    import nilcarnot.shear
+
+    jobs, one, many = [], nilcarnot.shear.integrate_bracket_form, nilcarnot.shear.integrate_bracket_forms
+    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_form", lambda d, c, path: jobs.append(path) or one(d, c, path))
+    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_forms", lambda d, c, todo: jobs.extend(todo) or many(d, c, todo))
+    lifted = lift(dec_l5, component_from_exprs(dec_l5, 1, "q1"))
+    _lift_hexes(lifted, [(1e8,), (-1e8,)], form)
+    # per side: 2^ANCHOR_BITS cells per octave above ANCHOR_FLOOR, and one piece
+    # (a grid of steps 1/4 would need 8 * 10^8 cells)
+    assert 0 < len(jobs) <= 2 * (2**ANCHOR_BITS * (math.log2(1e8 / ANCHOR_FLOOR) + 1) + 1)
+    # every anchor in between is in the table now, and an anchor costs no quadrature
+    jobs.clear()
+    _lift_hexes(lifted, [(0.0,), (1.0,), (-0.875,), (7.0 * 2**23,)], form)
+    assert jobs == []
 
 
 def test_a_path_dependent_batch_memoizes_nothing(dec_multid):
