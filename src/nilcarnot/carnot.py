@@ -491,10 +491,9 @@ def integrate_bracket_forms(dec: CbCDecomposition, component, jobs):
     Every segment of every path is one quadrature process of
     :func:`quadrature.integrate_batch`, so each round's nodes go out in
     one array call: the quotient's ``bch_array_kernel`` from the
-    segment's start, the component on the resulting points, and the
-    pairing against the segment's lifted direction, restricted to
-    ``dec.pairing_targets[j]``.  The component runs its ``trees``' numpy
-    code when it has trees, and its ``eval`` node by node otherwise.  The
+    segment's start, the component's ``eval`` on the resulting
+    coordinate columns, and the pairing against the segment's lifted
+    direction, restricted to ``dec.pairing_targets[j]``.  The
     first call holds exactly the first three nodes of each segment, so
     the membership check of ``integrate_bracket_form`` runs on that whole
     call, on arrays, and fails at the first failing node in the order
@@ -516,7 +515,6 @@ def integrate_bracket_forms(dec: CbCDecomposition, component, jobs):
     starts = np.array(starts, dtype=float).T.copy()
     steps = np.array(directions, dtype=float).T.copy()
     lifts = np.array([dec.lift(d) for d in directions], dtype=float).T.copy()
-    rows = zj.rows_float
     walk = dec.quotient_carnot.bch_array_kernel
     pairing = pairing_array_kernel(dec.base, target)
     checked = False
@@ -524,11 +522,7 @@ def integrate_bracket_forms(dec: CbCDecomposition, component, jobs):
     def integrand(which, t):
         nonlocal checked
         point = walk.run(tuple(starts[:, which]), tuple(steps[:, which] * t), walk.floats, 0.0)
-        if component.trees is None:
-            values = [component.eval(q) for q in zip(*(p.tolist() for p in point))]
-            val = tuple(np.array(values, dtype=float).reshape(len(t), -1).T)
-        else:
-            val = linalg.combine([tree.array(point) for tree in component.trees], rows)
+        val = component.eval(point)
         if not checked:
             checked = True
             _check_nodes(zj, component.layer, point, [np.broadcast_to(v, t.shape) for v in val])

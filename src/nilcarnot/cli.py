@@ -34,7 +34,7 @@ from .algebra import GradedAlgebra, LinearMap, validate_algebra
 from .carnot import CbCDecomposition, DecompositionError, decompose
 from .catalog import fixture, fixture_names, load_algebra
 from .group import bch
-from .linalg import as_float, columns, max_gap, vneg
+from .linalg import as_float, columns, max_gap, points, vneg
 from .maps import (
     Auto,
     CompatibleReport,
@@ -54,11 +54,10 @@ from .maps import (
 )
 from .rng import SamplerConfig
 from .shear import (
-    apply_shear,
+    _k_from_s,
     bilip_estimate,
     build_shear,
     component_from_exprs,
-    k_function,
     necessity_check,
 )
 
@@ -250,12 +249,12 @@ def cmd_shear(args) -> int:
 
     qdim = dec.quotient_carnot.dim
     probe_points = [tuple(0.5 * (k + 1) if t == 0 else 0.0 for t in range(qdim)) for k in range(4)]
-    samples = {}
-    for j, comp in sorted(smap.components.items()):
-        samples[str(j)] = [
-            {"point": list(p), "value": [float(a) for a in comp.eval(p)]}
-            for p in probe_points
-        ]
+    probes = columns(probe_points)
+    probe_values = {j: comp.eval(probes) for j, comp in sorted(smap.components.items())}
+    samples = {
+        str(j): [{"point": list(p), "value": list(v)} for p, v in zip(probe_points, points(vals, len(probe_points)))]
+        for j, vals in probe_values.items()
+    }
     report.extra("component_samples", samples)
 
     if args.verify:
@@ -283,9 +282,10 @@ def cmd_shear(args) -> int:
         rng = CounterRng(args.seed)
         draws = [sample_ball_point(rng, alg, args.radius) for _ in range(2 * min(200, args.samples))]
         g1, g2 = columns(draws[0::2]), columns(draws[1::2])
-        k_direct = k_function(dec, smap, g1, g2)
+        s1, s2 = smap.s_value(dec.project(g1)), smap.s_value(dec.project(g2))
+        k_direct = _k_from_s(alg, g1, g2, s1, s2)
         u = bch(alg, vneg(g1), g2)
-        k_indirect = bch(alg, vneg(u), bch(alg, vneg(apply_shear(smap, g1)), apply_shear(smap, g2)))
+        k_indirect = bch(alg, vneg(u), bch(alg, vneg(bch(alg, g1, s1)), bch(alg, g2, s2)))
         worst = max_gap(k_direct, k_indirect)
         k_tol = 1e-12 * max(1.0, args.radius**3)
         report.check("k_identity", worst <= k_tol, value=worst, tolerance=k_tol)
@@ -293,12 +293,10 @@ def cmd_shear(args) -> int:
         # lift coherence: the tower again, lifted with membership waived (second-path checks)
         if dec.alpha_is_integer:
             reference = build_shear(dec, components, waive_membership=True)
-            probes = columns(probe_points)
             coherence = 0.0
             for j in sorted(components):
                 for layer in dec.lift_tower[j]:
-                    ref = reference.components[layer].eval(probes)
-                    coherence = max(coherence, max_gap(smap.components[layer].eval(probes), ref))
+                    coherence = max(coherence, max_gap(probe_values[layer], reference.components[layer].eval(probes)))
             report.check("lift_coherence", coherence <= 1e-9, value=coherence, tolerance=1e-9)
     return report.finish()
 

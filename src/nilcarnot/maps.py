@@ -211,7 +211,8 @@ class CompatibleExpression:
     ``b_matrix`` has one ambient column per transversal basis vector (in
     non-pivot coordinate order); ``a_matrix`` acts on ideal coordinates
     in the RREF row basis of w, and ``a_apply_ambient`` applies it to an
-    ambient vector of w through ``dec.w_apply``.  ``s_eval`` maps
+    ambient vector of w through ``dec.w_apply``; ``a_inverse`` is its
+    inverse, the one the residual ``s_eval`` applies.  ``s_eval`` maps
     quotient coordinates to an ambient vector in Z(w); it must not refer
     back to the expression, or each one waits for the cyclic collector.
     Psi(gamma) = (A, Bbar) is read off here: ``a_inverse``,
@@ -223,6 +224,7 @@ class CompatibleExpression:
     base: tuple
     b_matrix: tuple
     a_matrix: tuple
+    a_inverse: LinearMap
     s_eval: object
     quot_translation: tuple
     quot_matrix: tuple
@@ -242,10 +244,6 @@ class CompatibleExpression:
 
     def a_apply_ambient(self, w_vec):
         return self.dec.w_apply(self.a_map, w_vec)
-
-    @cached_property
-    def a_inverse(self):
-        return invert_matrix(self.a_map)
 
     @cached_property
     def quot_map(self):
@@ -329,6 +327,7 @@ def extract_compatible(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpre
         base=tuple(base),
         b_matrix=b_cols,
         a_matrix=a_matrix,
+        a_inverse=a_inv,
         s_eval=s_eval,
         quot_translation=tuple(quot_translation),
         quot_matrix=quot_matrix,

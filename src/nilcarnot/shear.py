@@ -11,14 +11,14 @@ scale.
 Many points travel as coordinate columns (:mod:`nilcarnot.linalg`)
 through the calls that take one point: every component's ``eval``,
 ``ShearMap.s_value`` and ``apply_shear``, with the bits of one point at a
-time.  Every lift integrates to ``quadrature.DEFAULT_TOL`` and memoizes
-per point, keyed by its float tuple; its values depend only on the
-point, since a lift over a one-dimensional quotient integrates from the
-nearest anchor of a fixed dyadic grid.  It evaluates one point with the
-scalar quadrature, and the misses of columns with one
-``carnot.integrate_bracket_forms`` call (``linalg.memoized``); the memo
-is written after that call returns, so one that raises leaves it as it
-was.  ``bilip_estimate`` and ``necessity_check`` send ``PAIR_BLOCK``
+time.  Every lift integrates to ``quadrature.DEFAULT_TOL`` and keeps no
+value per point: its values depend only on the point, and its one state
+is the table of anchor values of a lift over a one-dimensional quotient,
+which integrates from the nearest anchor of a fixed dyadic grid.  It
+evaluates one point with the scalar quadrature, and columns with one
+``carnot.integrate_bracket_forms`` call; the anchor table is written
+after that call returns, so one that raises leaves it as it was.
+``bilip_estimate`` and ``necessity_check`` send ``PAIR_BLOCK``
 pairs at a time.  The loop test flags a loop integral above ``1e-8``
 times the loop length (scaled by the component's Holder hint), and
 integrates all segments of all its loops at once, each loop to a tenth
@@ -76,11 +76,8 @@ class ShearComponent:
     of ambient coordinates, or coordinate columns to coordinate columns
     with the bits of one point at a time, so callers use its values as
     they are.  ``trees`` optionally holds one expression tree per RREF
-    basis row of Z_j (enabling symbolic derivatives), and ``holder_hint``
-    an a-priori bound for the j/alpha-Holder norm.  The loop test
-    evaluates the trees' numpy code when ``trees`` is set, and ``eval``
-    otherwise, so an ``eval`` replaced next to trees must agree with
-    them.
+    basis row of Z_j, read only for symbolic derivatives, and
+    ``holder_hint`` an a-priori bound for the j/alpha-Holder norm.
     """
 
     layer: int
@@ -123,7 +120,10 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
         try:
             values = [tree.scalar(q) for tree in trees]
         except TypeError:  # float() refuses an array of points: coordinate columns
-            values = [tree.array(q) for tree in trees]
+            import numpy as np
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                return linalg.combine([tree.array(q) for tree in trees], rows)
         return linalg.combine(values, rows)
 
     return ShearComponent(layer, evaluate, trees, holder_hint)
@@ -240,9 +240,8 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
     asked for into jobs: the missing cells and the pieces, or the zigzag
     paths plus the second paths.  ``eval`` takes one point, whose jobs go
     one by one through the scalar quadrature, or coordinate columns, whose
-    memo misses go out in one ``integrate_bracket_forms`` call.  The memo
-    (values per point) and the anchor table are written only after the
-    jobs return.
+    jobs go out in one ``integrate_bracket_forms`` call.  The anchor
+    table, the lift's only state, is written only after the jobs return.
     """
     if not dec.alpha_is_integer:
         raise ValueError("lifts require an integer exponent")
@@ -255,7 +254,6 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
     target_layer = component.layer + int(dec.alpha)
     qc = dec.quotient_carnot
     anchors = {0.0: (0.0,) * dec.base.dim}
-    memo: dict = {}
 
     def segment(start, end):
         return HorizontalPath(qc, (start,), (((1.0,) if end > start else (-1.0,), abs(end - start)),))
@@ -299,19 +297,13 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
 
         return [horizontal_connect(qc, key) for key in keys] + [second_path(key) for key in checked], check
 
-    def values(keys, many):
-        paths, finish = plan(keys)
-        if many:
-            return finish(integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in paths]))
-        return finish([integrate_bracket_form(dec, component, path) for path in paths])
-
     def evaluate(q):
         if linalg.scalar_mode(q, arrays="columns") == "columns":
-            return linalg.memoized(memo, lambda cols: linalg.columns(values(linalg.points(cols), True)), q)
-        key = tuple(float(a) for a in q)
-        if key not in memo:
-            memo[key] = values([key], False)[0]
-        return memo[key]
+            paths, finish = plan(linalg.points(q))
+            values = integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in paths])
+            return linalg.columns(finish(values))
+        paths, finish = plan([tuple(float(a) for a in q)])
+        return finish([integrate_bracket_form(dec, component, path) for path in paths])[0]
 
     return ShearComponent(target_layer, evaluate)
 

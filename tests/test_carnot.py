@@ -260,17 +260,24 @@ def test_integrate_bracket_form_rejects_a_non_finite_value(dec_l5):
 
 
 def test_integrate_bracket_forms_checks_the_first_three_nodes(dec_l5):
+    import numpy as np
+
     inside = component_from_exprs(dec_l5, 1, "q1")
     outside = component_from_exprs(dec_l5, 3, "1")
     path = HorizontalPath(dec_l5.quotient_carnot, (0.0,), (((1.0,), 2.0),))
-    escaping = type(inside)(1, lambda q: outside.eval(q) if q == (1.0,) else inside.eval(q))
+
+    def substituted(at, value):
+        # inside on coordinate columns, with value in place at q1 = at
+        return type(inside)(1, lambda q: tuple(np.where(q[0] == at, v, a) for v, a in zip(value, inside.eval(q))))
+
+    escaping = substituted(1.0, outside.eval((1.0,)))
     with pytest.raises(ValueError, match=r"escapes the center layer Z_1 at \(1\.0,\)"):
         integrate_bracket_forms(dec_l5, escaping, [(path, 1e-10)])
-    at_end = type(inside)(1, lambda q: (math.nan,) * 6 if q == (2.0,) else inside.eval(q))
+    at_end = substituted(2.0, (math.nan,) * 6)
     with pytest.raises(ValueError, match=r"not finite at \(2\.0,\)"):
         integrate_bracket_forms(dec_l5, at_end, [(path, 1e-10)])
     # a quarter point is no checked node
-    at_quarter = type(inside)(1, lambda q: outside.eval(q) if q == (0.5,) else inside.eval(q))
+    at_quarter = substituted(0.5, outside.eval((0.5,)))
     integrate_bracket_forms(dec_l5, at_quarter, [(path, 1e-10)])
 
 

@@ -121,6 +121,19 @@ def test_shear_verify_passes(capsys):
     assert "metric_note" in report
 
 
+def test_shear_verify_sends_no_lift_point_through_the_scalar_driver(capsys, monkeypatch):
+    # the probes, the K-identity and the estimators evaluate the lifts on coordinate columns
+    import nilcarnot.shear
+
+    calls, one = [], nilcarnot.shear.integrate_bracket_form
+    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_form", lambda *a: calls.append(a) or one(*a))
+    code, _ = run_cli(
+        capsys, "shear", "--fixture", "ladder5", "--component", "1=sign(q1)*sqrt(abs(q1))", "--verify",
+        "--samples", "100", "--seed", "42",
+    )
+    assert code == 0 and calls == []
+
+
 def test_maps_dalpha_heisprod(capsys):
     code, report = run_cli(
         capsys,
@@ -312,6 +325,7 @@ def test_usage_error_exit_codes(capsys):
             "shear", "--algebra", MULTID, "--component", "1=0.001*q1", "--verify",
             "--samples", "3", "--radius", "1e7",
         ],
+        ["shear", "--fixture", "heisprod4", "--component", "2=1e300*1e300*q1", "--verify", "--samples", "20"],
     ],
     ids=[
         "division_by_zero", "complex_power", "non_contraction", "extrapolation", "overflow",
@@ -320,7 +334,7 @@ def test_usage_error_exit_codes(capsys):
         "radius_overflow", "zero_denominator", "short_point", "long_point", "pansu_long_point",
         "solve_layer_zero", "solve_layer_negative", "infinite_translate", "infinite_translate_automorphism",
         "infinite_literal", "infinite_report_value", "overflowing_translate",
-        "overflowing_translate_automorphism", "zigzag_out_of_reach",
+        "overflowing_translate_automorphism", "zigzag_out_of_reach", "infinite_column_component",
     ],
 )
 def test_failing_input_exits_2_with_one_line_message(capsys, multid_path, argv):

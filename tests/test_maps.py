@@ -12,7 +12,7 @@ import pytest
 import nilcarnot.linalg
 import nilcarnot.maps
 from nilcarnot.algebra import LinearMap, bracket
-from nilcarnot.group import bch, dilation_matrix
+from nilcarnot.group import bch, dilation_matrix, invert_matrix
 from nilcarnot.linalg import as_float, identity_matrix, is_zero, scalar_mode, vadd, vneg, vscale
 from nilcarnot.maps import (
     _curve_velocity,
@@ -174,11 +174,13 @@ def test_cc_identity_fails_for_tampered_a(dec_l5):
     # rescale the action on z1 only: [Bh, A z1] = A [h, z1] now fails
     bad_rows = list(list(r) for r in expr.a_matrix)
     bad_rows[2][2] *= 2
+    bad = tuple(tuple(r) for r in bad_rows)
     tampered = type(expr)(
         dec=expr.dec,
         base=expr.base,
         b_matrix=expr.b_matrix,
-        a_matrix=tuple(tuple(r) for r in bad_rows),
+        a_matrix=bad,
+        a_inverse=invert_matrix(LinearMap(bad)),
         s_eval=expr.s_eval,
         quot_translation=expr.quot_translation,
         quot_matrix=expr.quot_matrix,

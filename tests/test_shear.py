@@ -84,7 +84,8 @@ def test_lift_vanishes_when_center_is_central(dec_hp4):
     assert all(abs(v) < 1e-15 for v in lifted.eval((2.0,)))
 
 
-def test_lift_memoizes(dec_l5, sigma_component):
+def test_an_anchor_value_comes_from_the_anchor_table(dec_l5, sigma_component):
+    # 1.25 = 5 * 2^-2 is an anchor
     lifted = lift(dec_l5, sigma_component)
     first = lifted.eval((1.25,))
     assert lifted.eval((1.25,)) is first
@@ -559,7 +560,7 @@ def test_batched_1d_chain_gives_the_one_point_bits(dec_l5):
     one, many = _sigma_shear(dec_l5), _sigma_shear(dec_l5)
     want = [_hexes(apply_shear(one, g)) for g in points]
     assert _column_hexes(apply_shear(many, columns(points)), len(points)) == want
-    # again, every lift value a memo hit
+    # again, with every anchor the points need in the table
     assert _column_hexes(apply_shear(many, columns(points)), len(points)) == want
     # the many-point form is eval itself, so an eval put in its place sees
     # the column call: there is no second callable left behind
@@ -634,9 +635,9 @@ def test_necessity_check_values_are_pinned(dec_l5):
 
 
 @pytest.mark.parametrize("multid", [False, True])
-def test_a_failing_batch_leaves_the_lift_memo_as_it_was(dec_l5, dec_multid, multid):
+def test_a_failing_batch_leaves_the_anchor_table_as_it_was(dec_l5, dec_multid, multid):
     # 1e300*q1*q1 overflows to inf at |q1| > 1.4e4, which fails the membership
-    # check; over ladder5 the lift chains, over ladder5 x engel4 it is waived
+    # check; over ladder5 the lift reads anchors, over ladder5 x engel4 it is waived
     dec = dec_multid if multid else dec_l5
     comp = component_from_exprs(dec, 1, "1e300*q1*q1")
     used, fresh = (lift(dec, comp, waive_membership=multid) for _ in range(2))
@@ -705,11 +706,29 @@ def test_a_far_1d_lift_needs_logarithmically_many_cells(dec_l5, monkeypatch, for
     assert jobs == []
 
 
-def test_a_path_dependent_batch_memoizes_nothing(dec_multid):
+def test_a_path_dependent_batch_leaves_the_anchor_table_as_it_was(dec_multid):
     bad = lift(dec_multid, component_from_exprs(dec_multid, 1, "q4"), waive_membership=True)
     for _ in range(2):
         with pytest.raises(PathDependenceError, match="independent paths to .* disagree by"):
             bad.eval(columns([(0.0,) * 5, (0.7, -0.4, 1.1, 0.3, -0.9)]))
+
+
+def test_a_lift_on_columns_keeps_no_state_per_point(dec_l5):
+    # the anchor table is a lift's only state: fresh points off the grid add nothing to it
+    import tracemalloc
+
+    lifted = lift(dec_l5, component_from_exprs(dec_l5, 1, SIGMA))
+    qs = np.random.default_rng(0).uniform(-10.0, 10.0, 5200)
+    lifted.eval((qs[:200],))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for start in range(200, len(qs), 128):
+            lifted.eval((qs[start : start + 128],))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 0.5e6
 
 
 def test_holder_norm_estimate_survives_an_overflowing_square(dec_l5):
