@@ -34,7 +34,7 @@ from .algebra import GradedAlgebra, LinearMap, validate_algebra
 from .carnot import CbCDecomposition, DecompositionError, decompose
 from .catalog import fixture, fixture_names, load_algebra
 from .group import bch
-from .linalg import as_float, columns, max_gap, points, vneg
+from .linalg import as_float, columns, max_gap, pairs, points, vneg
 from .maps import (
     Auto,
     CompatibleReport,
@@ -276,16 +276,15 @@ def cmd_shear(args) -> int:
         )
         report.extra("metric_note", necessity.cc_surrogate)
 
-        # K-identity on sampled pairs, all of them as coordinate columns
+        # K-identity on sampled pairs, all of them drawn as coordinate columns in one call
         from .rng import CounterRng, sample_ball_point
 
-        rng = CounterRng(args.seed)
-        draws = [sample_ball_point(rng, alg, args.radius) for _ in range(2 * min(200, args.samples))]
-        g1, g2 = columns(draws[0::2]), columns(draws[1::2])
-        s1, s2 = smap.s_value(dec.project(g1)), smap.s_value(dec.project(g2))
-        k_direct = _k_from_s(alg, g1, g2, s1, s2)
-        u = bch(alg, vneg(g1), g2)
-        k_indirect = bch(alg, vneg(u), bch(alg, vneg(bch(alg, g1, s1)), bch(alg, g2, s2)))
+        g1, g2 = pairs(sample_ball_point(CounterRng(args.seed), alg, args.radius, 2 * min(200, args.samples)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            s1, s2 = smap.s_value(dec.project(g1)), smap.s_value(dec.project(g2))
+            k_direct = _k_from_s(alg, g1, g2, s1, s2)
+            u = bch(alg, vneg(g1), g2)
+            k_indirect = bch(alg, vneg(u), bch(alg, vneg(bch(alg, g1, s1)), bch(alg, g2, s2)))
         worst = max_gap(k_direct, k_indirect)
         k_tol = 1e-12 * max(1.0, args.radius**3)
         report.check("k_identity", worst <= k_tol, value=worst, tolerance=k_tol)

@@ -18,7 +18,10 @@ Also here: dilations ``delta_r`` (the automorphisms generated by the
 diagonal derivation), the homogeneous quasi-norm and graded-automorphism
 checks.  ``dilate`` accepts a precomputed table of factors, so a
 dilation applied at many points (a ``maps.Dilation`` factor, which keeps
-the float twin of its table) pays for its powers once.
+the float twin of its table) pays for its powers once.  ``dilate``,
+``quasi_norm`` and ``quasi_dist`` take coordinate columns too, with the
+bits of one point at a time: every power there is Python's float ``**``,
+taken element by element.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import GradedAlgebra, LinearMap, bracket
-from .linalg import vadd, vneg, vscale
+from .linalg import as_float, length, power, vadd, vneg, vscale
 
 DEFAULT_DEGREE_CEILING = 6
 # through the ceiling: 1/k!, the series of Ad = exp(ad), and B_k/k! with the
@@ -115,7 +118,21 @@ def conjugate_adjoint(alg: GradedAlgebra, y, x):
 
 
 def _dilation_factors(alg: GradedAlgebra, r):
-    """r**lambda per basis vector: exact for rational r and an integer weight."""
+    """r**lambda per basis vector: exact for rational r and an integer weight.
+
+    For an array of ratios, one per point, an array per basis vector, the
+    powers Python's float ``**`` (``linalg.power``); a failing point raises
+    its one-point error, the first in order.
+    """
+    if linalg.scalar_mode((r,), arrays="columns") == "columns":
+        try:
+            if (r <= 0).any():
+                raise ValueError
+            powers = {flam: power(r, flam) for flam in set(alg.weights_float)}
+        except (ValueError, OverflowError):
+            for a in r.tolist():
+                _dilation_factors(alg, a)
+        return [powers[flam] for flam in alg.weights_float]
     if r <= 0:
         raise ValueError("dilation ratio must be positive")
     exact_r = isinstance(r, (int, Fraction)) and not isinstance(r, bool)
@@ -132,7 +149,8 @@ def dilate(alg: GradedAlgebra, r, x, factors=None):
     """delta_r: scale the weight-lambda coordinate block by r**lambda.
 
     Exact when r is rational and all weights are integers; otherwise
-    falls back to float powers.  ``factors``, when given, must be
+    falls back to float powers.  On coordinate columns r may be an array
+    of ratios, one per point.  ``factors``, when given, must be
     ``_dilation_factors(alg, r)`` or its float twin; it replaces the
     per-call computation of that table.
     """
@@ -141,29 +159,25 @@ def dilate(alg: GradedAlgebra, r, x, factors=None):
     return tuple(factor * a for factor, a in zip(factors, x))
 
 
-def quasi_norm(alg: GradedAlgebra, x) -> float:
-    """sum over layers of |x_lambda|^(1/lambda), |.| the Euclidean slice norm (hypot on overflow)."""
+def quasi_norm(alg: GradedAlgebra, x):
+    """sum over layers of |x_lambda|^(1/lambda), |.| the Euclidean slice norm
+    ``linalg.length``; on coordinate columns, an array of the points' norms,
+    every power Python's float ``**`` (``linalg.power``)."""
+    x = as_float(x)
     total = 0.0
     for inv_w, idx in alg.norm_layers:
-        sq = 0.0
-        try:
-            for i in idx:
-                sq += float(x[i]) ** 2
-        except OverflowError:
-            sq = math.inf
-        if sq:
-            norm = math.hypot(*(float(x[i]) for i in idx)) if sq == math.inf else math.sqrt(sq)
-            total += norm ** inv_w
+        total = total + power(length([x[i] for i in idx]), inv_w)
     return total
 
 
-def quasi_dist(alg: GradedAlgebra, x, y) -> float:
+def quasi_dist(alg: GradedAlgebra, x, y):
     """Left-invariant quasi-distance rho(x, y) = ||x^-1 * y||.
 
     The points share one scalar mode (``bch`` rejects a mix).  When both
     are exact the difference is computed exactly, so coinciding points
     report distance 0.0 instead of a rounding residue amplified by the
-    fractional layer exponents.
+    fractional layer exponents.  On coordinate columns, one sweep gives
+    the array of the pairs' distances.
     """
     return quasi_norm(alg, bch(alg, vneg(x), y))
 

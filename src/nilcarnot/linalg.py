@@ -154,6 +154,51 @@ def max_gap(x, y):
     return gap
 
 
+def power(x, e):
+    """``x ** e`` by Python's float ``**``: of a float, or element by element
+    of a float array, where numpy's ``**`` can round differently."""
+    values = getattr(x, "tolist", None)
+    if values is None:  # a float
+        return x**e
+    import numpy as np
+    return np.array([a**e for a in values()])
+
+
+def _square(a):
+    try:
+        return a**2
+    except OverflowError:
+        return math.inf
+
+
+def length(v):
+    """The Euclidean norm of a float vector, or of each point of coordinate
+    columns: the squares (Python's float ``**``, inf where one overflows)
+    summed from 0.0 in order, then ``sqrt``, or ``hypot`` where that sum
+    is inf."""
+    if scalar_mode(v, arrays="columns") != "columns":
+        sq = 0.0
+        for a in v:
+            sq += _square(a)
+        return math.hypot(*v) if sq == math.inf else math.sqrt(sq)
+    import numpy as np
+    lists = [c.tolist() for c in np.broadcast_arrays(*v)]
+    sq = 0.0
+    for values in lists:
+        sq = sq + np.array([_square(a) for a in values])
+    out = np.sqrt(sq)
+    for k in np.flatnonzero(sq == math.inf):
+        out[k] = math.hypot(*(values[k] for values in lists))
+    return out
+
+
+def pairs(cols):
+    """The first and the second points of the pairs that coordinate columns
+    hold in turn, as two sets of columns; a scalar entry stays shared."""
+    import numpy as np
+    return tuple(tuple(c[k::2] if isinstance(c, np.ndarray) else c for c in cols) for k in (0, 1))
+
+
 def mat_mul(a, b):
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)

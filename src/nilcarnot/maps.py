@@ -395,8 +395,7 @@ def verify_compatible(
     zero = (0.0,) * alg.dim
     central_defect = 0.0
     recon_defect = 0.0
-    for _ in range(sampler.count):
-        g = sample_ball_point(rng, alg, sampler.radius)
+    for g in linalg.points(sample_ball_point(rng, alg, sampler.radius, sampler.count)):
         qbar = dec.project(g)
         sval = expr.s_eval(qbar)
         resid = linalg.reduce_against(dec.center_w.rows, dec.center_w.pivots, sval)
@@ -411,8 +410,7 @@ def verify_compatible(
         recon_defect = max(recon_defect, linalg.max_gap(rebuilt, direct))
 
     same_b = True
-    for _ in range(3):
-        p = sample_ball_point(rng, alg, sampler.radius)
+    for p in linalg.points(sample_ball_point(rng, alg, sampler.radius, 3)):
         expr_p = extract_compatible(dec, fmap.conjugated_at(p))
         if expr_p.b_matrix != expr.b_matrix or expr_p.a_matrix != expr.a_matrix:
             same_b = False
@@ -671,7 +669,7 @@ def cocycle_of(dec: CbCDecomposition, fmap: FiberMap) -> dict:
 
 def cocycle_identity_check(dec: CbCDecomposition, gamma1: FiberMap, gamma2: FiberMap) -> float:
     """Defect of b_j(g2 o g1) = b_j(g1) + pi_Psi(g1) b_j(g2) on a grid."""
-    grid = linalg.columns(quotient_grid(dec, count=100, seed=5, radius=4.0))
+    grid = quotient_grid(dec, count=100, seed=5, radius=4.0)
     composite = compose(gamma1, gamma2)
     b1 = cocycle_of(dec, gamma1)
     b2 = cocycle_of(dec, gamma2)
@@ -688,10 +686,8 @@ def cocycle_identity_check(dec: CbCDecomposition, gamma1: FiberMap, gamma2: Fibe
 
 
 def quotient_grid(dec: CbCDecomposition, count=100, seed=5, radius=4.0):
-    rng = CounterRng(seed)
-    return tuple(
-        sample_ball_point(rng, dec.quotient_carnot, radius) for _ in range(count)
-    )
+    """``count`` sampled quotient points as coordinate columns."""
+    return sample_ball_point(CounterRng(seed), dec.quotient_carnot, radius, count)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +718,7 @@ def conjugate_by_shear(dec: CbCDecomposition, f0: ShearMap, gamma: FiberMap):
     s_gamma = cocycle_of(dec, gamma)[j]
     s_new = cocycle_of(dec, conj)[j]
     transported = cocycle_action(dec, pair, c)
-    grid = linalg.columns(quotient_grid(dec, count=60, seed=9, radius=4.0))
+    grid = quotient_grid(dec, count=60, seed=9, radius=4.0)
     with np.errstate(over="ignore", invalid="ignore"):
         new_val = s_new.eval(grid)
         expected = vadd(linalg.vsub(s_gamma.eval(grid), c.eval(grid)), transported.eval(grid))
@@ -783,8 +779,7 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
         return dec.w_embed(a_inv_powers[k](linalg.vsub(coords, s_origin[k])))
 
     # the origin's orbit rides along as point 0, whose own term is zero
-    grid = ((0.0,) * dec.quotient_carnot.dim,) + quotient_grid(dec, count=40, seed=13, radius=4.0)
-    orbit = linalg.columns(grid)
+    orbit = tuple(np.concatenate(([0.0], c)) for c in quotient_grid(dec, count=40, seed=13, radius=4.0))
     zero = (0.0,) * dec.base.dim
     a_inv_power = linalg.identity_matrix(dec.w.rank)
     prev_change = None
@@ -854,9 +849,8 @@ def automorphism_check(
     g = lambda x: bch(alg, vneg(f0), as_float(f(x)))
     rng = CounterRng(sampler.seed)
     defect = 0.0
-    for _ in range(sampler.count):
-        x = sample_ball_point(rng, alg, sampler.radius)
-        y = sample_ball_point(rng, alg, sampler.radius)
+    draws = linalg.points(sample_ball_point(rng, alg, sampler.radius, 2 * sampler.count))
+    for x, y in zip(draws[0::2], draws[1::2]):
         lhs = g(bch(alg, x, y))
         rhs = bch(alg, g(x), g(y))
         defect = max(defect, linalg.max_gap(lhs, rhs))

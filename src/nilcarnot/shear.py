@@ -18,8 +18,9 @@ which integrates from the nearest anchor of a fixed dyadic grid.  It
 evaluates one point with the scalar quadrature, and columns with one
 ``carnot.integrate_bracket_forms`` call; the anchor table is written
 after that call returns, so one that raises leaves it as it was.
-``bilip_estimate`` and ``necessity_check`` send ``PAIR_BLOCK``
-pairs at a time.  The loop test flags a loop integral above ``1e-8``
+The estimators take ``PAIR_BLOCK`` pairs at a time: one sampler call
+draws a block as coordinate columns and one ``quasi_dist`` sweep
+measures it.  The loop test flags a loop integral above ``1e-8``
 times the loop length (scaled by the component's Holder hint), and
 integrates all segments of all its loops at once, each loop to a tenth
 of that threshold, not to ``DEFAULT_TOL``.  A loop integral that is not
@@ -43,12 +44,12 @@ from .carnot import (
 )
 from .exprlang import parse_expression
 from .group import bch, dilate, quasi_dist
-from .linalg import as_float, vadd, vneg, vscale
+from .linalg import as_float, length, pairs, power, vadd, vneg, vscale
 from .quadrature import DEFAULT_TOL
 from .rng import CounterRng, SamplerConfig, sample_ball_point
 
 
-# pairs whose points the estimators send to the lifts in one call: on
+# pairs that the estimators draw, map and measure in one call each: on
 # shear_verify_ladder5, 64 runs within a few percent of the fastest size
 # measured, with about half the peak-RSS growth of 128 (see CHANGES.md)
 PAIR_BLOCK = 64
@@ -400,6 +401,8 @@ def necessity_check(
     is visible.  The quotient Carnot metric is replaced by the quotient
     quasi-norm distance (flagged in the report).
     """
+    import numpy as np
+
     qc = dec.quotient_carnot
     alpha = float(dec.alpha)
     out = {}
@@ -407,26 +410,17 @@ def necessity_check(
     for radius in radii:
         rng = CounterRng(seed)
         worst = {i: 0.0 for i in layers}
-
-        def draw():
-            q1 = sample_ball_point(rng, qc, radius)
-            off = sample_ball_point(rng, qc, 1.0)
-            q2 = bch(qc, q1, off)
-            d = quasi_dist(qc, q1, q2)
-            return None if d < 1e-9 else (as_float(dec.lift(q1)), as_float(dec.lift(q2)), d)
-
-        for block in _pair_blocks(count, draw):
-            qs = linalg.columns([dec.project(g) for g1, g2, _ in block for g in (g1, g2)])
-            svals = iter(linalg.points(smap.s_value(qs), 2 * len(block)))
-            for g1, g2, d in block:
-                s1, s2 = next(svals), next(svals)
+        blocks = _pair_blocks(rng, qc, count, (radius, 1.0), 1e-9, lambda q1, off: bch(qc, q1, off))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for qs, d in blocks:
+                g = dec.lift(qs)
+                (g1, g2), (s1, s2) = pairs(g), pairs(smap.s_value(dec.project(g)))
                 k = _k_from_s(dec.base, g1, g2, s1, s2)
                 for i in layers:
-                    size = _length([float(a) for a in dec.w_layer_project(k, i)])
-                    if size == 0.0:
-                        continue
-                    ratio = size ** (1.0 / i) / d ** (1.0 / alpha)
-                    worst[i] = max(worst[i], ratio if ratio < math.inf else math.inf)
+                    size = np.broadcast_to(length(dec.w_layer_project(k, i)), d.shape)  # a zero layer: 0.0
+                    kept = size != 0.0
+                    ratio = power(size[kept], 1.0 / i) / power(d[kept], 1.0 / alpha)
+                    worst[i] = max(worst[i], _sup(ratio))
         out[radius] = worst
     return NecessityReport(out)
 
@@ -435,21 +429,17 @@ def holder_norm_estimate(
     dec: CbCDecomposition, component: ShearComponent, sampler: SamplerConfig
 ) -> float:
     """Empirical lower bound for the j/alpha-Holder norm of a component."""
+    import numpy as np
+
     qc = dec.quotient_carnot
     rng = CounterRng(sampler.seed)
     exponent = component.layer / float(dec.alpha)
     best = 0.0
-    for _ in range(sampler.count):
-        p = sample_ball_point(rng, qc, sampler.radius)
-        q = sample_ball_point(rng, qc, sampler.radius)
-        d = quasi_dist(qc, p, q)
-        if d < 1e-12:
-            continue
-        vp = component.eval(p)
-        vq = component.eval(q)
-        num = _length([float(a) - float(b) for a, b in zip(vp, vq)])
-        ratio = num / d**exponent
-        best = max(best, ratio if ratio < math.inf else math.inf)
+    radii = (sampler.radius, sampler.radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pq, d in _pair_blocks(rng, qc, sampler.count, radii, 1e-12):
+            num = length(linalg.vsub(*pairs(component.eval(pq))))
+            best = max(best, _sup(num / power(d, exponent)))
     return best
 
 
@@ -458,30 +448,27 @@ def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
 
     F is a callable, called once per point in sample order, or a
     ``ShearMap``, whose images of a block of ``PAIR_BLOCK`` pairs come
-    from one ``apply_shear`` call on their columns.
+    from one ``apply_shear`` call on their columns.  A block is mapped
+    whole before its ratios are measured in one ``quasi_dist`` sweep.
     Pairs closer than 1e-9 are skipped (and not mapped); a ``ValueError``
     says so when every pair was, since then no ratio was measured."""
+    import numpy as np
+
     rng = CounterRng(sampler.seed)
     sup_ratio = 0.0
     inf_ratio = math.inf
-
-    def draw():
-        x = sample_ball_point(rng, alg, sampler.radius)
-        y = sample_ball_point(rng, alg, sampler.radius)
-        d = quasi_dist(alg, x, y)
-        return None if d < 1e-9 else (x, y, d)
-
-    for block in _pair_blocks(sampler.count, draw):
-        points = [g for x, y, _ in block for g in (x, y)]
-        many = isinstance(f, ShearMap)
-        images = iter(linalg.points(apply_shear(f, linalg.columns(points)), len(points)) if many else map(f, points))
-        for _, _, d in block:
-            fx, fy = next(images), next(images)
-            ratio = quasi_dist(alg, fx, fy) / d
-            if not ratio < math.inf:
+    radii = (sampler.radius, sampler.radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for xy, d in _pair_blocks(rng, alg, sampler.count, radii, 1e-9):
+            if isinstance(f, ShearMap):
+                images = apply_shear(f, xy)
+            else:
+                images = linalg.columns([f(p) for p in linalg.points(xy)])
+            ratio = quasi_dist(alg, *pairs(images)) / d
+            if not np.all(ratio < math.inf):
                 return math.inf, 0.0
-            sup_ratio = max(sup_ratio, ratio)
-            inf_ratio = min(inf_ratio, ratio)
+            sup_ratio = max(sup_ratio, float(ratio.max()))
+            inf_ratio = min(inf_ratio, float(ratio.min()))
     if inf_ratio == math.inf:
         raise ValueError(
             f"bilip_estimate skipped all {sampler.count} sampled pairs: each was closer than 1e-9, "
@@ -490,20 +477,29 @@ def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
     return sup_ratio, inf_ratio
 
 
-def _pair_blocks(count, draw):
-    """``count`` calls of ``draw`` in lists of up to ``PAIR_BLOCK``, each
-    without the ``None`` results (skipped pairs); an empty list is left out."""
+def _pair_blocks(rng, alg, count, radii, skip, second=lambda x, y: y):
+    """``count`` sampled pairs in blocks of up to ``PAIR_BLOCK``, each block
+    drawn by one ``sample_ball_point`` call and measured by one
+    ``quasi_dist`` sweep.  A pair is two draws in turn, at the radii
+    ``radii``, with ``second(x, y)`` in place of its second point y.
+    Yields the columns of the kept pairs' points, alternating first and
+    second, and their distances; pairs closer than ``skip`` are left out,
+    and so is a block left empty."""
+    import numpy as np
+
     for start in range(0, count, PAIR_BLOCK):
-        drawn = [draw() for _ in range(min(PAIR_BLOCK, count - start))]
-        block = [pair for pair in drawn if pair is not None]
-        if block:
-            yield block
+        m = min(PAIR_BLOCK, count - start)
+        drawn = sample_ball_point(rng, alg, np.tile(radii, m), 2 * m)
+        x, y = pairs(drawn)
+        y = second(x, y)
+        d = quasi_dist(alg, x, y)
+        kept = np.flatnonzero(~(d < skip))
+        if kept.size:
+            yield tuple(np.stack([a[kept], b[kept]], axis=1).ravel() for a, b in zip(x, y)), d[kept]
 
 
-def _length(v):
-    """Euclidean norm of a float vector: ``sqrt(sum(a ** 2))``, or ``hypot`` where that overflows."""
-    try:
-        sq = sum(a**2 for a in v)
-    except OverflowError:
-        sq = math.inf
-    return math.hypot(*v) if sq == math.inf else math.sqrt(sq)
+def _sup(ratios):
+    """The largest of an array of ratios, 0.0 when it is empty, inf when one is not finite."""
+    import numpy as np
+
+    return float(ratios.max(initial=0.0)) if np.all(ratios < math.inf) else math.inf

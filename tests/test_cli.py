@@ -326,6 +326,10 @@ def test_usage_error_exit_codes(capsys):
             "--samples", "3", "--radius", "1e7",
         ],
         ["shear", "--fixture", "heisprod4", "--component", "2=1e300*1e300*q1", "--verify", "--samples", "20"],
+        [
+            "shear", "--fixture", "ladder5", "--component", "1=q1", "--verify", "--radius", "1e100",
+            "--samples", "5", "--seed", "1",
+        ],
     ],
     ids=[
         "division_by_zero", "complex_power", "non_contraction", "extrapolation", "overflow",
@@ -335,6 +339,7 @@ def test_usage_error_exit_codes(capsys):
         "solve_layer_zero", "solve_layer_negative", "infinite_translate", "infinite_translate_automorphism",
         "infinite_literal", "infinite_report_value", "overflowing_translate",
         "overflowing_translate_automorphism", "zigzag_out_of_reach", "infinite_column_component",
+        "overflowing_column_estimate",
     ],
 )
 def test_failing_input_exits_2_with_one_line_message(capsys, multid_path, argv):

@@ -10,13 +10,17 @@ replaced, kept as references (the bracket loop in ``conftest``), and so
 is each ``LinearMap`` kernel with the ``sum`` loop it replaced.  The curve
 velocity, a Bernoulli series in ``ad``, is compared with the Dynkin
 words that hold the direction once.  The float twins of the structural
-tables must leave no ``Fraction`` conversion on a fresh point.
+tables must leave no ``Fraction`` conversion on a fresh point.  The
+sampler, the quasi-norm, the quasi-distance and the dilation on
+coordinate columns give the bits of one-point calls, and the sampler the
+counter of the one-point stream.
 """
 
 import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +29,8 @@ import nilcarnot.group
 from nilcarnot.algebra import LinearMap, bracket, bracket_float
 from nilcarnot.carnot import decompose
 from nilcarnot.catalog import direct_product, engel4, fixture, fixture_names, ladder5
-from nilcarnot.group import bch, dynkin_words
+from nilcarnot.group import bch, dilate, dynkin_words, quasi_dist, quasi_norm
+from nilcarnot.linalg import columns, points
 from nilcarnot.maps import _curve_velocity, compose, fiber_dilation, fiber_shear, solve_single_generator_fixed_point
 from nilcarnot.rng import CounterRng, sample_ball_point
 from nilcarnot.shear import apply_shear, build_shear, component_from_exprs
@@ -303,3 +308,96 @@ def test_expression_component_values_are_pinned(name, first, second):
         want = ["0x0.0p+0"] * dec.base.dim
         want[2] = value
         assert [a.hex() for a in comp.eval(q)] == want
+
+
+def point_hexes(pts):
+    return [hexes(p) for p in pts]
+
+
+def overflow_or(call):
+    """What ``call`` returns, or the message of the ``OverflowError`` it raises."""
+    try:
+        return call()
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    counter=st.integers(0, 2**40),
+    n=st.integers(1, 40),
+    radius=st.floats(-6.0, 100.0).map(lambda e: 10.0**e),
+)
+def test_column_sampler_and_quasi_norm_equal_one_point_calls(name, seed, counter, n, radius):
+    alg = ALGEBRAS[name]
+    one, many = CounterRng(seed, counter), CounterRng(seed, counter)
+    want = overflow_or(lambda: [sample_ball_point(one, alg, radius) for _ in range(2 * n)])
+    got = overflow_or(lambda: points(sample_ball_point(many, alg, radius, 2 * n)))
+    if isinstance(want, str):  # past the float range: the same first failing dilation
+        assert got == want and want.startswith("OverflowError: the dilation by ")
+        return
+    assert point_hexes(got) == point_hexes(want)
+    assert many.counter == one.counter
+
+    x, y = want[0::2], want[1::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert hexes(quasi_norm(alg, columns(x))) == hexes(quasi_norm(alg, p) for p in x)
+        dists = quasi_dist(alg, columns(x), columns(y))
+    assert hexes(dists) == hexes(quasi_dist(alg, p, q) for p, q in zip(x, y))
+    ratios = np.array([0.5 + k for k in range(n)]) ** 3 / radius
+    want = overflow_or(lambda: [dilate(alg, float(r), p) for r, p in zip(ratios, x)])
+    got = overflow_or(lambda: points(dilate(alg, ratios, columns(x)), n))
+    assert got == want if isinstance(want, str) else point_hexes(got) == point_hexes(want)
+
+
+class Stalling(CounterRng):
+    """Gives the output 2^63, whose coordinate is 0.0, at the counters ``stall``."""
+
+    def __init__(self, seed, stall):
+        super().__init__(seed)
+        self.stall = stall
+
+    def at(self, counter):
+        out = super().at(counter)
+        if isinstance(counter, int):
+            return 1 << 63 if counter in self.stall else out
+        return np.where(np.isin(counter, self.stall), np.uint64(1 << 63), out)
+
+
+def test_a_rejected_draw_keeps_the_one_point_stream():
+    alg = ladder5()
+    dim = alg.dim
+    stall = list(range(5 * (dim + 1) + 1, 5 * (dim + 1) + dim + 1))  # the sixth point's coordinates
+    one, many = Stalling(3, stall), Stalling(3, stall)
+    want = [sample_ball_point(one, alg, 2.0) for _ in range(12)]
+    got = points(sample_ball_point(many, alg, 2.0, 12))
+    # exactly one redraw: dim counters more than 12 points read
+    assert one.counter == many.counter == 12 * (dim + 1) + dim
+    assert point_hexes(got) == point_hexes(want)
+
+
+def test_quasi_norm_on_columns_takes_hypot_where_squares_overflow():
+    alg = ladder5()
+    pts = [
+        (1e200, 0.0, 0.0, 0.0, 0.0, 0.0),
+        (1.5e154, -1.5e154, 0.0, 0.0, 0.0, 0.0),
+        (3.0, 4.0, 0.0, 0.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 1e200, 0.0, 8.0),
+        (math.inf, 1e200, 0.0, 0.0, 0.0, 0.0),
+        (math.nan, 1e200, 0.0, 0.0, 0.0, 0.0),
+    ]
+    got = quasi_norm(alg, columns(pts))
+    assert hexes(got) == hexes(quasi_norm(alg, p) for p in pts)
+    assert got[0] == 1e200 and got[1] == math.hypot(1.5e154, 1.5e154) and got[2] == 5.0
+
+
+def test_the_dilation_overflow_keeps_its_message_on_columns():
+    alg = ladder5()
+    with pytest.raises(OverflowError) as one:
+        sample_ball_point(CounterRng(4), alg, 1e300)
+    with pytest.raises(OverflowError) as many:
+        sample_ball_point(CounterRng(4), alg, 1e300, 10)
+    assert str(many.value) == str(one.value)
+    assert str(one.value).startswith("the dilation by ") and str(one.value).endswith(" overflows a float coordinate")

@@ -46,6 +46,11 @@ from nilcarnot.rng import CounterRng, SamplerConfig, sample_ball_point
 from nilcarnot.shear import ShearMap, apply_shear, build_shear, component_from_exprs
 
 
+def grid_points(dec, **sampler):
+    """The points of ``quotient_grid``, which returns coordinate columns, one float tuple each."""
+    return tuple(nilcarnot.linalg.points(quotient_grid(dec, **sampler)))
+
+
 @pytest.fixture(scope="module")
 def kappa_shear(dec_hp4):
     return build_shear(dec_hp4, {2: component_from_exprs(dec_hp4, 2, "0.5*q1")})
@@ -112,7 +117,7 @@ def test_extract_dilation(dec_l5):
     keep = [i for i in range(6) if i not in dec_l5.w.pivots]
     for pos, i in enumerate(keep):
         assert expr.b_matrix[pos] == tuple(m[t][i] for t in range(6))
-    grid = quotient_grid(dec_l5, count=5, seed=2, radius=2.0)
+    grid = grid_points(dec_l5, count=5, seed=2, radius=2.0)
     for q in grid:
         assert max(abs(a) for a in as_float(expr.s_eval(q))) <= 1e-12
 
@@ -325,7 +330,7 @@ def test_cocycle_action_identity_pair(dec_l5):
     pair = similarity_pair(dec_l5, FiberMap(dec_l5.base, ()))
     c = component_from_exprs(dec_l5, 1, "sin(q1)")
     out = cocycle_action(dec_l5, pair, c)
-    for q in quotient_grid(dec_l5, count=10, seed=3, radius=3.0):
+    for q in grid_points(dec_l5, count=10, seed=3, radius=3.0):
         assert max(abs(a - b) for a, b in zip(out.eval(q), c.eval(q))) <= 1e-12
 
 
@@ -385,7 +390,7 @@ def test_cocycle_of_identity_and_inverse(dec_l5, ladder_sigma_shear):
     b = cocycle_of(dec_l5, gamma)[1]
     b_inv = cocycle_of(dec_l5, gamma_inv)[1]
     moved = cocycle_action(dec_l5, pair_inv, b)
-    for q in quotient_grid(dec_l5, count=20, seed=6, radius=3.0):
+    for q in grid_points(dec_l5, count=20, seed=6, radius=3.0):
         lhs = as_float(b_inv.eval(q))
         rhs = tuple(-a for a in as_float(moved.eval(q)))
         assert max(abs(a - b_) for a, b_ in zip(lhs, rhs)) <= 1e-10
@@ -413,7 +418,7 @@ def test_pair_composition_opposite_law(dec_l5):
     lhs = cocycle_action(dec_l5, both, c)
     # opposite-group law: the composed pair acts as pi_1 after pi_2
     rhs = cocycle_action(dec_l5, p1, cocycle_action(dec_l5, p2, c))
-    for q in quotient_grid(dec_l5, count=15, seed=4, radius=3.0):
+    for q in grid_points(dec_l5, count=15, seed=4, radius=3.0):
         assert max(abs(x - y) for x, y in zip(lhs.eval(q), rhs.eval(q))) <= 1e-12
 
 
@@ -680,7 +685,7 @@ def test_extracted_lifted_component_takes_columns(dec_l5):
         shear = build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, "q1*q1")})
         return extract_compatible(dec_l5, fiber_shear(shear)).s_component(3)
 
-    points = quotient_grid(dec_l5, count=60, seed=21, radius=6.0)
+    points = grid_points(dec_l5, count=60, seed=21, radius=6.0)
     one, many = s3(), s3()
     want = [_hexes(one.eval(q)) for q in points]
     assert _column_hexes(many.eval(nilcarnot.linalg.columns(points)), len(points)) == want
@@ -690,8 +695,8 @@ def test_solved_component_on_columns_gives_the_one_point_bits(dec_l5):
     gamma = _gamma(dec_l5)
     c, report = solve_single_generator_fixed_point(dec_l5, gamma, 1)
     assert report.iterations == 41  # the golden's count
-    grid = quotient_grid(dec_l5, count=40, seed=13, radius=4.0)  # the solver's own points
-    fresh = quotient_grid(dec_l5, count=60, seed=21, radius=6.0)
+    grid = grid_points(dec_l5, count=40, seed=13, radius=4.0)  # the solver's own points
+    fresh = grid_points(dec_l5, count=60, seed=21, radius=6.0)
     scalar = one_point_solved(dec_l5, gamma, report.iterations)
     for points in (grid, fresh):
         want = [_hexes(scalar(q)) for q in points]
@@ -715,7 +720,7 @@ def test_conjugated_component_on_columns_gives_the_one_point_bits(dec_l5):
         f0 = build_shear(dec_l5, {1: component}, waive_membership=True)
         return cocycle_of(dec_l5, compose(fiber_shear(f0.negated()), gamma, fiber_shear(f0)))[1]
 
-    points = quotient_grid(dec_l5, count=60, seed=9, radius=4.0)  # conjugate_by_shear's grid
+    points = grid_points(dec_l5, count=60, seed=9, radius=4.0)  # conjugate_by_shear's grid
     want = [_hexes(new_component(scalar).eval(q)) for q in points]
     assert _column_hexes(new_component(c).eval(nilcarnot.linalg.columns(points)), 60) == want
     assert max(abs(float.fromhex(a)) for v in want for a in v) == 3.361755318564974e-13
@@ -726,7 +731,7 @@ def test_cocycle_action_on_columns_gives_the_one_point_bits(dec_l5):
     translation = (Fraction(1, 2), Fraction(-1), Fraction(1, 4), Fraction(0), Fraction(1), Fraction(0))
     pair = similarity_pair(dec_l5, compose(fiber_translate(alg, translation), fiber_dilation(alg, Fraction(1, 2))))
     action = cocycle_action(dec_l5, pair, component_from_exprs(dec_l5, 1, "sin(q1)"))
-    points = quotient_grid(dec_l5, count=100, seed=5, radius=4.0)
+    points = grid_points(dec_l5, count=100, seed=5, radius=4.0)
     want = [_hexes(action.eval(q)) for q in points]
     assert _column_hexes(action.eval(nilcarnot.linalg.columns(points)), 100) == want
 
@@ -747,7 +752,7 @@ def test_factor_chain_on_columns_gives_the_one_point_bits(dec_l5):
             fiber_shear(smap),
         )
 
-    points = quotient_grid(dec_l5, count=50, seed=3, radius=4.0)
+    points = grid_points(dec_l5, count=50, seed=3, radius=4.0)
     components = (
         cocycle_of(dec_l5, chain(build_shear(dec_l5, {1: q1_squared})))[1],
         extract_compatible(dec_l5, chain(ShearMap(dec_l5, {1: q1_squared}))).s_component(3),
@@ -797,7 +802,7 @@ def test_fixed_point_solver_raises_as_one_point_at_a_time(dec_l5, monkeypatch):
     """The solver raises for its first failing s value in one-point order
     (the origin, then the grid), whichever kind of failure comes first."""
     gamma = _gamma(dec_l5)
-    grid = quotient_grid(dec_l5, count=40, seed=13, radius=4.0)
+    grid = grid_points(dec_l5, count=40, seed=13, radius=4.0)
     messages = set()
     for side in (1.0, -1.0):
         with monkeypatch.context() as patch:

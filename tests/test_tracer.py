@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import nilcarnot.cli
 import nilcarnot.group
 from nilcarnot.catalog import ladder5
 
@@ -44,3 +45,21 @@ def test_traced_step_three_bch_records_one_span_and_no_bracket(tracer_module, po
     finally:
         tracer.uninstall()
     assert tracer.calls == {span: 1}
+
+
+def test_shear_verify_samples_and_measures_pairs_in_blocks(tracer_module, capsys):
+    """The estimators draw each block of pairs with one sampler call and
+    measure it with one quasi-norm sweep, where one-point calls made 2,700
+    samples and about 4,900 quasi-norms."""
+    argv = [
+        "shear", "--fixture", "ladder5", "--component", "1=sign(q1)*sqrt(abs(q1))", "--verify",
+        "--samples", "1000",
+    ]
+    tracer = tracer_module.Tracer().install()
+    try:
+        assert nilcarnot.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["rng.sample_ball_point"] <= 60
+    assert tracer.calls["group.quasi_norm"] <= 100
