@@ -5,10 +5,10 @@ the lowest weight layer, the Carnot quotient, the exponent ``alpha``,
 the coordinate transversal, and the center layers of the ideal — all
 exactly.  ``horizontal_connect`` builds zigzag paths out of horizontal
 line segments using group-commutator words for nested brackets, and
-``integrate_bracket_form`` integrates the bracket pairing of a
+``integrate_bracket_forms`` integrates the bracket pairing of a
 center-valued map against the horizontal tautological one-form along
-such paths; ``integrate_bracket_forms`` integrates many paths at once,
-on node arrays, to the same bits.
+many such paths at once, on node arrays; ``integrate_bracket_form`` is
+its call on one path.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .algebra import (
     LinearMap,
     Subspace,
     bracket,
-    bracket_float,
     center,
     is_carnot,
     is_ideal,
@@ -38,7 +37,7 @@ from .algebra import (
 from .algebra import bracket_expressions  # noqa: F401 (re-exported)
 from .group import bch, quasi_norm
 from .linalg import as_float, span_coords, vneg, vscale
-from .quadrature import DEFAULT_TOL, integrate_batch, integrate_vector
+from .quadrature import DEFAULT_TOL, integrate_batch
 
 
 # Relative residual (to 1 + max|x|) up to which a float vector lies in the ideal.
@@ -183,6 +182,8 @@ class CbCDecomposition:
     * ``v_alpha_indices``: the basis of V_alpha, the weight alpha*lambda1.
     * ``pairing_targets``: center layer j -> the indices of weight
       lambda1 * (j + alpha), where the pairing of Z_j with H lands.
+    * ``pairing_kernels``: center layer j -> the base algebra's
+      ``pairing_array_kernel`` onto ``pairing_targets[j]``.
     * ``z_layer_indices``: center layer j -> the indices of weight lambda1 * j.
     * ``lift_tower``: center layer j -> the layers j + alpha,
       j + 2 alpha, ... that the lifts of a component at j fill; a tower
@@ -203,7 +204,7 @@ class CbCDecomposition:
 
     The float paths read float twins built once: ``projection`` and
     ``w_embed`` are ``LinearMap`` instances (``flat_float``), and
-    ``w_coords`` and ``integrate_bracket_form`` read the subspace rows
+    ``w_coords`` and ``integrate_bracket_forms`` read the subspace rows
     through ``rows_float``.
     """
 
@@ -326,6 +327,10 @@ class CbCDecomposition:
         return {j: self.base.layer_indices(self.lambda1 * (j + self.alpha)) for j in self.z_layers}
 
     @cached_property
+    def pairing_kernels(self) -> dict:
+        return {j: pairing_array_kernel(self.base, target) for j, target in self.pairing_targets.items()}
+
+    @cached_property
     def z_layer_indices(self) -> dict:
         return {j: self.base.layer_indices(self.lambda1 * j) for j in self.z_layers}
 
@@ -440,65 +445,32 @@ def decompose(alg: GradedAlgebra) -> CbCDecomposition:
 
 
 def integrate_bracket_form(dec: CbCDecomposition, component, path: HorizontalPath):
-    """Integral of [c(x), theta_H(x)] along a horizontal quotient path.
-
-    ``component`` evaluates quotient coordinates to an ambient vector in
-    a center layer Z_j; the result lands in Z_(j+alpha).  The bracket of
-    a quotient vector against a central vector is computed through the
-    transversal lift, which is exactly the well-defined pairing.  By
-    grading, only the coordinates ``dec.pairing_targets[j]`` can be
-    nonzero; only those are integrated, and the rest of the result is
-    0.0.  Each segment is integrated by adaptive Simpson to the absolute
-    tolerance ``DEFAULT_TOL`` and the segments are summed in order.
-    Membership in Z_j is checked on the first three values of each
-    segment, the quadrature's nodes t = 0, duration and duration/2, even
-    when the target layer is empty; a value that is not finite fails the
-    check.
-    """
-    zj, target = _pairing(dec, component, path)
-    j = component.layer
-
-    total = [0.0] * dec.base.dim
-    for pos, direction, duration in _segments(dec, path):
-        x_lift = dec.lift(direction)
-        checked = 0
-
-        def integrand(t):
-            nonlocal checked
-            point = bch(dec.quotient_carnot, pos, vscale(t, direction))
-            val = component.eval(point)
-            if checked < 3:
-                checked += 1
-                if not all(map(math.isfinite, val)):
-                    raise ValueError(f"component value is not finite at {point}")
-                resid = linalg.reduce_against(zj.rows_float, zj.pivots, val)
-                scale = 1.0 + math.sqrt(sum(a * a for a in val))
-                if math.sqrt(sum(a * a for a in resid)) > 1e-8 * scale:
-                    raise ValueError(f"component value escapes the center layer Z_{j} at {point}")
-            out = bracket_float(dec.base, val, x_lift)
-            return [out[i] for i in target]
-
-        piece = integrate_vector(integrand, 0.0, duration, DEFAULT_TOL)
-        for i, a in zip(target, piece):
-            total[i] += a
-    return tuple(total)
+    """``integrate_bracket_forms`` on the one path ``path``, to ``DEFAULT_TOL``."""
+    return integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL)])[0]
 
 
 def integrate_bracket_forms(dec: CbCDecomposition, component, jobs):
-    """``integrate_bracket_form(dec, component, path, tol)`` for every
-    ``(path, tol)`` of ``jobs``, all at once; one tuple per path.
+    """The integral of [c(x), theta_H(x)] along the horizontal quotient path
+    of every ``(path, tol)`` of ``jobs``, all at once; one tuple per path.
+
+    ``component`` evaluates coordinate columns of quotient points to
+    ambient vectors in a center layer Z_j; the results land in
+    Z_(j+alpha).  The bracket of a quotient vector against a central
+    vector is computed through the transversal lift, which is exactly the
+    well-defined pairing.  By grading, only the coordinates
+    ``dec.pairing_targets[j]`` can be nonzero; only those are integrated,
+    and the rest of each result is 0.0.
 
     Every segment of every path is one quadrature process of
-    :func:`quadrature.integrate_batch`, so each round's nodes go out in
-    one array call: the quotient's ``bch_array_kernel`` from the
+    :func:`quadrature.integrate_batch`, to the absolute tolerance of its
+    path, and a path sums its segments in order.  Each round's nodes go
+    out in one array call: the quotient's ``bch_array_kernel`` from the
     segment's start, the component's ``eval`` on the resulting
-    coordinate columns, and the pairing against the segment's lifted
-    direction, restricted to ``dec.pairing_targets[j]``.  The
-    first call holds exactly the first three nodes of each segment, so
-    the membership check of ``integrate_bracket_form`` runs on that whole
-    call, on arrays, and fails at the first failing node in the order
-    ``integrate_bracket_form`` evaluates them.  The results are bit for
-    bit those of ``integrate_bracket_form``.
+    coordinate columns, and ``dec.pairing_kernels[j]`` against the
+    segment's lifted direction.  The first call holds exactly the first
+    three nodes of each segment, t = 0, duration and duration/2, and
+    membership in Z_j is checked on them (``_check_nodes``), even when
+    the target layer is empty.
     """
     import numpy as np
 
@@ -516,7 +488,7 @@ def integrate_bracket_forms(dec: CbCDecomposition, component, jobs):
     steps = np.array(directions, dtype=float).T.copy()
     lifts = np.array([dec.lift(d) for d in directions], dtype=float).T.copy()
     walk = dec.quotient_carnot.bch_array_kernel
-    pairing = pairing_array_kernel(dec.base, target)
+    pairing = dec.pairing_kernels[component.layer]
     checked = False
 
     def integrand(which, t):
@@ -564,8 +536,12 @@ def _segments(dec, path):
 
 
 def _check_nodes(zj, j, points, vals):
-    """The membership check of ``integrate_bracket_form`` on node arrays;
-    ``np.add.accumulate`` sums the squares in ``sum``'s order."""
+    """Membership in Z_j of the values ``vals`` at the node columns
+    ``points``: a value must be finite, and its residual against the rows
+    of ``zj`` (a row whose pivot coordinate is 0 skipped) at most ``1e-8``
+    times 1 + its length, the squares summed in order by
+    ``np.add.accumulate``.  Raises ``ValueError`` at the first failing
+    node, naming its point."""
     import numpy as np
 
     vals = np.array(vals)

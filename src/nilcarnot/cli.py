@@ -55,6 +55,7 @@ from .maps import (
 from .rng import SamplerConfig
 from .shear import (
     _k_from_s,
+    apply_shear,
     bilip_estimate,
     build_shear,
     component_from_exprs,
@@ -259,7 +260,7 @@ def cmd_shear(args) -> int:
 
     if args.verify:
         sampler = SamplerConfig(seed=args.seed, count=args.samples, radius=args.radius)
-        sup_r, inf_r = bilip_estimate(alg, smap, sampler)
+        sup_r, inf_r = bilip_estimate(alg, lambda g: apply_shear(smap, g), sampler)
         report.add(
             "bilip_estimate",
             "estimate",

@@ -162,11 +162,16 @@ def dilate(alg: GradedAlgebra, r, x, factors=None):
 def quasi_norm(alg: GradedAlgebra, x):
     """sum over layers of |x_lambda|^(1/lambda), |.| the Euclidean slice norm
     ``linalg.length``; on coordinate columns, an array of the points' norms,
-    every power Python's float ``**`` (``linalg.power``)."""
+    every power Python's float ``**`` (``linalg.power``).  The scalar mode
+    is decided once per call, not once per layer."""
     x = as_float(x)
+    if linalg.scalar_mode(x, arrays="columns") == "columns":
+        norm, pw = length, power
+    else:
+        norm, pw = linalg.point_length, pow
     total = 0.0
     for inv_w, idx in alg.norm_layers:
-        total = total + power(length([x[i] for i in idx]), inv_w)
+        total = total + pw(norm([x[i] for i in idx]), inv_w)
     return total
 
 

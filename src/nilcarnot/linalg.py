@@ -177,10 +177,7 @@ def length(v):
     summed from 0.0 in order, then ``sqrt``, or ``hypot`` where that sum
     is inf."""
     if scalar_mode(v, arrays="columns") != "columns":
-        sq = 0.0
-        for a in v:
-            sq += _square(a)
-        return math.hypot(*v) if sq == math.inf else math.sqrt(sq)
+        return point_length(v)
     import numpy as np
     lists = [c.tolist() for c in np.broadcast_arrays(*v)]
     sq = 0.0
@@ -190,6 +187,14 @@ def length(v):
     for k in np.flatnonzero(sq == math.inf):
         out[k] = math.hypot(*(values[k] for values in lists))
     return out
+
+
+def point_length(v):
+    """``length`` of one float vector, for a caller that knows its mode."""
+    sq = 0.0
+    for a in v:
+        sq += _square(a)
+    return math.hypot(*v) if sq == math.inf else math.sqrt(sq)
 
 
 def pairs(cols):

@@ -7,15 +7,18 @@ concentrates evaluations at isolated Holder points without dragging the
 smooth bulk of the interval to the same depth.
 
 The algorithm is written once, as the generator ``_process``: it yields
-the nodes it needs next and receives one value per node.  Two functions
-schedule it: ``integrate_vector`` integrates one tuple-valued integrand,
-one node at a time, and ``integrate_batch`` runs one process per job in
+the nodes it needs next and receives one value per node.
+``integrate_batch``, the scheduler the package runs (through
+``carnot.integrate_bracket_forms``), runs one process per job in
 lockstep, so that the nodes of every job go out in one array call per
-round.  The batch scheduler imports numpy where it runs (so do ``carnot``
-and ``exprlang``): loaded after the rest of the package, as ``maps``
-loads it, numpy leaves a process's peak RSS where it was without the
-batch code, while a module-level import here measured 0.5 MB more on
-``shear_verify_ladder5`` when that workload did not yet batch.
+round.  ``integrate_vector`` runs one process one node at a time on a
+tuple-valued integrand; it is the reference the batch is tested
+against.  The batch scheduler imports numpy where it runs (so do
+``carnot`` and ``exprlang``): loaded after the rest of the package, as
+``maps`` loads it, numpy leaves a process's peak RSS where it was
+without the batch code, while a module-level import here measured
+0.5 MB more on ``shear_verify_ladder5`` when that workload did not yet
+batch.
 
 The work is bounded: a call raises :class:`QuadratureError` instead of
 refining on when it would evaluate the integrand more than ``MAX_EVALS``

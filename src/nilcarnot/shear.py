@@ -14,10 +14,10 @@ through the calls that take one point: every component's ``eval``,
 time.  Every lift integrates to ``quadrature.DEFAULT_TOL`` and keeps no
 value per point: its values depend only on the point, and its one state
 is the table of anchor values of a lift over a one-dimensional quotient,
-which integrates from the nearest anchor of a fixed dyadic grid.  It
-evaluates one point with the scalar quadrature, and columns with one
-``carnot.integrate_bracket_forms`` call; the anchor table is written
-after that call returns, so one that raises leaves it as it was.
+which integrates from the nearest anchor of a fixed dyadic grid.  One
+point and columns alike make one ``carnot.integrate_bracket_forms``
+call; the anchor table is written after that call returns, so one that
+raises leaves it as it was.
 The estimators take ``PAIR_BLOCK`` pairs at a time: one sampler call
 draws a block as coordinate columns and one ``quasi_dist`` sweep
 measures it.  The loop test flags a loop integral above ``1e-8``
@@ -39,7 +39,6 @@ from .carnot import (
     CbCDecomposition,
     HorizontalPath,
     horizontal_connect,
-    integrate_bracket_form,
     integrate_bracket_forms,
 )
 from .exprlang import parse_expression
@@ -239,10 +238,10 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
     crosses 0 and every value depends on q alone.  Otherwise the integral
     runs along the zigzag path from 0 to p.  One planner turns the points
     asked for into jobs: the missing cells and the pieces, or the zigzag
-    paths plus the second paths.  ``eval`` takes one point, whose jobs go
-    one by one through the scalar quadrature, or coordinate columns, whose
-    jobs go out in one ``integrate_bracket_forms`` call.  The anchor
-    table, the lift's only state, is written only after the jobs return.
+    paths plus the second paths.  ``eval`` takes one point or coordinate
+    columns, and the jobs of either go out in one
+    ``integrate_bracket_forms`` call.  The anchor table, the lift's only
+    state, is written only after the jobs return.
     """
     if not dec.alpha_is_integer:
         raise ValueError("lifts require an integer exponent")
@@ -299,12 +298,10 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
         return [horizontal_connect(qc, key) for key in keys] + [second_path(key) for key in checked], check
 
     def evaluate(q):
-        if linalg.scalar_mode(q, arrays="columns") == "columns":
-            paths, finish = plan(linalg.points(q))
-            values = integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in paths])
-            return linalg.columns(finish(values))
-        paths, finish = plan([tuple(float(a) for a in q)])
-        return finish([integrate_bracket_form(dec, component, path) for path in paths])[0]
+        many = linalg.scalar_mode(q, arrays="columns") == "columns"
+        paths, finish = plan(linalg.points(q) if many else [as_float(q)])
+        values = finish(integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in paths]))
+        return linalg.columns(values) if many else values[0]
 
     return ShearComponent(target_layer, evaluate)
 
@@ -446,12 +443,13 @@ def holder_norm_estimate(
 def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
     """Empirical (sup, inf) of rho(F x, F y) / rho(x, y) over pairs; (inf, 0.0) once one is not finite.
 
-    F is a callable, called once per point in sample order, or a
-    ``ShearMap``, whose images of a block of ``PAIR_BLOCK`` pairs come
-    from one ``apply_shear`` call on their columns.  A block is mapped
-    whole before its ratios are measured in one ``quasi_dist`` sweep.
-    Pairs closer than 1e-9 are skipped (and not mapped); a ``ValueError``
-    says so when every pair was, since then no ratio was measured."""
+    F is called once per block of up to ``PAIR_BLOCK`` pairs, on
+    coordinate columns that hold the block's kept pairs, first and second
+    point in turn, and returns their images as columns, as
+    ``lambda g: apply_shear(smap, g)`` does.  The ratios of a block
+    are measured in one ``quasi_dist`` sweep.  Pairs closer than 1e-9 are
+    skipped (and not mapped); a ``ValueError`` says so when every pair
+    was, since then no ratio was measured."""
     import numpy as np
 
     rng = CounterRng(sampler.seed)
@@ -460,11 +458,7 @@ def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
     radii = (sampler.radius, sampler.radius)
     with np.errstate(over="ignore", invalid="ignore"):
         for xy, d in _pair_blocks(rng, alg, sampler.count, radii, 1e-9):
-            if isinstance(f, ShearMap):
-                images = apply_shear(f, xy)
-            else:
-                images = linalg.columns([f(p) for p in linalg.points(xy)])
-            ratio = quasi_dist(alg, *pairs(images)) / d
+            ratio = quasi_dist(alg, *pairs(f(xy))) / d
             if not np.all(ratio < math.inf):
                 return math.inf, 0.0
             sup_ratio = max(sup_ratio, float(ratio.max()))

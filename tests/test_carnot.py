@@ -213,34 +213,44 @@ def test_integrate_bracket_form_checks_membership_when_the_target_layer_is_empty
 def test_integrate_bracket_form_evaluates_the_component_once_per_node(dec_l5, monkeypatch):
     import nilcarnot.carnot
 
-    quadrature = nilcarnot.carnot.integrate_vector
-    counts = {"integrand": 0, "component": 0}
+    batch = nilcarnot.carnot.integrate_batch
+    counts = {"rounds": 0, "nodes": 0, "calls": 0, "points": 0}
 
-    def counted_integrate(f, a, b, *args, **kwargs):
-        def counted(t):
-            counts["integrand"] += 1
-            return f(t)
+    def counted_batch(f, jobs):
+        def counted(which, t):
+            counts["rounds"] += 1
+            counts["nodes"] += len(t)
+            return f(which, t)
 
-        return quadrature(counted, a, b, *args, **kwargs)
+        return batch(counted, jobs)
 
     def counted_eval(q):
-        counts["component"] += 1
+        counts["calls"] += 1
+        counts["points"] += len(q[0])
         return sigma.eval(q)
 
-    monkeypatch.setattr(nilcarnot.carnot, "integrate_vector", counted_integrate)
+    monkeypatch.setattr(nilcarnot.carnot, "integrate_batch", counted_batch)
     sigma = component_from_exprs(dec_l5, 1, "sign(q1)*sqrt(abs(q1))")
     path = horizontal_connect(dec_l5.quotient_carnot, (2.5,))
     assert path.segment_count == 1
     integrate_bracket_form(dec_l5, dataclasses.replace(sigma, eval=counted_eval), path)
-    assert counts["integrand"] > 3
-    assert counts["component"] == counts["integrand"]
+    assert counts["nodes"] > 3
+    # one column call per round of the quadrature, one point per node
+    assert (counts["calls"], counts["points"]) == (counts["rounds"], counts["nodes"])
+
+
+def _substituted(inside, at, value):
+    """``inside`` on coordinate columns, with ``value`` in place at q1 = ``at``."""
+    import numpy as np
+
+    return type(inside)(1, lambda q: tuple(np.where(q[0] == at, v, a) for v, a in zip(value, inside.eval(q))))
 
 
 def test_integrate_bracket_form_checks_the_segment_midpoint(dec_l5):
     inside = component_from_exprs(dec_l5, 1, "q1")
     outside = component_from_exprs(dec_l5, 3, "1")
     # leaves Z_1 only at q1 = 1, the midpoint of the segment from 0 to 2
-    escaping = type(inside)(1, lambda q: outside.eval(q) if q == (1.0,) else inside.eval(q))
+    escaping = _substituted(inside, 1.0, outside.eval((1.0,)))
     path = HorizontalPath(dec_l5.quotient_carnot, (0.0,), (((1.0,), 2.0),))
     with pytest.raises(ValueError, match="escapes"):
         integrate_bracket_form(dec_l5, escaping, path)
@@ -254,36 +264,30 @@ def test_integrate_bracket_form_rejects_a_non_finite_value(dec_l5):
     with pytest.raises(ValueError, match=r"not finite at \(0\.0,\)"):
         integrate_bracket_form(dec_l5, nan, path)
     inside = component_from_exprs(dec_l5, 1, "q1")
-    at_midpoint = type(inside)(1, lambda q: (math.inf,) * 6 if q == (1.0,) else inside.eval(q))
+    at_midpoint = _substituted(inside, 1.0, (math.inf,) * 6)
     with pytest.raises(ValueError, match=r"not finite at \(1\.0,\)"):
         integrate_bracket_form(dec_l5, at_midpoint, path)
 
 
 def test_integrate_bracket_forms_checks_the_first_three_nodes(dec_l5):
-    import numpy as np
-
     inside = component_from_exprs(dec_l5, 1, "q1")
     outside = component_from_exprs(dec_l5, 3, "1")
     path = HorizontalPath(dec_l5.quotient_carnot, (0.0,), (((1.0,), 2.0),))
-
-    def substituted(at, value):
-        # inside on coordinate columns, with value in place at q1 = at
-        return type(inside)(1, lambda q: tuple(np.where(q[0] == at, v, a) for v, a in zip(value, inside.eval(q))))
-
-    escaping = substituted(1.0, outside.eval((1.0,)))
+    escaping = _substituted(inside, 1.0, outside.eval((1.0,)))
     with pytest.raises(ValueError, match=r"escapes the center layer Z_1 at \(1\.0,\)"):
         integrate_bracket_forms(dec_l5, escaping, [(path, 1e-10)])
-    at_end = substituted(2.0, (math.nan,) * 6)
+    at_end = _substituted(inside, 2.0, (math.nan,) * 6)
     with pytest.raises(ValueError, match=r"not finite at \(2\.0,\)"):
         integrate_bracket_forms(dec_l5, at_end, [(path, 1e-10)])
     # a quarter point is no checked node
-    at_quarter = substituted(0.5, outside.eval((0.5,)))
+    at_quarter = _substituted(inside, 0.5, outside.eval((0.5,)))
     integrate_bracket_forms(dec_l5, at_quarter, [(path, 1e-10)])
 
 
-def test_integrate_bracket_forms_equals_the_scalar_form():
-    """Every path of the batch gets integrate_bracket_form's bits, zero-length
-    segments and a segmentless path included."""
+def test_a_path_alone_gives_the_bits_it_gets_inside_a_batch():
+    """Each path's processes run on their own nodes: one path alone, as
+    ``integrate_bracket_form`` or a batch of one, gets the bits it gets
+    among others, zero-length segments and a segmentless path included."""
     import nilcarnot.carnot
 
     dec = decompose(direct_product(ladder5(), engel4(), 2))
@@ -294,11 +298,13 @@ def test_integrate_bracket_forms_equals_the_scalar_form():
         HorizontalPath(qc, (0.5, 0.1, -0.2, 0.0, 0.3), (((1.0, 0.0, 0.0, 0.0, 0.0), 0.0), ((0.0, 0.6, 0.8, 0.0, 0.0), 1.5))),
         HorizontalPath(qc, (0.0,) * 5, ()),
     ]
+    hexes = lambda values: [[a.hex() for a in v] for v in values]
     for text in ("sign(q1)*sqrt(abs(q1))", "q1*q2 + sin(q3)"):
         component = component_from_exprs(dec, 1, text)
         batched = integrate_bracket_forms(dec, component, [(path, nilcarnot.carnot.DEFAULT_TOL) for path in paths])
-        scalar = [integrate_bracket_form(dec, component, path) for path in paths]
-        assert [[a.hex() for a in v] for v in batched] == [[a.hex() for a in v] for v in scalar]
+        alone = [integrate_bracket_forms(dec, component, [(path, nilcarnot.carnot.DEFAULT_TOL)])[0] for path in paths]
+        assert hexes(alone) == hexes(batched)
+        assert hexes(integrate_bracket_form(dec, component, path) for path in paths) == hexes(batched)
 
 
 def test_each_path_costs_one_start_product_per_segment_after_the_first(monkeypatch):

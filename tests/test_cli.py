@@ -121,17 +121,21 @@ def test_shear_verify_passes(capsys):
     assert "metric_note" in report
 
 
-def test_shear_verify_sends_no_lift_point_through_the_scalar_driver(capsys, monkeypatch):
+def test_shear_verify_integrates_the_lifts_once_per_column_call(capsys, monkeypatch):
     # the probes, the K-identity and the estimators evaluate the lifts on coordinate columns
     import nilcarnot.shear
 
-    calls, one = [], nilcarnot.shear.integrate_bracket_form
-    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_form", lambda *a: calls.append(a) or one(*a))
+    calls, many = [], nilcarnot.shear.integrate_bracket_forms
+    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_forms", lambda *a: calls.append(a) or many(*a))
     code, _ = run_cli(
         capsys, "shear", "--fixture", "ladder5", "--component", "1=sign(q1)*sqrt(abs(q1))", "--verify",
         "--samples", "100", "--seed", "42",
     )
-    assert code == 0 and calls == []
+    # one batch per column call, whatever its number of points: the probes, 2
+    # blocks of bilip_estimate, 1 block per radius of necessity_check, the two
+    # s-values of the K-identity and the coherence probes (ladder5's quotient is
+    # one-dimensional, so the loop test integrates nothing)
+    assert code == 0 and len(calls) == 1 + 2 + 3 + 2 + 1
 
 
 def test_maps_dalpha_heisprod(capsys):

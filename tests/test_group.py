@@ -200,6 +200,24 @@ def test_quasi_norm_keeps_its_bits_where_no_square_overflows(x):
     assert quasi_norm(alg, x).hex() == quasi_norm_by_squares(alg, x).hex()
 
 
+_COORDINATE = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.sampled_from([1e160, -1.5e154, 1e200, -1e308, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[_COORDINATE] * 6))
+def test_quasi_norm_of_one_point_has_the_bits_of_a_column_of_one(x):
+    # one point takes the scalar path, decided once per call; a column of one
+    # takes the column path; squares that overflow included
+    from nilcarnot.linalg import columns
+
+    alg = ladder5()
+    assert quasi_norm(alg, x).hex() == float(quasi_norm(alg, columns([x]))[0]).hex()
+
+
 def test_quasi_dist_definition_and_inverse(heis):
     x = (0.3, -0.4, 1.2)
     y = (1.0, 0.5, -0.7)

@@ -86,6 +86,73 @@ def test_budget_that_is_met_leaves_the_value_unchanged(monkeypatch):
         integrate_vector(f, 0.0, 4.0, tol=1e-10)
 
 
+def _one_job(f, a, b, tol):
+    """``integrate_batch`` on the one job (a, b, tol), f called node by node."""
+    batch_f = lambda which, t: np.array([f(x) for x in t.tolist()]).reshape(len(t), -1)
+    return tuple(integrate_batch(batch_f, [(a, b, tol)])[0].tolist())
+
+
+def test_one_batch_job_stops_once_the_capped_error_exceeds_the_tolerance():
+    """The capped intervals' error never shrinks, so the job stops well
+    within ``MAX_EVALS``, and its error names the evaluations made and the
+    estimate that missed."""
+    points = []
+
+    def jump(t):
+        points.append(t)
+        return (1.0 if t >= 0.3 else 0.0,)
+
+    with pytest.raises(QuadratureError) as info:
+        _one_job(jump, 0.0, 1.0, 1e-13)
+    assert info.value.evals == len(points) <= 1_000
+    assert info.value.error > 1e-13
+    assert str(info.value) == (
+        f"quadrature stopped after {len(points)} evaluations with error estimate "
+        f"{info.value.error:.3e} above the tolerance {1e-13:.3e}"
+    )
+
+
+def test_one_batch_job_that_meets_the_budget_keeps_its_value(monkeypatch):
+    points = []
+
+    def f(t):
+        points.append(t)
+        return (math.sqrt(abs(t)),)
+
+    full = _one_job(f, 0.0, 4.0, 1e-10)
+    used = len(points)
+    monkeypatch.setattr(quadrature, "MAX_EVALS", used)
+    assert _one_job(f, 0.0, 4.0, 1e-10) == full
+    monkeypatch.setattr(quadrature, "MAX_EVALS", used - 1)
+    with pytest.raises(QuadratureError) as info:
+        _one_job(f, 0.0, 4.0, 1e-10)
+    assert info.value.evals <= used - 1 and info.value.error > 1e-10
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 4.0), (-1.0, 3.0), (1.0, 1.0)])
+def test_one_batch_job_takes_the_nodes_and_the_bits_of_integrate_vector(a, b):
+    """a, b and the midpoint (a alone when a == b), then the quarter points,
+    then four new nodes per bisection, left to right: the order of
+    ``integrate_vector``, the reference, with its value bit for bit."""
+    f = lambda t: (math.copysign(math.sqrt(abs(t - 0.3)), t - 0.3), math.sin(t))
+    calls = []
+
+    def batch_f(which, t):
+        calls.append(t.tolist())
+        return np.array([f(x) for x in calls[-1]])
+
+    got = integrate_batch(batch_f, [(a, b, 1e-10)])[0].tolist()
+    nodes = []
+    want = integrate_vector(lambda t: nodes.append(t) or f(t), a, b, 1e-10)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert [x for call in calls for x in call] == nodes
+    if a == b:
+        assert calls == [[a]]
+        return
+    assert calls[:2] == [[a, b, 0.5 * (a + b)], list(_quarters(a, b))]
+    assert len(calls) > 2 and all(len(call) == 4 and call == sorted(call) for call in calls[2:])
+
+
 def _integrand(kind, c, s, width):
     """A smooth, a Holder or a jump integrand with ``width`` components."""
     if kind == "smooth":

@@ -157,9 +157,8 @@ def test_loop_test_derives_its_tolerance_and_lifts_keep_the_default(dec_multid, 
     from nilcarnot.quadrature import DEFAULT_TOL
 
     batch = nilcarnot.carnot.integrate_batch
-    vector = nilcarnot.carnot.integrate_vector
     forms = nilcarnot.shear.integrate_bracket_forms
-    segments, widths, loops, calls = [], set(), [], []
+    segments, widths, loops = [], set(), []
 
     def recording_batch(f, jobs):
         segments.extend(tol for _, _, tol in jobs)
@@ -171,39 +170,25 @@ def test_loop_test_derives_its_tolerance_and_lifts_keep_the_default(dec_multid, 
 
         return batch(integrand, jobs)
 
-    def recording_vector(f, a, b, tol):
-        lengths = set()
-        calls.append((tol, lengths))
-
-        def integrand(t):
-            value = f(t)
-            lengths.add(len(value))
-            return value
-
-        return vector(integrand, a, b, tol)
-
     def recording_forms(dec, component, jobs):
         loops.extend(jobs)
         return forms(dec, component, jobs)
 
     monkeypatch.setattr(nilcarnot.carnot, "integrate_batch", recording_batch)
-    monkeypatch.setattr(nilcarnot.carnot, "integrate_vector", recording_vector)
     monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_forms", recording_forms)
     sigma = component_from_exprs(dec_multid, 1, SIGMA)
     verdict = loop_test_membership(dec_multid, sigma, SamplerConfig(seed=7, count=4, radius=4.0))
     assert verdict.passed and verdict.loops_tested == len(loops)
-    # the loop test runs on the batched driver only
-    assert calls == []
     want = []
     for path, tol in loops:
         assert tol == 1e-8 * path.length * 1.0 / (10 * path.segment_count)
         want += [tol] * path.segment_count
     assert segments == want
+    segments.clear()
     lift(dec_multid, sigma, waive_membership=True).eval((0.7, -0.4, 1.1, 0.3, -0.9))
-    assert calls and {tol for tol, _ in calls} == {DEFAULT_TOL}
+    assert segments and set(segments) == {DEFAULT_TOL}
     # the pairing lands in the one-dimensional layer Z_3
     assert widths == {1}
-    assert all(lengths == {1} for _, lengths in calls)
 
 
 # worst_ratio of seed 7, count 24 at radii 4, 1, 0.1, 0.01, 0.001, as the
@@ -444,10 +429,24 @@ def test_holder_norm_counts_a_nan_ratio_as_inf(dec_l5):
 
 def test_bilip_estimate_shows_a_nan_ratio_on_both_sides(l5):
     def f(g):
-        return (math.nan,) + tuple(g[1:]) if g[0] > 0 else g
+        return (np.where(g[0] > 0, math.nan, g[0]),) + tuple(g[1:])
 
     # the sup must not drop the nan, nor the inf side keep a bound it cannot show
     assert bilip_estimate(l5, f, SamplerConfig(seed=1, count=50, radius=4.0)) == (math.inf, 0.0)
+
+
+def test_bilip_estimate_maps_each_block_in_one_call_on_columns(l5):
+    calls = []
+
+    def f(g):
+        calls.append(g)
+        return g
+
+    count = 2 * PAIR_BLOCK + 5
+    bilip_estimate(l5, f, SamplerConfig(seed=3, count=count, radius=4.0))
+    assert len(calls) == math.ceil(count / PAIR_BLOCK)
+    assert all(scalar_mode(g, arrays="columns") == "columns" and len(g) == l5.dim for g in calls)
+    assert [len(g[0]) for g in calls] == [2 * PAIR_BLOCK, 2 * PAIR_BLOCK, 10]
 
 
 def test_bilip_estimate_with_every_pair_skipped_says_so(l5):
@@ -615,12 +614,14 @@ def test_s_value_on_columns_keeps_the_point_order_when_a_component_reads_a_chain
 
 
 @pytest.mark.parametrize("count", [1, PAIR_BLOCK, PAIR_BLOCK + 1])
-def test_bilip_estimate_of_a_shear_map_matches_the_callable_form(dec_l5, count):
-    sampler = SamplerConfig(42, count, 10.0)
-    one = _sigma_shear(dec_l5)
-    want = bilip_estimate(dec_l5.base, lambda g: apply_shear(one, g), sampler)
-    got = bilip_estimate(dec_l5.base, _sigma_shear(dec_l5), sampler)
-    assert [a.hex() for a in got] == [a.hex() for a in want]
+def test_one_call_per_block_on_columns_gives_the_bits_of_mapping_each_point_alone(dec_l5, dec_multid, count):
+    # over ladder5 the lift reads anchors, over ladder5 x engel4 it runs on zigzag paths
+    for dec, radius in ((dec_l5, 10.0), (dec_multid, 4.0)):
+        sampler = SamplerConfig(42, count, radius)
+        alone, block = _sigma_shear(dec), _sigma_shear(dec)
+        want = bilip_estimate(dec.base, lambda g: columns([apply_shear(alone, p) for p in column_points(g)]), sampler)
+        got = bilip_estimate(dec.base, lambda g: apply_shear(block, g), sampler)
+        assert [a.hex() for a in got] == [a.hex() for a in want]
 
 
 def test_necessity_check_values_are_pinned(dec_l5):
@@ -672,8 +673,7 @@ def test_a_1d_lift_value_does_not_depend_on_the_points_asked_before(dec_l5, expr
 @pytest.mark.parametrize("expr", [SIGMA, HOLDER_OFF_GRID])
 def test_a_1d_lift_walked_by_an_estimate_gives_the_bits_of_a_fresh_one(dec_l5, expr, form):
     walked, fresh = (build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, expr)}) for _ in range(2))
-    f = (lambda g: apply_shear(walked, g)) if form == "point" else walked
-    bilip_estimate(dec_l5.base, f, SamplerConfig(42, 1000, 10.0))
+    bilip_estimate(dec_l5.base, lambda g: apply_shear(walked, g), SamplerConfig(42, 1000, 10.0))
     rng = CounterRng(5)
     probes = [sample_ball_point(rng, dec_l5.quotient_carnot, 10.0) for _ in range(50)]
     assert _lift_hexes(walked.components[3], probes, form) == _lift_hexes(fresh.components[3], probes, form)
@@ -692,8 +692,7 @@ def test_a_1d_lift_meets_its_tolerance_against_the_closed_form(dec_l5, form):
 def test_a_far_1d_lift_needs_logarithmically_many_cells(dec_l5, monkeypatch, form):
     import nilcarnot.shear
 
-    jobs, one, many = [], nilcarnot.shear.integrate_bracket_form, nilcarnot.shear.integrate_bracket_forms
-    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_form", lambda d, c, path: jobs.append(path) or one(d, c, path))
+    jobs, many = [], nilcarnot.shear.integrate_bracket_forms
     monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_forms", lambda d, c, todo: jobs.extend(todo) or many(d, c, todo))
     lifted = lift(dec_l5, component_from_exprs(dec_l5, 1, "q1"))
     _lift_hexes(lifted, [(1e8,), (-1e8,)], form)
