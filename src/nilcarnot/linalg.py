@@ -121,22 +121,6 @@ def points(cols, n=None):
     return list(zip(*(np.broadcast_to(c, (n,)).tolist() for c in cols)))
 
 
-def memoized(memo, fn, cols):
-    """``fn`` at the points of the coordinate columns ``cols`` through
-    ``memo``, keyed by each point's float tuple: the misses go out in one
-    call of ``fn`` on their columns, and the memo is written only when it
-    returns."""
-    import numpy as np
-
-    keys = points(cols)
-    misses = list(dict.fromkeys(key for key in keys if key not in memo))
-    if misses:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = fn(columns(misses))
-        memo.update(zip(misses, points(values, len(misses))))
-    return columns([memo[key] for key in keys])
-
-
 def max_gap(x, y):
     """The largest |a - b|, or inf when a difference is not finite (a nan
     would drop out of a plain ``max``); every numeric check's defect.  On
@@ -207,6 +191,19 @@ def pairs(cols):
 def mat_mul(a, b):
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def float_powers(matrix):
+    """The float twins of matrix**0, matrix**1, ..., flat in row order: entry n
+    of the integer power k of d * matrix, d the lcm of its denominators, reads
+    ``n / d**k``, which Python's int division rounds (and overflows) as
+    ``float`` of the exact power does."""
+    d = math.lcm(*(Fraction(a).denominator for row in matrix for a in row))
+    step = [[int(Fraction(a) * d) for a in row] for row in matrix]
+    power, scale = [[int(i == j) for j in range(len(step))] for i in range(len(step))], 1
+    while True:
+        yield tuple(n / scale for row in power for n in row)
+        power, scale = [[sum(a * b for a, b in zip(row, col)) for col in zip(*power)] for row in step], scale * d
 
 
 def identity_matrix(n):

@@ -231,9 +231,10 @@ class CompatibleExpression:
     s_trees: dict | None = None
 
     def b_apply(self, h):
-        """Apply B to an ambient vector supported on the transversal."""
+        """Apply B to an ambient vector supported on the transversal; a float h reads B's float twin."""
+        cols = self.b_matrix if linalg.scalar_mode(h) == "exact" else map(as_float, self.b_matrix)
         acc = None
-        for c, col in zip((h[i] for i in self.dec.transversal_indices), self.b_matrix):
+        for c, col in zip((h[i] for i in self.dec.transversal_indices), cols):
             term = vscale(c, col)
             acc = term if acc is None else vadd(acc, term)
         return acc if acc is not None else linalg.zero_vector(self.dec.base.dim)
@@ -391,23 +392,23 @@ def verify_compatible(
             if tuple(lhs) != tuple(rhs):
                 intertwines = False
 
+    # the samples go through each stage at once, as coordinate columns
     rng = CounterRng(sampler.seed)
-    zero = (0.0,) * alg.dim
-    central_defect = 0.0
-    recon_defect = 0.0
-    for g in linalg.points(sample_ball_point(rng, alg, sampler.radius, sampler.count)):
+    g = sample_ball_point(rng, alg, sampler.radius, sampler.count)
+    with np.errstate(over="ignore", invalid="ignore"):
         qbar = dec.project(g)
         sval = expr.s_eval(qbar)
-        resid = linalg.reduce_against(dec.center_w.rows, dec.center_w.pivots, sval)
-        central_defect = max(central_defect, linalg.max_gap(resid, zero))
+        resid = sval  # reduced against the center of w, as w_coords reduces
+        for row, p in zip(dec.center_w.rows_float, dec.center_w.pivots):
+            resid = linalg.vsub(resid, vscale(resid[p], row))
+        central_defect = linalg.max_gap(resid, (0.0,) * alg.dim)
         # reconstruction at g = h * w
         h = dec.lift(qbar)
         w_part = bch(alg, vneg(h), g)
         rebuilt = bch(alg, as_float(expr.base), expr.b_apply(h))
         rebuilt = bch(alg, rebuilt, expr.a_apply_ambient(w_part))
         rebuilt = bch(alg, rebuilt, expr.a_apply_ambient(sval))
-        direct = fmap(g)
-        recon_defect = max(recon_defect, linalg.max_gap(rebuilt, direct))
+        recon_defect = linalg.max_gap(rebuilt, fmap(g))
 
     same_b = True
     for p in linalg.points(sample_ball_point(rng, alg, sampler.radius, 3)):
@@ -747,50 +748,43 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     contracting similarity, not universally).
 
     The orbits run as coordinate columns: the 40 grid orbits and the
-    origin's advance together, and each step makes one call of s on the
-    orbit points and applies A^-k once to all of them.  The
-    point-independent pieces of each term, the power A^-k (an exact
-    ``LinearMap``, whose float twin is built once) and s(B^k 0), are
-    tabulated while the iteration runs; the returned component reads
-    those tables.  Its ``eval`` takes one point or coordinate columns and
-    sends the orbit points of all its memo misses, for every power, to s
-    in one call.  Each s value is checked to lie in w once, when its
-    ideal coordinates are memoized; both memos are keyed by each point's
-    float tuple and written only when the call that fills them returns.
-    Every value has the bits of one point at a time.
+    origin's advance together, one call of s per step.  The tables of
+    the float twins of A^-k (``linalg.float_powers``) and of s(B^k 0)
+    are built while the iteration runs, and the returned component keeps
+    no other state: its ``eval`` takes one point or coordinate columns,
+    sends all their orbit points to s in one call, and applies every
+    power in one call of the ``LinearMap`` kernel.  Every value has the
+    bits of one point at a time.
     """
     if j not in dec.cocycle_layers:
         raise ValueError(f"layer {j} is not a center layer below the exponent")
     pair = similarity_pair(dec, gamma)
     s = cocycle_of(dec, gamma)[j]
     max_iter, tol = 80, 1e-12
-
-    s_memo: dict = {}
-    a_inv_powers = []
-    s_origin = []
+    kernel = pair.a_inverse.kernel
 
     def s_at(orbit):
-        """Ideal coordinates of s at the points of the columns ``orbit``."""
-        return linalg.memoized(s_memo, lambda cols: dec.w_coords(s.eval(cols)), orbit)
+        """Ideal coordinates of s at the points of the columns ``orbit``, one array each."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            coords = dec.w_coords(s.eval(orbit))
+        return tuple(np.broadcast_to(c, np.broadcast(*orbit).shape) for c in coords)
 
-    def term(k, coords):
+    def terms(coords, origin, powers):
         # w_coords reads pivot entries, so the coordinates of a difference
         # are the difference of the coordinates, bit for bit
-        return dec.w_embed(a_inv_powers[k](linalg.vsub(coords, s_origin[k])))
+        return dec.w_embed(kernel(linalg.vsub(coords, origin), powers))
 
     # the origin's orbit rides along as point 0, whose own term is zero
     orbit = tuple(np.concatenate(([0.0], c)) for c in quotient_grid(dec, count=40, seed=13, radius=4.0))
     zero = (0.0,) * dec.base.dim
-    a_inv_power = linalg.identity_matrix(dec.w.rank)
-    prev_change = None
-    factor = 0.0
-    for k in range(max_iter):
-        a_inv_powers.append(LinearMap(a_inv_power))
+    a_inv_powers, s_origin = [], []
+    prev_change, factor = None, 0.0
+    for k, power in zip(range(max_iter), linalg.float_powers(pair.a_inverse.matrix)):
+        a_inv_powers.append(power)
         coords = s_at(orbit)
         s_origin.append(tuple(float(c[0]) for c in coords))
-        change = linalg.max_gap(term(k, coords), zero)
+        change = linalg.max_gap(terms(coords, s_origin[k], power), zero)
         orbit = pair.quot_apply(orbit)
-        a_inv_power = linalg.mat_mul(pair.a_inverse.matrix, a_inv_power)
         if prev_change is not None and prev_change > 0:
             factor = max(factor, change / prev_change)
             if k >= 2 and change / prev_change >= 1.0 - 1e-9:
@@ -805,26 +799,31 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
             f"iteration did not reach {tol} within {max_iter} steps (factor {factor:.3f})"
         )
 
-    def sweep(q):
-        """The sums at the points of the columns q, s at all their orbit points in one call."""
-        n, count = len(q[0]), len(a_inv_powers)
-        orbits = [q]
-        for _ in range(1, count):
-            orbits.append(pair.quot_apply(orbits[-1]))
-        coords = s_at(tuple(map(np.concatenate, zip(*orbits))))
-        total = zero
-        for k in range(count):
-            total = vadd(total, term(k, tuple(c[k * n : (k + 1) * n] for c in coords)))
-        return total
+    # one (count, 1) column per entry, row k for power k
+    count = len(a_inv_powers)
+    power_table = tuple(np.array(e)[:, None] for e in zip(*a_inv_powers))
+    origin_table = tuple(np.array(e)[:, None] for e in zip(*s_origin))
 
-    memo: dict = {}
+    def sweep(q):
+        """The sums at the points of the columns q: s at all their orbit
+        points in one call, and row k of each array the term of A^-k."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            orbits = [tuple(np.array(np.broadcast_arrays(*q), dtype=float).reshape(len(q), -1))]
+            for _ in range(1, count):
+                orbits.append(pair.quot_apply(orbits[-1]))
+            coords = s_at(tuple(map(np.concatenate, zip(*orbits))))
+            embedded = terms(tuple(c.reshape(count, -1) for c in coords), origin_table, power_table)
+            total = zero
+            for k in range(count):
+                total = vadd(total, tuple(e[k] for e in embedded))
+        return total
 
     def evaluate(q):
         if linalg.scalar_mode(q, arrays="columns") == "columns":
-            return linalg.memoized(memo, sweep, q)
-        return linalg.points(linalg.memoized(memo, sweep, linalg.columns([q])))[0]
+            return sweep(q)
+        return linalg.points(sweep(linalg.columns([q])))[0]
 
-    return ShearComponent(j, evaluate), FixedPointReport(len(a_inv_powers), prev_change, factor)
+    return ShearComponent(j, evaluate), FixedPointReport(count, prev_change, factor)
 
 
 # ---------------------------------------------------------------------------

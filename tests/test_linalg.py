@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nilcarnot import linalg
 from nilcarnot.algebra import LinearMap, bracket
@@ -153,3 +153,56 @@ def test_max_gap_reads_a_non_finite_difference_as_inf():
     assert linalg.max_gap((0.0, float("nan")), (0.0, 0.0)) == float("inf")
     assert linalg.max_gap((float("inf"),), (float("inf"),)) == float("inf")
     assert linalg.max_gap((Fraction(1, 2),), (Fraction(0),)) == Fraction(1, 2)
+
+
+def fraction_chain(matrix):
+    """The float twins of matrix**0, matrix**1, ... by the exact ``mat_mul``
+    chain, each flat in row order: the reference of ``float_powers``."""
+    power = identity_matrix(len(matrix))
+    while True:
+        yield tuple(float(a) for row in power for a in row)
+        power = linalg.mat_mul(matrix, power)
+
+
+def power_hexes(powers, count):
+    """The ``float.hex`` of the first ``count`` powers, up to an OverflowError,
+    and that error's message (None without one)."""
+    out = []
+    try:
+        for _, power in zip(range(count), powers):
+            out.append([a.hex() for a in power])
+    except OverflowError as err:
+        return out, str(err)
+    return out, None
+
+
+square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.fractions(-9, 9, max_denominator=12), min_size=n, max_size=n).map(tuple), min_size=n, max_size=n
+    ).map(tuple)
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(square_matrices, st.integers(1, 14))
+@example(((Fraction(2), Fraction(-3)), (Fraction(0), Fraction(1))), 9)  # d = 1
+@example(((Fraction(1, 2), Fraction(-5, 6)), (Fraction(3, 4), Fraction(-1, 3))), 14)
+def test_float_powers_have_the_bits_of_the_fraction_chain(matrix, count):
+    assert power_hexes(linalg.float_powers(matrix), count) == power_hexes(fraction_chain(matrix), count)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        ((Fraction(1, 1000), Fraction(-1, 7)), (Fraction(0), Fraction(1, 3))),  # (1/1000)**k underflows
+        ((Fraction(1000), Fraction(1, 3)), (Fraction(0), Fraction(-7, 2))),  # 1000**k overflows
+    ],
+)
+def test_float_powers_underflow_and_overflow_as_float_does(matrix):
+    got = power_hexes(linalg.float_powers(matrix), 120)
+    assert got == power_hexes(fraction_chain(matrix), 120)
+    hexes, error = got
+    if matrix[0][0] < 1:
+        assert error is None and hexes[-1][0] == "0x0.0p+0" and hexes[-1][1] != "0x0.0p+0"
+    else:
+        assert error is not None and 100 < len(hexes) < 120

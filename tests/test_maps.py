@@ -465,8 +465,8 @@ def test_fixed_point_evaluation_builds_no_matrix_power(dec_l5, monkeypatch):
 
 
 def test_fixed_point_solver_checks_each_s_value_in_the_ideal(dec_l5, monkeypatch):
-    """s values are checked once each, as coordinates are memoized; one that
-    leaves w still raises."""
+    """Every s value is checked to lie in w where its ideal coordinates are
+    read; one that leaves w raises."""
     import nilcarnot.maps
 
     gamma = compose(
@@ -577,7 +577,7 @@ def test_expressions_are_freed_without_the_cyclic_collector(dec_l5, ladder_sigma
 
 
 def test_solved_component_is_freed_without_the_cyclic_collector(dec_l5):
-    """Its memos go with the component: no reference cycle holds its eval."""
+    """Its tables go with the component: no reference cycle holds its eval."""
     gamma = compose(
         fiber_dilation(dec_l5.base, Fraction(1, 2)),
         fiber_shear(build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, "0.4*q1")})),
@@ -701,10 +701,10 @@ def test_solved_component_on_columns_gives_the_one_point_bits(dec_l5):
     for points in (grid, fresh):
         want = [_hexes(scalar(q)) for q in points]
         assert _column_hexes(c.eval(nilcarnot.linalg.columns(points)), len(points)) == want
-        # one point at a time, on a component whose memo has not seen them
+        # one point at a time, on a component that has evaluated no point
         one, _ = solve_single_generator_fixed_point(dec_l5, gamma, 1)
         assert [_hexes(one.eval(q)) for q in points] == want
-    # memo hits, a repeated point and a one-point call on a memoized point
+    # points evaluated before, a repeated point, and one of them alone
     again = grid[:3] + grid[:1]
     assert _column_hexes(c.eval(nilcarnot.linalg.columns(again)), 4) == [_hexes(c.eval(q)) for q in again]
 
@@ -818,7 +818,7 @@ def test_fixed_point_solver_raises_as_one_point_at_a_time(dec_l5, monkeypatch):
 
 
 @pytest.mark.parametrize("bad, message", [(30.0, "non-finite"), (-30.0, "does not lie in the ideal")])
-def test_solved_component_on_columns_raises_as_one_point_and_keeps_its_memos(dec_l5, monkeypatch, bad, message):
+def test_solved_component_raises_as_one_point_and_a_failed_call_keeps_no_value(dec_l5, monkeypatch, bad, message):
     gamma = _gamma(dec_l5)
     sizes = []
     failing = _failing_cocycle(monkeypatch, dec_l5, gamma, 10.0, sizes)  # the solver's orbits stay within 4
@@ -836,6 +836,41 @@ def test_solved_component_on_columns_raises_as_one_point_and_keeps_its_memos(dec
     got = _column_hexes(c.eval(nilcarnot.linalg.columns(good)), 2)
     assert sizes == [2 * report.iterations]
     assert got == [_hexes(one_point_solved(dec_l5, gamma, report.iterations)(q)) for q in good]
+
+
+def test_solved_component_keeps_no_value_per_point(dec_l5, monkeypatch):
+    """Every eval sends the orbit points of its points to s, in one call,
+    however often it has seen them, and a value does not depend on the
+    points evaluated before it."""
+    gamma = _gamma(dec_l5)
+    sizes = []
+    _failing_cocycle(monkeypatch, dec_l5, gamma, math.inf, sizes)  # records each call, never fails
+    c, report = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    seen = nilcarnot.linalg.columns(grid_points(dec_l5, count=7, seed=2, radius=3.0))
+    for q in (seen, seen, (0.5,), (0.5,)):
+        sizes.clear()
+        c.eval(q)
+        assert sizes == [np.size(q[0]) * report.iterations]
+    fresh = nilcarnot.linalg.columns(grid_points(dec_l5, count=9, seed=4, radius=5.0))
+    new, _ = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    assert _column_hexes(c.eval(fresh), 9) == _column_hexes(new.eval(fresh), 9)
+
+
+def test_verify_compatible_sends_its_samples_as_columns(monkeypatch):
+    """``maps compatible`` integrates the lifts of its 40 samples in one
+    batch per stage: one point at a time, the same run made 87
+    integrate_bracket_forms calls."""
+    import nilcarnot.shear
+    from nilcarnot.cli import main
+
+    jobs, original = [], nilcarnot.shear.integrate_bracket_forms
+    monkeypatch.setattr(
+        nilcarnot.shear, "integrate_bracket_forms", lambda dec, c, batch: jobs.append(len(batch)) or original(dec, c, batch)
+    )
+    argv = ["maps", "compatible", "--fixture", "ladder5", "--map", "dilate:1/2", "--map", "shear:1=37/100*q1"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert 0 < len(jobs) <= 10
 
 
 def test_conjugate_solve_layer_makes_few_w_coords_calls(monkeypatch):

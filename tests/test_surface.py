@@ -7,7 +7,10 @@ src/, tests/ and perfbench/; a class name stands for its ``__init__``,
 and methods skip ``self``.
 
 Derived tables live on their owner as cached properties, so no
-``functools.lru_cache`` or ``functools.cache`` appears.  ``exec`` runs
+``functools.lru_cache`` or ``functools.cache`` appears, and there are no
+ad hoc caches: no identifier (a function, an argument, a variable or an
+attribute) names a memo, and a value per point is computed from its
+point each time it is asked for.  ``exec`` runs
 in one place, ``algebra.compile_source``, which loads the generated code
 of the bracket and BCH kernels, of the ``LinearMap`` kernels and of the
 expression trees, and entry types are tested for float in
@@ -93,6 +96,18 @@ def test_no_function_cache_decorators():
                 getattr(node.value, "id", None) == "functools"
             ):
                 found.append(f"{path.name}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_no_identifier_names_a_memo():
+    """Function, class, argument, variable, attribute, import and keyword names."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for field in ("name", "id", "arg", "attr", "asname"):
+                name = getattr(node, field, None)
+                if isinstance(name, str) and "memo" in name.lower():
+                    found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
 
 
