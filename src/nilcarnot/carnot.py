@@ -4,11 +4,13 @@
 the lowest weight layer, the Carnot quotient, the exponent ``alpha``,
 the coordinate transversal, and the center layers of the ideal — all
 exactly.  ``horizontal_connect`` builds zigzag paths out of horizontal
-line segments using group-commutator words for nested brackets, and
-``integrate_bracket_forms`` integrates the bracket pairing of a
+line segments using group-commutator words for nested brackets.
+``integrate_bracket_segments`` integrates the bracket pairing of a
 center-valued map against the horizontal tautological one-form along
-many such paths at once, on node arrays; ``integrate_bracket_form`` is
-its call on one path.
+many horizontal segments at once, given as columns, on node arrays;
+``integrate_bracket_forms`` runs it on the segments of many such paths
+and sums them per path, and ``integrate_bracket_form`` is its call on
+one path.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ class CbCDecomposition:
 
     The float paths read float twins built once: ``projection`` and
     ``w_embed`` are ``LinearMap`` instances (``flat_float``), and
-    ``w_coords`` and ``integrate_bracket_forms`` read the subspace rows
+    ``w_coords`` and ``integrate_bracket_segments`` read the subspace rows
     through ``rows_float``.
     """
 
@@ -453,73 +455,95 @@ def integrate_bracket_forms(dec: CbCDecomposition, component, jobs):
     """The integral of [c(x), theta_H(x)] along the horizontal quotient path
     of every ``(path, tol)`` of ``jobs``, all at once; one tuple per path.
 
-    ``component`` evaluates coordinate columns of quotient points to
-    ambient vectors in a center layer Z_j; the results land in
-    Z_(j+alpha).  The bracket of a quotient vector against a central
-    vector is computed through the transversal lift, which is exactly the
-    well-defined pairing.  By grading, only the coordinates
-    ``dec.pairing_targets[j]`` can be nonzero; only those are integrated,
-    and the rest of each result is 0.0.
-
-    Every segment of every path is one quadrature process of
-    :func:`quadrature.integrate_batch`, to the absolute tolerance of its
-    path, and a path sums its segments in order.  Each round's nodes go
-    out in one array call: the quotient's ``bch_array_kernel`` from the
-    segment's start, the component's ``eval`` on the resulting
-    coordinate columns, and ``dec.pairing_kernels[j]`` against the
-    segment's lifted direction.  The first call holds exactly the first
-    three nodes of each segment, t = 0, duration and duration/2, and
-    membership in Z_j is checked on them (``_check_nodes``), even when
-    the target layer is empty.
+    The segments of every path become the columns of one
+    :func:`integrate_bracket_segments` call, each to the absolute
+    tolerance of its path, and a path sums its segments' integrals in
+    order from 0.0.  The coordinates outside ``dec.pairing_targets[j]``
+    of each result are 0.0.
     """
     import numpy as np
 
+    if not jobs:
+        return []
+    qc = dec.quotient_carnot
     segments, owners = [], []
     for n, (path, tol) in enumerate(jobs):
-        zj, target = _pairing(dec, component, path)
+        if path.alg is not qc and path.alg != qc:
+            raise ValueError("path must live in the Carnot-renormalized quotient")
         for segment in _segments(dec, path):
             segments.append((*segment, tol))
             owners.append(n)
+    starts, directions, durations, tols = zip(*segments) if segments else ((),) * 4
+    pieces = integrate_bracket_segments(
+        dec,
+        component,
+        np.array(starts, dtype=float).reshape(-1, qc.dim).T,
+        np.array(directions, dtype=float).reshape(-1, qc.dim).T,
+        np.array(durations, dtype=float),
+        np.array(tols, dtype=float),
+    )
     totals = [[0.0] * dec.base.dim for _ in jobs]
-    if not segments:
-        return [tuple(total) for total in totals]
-    starts, directions, durations, tols = zip(*segments)
-    starts = np.array(starts, dtype=float).T.copy()
-    steps = np.array(directions, dtype=float).T.copy()
-    lifts = np.array([dec.lift(d) for d in directions], dtype=float).T.copy()
-    walk = dec.quotient_carnot.bch_array_kernel
-    pairing = dec.pairing_kernels[component.layer]
-    checked = False
-
-    def integrand(which, t):
-        nonlocal checked
-        point = walk.run(tuple(starts[:, which]), tuple(steps[:, which] * t), walk.floats, 0.0)
-        val = component.eval(point)
-        if not checked:
-            checked = True
-            _check_nodes(zj, component.layer, point, [np.broadcast_to(v, t.shape) for v in val])
-        out = pairing.run(val, tuple(lifts[:, which]), pairing.floats, 0.0)
-        values = np.empty((len(t), len(target)))
-        for column, i in enumerate(target):
-            values[:, column] = out[i]
-        return values
-
-    pieces = integrate_batch(integrand, [(0.0, d, tol) for d, tol in zip(durations, tols)])
+    target = dec.pairing_targets[component.layer]
     for n, piece in zip(owners, pieces.tolist()):
         for i, a in zip(target, piece):
             totals[n][i] += a
     return [tuple(total) for total in totals]
 
 
-def _pairing(dec, component, path):
-    """Z_j of the component's layer and the pairing targets; checks the path's algebra."""
-    qc = dec.quotient_carnot
-    if path.alg is not qc and path.alg != qc:
-        raise ValueError("path must live in the Carnot-renormalized quotient")
+def integrate_bracket_segments(dec: CbCDecomposition, component, starts, steps, durations, tols):
+    """The integral of [c(x), theta_H(x)] along every horizontal quotient
+    segment x(t) = start * exp(t * step), 0 <= t <= duration, given as
+    columns: ``starts`` and ``steps`` (one row per quotient coordinate,
+    one column per segment; a step is a direction in the first layer),
+    ``durations`` and the absolute tolerances ``tols``.  Returns one row
+    per segment, holding the coordinates ``dec.pairing_targets[j]``.
+
+    ``component`` evaluates coordinate columns of quotient points to
+    ambient vectors in a center layer Z_j; the results land in
+    Z_(j+alpha).  The bracket of a quotient vector against a central
+    vector is computed through the transversal lift, which is exactly the
+    well-defined pairing: a step's lift holds its entries at
+    ``dec.transversal_indices``.  By grading, only the coordinates
+    ``dec.pairing_targets[j]`` can be nonzero; only those are integrated.
+
+    Every segment is one job of :func:`quadrature.integrate_batch`, and
+    each round's nodes go out in one array call: the quotient's
+    ``bch_array_kernel`` from the segment's start, the component's
+    ``eval`` on the resulting coordinate columns, and
+    ``dec.pairing_kernels[j]`` against the lifted step.  The first call
+    opens with the first three nodes of each of the k segments of nonzero
+    duration, t = 0, duration and duration/2, and membership in Z_j is
+    checked on exactly those 3k nodes (``_check_nodes``), even when the
+    target layer is empty.
+    """
+    import numpy as np
+
     zj = dec.z_layer(component.layer)
     if zj is None:
         raise ValueError(f"no center layer at index {component.layer}")
-    return zj, dec.pairing_targets[component.layer]
+    target = dec.pairing_targets[component.layer]
+    lifts = np.zeros((dec.base.dim, len(durations)))
+    lifts[list(dec.transversal_indices)] = steps
+    walk = dec.quotient_carnot.bch_array_kernel
+    pairing = dec.pairing_kernels[component.layer]
+    checked = 3 * int(np.count_nonzero(durations != 0.0))
+
+    def integrand(which, t):
+        nonlocal checked
+        point = walk.run(tuple(starts[:, which]), tuple(steps[:, which] * t), walk.floats, 0.0)
+        val = component.eval(point)
+        if checked:
+            first = lambda columns: [np.broadcast_to(v, t.shape)[:checked] for v in columns]
+            _check_nodes(zj, component.layer, first(point), first(val))
+            checked = 0
+        out = pairing.run(val, tuple(lifts[:, which]), pairing.floats, 0.0)
+        values = np.empty((len(t), len(target)))
+        for column, i in enumerate(target):
+            values[:, column] = out[i]
+        return values
+
+    jobs = [(0.0, d, tol) for d, tol in zip(durations.tolist(), tols.tolist())]
+    return integrate_batch(integrand, jobs).reshape(len(jobs), len(target))
 
 
 def _segments(dec, path):

@@ -9,9 +9,13 @@ smooth bulk of the interval to the same depth.
 The algorithm is written once, as the generator ``_process``: it yields
 the nodes it needs next and receives one value per node.
 ``integrate_batch``, the scheduler the package runs (through
-``carnot.integrate_bracket_forms``), runs one process per job in
-lockstep, so that the nodes of every job go out in one array call per
-round.  ``integrate_vector`` runs one process one node at a time on a
+``carnot.integrate_bracket_segments``), evaluates the first five nodes
+of every job in one array call and takes their Richardson pieces in one
+numpy pass, with ``_piece``'s operations in ``_piece``'s order.  A job
+that meets its tolerance there is done; only the others start a
+process, fed the values already computed, and run in lockstep, so that
+the nodes of every job go out in one array call per round.
+``integrate_vector`` runs one process one node at a time on a
 tuple-valued integrand; it is the reference the batch is tested
 against.  The batch scheduler imports numpy where it runs (so do
 ``carnot`` and ``exprlang``): loaded after the rest of the package, as
@@ -137,37 +141,89 @@ def integrate_batch(f, jobs):
 
     ``f(which, t)`` evaluates the integrands of the jobs ``which`` at the
     nodes ``t`` (1-D arrays of one length) and returns one row per node.
-    Each round makes one call with the nodes every running job's process
-    yields next, job by job: the first call holds each job's a, b and
-    midpoint (a alone when a == b), the second its quarter points, and
-    each later one the four new nodes of one bisection per job still
-    running.  Returns one row per job, bit for bit ``integrate_vector``'s
-    value; when jobs miss their tolerance, raises the ``QuadratureError``
-    of the first of them in job order.  Overflow and invalid operations
-    in f stay silent, as they are on Python floats.
+    The first call holds the first five nodes of every job with a != b:
+    each job's a, b and midpoint, job by job, then each job's quarter
+    points.  One numpy pass takes ``_piece``'s Richardson value and error
+    of all of them, with the same elementwise operations in the same
+    order; a job whose error is a number at most its tolerance ends there
+    with that value.  Every other job starts its ``_process``, fed the
+    five values already computed (a nan error included, so that
+    ``_piece``'s ``max`` decides it), and a job with a == b starts with
+    its one node.  Each later round makes one call with the nodes every
+    running process yields next, job by job: the one node of a job with
+    a == b, or the four new nodes of one bisection.  Returns one row per
+    job, bit for bit ``integrate_vector``'s value; when jobs miss their
+    tolerance, raises the ``QuadratureError`` of the first of them in job
+    order.  Overflow and invalid operations in f stay silent, as they are
+    on Python floats.
     """
     import numpy as np
 
-    processes = [_process(a, b, tol) for a, b, tol in jobs]
-    running = {i: next(p) for i, p in enumerate(processes)}
-    out = [None] * len(jobs)
+    processes, running, out = {}, {}, {}
     failure = None
+
+    def start(i):
+        processes[i] = _process(*jobs[i])
+        running[i] = next(processes[i])
+
+    def advance(i, values):
+        """Send job i's process one value per node; False once it misses its tolerance."""
+        nonlocal failure, running
+        try:
+            running[i] = processes[i].send(values)
+        except StopIteration as done:
+            out[i] = done.value
+            del running[i]
+        except QuadratureError as exc:
+            # integrate_vector, called job by job, raises the first miss
+            failure = exc
+            running = {k: v for k, v in running.items() if k < i}
+            return False
+        return True
+
     with np.errstate(over="ignore", invalid="ignore"):
+        first = [i for i, (a, b, _) in enumerate(jobs) if a != b]
+        if first:
+            k = len(first)
+            a, b, tol = np.array([jobs[i] for i in first], dtype=float).T
+            m = 0.5 * (a + b)
+            t = np.concatenate([np.stack([a, b, m], 1).ravel(), np.stack([0.5 * (a + m), 0.5 * (m + b)], 1).ravel()])
+            which = np.array(first)
+            rows = np.asarray(f(np.concatenate([np.repeat(which, 3), np.repeat(which, 2)]), t), dtype=float)
+            fa, fb, fm = rows[: 3 * k].reshape(k, 3, rows.shape[1]).transpose(1, 0, 2)
+            flm, frm = rows[3 * k :].reshape(k, 2, rows.shape[1]).transpose(1, 0, 2)
+            # _piece of every job's first interval, operation for operation
+            kc, kl, kr = ((b - a) / 6.0)[:, None], ((m - a) / 6.0)[:, None], ((b - m) / 6.0)[:, None]
+            fine = kl * (fa + 4.0 * flm + fm) + kr * (fm + 4.0 * frm + fb)
+            delta = fine - kc * (fa + 4.0 * fm + fb)
+            value = fine + delta / 15.0
+            # a nan error is not <= tol: _piece's max() decides it
+            done = np.abs(delta).max(axis=1, initial=0.0) / 15.0 <= tol
+            for n in np.flatnonzero(~done).tolist():  # in job order
+                i = first[n]
+                start(i)
+                if not advance(i, rows[3 * n : 3 * n + 3].tolist()) or (
+                    i in running and not advance(i, rows[3 * k + 2 * n : 3 * k + 2 * n + 2].tolist())
+                ):
+                    break
+        if failure is None:
+            for i, job in enumerate(jobs):
+                if job[0] == job[1]:
+                    start(i)
+            running = dict(sorted(running.items()))
         while running:
             which = [i for i, nodes in running.items() for _ in nodes]
             t = [x for nodes in running.values() for x in nodes]
             rows = map(tuple, f(np.array(which), np.array(t)).tolist())
             for i, nodes in list(running.items()):  # in job order
-                try:
-                    running[i] = processes[i].send([next(rows) for _ in nodes])
-                except StopIteration as done:
-                    out[i] = done.value
-                    del running[i]
-                except QuadratureError as exc:
-                    # integrate_vector, called job by job, raises the first miss
-                    failure = exc
-                    running = {k: v for k, v in running.items() if k < i}
+                if not advance(i, [next(rows) for _ in nodes]):
                     break
     if failure is not None:
         raise failure
-    return np.array(out, dtype=float)
+    width = value.shape[1] if first else len(next(iter(out.values()), ()))
+    result = np.empty((len(jobs), width))
+    if first:
+        result[first] = value  # the rows of the jobs that ran on are set below
+    for i, row in out.items():
+        result[i] = row
+    return result

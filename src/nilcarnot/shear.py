@@ -15,8 +15,11 @@ time.  Every lift integrates to ``quadrature.DEFAULT_TOL`` and keeps no
 value per point: its values depend only on the point, and its one state
 is the table of anchor values of a lift over a one-dimensional quotient,
 which integrates from the nearest anchor of a fixed dyadic grid.  One
-point and columns alike make one ``carnot.integrate_bracket_forms``
-call; the anchor table is written after that call returns, so one that
+point and columns alike make one integration call: such a lift plans
+its anchors, missing cells and pieces as arrays and sends them as the
+segment columns of one ``carnot.integrate_bracket_segments`` call, and
+any other lift sends its paths to one ``carnot.integrate_bracket_forms``
+call.  The anchor table is written after that call returns, so one that
 raises leaves it as it was.
 The estimators take ``PAIR_BLOCK`` pairs at a time: one sampler call
 draws a block as coordinate columns and one ``quasi_dist`` sweep
@@ -40,6 +43,7 @@ from .carnot import (
     HorizontalPath,
     horizontal_connect,
     integrate_bracket_forms,
+    integrate_bracket_segments,
 )
 from .exprlang import parse_expression
 from .group import bch, dilate, quasi_dist
@@ -209,14 +213,20 @@ def loop_test_membership(
     return LoopVerdict(len(loops), worst)
 
 
-def _anchor(x):
-    """The anchor nearest x on its side of 0, or 0 below ``ANCHOR_FLOOR``."""
-    if not math.isfinite(x):
+def _anchors(x):
+    """The anchor nearest each point of the array x on its side of 0, or 0
+    below ``ANCHOR_FLOOR``: its mantissa rounded to ``ANCHOR_BITS + 1``
+    bits, half to even (``np.round``, as ``round``)."""
+    import numpy as np
+
+    if not np.isfinite(x).all():
         raise ValueError("target must be finite")
-    if abs(x) < ANCHOR_FLOOR:
-        return 0.0
-    f, e = math.frexp(x)
-    return math.ldexp(round(math.ldexp(f, ANCHOR_BITS + 1)), e - ANCHOR_BITS - 1)
+    f, e = np.frexp(x)
+    with np.errstate(over="ignore"):
+        a = np.ldexp(np.round(np.ldexp(f, ANCHOR_BITS + 1)), e - ANCHOR_BITS - 1)
+    if not np.isfinite(a).all():
+        raise OverflowError("the anchor of a target overflows a float")
+    return np.where(np.abs(x) < ANCHOR_FLOOR, 0.0, a)
 
 
 def _inner_anchor(a):
@@ -231,15 +241,22 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
 
     Membership in the loop-integral space is tested first unless
     explicitly waived; a waiver switches on per-evaluation verification
-    with a second independent path.  Over a one-dimensional quotient
-    (membership tested) s(q) = s(a) + the integral from a to q, with a
-    the anchor nearest q (``_anchor``); each anchor's value is its inner
-    neighbour's plus the integral over the cell between them, so no piece
-    crosses 0 and every value depends on q alone.  Otherwise the integral
-    runs along the zigzag path from 0 to p.  One planner turns the points
-    asked for into jobs: the missing cells and the pieces, or the zigzag
-    paths plus the second paths.  ``eval`` takes one point or coordinate
-    columns, and the jobs of either go out in one
+    with a second independent path.  ``eval`` takes one point or
+    coordinate columns, and the jobs of either go out in one call.
+
+    Over a one-dimensional quotient (membership tested) s(q) = s(a) + the
+    integral from a to q, with a the anchor nearest q (``_anchors``);
+    each anchor's value is its inner neighbour's plus the integral over
+    the cell between them, so no piece crosses 0 and every value depends
+    on q alone.  The points are planned as arrays: their anchors in one
+    pass, a walk inward (``_inner_anchor``) from each distinct anchor
+    missing from the table, and the missing cells and the pieces as the
+    segment columns of one ``carnot.integrate_bracket_segments`` call.
+    A value is its anchor's table row plus its piece, with the +0.0 that
+    a path's sum starts from.
+
+    Otherwise the integral runs along the zigzag path from 0 to p, and
+    the zigzag paths plus the second paths go to one
     ``integrate_bracket_forms`` call.  The anchor table, the lift's only
     state, is written only after the jobs return.
     """
@@ -255,8 +272,36 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
     qc = dec.quotient_carnot
     anchors = {0.0: (0.0,) * dec.base.dim}
 
-    def segment(start, end):
-        return HorizontalPath(qc, (start,), (((1.0,) if end > start else (-1.0,), abs(end - start)),))
+    def anchored(x):
+        """The lift at the points of the float array x, one row each."""
+        import numpy as np
+
+        ends = _anchors(x)
+        cells = {}  # every anchor missing from the table -> its inner neighbour
+        for a in dict.fromkeys(ends.tolist()):  # each anchor once, in the order of the points
+            while a not in anchors and a not in cells:
+                cells[a] = _inner_anchor(a)
+                a = cells[a]
+        pieces = np.flatnonzero(ends != x)
+        starts = np.concatenate([np.array(list(cells.values()), dtype=float), ends[pieces]])
+        stops = np.concatenate([np.array(list(cells), dtype=float), x[pieces]])
+        results = integrate_bracket_segments(
+            dec,
+            component,
+            starts[None, :],
+            np.where(stops > starts, 1.0, -1.0)[None, :],
+            np.abs(stops - starts),
+            np.full(len(starts), DEFAULT_TOL),
+        )
+        totals = np.zeros((len(starts), dec.base.dim))
+        # as a path's sum from 0.0, which reads a -0.0 integral as +0.0
+        totals[:, list(dec.pairing_targets[component.layer])] = 0.0 + results
+        deltas = dict(zip(cells, totals.tolist()))
+        for a in sorted(cells, key=abs):  # outward from 0
+            anchors[a] = vadd(anchors[cells[a]], deltas[a])
+        values = np.array([anchors[a] for a in ends.tolist()]).reshape(-1, dec.base.dim)
+        values[pieces] += totals[len(cells) :]
+        return values
 
     def second_path(key):
         mid = dilate(qc, 0.5, key)
@@ -264,43 +309,28 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
         segments = horizontal_connect(qc, mid).segments + horizontal_connect(qc, rel).segments
         return HorizontalPath(qc, (0.0,) * qc.dim, segments)
 
-    def plan(keys):
-        """The paths that the points ``keys`` need, and the map from the
-        paths' integrals to the points' values."""
-        if qc.dim == 1 and not waive_membership:
-            ends = [(_anchor(x), x) for (x,) in keys]
-            cells = {}  # every anchor missing from the table -> its inner neighbour
-            for a, _ in ends:
-                while a not in anchors and a not in cells:
-                    cells[a] = _inner_anchor(a)
-                    a = cells[a]
-            pieces = [segment(a, x) for a, x in ends if a != x]
-
-            def finish(results):
-                deltas = dict(zip(cells, results))
-                for a in sorted(cells, key=abs):  # outward from 0
-                    anchors[a] = vadd(anchors[cells[a]], deltas[a])
-                rest = iter(results[len(cells) :])
-                return [anchors[a] if a == x else vadd(anchors[a], next(rest)) for a, x in ends]
-
-            return [segment(inner, a) for a, inner in cells.items()] + pieces, finish
-
+    def zigzag(keys):
+        """The zigzag lift at the points ``keys``, checked against second
+        paths when membership is waived."""
         checked = [key for key in keys if waive_membership and any(key)]
-
-        def check(results):
-            values = dict(zip(keys, results))
-            for key, alt in zip(checked, results[len(keys) :]):
-                gap = linalg.max_gap(values[key], alt)
-                if gap > 10.0 * DEFAULT_TOL * max(1.0, max(abs(a) for a in values[key])):
-                    raise PathDependenceError(f"independent paths to {key} disagree by {gap:.3e}")
-            return results[: len(keys)]
-
-        return [horizontal_connect(qc, key) for key in keys] + [second_path(key) for key in checked], check
+        paths = [horizontal_connect(qc, key) for key in keys] + [second_path(key) for key in checked]
+        results = integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in paths])
+        values = dict(zip(keys, results))
+        for key, alt in zip(checked, results[len(keys) :]):
+            gap = linalg.max_gap(values[key], alt)
+            if gap > 10.0 * DEFAULT_TOL * max(1.0, max(abs(a) for a in values[key])):
+                raise PathDependenceError(f"independent paths to {key} disagree by {gap:.3e}")
+        return results[: len(keys)]
 
     def evaluate(q):
         many = linalg.scalar_mode(q, arrays="columns") == "columns"
-        paths, finish = plan(linalg.points(q) if many else [as_float(q)])
-        values = finish(integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in paths]))
+        if qc.dim == 1 and not waive_membership:
+            import numpy as np
+
+            (x,) = q if many else as_float(q)
+            values = anchored(np.array(x, dtype=float).reshape(-1))
+            return tuple(values.T) if many else tuple(values[0].tolist())
+        values = zigzag(linalg.points(q) if many else [as_float(q)])
         return linalg.columns(values) if many else values[0]
 
     return ShearComponent(target_layer, evaluate)

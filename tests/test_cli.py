@@ -121,12 +121,33 @@ def test_shear_verify_passes(capsys):
     assert "metric_note" in report
 
 
+# float.hex of (sup_ratio, inf_ratio) of the benchmark's ladder5 estimate
+# (shear_verify_ladder5: radius 10, 1000 samples), per seed
+BENCHMARK_SIZE_BILIP = {
+    42: ("0x1.d4096c1418468p+0", "0x1.4ae4f52e4b44dp-1"),
+    7: ("0x1.d600626bb6ebbp+0", "0x1.3c2aa200703f4p-1"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCHMARK_SIZE_BILIP))
+def test_benchmark_size_shear_verify_keeps_its_bits(capsys, seed):
+    code, report = run_cli(
+        capsys, "shear", "--fixture", "ladder5", "--component", "1=sign(q1)*sqrt(abs(q1))", "--verify",
+        "--radius", "10", "--samples", "1000", "--seed", str(seed),
+    )
+    bilip = next(c for c in report["checks"] if c["name"] == "bilip_estimate")["value"]
+    assert code == 0 and (bilip["sup_ratio"].hex(), bilip["inf_ratio"].hex()) == BENCHMARK_SIZE_BILIP[seed]
+
+
 def test_shear_verify_integrates_the_lifts_once_per_column_call(capsys, monkeypatch):
     # the probes, the K-identity and the estimators evaluate the lifts on coordinate columns
     import nilcarnot.shear
 
-    calls, many = [], nilcarnot.shear.integrate_bracket_forms
-    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_forms", lambda *a: calls.append(a) or many(*a))
+    # the anchored lifts send segment columns, the waived coherence lifts paths
+    calls = []
+    for name in ("integrate_bracket_segments", "integrate_bracket_forms"):
+        many = getattr(nilcarnot.shear, name)
+        monkeypatch.setattr(nilcarnot.shear, name, lambda *a, many=many: calls.append(a) or many(*a))
     code, _ = run_cli(
         capsys, "shear", "--fixture", "ladder5", "--component", "1=sign(q1)*sqrt(abs(q1))", "--verify",
         "--samples", "100", "--seed", "42",

@@ -863,9 +863,9 @@ def test_verify_compatible_sends_its_samples_as_columns(monkeypatch):
     import nilcarnot.shear
     from nilcarnot.cli import main
 
-    jobs, original = [], nilcarnot.shear.integrate_bracket_forms
+    jobs, original = [], nilcarnot.shear.integrate_bracket_segments
     monkeypatch.setattr(
-        nilcarnot.shear, "integrate_bracket_forms", lambda dec, c, batch: jobs.append(len(batch)) or original(dec, c, batch)
+        nilcarnot.shear, "integrate_bracket_segments", lambda *a: jobs.append(len(a[4])) or original(*a)
     )
     argv = ["maps", "compatible", "--fixture", "ladder5", "--map", "dilate:1/2", "--map", "shear:1=37/100*q1"]
     with contextlib.redirect_stdout(io.StringIO()):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -131,9 +132,9 @@ def test_one_batch_job_that_meets_the_budget_keeps_its_value(monkeypatch):
 
 @pytest.mark.parametrize("a, b", [(0.0, 4.0), (-1.0, 3.0), (1.0, 1.0)])
 def test_one_batch_job_takes_the_nodes_and_the_bits_of_integrate_vector(a, b):
-    """a, b and the midpoint (a alone when a == b), then the quarter points,
-    then four new nodes per bisection, left to right: the order of
-    ``integrate_vector``, the reference, with its value bit for bit."""
+    """a, b, the midpoint and the quarter points in one call (a alone when
+    a == b), then four new nodes per bisection, left to right: the order
+    of ``integrate_vector``, the reference, with its value bit for bit."""
     f = lambda t: (math.copysign(math.sqrt(abs(t - 0.3)), t - 0.3), math.sin(t))
     calls = []
 
@@ -149,8 +150,8 @@ def test_one_batch_job_takes_the_nodes_and_the_bits_of_integrate_vector(a, b):
     if a == b:
         assert calls == [[a]]
         return
-    assert calls[:2] == [[a, b, 0.5 * (a + b)], list(_quarters(a, b))]
-    assert len(calls) > 2 and all(len(call) == 4 and call == sorted(call) for call in calls[2:])
+    assert calls[0] == [a, b, 0.5 * (a + b), *_quarters(a, b)]
+    assert len(calls) > 1 and all(len(call) == 4 and call == sorted(call) for call in calls[1:])
 
 
 def _integrand(kind, c, s, width):
@@ -230,10 +231,14 @@ def _quarters(a, b):
 
 
 def test_batch_schedule_runs_each_process_in_lockstep():
-    """One call per round: every job's a, b and midpoint (a alone when a == b),
-    job by job, then the quarter points, then the four new nodes of one
-    bisection per job still running, left to right.  ``carnot`` checks
-    membership on the first call as the first three nodes of each segment."""
+    """The first call holds every job's a, b and midpoint, job by job, then
+    every job's quarter points; a job with a == b is left out of it.  Each
+    later call holds, job by job, the one node of a job with a == b (in the
+    second call only) or the four new nodes of one bisection of a job still
+    running, left to right.  A job that meets its tolerance on its first
+    interval asks for no more nodes.  ``carnot`` checks membership on the
+    first 3k nodes of the first call, the first three nodes of each of its
+    k segments."""
     funcs = [_integrand(kind, 1.0, 0.3, 1) for kind in ("holder", "smooth", "jump", "cusp", "smooth")]
     intervals = [(0.0, 1.0, 1e-9), (0.0, 2.0, 1e-6), (0.5, 0.5, 1e-9), (-1.0, 1.0, 1e-7), (0.0, 0.25, 1e-3)]
     calls = []
@@ -243,20 +248,85 @@ def test_batch_schedule_runs_each_process_in_lockstep():
         return np.array([funcs[j](x) for j, x in calls[-1]]).reshape(len(t), 1)
 
     integrate_batch(batch_f, intervals)
-    assert calls[0] == [
-        (j, x) for j, (a, b, _) in enumerate(intervals) for x in ((a,) if a == b else (a, b, 0.5 * (a + b)))
+    ordinary = [(j, a, b) for j, (a, b, _) in enumerate(intervals) if a != b]
+    assert calls[0] == [(j, x) for j, a, b in ordinary for x in (a, b, 0.5 * (a + b))] + [
+        (j, x) for j, a, b in ordinary for x in _quarters(a, b)
     ]
-    assert calls[1] == [(j, x) for j, (a, b, _) in enumerate(intervals) if a != b for x in _quarters(a, b)]
     assert len(calls) > 3
     running = None
-    for call in calls[2:]:
-        groups = [call[k : k + 4] for k in range(0, len(call), 4)]
+    for n, call in enumerate(calls[1:]):
+        groups = [list(group) for _, group in itertools.groupby(call, key=lambda node: node[0])]
         jobs = [group[0][0] for group in groups]
-        assert all(len(group) == 4 and {j for j, _ in group} == {jobs[n]} for n, group in enumerate(groups))
-        assert all(sorted(x for _, x in group) == [x for _, x in group] for group in groups)
-        assert jobs == sorted(jobs) and (running is None or set(jobs) <= running)
+        assert jobs == sorted(set(jobs)) and (running is None or set(jobs) <= running)
+        for job, group in zip(jobs, groups):
+            a, b, _ = intervals[job]
+            if a == b:
+                assert n == 0 and group == [(job, a)]
+            else:
+                assert len(group) == 4 and sorted(x for _, x in group) == [x for _, x in group]
         running = set(jobs)
+    # the last job met its tolerance in the first call
+    assert 2 in {j for j, _ in calls[1]} and 4 not in {j for call in calls[1:] for j, _ in call}
     for j, (f, (a, b, tol)) in enumerate(zip(funcs, intervals)):
         nodes = []
         integrate_vector(lambda t: nodes.append(t) or f(t), a, b, tol)
         assert [x for call in calls for k, x in call if k == j] == nodes
+
+
+def _batch_against_integrate_vector(funcs, intervals):
+    """Runs ``integrate_batch`` and ``integrate_vector`` job by job (up to
+    the first miss) on the same integrands; asserts that each job asks for
+    the same nodes in the same order, and gets the same bits or raises the
+    same ``QuadratureError``."""
+    calls = []
+
+    def batch_f(which, t):
+        calls.append(list(zip(which.tolist(), t.tolist())))
+        return np.array([funcs[j](x) for j, x in calls[-1]]).reshape(len(t), -1)
+
+    want, nodes, miss = [], [], None
+    for f, (a, b, tol) in zip(funcs, intervals):
+        seen = []
+        nodes.append(seen)
+        try:
+            want.append(integrate_vector(lambda t: seen.append(t) or f(t), a, b, tol))
+        except QuadratureError as exc:
+            miss = exc
+            break
+    if miss is None:
+        got = integrate_batch(batch_f, intervals).tolist()
+        assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
+    else:
+        with pytest.raises(QuadratureError) as info:
+            integrate_batch(batch_f, intervals)
+        assert (info.value.evals, info.value.error.hex(), str(info.value)) == (miss.evals, miss.error.hex(), str(miss))
+    for j, seen in enumerate(nodes):
+        assert [x for call in calls for k, x in call if k == j] == seen
+    return want
+
+
+def test_a_nan_first_error_is_decided_as_integrate_vector_decides_it():
+    """numpy's max propagates a nan, Python's keeps the first of its
+    arguments on a nan: a job whose first error is nan goes to its process,
+    which ends at once when the nan comes first, and bisects on the
+    error of the other components when it does not."""
+    smooth = lambda t: math.sin(3.0 * t)
+    nan_first = lambda t: (math.nan if t == 0.5 else 0.0, smooth(t))
+    nan_last = lambda t: (smooth(t), math.nan if t == 0.5 else 0.0)
+    ordinary = _integrand("smooth", 1.0, 0.0, 2)
+    funcs = [nan_first, nan_last, ordinary, nan_first]
+    intervals = [(0.0, 1.0, 1e-9), (0.0, 1.0, 1e-9), (0.0, 1.0, 1e-9), (0.5, 0.5, 1e-9)]
+    want = _batch_against_integrate_vector(funcs, intervals)
+    assert math.isnan(want[0][0]) and math.isnan(want[1][1]) and math.isfinite(want[1][0])
+
+
+@pytest.mark.parametrize("tol", [1e-9, math.inf])
+def test_an_infinite_first_error_is_decided_as_integrate_vector_decides_it(tol):
+    """1e308 at the midpoint overflows the coarse Simpson sum but not the
+    fine one, so the first error is inf: it meets an infinite tolerance
+    in the first call, and a finite one never."""
+    spike = lambda t: (1e308 if t == 0.5 else 0.0,)
+    funcs = [spike, _integrand("smooth", 1.0, 0.0, 1), spike]
+    intervals = [(0.0, 1.0, 1e-6), (-1.0, 1.0, tol), (0.0, 1.0, tol)]
+    _batch_against_integrate_vector(funcs[1:], intervals[1:])
+    _batch_against_integrate_vector(funcs, intervals)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from nilcarnot.algebra import GradedAlgebra, bracket
-from nilcarnot.carnot import decompose, horizontal_connect, integrate_bracket_form
+from nilcarnot.carnot import HorizontalPath, decompose, horizontal_connect, integrate_bracket_form, integrate_bracket_forms
 from nilcarnot.catalog import direct_product, engel4, ladder5
 from nilcarnot.group import bch, quasi_dist, quasi_norm
-from nilcarnot.linalg import as_float, columns, points as column_points, scalar_mode, vneg
+from nilcarnot.linalg import as_float, columns, points as column_points, scalar_mode, vadd, vneg
 from nilcarnot.quadrature import DEFAULT_TOL
 from nilcarnot.rng import CounterRng, SamplerConfig, sample_ball_point
 from nilcarnot.shear import (
@@ -84,11 +84,17 @@ def test_lift_vanishes_when_center_is_central(dec_hp4):
     assert all(abs(v) < 1e-15 for v in lifted.eval((2.0,)))
 
 
-def test_an_anchor_value_comes_from_the_anchor_table(dec_l5, sigma_component):
-    # 1.25 = 5 * 2^-2 is an anchor
+def test_an_anchor_value_comes_from_the_anchor_table(dec_l5, sigma_component, monkeypatch):
+    # 1.25 = 5 * 2^-2 is an anchor: asked again, it costs no quadrature job
+    import nilcarnot.shear
+
     lifted = lift(dec_l5, sigma_component)
     first = lifted.eval((1.25,))
-    assert lifted.eval((1.25,)) is first
+    jobs, many = [], nilcarnot.shear.integrate_bracket_segments
+    monkeypatch.setattr(
+        nilcarnot.shear, "integrate_bracket_segments", lambda *a: jobs.extend(a[4].tolist()) or many(*a)
+    )
+    assert _hexes(lifted.eval((1.25,))) == _hexes(first) and jobs == []
 
 
 def test_loop_test_trivial_cases(dec_l5, sigma_component):
@@ -688,12 +694,64 @@ def test_a_1d_lift_meets_its_tolerance_against_the_closed_form(dec_l5, form):
         assert abs(float.fromhex(value[5]) + (2.0 / 3.0) * abs(q) ** 1.5) <= DEFAULT_TOL
 
 
+def _path_lift(dec, component, x):
+    """The 1-D lift at x on ``HorizontalPath``s, one path per leg, summed
+    outward: the cells from 0 out to the anchor of x, then the piece from
+    that anchor to x."""
+
+    def anchor(x):  # +-m * 2^e, m = 4..7, nearest x; half to even
+        if abs(x) < ANCHOR_FLOOR:
+            return 0.0
+        f, e = math.frexp(x)
+        return math.ldexp(round(f * 2 ** (ANCHOR_BITS + 1)), e - ANCHOR_BITS - 1)
+
+    def inner(a):  # m * 2^e -> (m - 1) * 2^e, and 4 * 2^e -> 7 * 2^(e - 1)
+        f, e = math.frexp(abs(a))
+        m, unit = int(f * 2 ** (ANCHOR_BITS + 1)), 2.0 ** (e - ANCHOR_BITS - 1)
+        b = math.copysign((m - 1) * unit if m > 2**ANCHOR_BITS else (2 ** (ANCHOR_BITS + 1) - 1) * unit / 2, a)
+        return b if abs(b) >= ANCHOR_FLOOR else 0.0
+
+    def leg(start, end):
+        return HorizontalPath(dec.quotient_carnot, (start,), (((1.0,) if end > start else (-1.0,), abs(end - start)),))
+
+    chain = [anchor(x)]
+    while chain[-1] != 0.0:
+        chain.append(inner(chain[-1]))
+    legs = [leg(start, end) for start, end in zip(chain[::-1], chain[-2::-1])]  # outward from 0
+    if chain[0] != x:
+        legs.append(leg(chain[0], x))
+    value = (0.0,) * dec.base.dim
+    for piece in integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in legs]):
+        value = vadd(value, piece)
+    return value
+
+
+def test_the_array_planned_1d_lift_gives_the_bits_of_its_paths(dec_l5):
+    """The anchors, cells and pieces planned as arrays give the bits of
+    integrating each leg as a path: at signed zeros, below ``ANCHOR_FLOOR``,
+    at anchors, far out and at a point repeated within one call; one point
+    at a time, and as columns."""
+    # 1.125 and -2.75 lie halfway between anchors: the even mantissa wins
+    near = [0.0, -0.0, 1e-13, -3e-15, 1.25, -0.875, 2.7, 2.7, -0.875, 1.3, -1e-13, 1.125, -2.75]
+    # Simpson's rule integrates q1 exactly, so its 552 far cells cost 5 nodes each
+    for expr, xs in ((SIGMA, near), (HOLDER_OFF_GRID, near), ("q1", near[:6] + [1e8, -1e8] + near[6:] + [-1e8])):
+        component = component_from_exprs(dec_l5, 1, expr)
+        want = [_hexes(_path_lift(dec_l5, component, x)) for x in xs]
+        assert want[0] == want[1] == [(0.0).hex()] * 6
+        for form in ("point", "columns"):
+            assert _lift_hexes(lift(dec_l5, component), [(x,) for x in xs], form) == want
+        # a column call first, then one point at a time on the same table
+        walked = lift(dec_l5, component)
+        assert _lift_hexes(walked, [(x,) for x in xs[8:]], "columns") == want[8:]
+        assert _lift_hexes(walked, [(x,) for x in xs], "point") == want
+
+
 @pytest.mark.parametrize("form", ["point", "columns"])
 def test_a_far_1d_lift_needs_logarithmically_many_cells(dec_l5, monkeypatch, form):
     import nilcarnot.shear
 
-    jobs, many = [], nilcarnot.shear.integrate_bracket_forms
-    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_forms", lambda d, c, todo: jobs.extend(todo) or many(d, c, todo))
+    jobs, many = [], nilcarnot.shear.integrate_bracket_segments
+    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_segments", lambda *a: jobs.extend(a[4].tolist()) or many(*a))
     lifted = lift(dec_l5, component_from_exprs(dec_l5, 1, "q1"))
     _lift_hexes(lifted, [(1e8,), (-1e8,)], form)
     # per side: 2^ANCHOR_BITS cells per octave above ANCHOR_FLOOR, and one piece
