@@ -194,7 +194,7 @@ class CbCDecomposition:
       non-integer alpha.
     * ``cocycle_layers``: the center layers below alpha, where the
       cocycles b_j live.
-    * ``p_alpha``: see :func:`p_alpha_data`.
+    * ``p_alpha``: the quotient by the layers above weight alpha.
 
     The ideal's coordinates are one pair of maps: ``w_embed`` is the
     ``LinearMap`` whose columns are the RREF rows of w, and ``w_coords``
@@ -257,6 +257,11 @@ class CbCDecomposition:
 
     @cached_property
     def p_alpha(self):
+        """Quotient of the base algebra by the layers above weight alpha.
+
+        (algebra, kept_indices, project).  The image of every layer of
+        weight >= alpha is checked central once per decomposition.
+        """
         if not self.alpha_is_integer:
             raise ValueError("the high-layer quotient requires an integer exponent")
         alg = self.base
@@ -581,12 +586,3 @@ def _check_nodes(zj, j, points, vals):
         if not finite[bad[0]]:
             raise ValueError(f"component value is not finite at {point}")
         raise ValueError(f"component value escapes the center layer Z_{j} at {point}")
-
-
-def p_alpha_data(dec: CbCDecomposition):
-    """Quotient of the base algebra by the layers above weight alpha.
-
-    Returns (algebra, kept_indices, project).  The image of every layer
-    of weight >= alpha is checked central once per decomposition.
-    """
-    return dec.p_alpha

@@ -52,7 +52,7 @@ from .maps import (
     solve_single_generator_fixed_point,
     verify_compatible,
 )
-from .rng import SamplerConfig
+from .rng import CounterRng, SamplerConfig, sample_ball_point
 from .shear import (
     _k_from_s,
     apply_shear,
@@ -278,8 +278,6 @@ def cmd_shear(args) -> int:
         report.extra("metric_note", necessity.cc_surrogate)
 
         # K-identity on sampled pairs, all of them drawn as coordinate columns in one call
-        from .rng import CounterRng, sample_ball_point
-
         g1, g2 = pairs(sample_ball_point(CounterRng(args.seed), alg, args.radius, 2 * min(200, args.samples)))
         with np.errstate(over="ignore", invalid="ignore"):
             s1, s2 = smap.s_value(dec.project(g1)), smap.s_value(dec.project(g2))
@@ -320,8 +318,7 @@ def cmd_maps(args) -> int:
         raise UsageError("this subcommand needs a Carnot-by-Carnot algebra")
 
     if sub == "compatible":
-        expr = extract_compatible(dec, chain)
-        rep = verify_compatible(dec, chain, expr, SamplerConfig(seed=args.seed, count=40, radius=3.0))
+        rep = verify_compatible(extract_compatible(dec, chain), SamplerConfig(seed=args.seed, count=40, radius=3.0))
         report.check("b_graded", rep.b_graded)
         report.check("b_projects_to_quotient", rep.b_projects)
         report.check("bracket_intertwines", rep.intertwines)
@@ -332,22 +329,17 @@ def cmd_maps(args) -> int:
             report.check(name, defect <= tol, value=defect, tolerance=tol)
         report.check("same_b_at_p", rep.same_b)
     elif sub == "dalpha":
-        closed = d_alpha_matrix(dec, chain, point, mode="closed")
-        fd = d_alpha_matrix(dec, chain, point, mode="fd")
+        expr = extract_compatible(dec, chain)
+        closed = d_alpha_matrix(expr, point, mode="closed")
+        fd = d_alpha_matrix(expr, point, mode="fd")
         gap = float(np.max(np.abs(closed - fd)))
         report.extra("matrix", [[float(x) for x in row] for row in closed])
         report.check("closed_vs_fd", gap <= 1e-6, value=gap, tolerance=1e-6)
     elif sub == "chain":
         if chain2 is None:
             raise UsageError("chain needs --map2 for the inner map")
-        defect = chain_rule_check(dec, chain, chain2, point)
-        from .maps import compose
-
-        composite = compose(chain2, chain)
-        report.extra(
-            "composite_matrix",
-            [[float(x) for x in row] for row in d_alpha_matrix(dec, composite, point)],
-        )
+        defect, composite = chain_rule_check(dec, chain, chain2, point)
+        report.extra("composite_matrix", [[float(x) for x in row] for row in composite])
         report.check("chain_rule", defect <= 1e-6, value=defect, tolerance=1e-6)
     elif sub == "cocycle":
         if chain2 is None:
@@ -356,7 +348,8 @@ def cmd_maps(args) -> int:
         report.check("cocycle_identity", defect <= 1e-9, value=defect, tolerance=1e-9)
     elif sub == "conjugate":
         if args.solve_layer is not None:
-            c, fp = solve_single_generator_fixed_point(dec, chain, args.solve_layer)
+            gamma = extract_compatible(dec, chain)
+            c, fp = solve_single_generator_fixed_point(gamma, args.solve_layer)
             report.extra(
                 "fixed_point",
                 {"iterations": fp.iterations, "final_change": fp.final_change, "factor": fp.contraction_factor},
@@ -364,9 +357,10 @@ def cmd_maps(args) -> int:
             f0 = build_shear(dec, {args.solve_layer: c}, waive_membership=True)
         elif args.component:
             f0 = build_shear(dec, _parse_components(dec, args.component))
+            gamma = extract_compatible(dec, chain)
         else:
             raise UsageError("conjugate needs --component or --solve-layer")
-        _, crep = conjugate_by_shear(dec, f0, chain)
+        _, crep = conjugate_by_shear(f0, gamma)
         report.extra("sup_new_component", crep.sup_new_component)
         report.check(
             "conjugation_identity", crep.identity_defect <= 1e-9, value=crep.identity_defect, tolerance=1e-9

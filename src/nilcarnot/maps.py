@@ -18,6 +18,9 @@ The differential in the exponent direction, its chain rule, numeric
 Pansu-differential probes, the similarity cocycle b_j and its affine
 action, conjugation by shear maps, and a Banach-iteration stand-in for
 the fixed-point step (valid under a measured contraction) live here.
+The differential, the solver and the conjugation take the normal form,
+which keeps its chain and b(gamma); the checks that compose chains
+normal-order each chain once.
 """
 
 from __future__ import annotations
@@ -217,10 +220,13 @@ class CompatibleExpression:
     back to the expression, or each one waits for the cyclic collector.
     Psi(gamma) = (A, Bbar) is read off here: ``a_inverse``,
     ``quot_apply`` (through float views built once) and
-    ``similarity_ratios`` = (lambda_A, lambda_Bbar).
+    ``similarity_ratios`` = (lambda_A, lambda_Bbar).  ``fmap`` is the
+    chain the expression was read off, and ``cocycle`` is
+    b(gamma) = {j: s_gamma,j} for j in ``dec.cocycle_layers``.
     """
 
     dec: CbCDecomposition
+    fmap: FiberMap
     base: tuple
     b_matrix: tuple
     a_matrix: tuple
@@ -269,12 +275,20 @@ class CompatibleExpression:
 
     def s_component(self, j) -> ShearComponent:
         trees = (self.s_trees or {}).get(j)
-        dec = self.dec
+        dec, s_eval = self.dec, self.s_eval  # not self: ``cocycle`` holds these components
 
         def evaluate(q):
-            return dec.w_layer_project(self.s_eval(q), j)
+            return dec.w_layer_project(s_eval(q), j)
 
         return ShearComponent(j, evaluate, trees)
+
+    @cached_property
+    def cocycle(self):
+        """s_j for j below the exponent, off the chain without the shear
+        components at or above it (this expression when it has none)."""
+        below = _below_exponent_chain(self.dec, self.fmap)
+        expr = self if below is self.fmap else extract_compatible(self.dec, below)
+        return {j: expr.s_component(j) for j in self.dec.cocycle_layers}
 
 
 def extract_compatible(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpression:
@@ -325,6 +339,7 @@ def extract_compatible(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpre
 
     return CompatibleExpression(
         dec=dec,
+        fmap=fmap,
         base=tuple(base),
         b_matrix=b_cols,
         a_matrix=a_matrix,
@@ -361,12 +376,11 @@ class CompatibleReport:
 
 
 def verify_compatible(
-    dec: CbCDecomposition,
-    fmap: FiberMap,
     expr: CompatibleExpression,
     sampler: SamplerConfig = SamplerConfig(seed=11, count=40, radius=3.0),
 ) -> CompatibleReport:
     """Check the defining conditions plus the p-independence of (B, A)."""
+    dec, fmap = expr.dec, expr.fmap
     alg = dec.base
     keep = dec.transversal_indices
 
@@ -459,33 +473,34 @@ def _curve_velocity(qalg: GradedAlgebra, at, direction):
     return ad_series(qalg, BERNOULLI_COEFFS, at_e, dir_e)
 
 
-def d_alpha_matrix(dec: CbCDecomposition, fmap: FiberMap, p, mode: str = "closed") -> np.ndarray:
+def d_alpha_matrix(expr: CompatibleExpression, p, mode: str = "closed") -> np.ndarray:
     """Matrix of the exponent-direction differential on V_alpha at p.
 
-    ``closed`` uses the compatible expression; ``fd`` the defining
+    ``closed`` uses the compatible expression; ``fd`` its chain's
     dilated limit with Richardson extrapolation over {1e-2, 1e-3, 1e-4}.
     """
+    dec = expr.dec
     if not dec.alpha_is_integer:
         raise ValueError("the exponent-direction differential requires an integer exponent")
     idx = dec.v_alpha_indices
     cols = []
     for i in idx:
         v = dec.base.basis_vector(i, mode="float")
-        img = d_alpha(dec, fmap, p, v, mode=mode)
+        img = d_alpha(expr, p, v, mode=mode)
         cols.append([float(img[t]) for t in idx])
     return np.array(cols, dtype=float).T
 
 
-def d_alpha(dec: CbCDecomposition, fmap: FiberMap, p, v, mode: str = "closed"):
+def d_alpha(expr: CompatibleExpression, p, v, mode: str = "closed"):
     """The differential applied to v in V_alpha = H_1 + W_alpha."""
+    dec = expr.dec
     if not dec.alpha_is_integer:
         raise ValueError("the exponent-direction differential requires an integer exponent")
     idx = set(dec.v_alpha_indices)
     if any(v[i] != 0 for i in range(dec.base.dim) if i not in idx):
         raise ValueError("direction must lie in the exponent layer")
     if mode == "closed":
-        expr = extract_compatible(dec, fmap)
-        phi = fmap.linear_part()
+        phi = expr.fmap.linear_part()
         vf = as_float(v)
         out = phi(vf)
         if dec.z_layer(int(dec.alpha)) is not None:
@@ -499,7 +514,7 @@ def d_alpha(dec: CbCDecomposition, fmap: FiberMap, p, v, mode: str = "closed"):
                 out = vadd(out, expr.a_apply_ambient(deriv))
         return tuple(out[i] if i in idx else 0.0 for i in range(dec.base.dim))
     if mode == "fd":
-        return _d_alpha_fd(dec, fmap, p, v)
+        return _d_alpha_fd(dec, expr.fmap, p, v)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -527,13 +542,12 @@ def _d_alpha_fd(dec: CbCDecomposition, fmap: FiberMap, p, v):
     return tuple(d23[i] if i in idx else 0.0 for i in range(dec.base.dim))
 
 
-def chain_rule_check(dec: CbCDecomposition, f: FiberMap, g: FiberMap, p) -> float:
-    """Operator-norm defect of D(F o G)(p) against D F(G(p)) . D G(p)."""
-    composite = compose(g, f)  # apply g first
-    lhs = d_alpha_matrix(dec, composite, p)
+def chain_rule_check(dec: CbCDecomposition, f: FiberMap, g: FiberMap, p):
+    """(operator-norm defect of D(F o G)(p) against D F(G(p)) . D G(p), D(F o G)(p))."""
+    lhs = d_alpha_matrix(extract_compatible(dec, compose(g, f)), p)  # apply g first
     gp = g(as_float(p))
-    rhs = d_alpha_matrix(dec, f, gp) @ d_alpha_matrix(dec, g, p)
-    return float(np.linalg.norm(lhs - rhs, 2))
+    rhs = d_alpha_matrix(extract_compatible(dec, f), gp) @ d_alpha_matrix(extract_compatible(dec, g), p)
+    return float(np.linalg.norm(lhs - rhs, 2)), lhs
 
 
 # ---------------------------------------------------------------------------
@@ -608,20 +622,6 @@ def _similarity_ratio(block_rows, label):
     return math.sqrt(lam2)
 
 
-def similarity_pair(dec: CbCDecomposition, fmap: FiberMap) -> CompatibleExpression:
-    """Psi(gamma) = (A_gamma, gammabar), read off the normal form; both must be similarities."""
-    expr = extract_compatible(dec, fmap)
-    expr.similarity_ratios  # raises here, not at the first action
-    return expr
-
-
-def similarity_exponent_check(dec: CbCDecomposition, fmap: FiberMap):
-    """(lambda_A, lambda_Bbar, lambda_Bbar - lambda_A**alpha)."""
-    lambda_a, lambda_bbar = extract_compatible(dec, fmap).similarity_ratios
-    alpha = float(dec.alpha)
-    return lambda_a, lambda_bbar, lambda_bbar - lambda_a**alpha
-
-
 def cocycle_action(dec: CbCDecomposition, pair: CompatibleExpression, component: ShearComponent) -> ShearComponent:
     """(pi_(A,B) c)(hbar) = A^-1 c(B hbar) - A^-1 c(B 0), with (A, B) read off ``pair``."""
     alpha = float(dec.alpha)
@@ -663,19 +663,18 @@ def _below_exponent_chain(dec: CbCDecomposition, fmap: FiberMap) -> FiberMap:
 
 
 def cocycle_of(dec: CbCDecomposition, fmap: FiberMap) -> dict:
-    """b_j(gamma) = s_gamma,j for the layers below the exponent."""
-    expr = extract_compatible(dec, _below_exponent_chain(dec, fmap))
-    return {j: expr.s_component(j) for j in dec.cocycle_layers}
+    """b_j(gamma) = s_gamma,j for the layers below the exponent, with one normal-ordering."""
+    return extract_compatible(dec, _below_exponent_chain(dec, fmap)).cocycle
 
 
 def cocycle_identity_check(dec: CbCDecomposition, gamma1: FiberMap, gamma2: FiberMap) -> float:
     """Defect of b_j(g2 o g1) = b_j(g1) + pi_Psi(g1) b_j(g2) on a grid."""
     grid = quotient_grid(dec, count=100, seed=5, radius=4.0)
-    composite = compose(gamma1, gamma2)
-    b1 = cocycle_of(dec, gamma1)
+    pair1 = extract_compatible(dec, gamma1)
+    b1 = pair1.cocycle
     b2 = cocycle_of(dec, gamma2)
-    bc = cocycle_of(dec, composite)
-    pair1 = similarity_pair(dec, gamma1)
+    bc = cocycle_of(dec, compose(gamma1, gamma2))
+    pair1.similarity_ratios  # raises here, not at the first action
     defect = 0.0
     for j, comp in bc.items():
         transported = cocycle_action(dec, pair1, b2[j])
@@ -702,23 +701,24 @@ class ConjugationReport:
     identity_defect: float
 
 
-def conjugate_by_shear(dec: CbCDecomposition, f0: ShearMap, gamma: FiberMap):
+def conjugate_by_shear(f0: ShearMap, gamma: CompatibleExpression):
     """gamma~ = F0 o gamma o F0^-1; checks s~_j = s_j - c + pi_Psi(gamma) c.
 
-    Returns the conjugated chain and the grid report for the base layer
-    of F0.  When c is a fixed point of the affine action the new
-    component vanishes.
+    ``gamma`` is the normal form of the chain to conjugate.  Returns the
+    conjugated chain and the grid report for the base layer of F0.  When
+    c is a fixed point of the affine action the new component vanishes.
     """
+    dec = gamma.dec
     base_layers = [j for j in sorted(f0.components) if j in dec.cocycle_layers]
     if not base_layers:
         raise ValueError("the conjugating shear must have a base layer below the exponent")
     j = base_layers[0]
-    conj = compose(fiber_shear(f0.negated()), gamma, fiber_shear(f0))
-    pair = similarity_pair(dec, gamma)
+    conj = compose(fiber_shear(f0.negated()), gamma.fmap, fiber_shear(f0))
+    gamma.similarity_ratios  # raises here, not at the first action
     c = f0.components[j]
-    s_gamma = cocycle_of(dec, gamma)[j]
+    s_gamma = gamma.cocycle[j]
     s_new = cocycle_of(dec, conj)[j]
-    transported = cocycle_action(dec, pair, c)
+    transported = cocycle_action(dec, gamma, c)
     grid = quotient_grid(dec, count=60, seed=9, radius=4.0)
     with np.errstate(over="ignore", invalid="ignore"):
         new_val = s_new.eval(grid)
@@ -734,7 +734,7 @@ class FixedPointReport:
     contraction_factor: float
 
 
-def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j: int):
+def solve_single_generator_fixed_point(gamma: CompatibleExpression, j: int):
     """Banach iteration c_{n+1} = s_gamma,j + pi_Psi(gamma) c_n from c_0 = 0.
 
     The iteration runs on 40 seeded quotient points and stops once the
@@ -756,12 +756,13 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     power in one call of the ``LinearMap`` kernel.  Every value has the
     bits of one point at a time.
     """
+    dec = gamma.dec
     if j not in dec.cocycle_layers:
         raise ValueError(f"layer {j} is not a center layer below the exponent")
-    pair = similarity_pair(dec, gamma)
-    s = cocycle_of(dec, gamma)[j]
+    gamma.similarity_ratios  # raises here, not at the first action
+    s = gamma.cocycle[j]
     max_iter, tol = 80, 1e-12
-    kernel = pair.a_inverse.kernel
+    kernel = gamma.a_inverse.kernel
 
     def s_at(orbit):
         """Ideal coordinates of s at the points of the columns ``orbit``, one array each."""
@@ -779,12 +780,12 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
     zero = (0.0,) * dec.base.dim
     a_inv_powers, s_origin = [], []
     prev_change, factor = None, 0.0
-    for k, power in zip(range(max_iter), linalg.float_powers(pair.a_inverse.matrix)):
+    for k, power in zip(range(max_iter), linalg.float_powers(gamma.a_inverse.matrix)):
         a_inv_powers.append(power)
         coords = s_at(orbit)
         s_origin.append(tuple(float(c[0]) for c in coords))
         change = linalg.max_gap(terms(coords, s_origin[k], power), zero)
-        orbit = pair.quot_apply(orbit)
+        orbit = gamma.quot_apply(orbit)
         if prev_change is not None and prev_change > 0:
             factor = max(factor, change / prev_change)
             if k >= 2 and change / prev_change >= 1.0 - 1e-9:
@@ -810,7 +811,7 @@ def solve_single_generator_fixed_point(dec: CbCDecomposition, gamma: FiberMap, j
         with np.errstate(over="ignore", invalid="ignore"):
             orbits = [tuple(np.array(np.broadcast_arrays(*q), dtype=float).reshape(len(q), -1))]
             for _ in range(1, count):
-                orbits.append(pair.quot_apply(orbits[-1]))
+                orbits.append(gamma.quot_apply(orbits[-1]))
             coords = s_at(tuple(map(np.concatenate, zip(*orbits))))
             embedded = terms(tuple(c.reshape(count, -1) for c in coords), origin_table, power_table)
             total = zero

@@ -17,7 +17,6 @@ from nilcarnot.carnot import (
     integrate_bracket_form,
     integrate_bracket_forms,
     is_carnot,
-    p_alpha_data,
     HorizontalPath,
 )
 from nilcarnot.catalog import direct_product, engel4, free_nilpotent_step2, heisenberg3, ladder5
@@ -327,7 +326,7 @@ def test_each_path_costs_one_start_product_per_segment_after_the_first(monkeypat
 
 
 def test_p_alpha_ladder5(dec_l5):
-    qalg, keep, proj = p_alpha_data(dec_l5)
+    qalg, keep, proj = dec_l5.p_alpha
     assert qalg.dim == 5  # z3 killed, weight 3 > alpha = 2
     v1 = dec_l5.base.basis_vector(0)
     img = proj(v1)
@@ -336,7 +335,7 @@ def test_p_alpha_ladder5(dec_l5):
 
 def test_p_alpha_is_homomorphism(dec_l5, dec_eh7):
     for dec in (dec_l5, dec_eh7):
-        qalg, keep, proj = p_alpha_data(dec)
+        qalg, keep, proj = dec.p_alpha
         rng = CounterRng(9)
         for _ in range(15):
             x = tuple(Fraction(int(8 * rng.symmetric())) for _ in range(dec.base.dim))
@@ -349,7 +348,7 @@ def test_p_alpha_kills_high_weight_products(dec_l5):
     alg = dec_l5.base
     x = alg.basis_vector(0)  # weight 1
     y = alg.basis_vector(3)  # w2, weight 2
-    _, _, proj = p_alpha_data(dec_l5)
+    _, _, proj = dec_l5.p_alpha
     assert is_zero(proj(bracket(alg, x, y)))
 
 
@@ -364,7 +363,7 @@ def test_decompose_non_integer_alpha_central_product():
     # the transversal side generates an ideal commuting with w
     assert dec.central_product is True
     with pytest.raises(ValueError):
-        p_alpha_data(dec)
+        dec.p_alpha
 
 
 def test_p_alpha_project_depends_only_on_the_decomposition(monkeypatch):
@@ -376,7 +375,7 @@ def test_p_alpha_project_depends_only_on_the_decomposition(monkeypatch):
     for alg in (ladder5(), heisprod4()):
         dec = decompose(alg)
         x = tuple(Fraction(i + 1) for i in range(alg.dim))
-        qalg, keep, proj = p_alpha_data(dec)
+        qalg, keep, proj = dec.p_alpha
         assert proj(x) == tuple(x[i] for i in keep) and len(keep) == qalg.dim
 
 

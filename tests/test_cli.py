@@ -480,3 +480,22 @@ def test_classify_validates_the_algebra_once(monkeypatch, capsys):
     code, report = run_cli(capsys, "classify", "--fixture", "ladder5")
     assert code == 0 and report["classification"] == "carnot-by-carnot"
     assert len(calls) == 1
+
+
+# an ideal automorphism that is no similarity: Psi(gamma) would raise
+NON_SIMILAR_AUTO = "auto:1,0,0,0;0,2,0,0;0,0,2,0;0,0,0,2"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ([], "the conjugating shear must have a base layer below the exponent"),
+        (["--solve-layer", "1"], "layer 1 is not a center layer below the exponent"),
+    ],
+)
+def test_maps_conjugate_checks_the_layer_before_the_similarity(capsys, extra, message):
+    argv = ["maps", "conjugate", "--fixture", "heisprod4", "--map", NON_SIMILAR_AUTO, "--component", "2=q1"]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

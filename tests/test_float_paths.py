@@ -31,7 +31,14 @@ from nilcarnot.carnot import decompose
 from nilcarnot.catalog import direct_product, engel4, fixture, fixture_names, ladder5
 from nilcarnot.group import bch, dilate, dynkin_words, quasi_dist, quasi_norm
 from nilcarnot.linalg import columns, points
-from nilcarnot.maps import _curve_velocity, compose, fiber_dilation, fiber_shear, solve_single_generator_fixed_point
+from nilcarnot.maps import (
+    _curve_velocity,
+    compose,
+    extract_compatible,
+    fiber_dilation,
+    fiber_shear,
+    solve_single_generator_fixed_point,
+)
 from nilcarnot.rng import CounterRng, sample_ball_point
 from nilcarnot.shear import apply_shear, build_shear, component_from_exprs
 
@@ -265,7 +272,7 @@ def test_solved_fixed_point_reads_float_tables(fraction_to_float_calls):
         fiber_dilation(dec.base, Fraction(1, 2)),
         fiber_shear(build_shear(dec, {1: component_from_exprs(dec, 1, "0.4*q1")})),
     )
-    c, _ = solve_single_generator_fixed_point(dec, gamma, 1)
+    c, _ = solve_single_generator_fixed_point(extract_compatible(dec, gamma), 1)
     fraction_to_float_calls.clear()
     assert c.eval((1.7,))[2] == pytest.approx(0.4 * 1.7, abs=1e-9)
     assert fraction_to_float_calls == []

@@ -74,3 +74,26 @@ def test_cli_report_matches_golden(name):
     text, code = report_bytes(CASES[name])
     assert code == 0
     assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [
+        ("maps_conjugate_ladder5", 3),
+        ("maps_chain_heisprod4", 3),
+        ("maps_dalpha_heisprod4", 1),
+        ("maps_cocycle_ladder5", 3),
+    ],
+)
+def test_golden_maps_command_normal_orders_each_chain_once(monkeypatch, name, count):
+    """conjugate: gamma, its below-exponent chain and the conjugated chain;
+    chain: the two maps and their composite; cocycle: gamma1 (shear-free),
+    the below-exponent gamma2 and the below-exponent composite."""
+    import nilcarnot.cli
+    import nilcarnot.maps
+
+    calls, original = [], nilcarnot.maps.extract_compatible
+    for module in (nilcarnot.maps, nilcarnot.cli):
+        monkeypatch.setattr(module, "extract_compatible", lambda *a: calls.append(a) or original(*a))
+    report_bytes(CASES[name])
+    assert len(calls) == count

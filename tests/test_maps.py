@@ -36,8 +36,6 @@ from nilcarnot.maps import (
     fiber_translate,
     pansu_check,
     quotient_grid,
-    similarity_exponent_check,
-    similarity_pair,
     solve_single_generator_fixed_point,
     verify_compatible,
 )
@@ -140,8 +138,7 @@ def test_extract_verify_round_trip_on_chain_fixtures(dec_l5, dec_hp4):
     count = 0
     for dec in (dec_l5, dec_hp4):
         for chain in chain_fixtures(dec):
-            expr = extract_compatible(dec, chain)
-            report = verify_compatible(dec, chain, expr, SamplerConfig(seed=4, count=12, radius=2.0))
+            report = verify_compatible(extract_compatible(dec, chain), SamplerConfig(seed=4, count=12, radius=2.0))
             assert report.passed, (dec.base.labels, chain.factors)
             count += 1
     assert count >= 10
@@ -182,6 +179,7 @@ def test_cc_identity_fails_for_tampered_a(dec_l5):
     bad = tuple(tuple(r) for r in bad_rows)
     tampered = type(expr)(
         dec=expr.dec,
+        fmap=expr.fmap,
         base=expr.base,
         b_matrix=expr.b_matrix,
         a_matrix=bad,
@@ -190,7 +188,7 @@ def test_cc_identity_fails_for_tampered_a(dec_l5):
         quot_translation=expr.quot_translation,
         quot_matrix=expr.quot_matrix,
     )
-    report = verify_compatible(dec_l5, fiber_dilation(alg, 2), tampered, SamplerConfig(4, 6, 2.0))
+    report = verify_compatible(tampered, SamplerConfig(4, 6, 2.0))
     assert not report.intertwines
 
 
@@ -207,20 +205,21 @@ def test_two_shears_same_base_agree(dec_l5):
 
 
 def test_d_alpha_heisprod_matrix(dec_hp4, kappa_shear):
-    m = d_alpha_matrix(dec_hp4, fiber_shear(kappa_shear), (0.0,) * 4)
+    expr = extract_compatible(dec_hp4, fiber_shear(kappa_shear))
+    m = d_alpha_matrix(expr, (0.0,) * 4)
     assert np.allclose(m, [[1.0, 0.5], [0.0, 1.0]], atol=1e-12)
-    fd = d_alpha_matrix(dec_hp4, fiber_shear(kappa_shear), (0.0,) * 4, mode="fd")
+    fd = d_alpha_matrix(expr, (0.0,) * 4, mode="fd")
     assert np.max(np.abs(m - fd)) <= 1e-6
 
 
 def test_d_alpha_direction_validation(dec_hp4, kappa_shear):
     with pytest.raises(ValueError):
-        d_alpha(dec_hp4, fiber_shear(kappa_shear), (0.0,) * 4, (1.0, 0.0, 0.0, 0.0))
+        d_alpha(extract_compatible(dec_hp4, fiber_shear(kappa_shear)), (0.0,) * 4, (1.0, 0.0, 0.0, 0.0))
 
 
 def test_d_alpha_zero_salpha_is_linear_part(dec_l5, ladder_sigma_shear):
     # ladder5 has Z_2 = 0, so the differential is B + A on V_alpha
-    m = d_alpha_matrix(dec_l5, fiber_shear(ladder_sigma_shear), (1.0, 0.2, -0.4, 0.3, 2.0, 0.1))
+    m = d_alpha_matrix(extract_compatible(dec_l5, fiber_shear(ladder_sigma_shear)), (1.0, 0.2, -0.4, 0.3, 2.0, 0.1))
     assert np.allclose(m, np.eye(len(dec_l5.v_alpha_indices)), atol=1e-9)
 
 
@@ -240,7 +239,7 @@ def test_curve_velocity_is_exact_left_invariant_field():
 
 
 def test_d_alpha_dilation(dec_hp4):
-    m = d_alpha_matrix(dec_hp4, fiber_dilation(dec_hp4.base, 3), (0.5, 0.5, 0.5, 0.5))
+    m = d_alpha_matrix(extract_compatible(dec_hp4, fiber_dilation(dec_hp4.base, 3)), (0.5, 0.5, 0.5, 0.5))
     assert np.allclose(m, 9.0 * np.eye(2), atol=1e-9)
 
 
@@ -248,8 +247,9 @@ def test_d_alpha_depends_only_on_quotient_point(dec_hp4, kappa_shear):
     p = (0.7, -0.3, 0.4, 1.2)
     w = as_float(dec_hp4.w_embed((0.5, -0.2, 0.9)))
     pw = bch(dec_hp4.base, p, w)
-    m1 = d_alpha_matrix(dec_hp4, fiber_shear(kappa_shear), p)
-    m2 = d_alpha_matrix(dec_hp4, fiber_shear(kappa_shear), pw)
+    expr = extract_compatible(dec_hp4, fiber_shear(kappa_shear))
+    m1 = d_alpha_matrix(expr, p)
+    m2 = d_alpha_matrix(expr, pw)
     assert np.max(np.abs(m1 - m2)) <= 1e-9
 
 
@@ -257,19 +257,22 @@ def test_chain_rule_examples(dec_hp4):
     s1 = build_shear(dec_hp4, {2: component_from_exprs(dec_hp4, 2, "0.2*q1")})
     s2 = build_shear(dec_hp4, {2: component_from_exprs(dec_hp4, 2, "0.3*q1")})
     p = (0.4, -0.1, 0.8, 0.6)
-    defect = chain_rule_check(dec_hp4, fiber_shear(s1), fiber_shear(s2), p)
+    defect, composite_matrix = chain_rule_check(dec_hp4, fiber_shear(s1), fiber_shear(s2), p)
     assert defect <= 1e-9
     composite = compose(fiber_shear(s2), fiber_shear(s1))
-    m = d_alpha_matrix(dec_hp4, composite, p)
+    m = d_alpha_matrix(extract_compatible(dec_hp4, composite), p)
     assert m[0, 1] == pytest.approx(0.5, abs=1e-9)
+    # the check returns the composite's matrix it compared
+    assert np.array_equal(composite_matrix, m)
     # identity o identity
     ident = FiberMap(dec_hp4.base, ())
-    assert chain_rule_check(dec_hp4, ident, ident, p) == 0.0
+    assert chain_rule_check(dec_hp4, ident, ident, p)[0] == 0.0
     # dilation against a shear, finite-difference route included
-    defect = chain_rule_check(dec_hp4, fiber_dilation(dec_hp4.base, 2), fiber_shear(s1), p)
+    defect, _ = chain_rule_check(dec_hp4, fiber_dilation(dec_hp4.base, 2), fiber_shear(s1), p)
     assert defect <= 1e-6
-    fd = d_alpha_matrix(dec_hp4, compose(fiber_shear(s1), fiber_dilation(dec_hp4.base, 2)), p, mode="fd")
-    closed = d_alpha_matrix(dec_hp4, compose(fiber_shear(s1), fiber_dilation(dec_hp4.base, 2)), p)
+    expr = extract_compatible(dec_hp4, compose(fiber_shear(s1), fiber_dilation(dec_hp4.base, 2)))
+    fd = d_alpha_matrix(expr, p, mode="fd")
+    closed = d_alpha_matrix(expr, p)
     assert np.max(np.abs(fd - closed)) <= 1e-6
 
 
@@ -320,14 +323,14 @@ def test_pansu_rejects_non_homomorphism():
 def test_similarity_exponent_dilation_exact(dec_l5, dec_hp4):
     for dec in (dec_l5, dec_hp4):
         for r in (2, Fraction(1, 2), 4):
-            la, lb, defect = similarity_exponent_check(dec, fiber_dilation(dec.base, r))
-            assert defect == 0.0
+            la, lb = extract_compatible(dec, fiber_dilation(dec.base, r)).similarity_ratios
+            assert lb - la ** float(dec.alpha) == 0.0
             assert la == pytest.approx(float(r))
             assert lb == pytest.approx(float(r) ** 2)
 
 
 def test_cocycle_action_identity_pair(dec_l5):
-    pair = similarity_pair(dec_l5, FiberMap(dec_l5.base, ()))
+    pair = extract_compatible(dec_l5, FiberMap(dec_l5.base, ()))
     c = component_from_exprs(dec_l5, 1, "sin(q1)")
     out = cocycle_action(dec_l5, pair, c)
     for q in grid_points(dec_l5, count=10, seed=3, radius=3.0):
@@ -335,7 +338,7 @@ def test_cocycle_action_identity_pair(dec_l5):
 
 
 def test_cocycle_action_rejects_mismatched_ratios(dec_l5):
-    pair = similarity_pair(dec_l5, fiber_dilation(dec_l5.base, 2))
+    pair = extract_compatible(dec_l5, fiber_dilation(dec_l5.base, 2))
     # lambda_Bbar becomes 6, not lambda_A**alpha = 4
     scaled = tuple(tuple(Fraction(3, 2) * a for a in row) for row in pair.quot_matrix)
     hacked = dataclasses.replace(pair, quot_matrix=scaled)
@@ -346,7 +349,7 @@ def test_cocycle_action_rejects_mismatched_ratios(dec_l5):
 def test_cocycle_action_translation(dec_l5):
     alg = dec_l5.base
     a = tuple(Fraction(2) if alg.labels[i] == "h" else Fraction(0) for i in range(6))
-    pair = similarity_pair(dec_l5, fiber_translate(alg, a))
+    pair = extract_compatible(dec_l5, fiber_translate(alg, a))
     c = component_from_exprs(dec_l5, 1, "sin(q1)")
     out = cocycle_action(dec_l5, pair, c)
     for p in (-1.0, 0.5, 2.0):
@@ -356,7 +359,7 @@ def test_cocycle_action_translation(dec_l5):
 
 def test_cocycle_action_dilation_weight_arithmetic(dec_l5):
     # A = delta_2 on the ideal, quotient ratio 4: layer 1 gets (1/2) c(4 hbar)
-    pair = similarity_pair(dec_l5, fiber_dilation(dec_l5.base, 2))
+    pair = extract_compatible(dec_l5, fiber_dilation(dec_l5.base, 2))
     c = component_from_exprs(dec_l5, 1, "sin(q1)")
     out = cocycle_action(dec_l5, pair, c)
     for p in (-1.0, 0.5, 2.0):
@@ -367,7 +370,7 @@ def test_cocycle_action_preserves_holder_norm(dec_l5):
     from nilcarnot.shear import holder_norm_estimate
 
     c = component_from_exprs(dec_l5, 1, "sign(q1)*sqrt(abs(q1))")
-    pair = similarity_pair(dec_l5, fiber_dilation(dec_l5.base, 2))
+    pair = extract_compatible(dec_l5, fiber_dilation(dec_l5.base, 2))
     out = cocycle_action(dec_l5, pair, c)
     sampler = SamplerConfig(seed=8, count=600, radius=6.0)
     before = holder_norm_estimate(dec_l5, c, sampler)
@@ -386,7 +389,7 @@ def test_cocycle_of_identity_and_inverse(dec_l5, ladder_sigma_shear):
         fiber_shear(ladder_sigma_shear.negated()), fiber_dilation(dec_l5.base, Fraction(1, 2))
     )
     # b_j(gamma^-1) = -pi_Psi(gamma^-1) b_j(gamma)
-    pair_inv = similarity_pair(dec_l5, gamma_inv)
+    pair_inv = extract_compatible(dec_l5, gamma_inv)
     b = cocycle_of(dec_l5, gamma)[1]
     b_inv = cocycle_of(dec_l5, gamma_inv)[1]
     moved = cocycle_action(dec_l5, pair_inv, b)
@@ -411,9 +414,9 @@ def test_pair_composition_opposite_law(dec_l5):
     a = tuple(Fraction(1) if alg.labels[i] == "h" else Fraction(0) for i in range(6))
     g1 = compose(fiber_translate(alg, a), fiber_dilation(alg, 2))
     g2 = fiber_dilation(alg, Fraction(1, 2))
-    p1 = similarity_pair(dec_l5, g1)
-    p2 = similarity_pair(dec_l5, g2)
-    both = similarity_pair(dec_l5, compose(g1, g2))
+    p1 = extract_compatible(dec_l5, g1)
+    p2 = extract_compatible(dec_l5, g2)
+    both = extract_compatible(dec_l5, compose(g1, g2))
     c = component_from_exprs(dec_l5, 1, "sin(q1)")
     lhs = cocycle_action(dec_l5, both, c)
     # opposite-group law: the composed pair acts as pi_1 after pi_2
@@ -428,7 +431,7 @@ def test_conjugate_by_commuting_shear(dec_l5):
     c = component_from_exprs(dec_l5, 1, "0.3*q1")
     f0 = build_shear(dec_l5, {1: c})
     gamma = fiber_shear(build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, "0.3*q1")}))
-    conj, report = conjugate_by_shear(dec_l5, f0, gamma)
+    conj, report = conjugate_by_shear(f0, extract_compatible(dec_l5, gamma))
     assert report.identity_defect <= 1e-9
     s_new = cocycle_of(dec_l5, conj)[1]
     for p in (-2.0, 1.0):
@@ -440,7 +443,7 @@ def test_fixed_point_solver_geometric_sum(dec_l5):
         fiber_dilation(dec_l5.base, Fraction(1, 2)),
         fiber_shear(build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, "0.4*q1")})),
     )
-    c, report = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    c, report = solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
     assert report.contraction_factor == pytest.approx(0.5, abs=1e-6)
     # b_1(gamma)(t) = 0.2 t, so the geometric series sums to 0.4 t
     for t in (-3.0, -1.0, 0.5, 2.0):
@@ -453,7 +456,7 @@ def test_fixed_point_evaluation_builds_no_matrix_power(dec_l5, monkeypatch):
         fiber_dilation(dec_l5.base, Fraction(1, 2)),
         fiber_shear(build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, "0.4*q1")})),
     )
-    c, _ = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    c, _ = solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
     calls = []
     for name in ("mat_mul", "identity_matrix"):
         original = getattr(nilcarnot.linalg, name)
@@ -469,11 +472,11 @@ def test_fixed_point_solver_checks_each_s_value_in_the_ideal(dec_l5, monkeypatch
     read; one that leaves w raises."""
     import nilcarnot.maps
 
-    gamma = compose(
+    gamma = extract_compatible(dec_l5, compose(
         fiber_dilation(dec_l5.base, Fraction(1, 2)),
         fiber_shear(build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, "0.4*q1")})),
-    )
-    cocycles = nilcarnot.maps.cocycle_of(dec_l5, gamma)
+    ))
+    cocycles = gamma.cocycle
     h = dec_l5.transversal_indices[0]
 
     def leaving(q):
@@ -481,16 +484,14 @@ def test_fixed_point_solver_checks_each_s_value_in_the_ideal(dec_l5, monkeypatch
         value[h] += q[0]
         return tuple(value)
 
-    monkeypatch.setattr(
-        nilcarnot.maps, "cocycle_of", lambda dec, g: {**cocycles, 1: dataclasses.replace(cocycles[1], eval=leaving)}
-    )
+    monkeypatch.setitem(vars(gamma), "cocycle", {**cocycles, 1: dataclasses.replace(cocycles[1], eval=leaving)})
     with pytest.raises(ValueError, match="does not lie in the ideal"):
-        solve_single_generator_fixed_point(dec_l5, gamma, 1)
+        solve_single_generator_fixed_point(gamma, 1)
 
 
 def test_fixed_point_solver_zero_map(dec_l5):
     gamma = fiber_dilation(dec_l5.base, Fraction(1, 2))
-    c, report = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    c, report = solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
     assert report.iterations <= 1
     assert report.final_change == 0.0
     assert all(v == 0.0 for v in c.eval((1.0,)))
@@ -499,7 +500,7 @@ def test_fixed_point_solver_zero_map(dec_l5):
 def test_fixed_point_solver_rejects_non_contraction(dec_l5):
     gamma = fiber_shear(build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, "0.4*q1")}))
     with pytest.raises(NonContractionError):
-        solve_single_generator_fixed_point(dec_l5, gamma, 1)
+        solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
 
 
 def test_conjugation_eliminates_component_at_fixed_point(dec_l5):
@@ -507,9 +508,10 @@ def test_conjugation_eliminates_component_at_fixed_point(dec_l5):
         fiber_dilation(dec_l5.base, Fraction(1, 2)),
         fiber_shear(build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, "0.4*q1")})),
     )
-    c, _ = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    gamma = extract_compatible(dec_l5, gamma)
+    c, _ = solve_single_generator_fixed_point(gamma, 1)
     f0 = build_shear(dec_l5, {1: c}, waive_membership=True)
-    _, report = conjugate_by_shear(dec_l5, f0, gamma)
+    _, report = conjugate_by_shear(f0, gamma)
     assert report.sup_new_component <= 1e-9
     assert report.identity_defect <= 1e-9
 
@@ -534,7 +536,7 @@ def test_d_alpha_requires_integer_exponent():
     alg = GradedAlgebra(3, ("a", "b", "h"), (fr(1), fr(1), fr(3, 2)), ())
     dec = decompose(alg)
     with pytest.raises(ValueError):
-        d_alpha_matrix(dec, FiberMap(alg, ()), (0.0, 0.0, 0.0))
+        d_alpha_matrix(extract_compatible(dec, FiberMap(alg, ())), (0.0, 0.0, 0.0))
 
 
 def test_conjugate_by_shear_rejects_high_layer(dec_hp4):
@@ -542,7 +544,7 @@ def test_conjugate_by_shear_rejects_high_layer(dec_hp4):
     c = component_from_exprs(dec_hp4, 2, "0.1*q1")
     f0 = build_shear(dec_hp4, {2: c})
     with pytest.raises(ValueError):
-        conjugate_by_shear(dec_hp4, f0, fiber_dilation(dec_hp4.base, 2))
+        conjugate_by_shear(f0, extract_compatible(dec_hp4, fiber_dilation(dec_hp4.base, 2)))
 
 
 def test_similarity_pair_rejects_non_similarity(dec_l5):
@@ -556,22 +558,29 @@ def test_similarity_pair_rejects_non_similarity(dec_l5):
     )
     gamma = fiber_auto(alg, LinearMap(rows))
     with pytest.raises(ValueError):
-        similarity_pair(dec_l5, gamma)
+        extract_compatible(dec_l5, gamma).similarity_ratios
 
 
 def test_expressions_are_freed_without_the_cyclic_collector(dec_l5, ladder_sigma_shear):
-    """No reference cycle holds an expression: its s_eval must not close over it."""
+    """No reference cycle holds an expression: its s_eval must not close
+    over it, nor the cocycle components it keeps.  The dilation's cocycle
+    is read off the expression itself, the shear's off its below-exponent
+    chain."""
     gamma = compose(fiber_dilation(dec_l5.base, 2), fiber_shear(ladder_sigma_shear))
     gc.disable()
     try:
         expr = extract_compatible(dec_l5, gamma)
         expr.s_eval((0.5,))
-        pair = similarity_pair(dec_l5, gamma)
+        pair = extract_compatible(dec_l5, gamma)
+        pair.similarity_ratios
         pair.quot_apply((0.5,))
         pair.a_inverse
-        refs = (weakref.ref(expr), weakref.ref(pair))
-        del expr, pair
-        assert [ref() for ref in refs] == [None, None]
+        read = [extract_compatible(dec_l5, g) for g in (fiber_dilation(dec_l5.base, 2), gamma)]
+        for r in read:
+            r.cocycle[1].eval((0.5,))
+        refs = [weakref.ref(e) for e in [expr, pair] + read]
+        del expr, pair, read, r
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
 
@@ -584,7 +593,7 @@ def test_solved_component_is_freed_without_the_cyclic_collector(dec_l5):
     )
     gc.disable()
     try:
-        c, _ = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+        c, _ = solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
         c.eval((0.5,))
         c.eval(nilcarnot.linalg.columns([(0.5,), (-1.5,)]))
         ref = weakref.ref(c.eval)
@@ -598,7 +607,7 @@ def test_fd_extrapolation_error_carries_sequence(dec_hp4):
     # a cubic component makes the first-order Richardson model fail loudly
     smap = build_shear(dec_hp4, {2: component_from_exprs(dec_hp4, 2, "q1**2/(0.001 + abs(q1))")})
     try:
-        d_alpha_matrix(dec_hp4, fiber_shear(smap), (0.0, 0.0, 0.0, 0.0), mode="fd")
+        d_alpha_matrix(extract_compatible(dec_hp4, fiber_shear(smap)), (0.0, 0.0, 0.0, 0.0), mode="fd")
     except ExtrapolationError as err:
         assert err.sequence
 
@@ -613,8 +622,9 @@ def test_d_alpha_nonabelian_quotient_center_dependence():
     dec = decompose(prod)
     smap = build_shear(dec, {2: component_from_exprs(dec, 2, "0.7*q3 + 0.2*q1")})
     p = (0.0, 0.0, 0.0, 0.4, -0.3, 0.0)
-    closed = d_alpha_matrix(dec, fiber_shear(smap), p, mode="closed")
-    fd = d_alpha_matrix(dec, fiber_shear(smap), p, mode="fd")
+    expr = extract_compatible(dec, fiber_shear(smap))
+    closed = d_alpha_matrix(expr, p, mode="closed")
+    fd = d_alpha_matrix(expr, p, mode="fd")
     # d s2 along the first quotient direction: 0.2 + 0.7 * (-q2/2) = 0.305
     assert closed[0, 1] == pytest.approx(0.305, abs=1e-9)
     assert np.max(np.abs(closed - fd)) <= 1e-6
@@ -629,10 +639,10 @@ def test_extract_graded_automorphism_chain_on_engel_heis7(dec_eh7):
     )
     gamma = fiber_auto(dec_eh7.base, LinearMap(rows))
     expr = extract_compatible(dec_eh7, gamma)
-    report = verify_compatible(dec_eh7, gamma, expr, SamplerConfig(seed=5, count=15, radius=2.0))
+    report = verify_compatible(expr, SamplerConfig(seed=5, count=15, radius=2.0))
     assert report.passed
-    closed = d_alpha_matrix(dec_eh7, gamma, (0.1,) * 7, mode="closed")
-    fd = d_alpha_matrix(dec_eh7, gamma, (0.1,) * 7, mode="fd")
+    closed = d_alpha_matrix(expr, (0.1,) * 7, mode="closed")
+    fd = d_alpha_matrix(expr, (0.1,) * 7, mode="fd")
     assert np.allclose(np.diag(closed), [6.0, 6.0, 4.0], atol=1e-12)
     assert np.max(np.abs(closed - fd)) <= 1e-6
 
@@ -659,8 +669,9 @@ def _gamma(dec):
 
 def one_point_solved(dec, gamma, iterations):
     """The solved component's value at one point on one-point floats
-    throughout: sum_{k<n} A^-k [s(B^k q) - s(B^k 0)], term by term."""
-    pair, s = similarity_pair(dec, gamma), nilcarnot.maps.cocycle_of(dec, gamma)[1]
+    throughout: sum_{k<n} A^-k [s(B^k q) - s(B^k 0)], term by term, with
+    Psi and s read off the expression gamma."""
+    pair, s = gamma, gamma.cocycle[1]
     powers = [identity_matrix(dec.w.rank)]
     while len(powers) < iterations:
         powers.append(nilcarnot.linalg.mat_mul(pair.a_inverse.matrix, powers[-1]))
@@ -675,6 +686,15 @@ def one_point_solved(dec, gamma, iterations):
         return total
 
     return evaluate
+
+
+def test_expression_cocycle_has_the_bits_of_cocycle_of(dec_l5):
+    """The conjugate golden's chain has a lifted layer, so its cocycle is
+    read off its below-exponent chain, as cocycle_of reads it."""
+    gamma = _gamma(dec_l5)
+    grid = quotient_grid(dec_l5, count=60, seed=9, radius=4.0)  # conjugate_by_shear's grid
+    want = _column_hexes(cocycle_of(dec_l5, gamma)[1].eval(grid), 60)
+    assert _column_hexes(extract_compatible(dec_l5, gamma).cocycle[1].eval(grid), 60) == want
 
 
 def test_extracted_lifted_component_takes_columns(dec_l5):
@@ -693,16 +713,16 @@ def test_extracted_lifted_component_takes_columns(dec_l5):
 
 def test_solved_component_on_columns_gives_the_one_point_bits(dec_l5):
     gamma = _gamma(dec_l5)
-    c, report = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    c, report = solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
     assert report.iterations == 41  # the golden's count
     grid = grid_points(dec_l5, count=40, seed=13, radius=4.0)  # the solver's own points
     fresh = grid_points(dec_l5, count=60, seed=21, radius=6.0)
-    scalar = one_point_solved(dec_l5, gamma, report.iterations)
+    scalar = one_point_solved(dec_l5, extract_compatible(dec_l5, gamma), report.iterations)
     for points in (grid, fresh):
         want = [_hexes(scalar(q)) for q in points]
         assert _column_hexes(c.eval(nilcarnot.linalg.columns(points)), len(points)) == want
         # one point at a time, on a component that has evaluated no point
-        one, _ = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+        one, _ = solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
         assert [_hexes(one.eval(q)) for q in points] == want
     # points evaluated before, a repeated point, and one of them alone
     again = grid[:3] + grid[:1]
@@ -712,9 +732,9 @@ def test_solved_component_on_columns_gives_the_one_point_bits(dec_l5):
 def test_conjugated_component_on_columns_gives_the_one_point_bits(dec_l5):
     """The new component of conjugate_by_shear: the chain F0^-1, gamma, F0."""
     gamma = _gamma(dec_l5)
-    c, report = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    c, report = solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
     # the same component, evaluated on one-point floats throughout
-    scalar = dataclasses.replace(c, eval=one_point_solved(dec_l5, gamma, report.iterations))
+    scalar = dataclasses.replace(c, eval=one_point_solved(dec_l5, extract_compatible(dec_l5, gamma), report.iterations))
 
     def new_component(component):
         f0 = build_shear(dec_l5, {1: component}, waive_membership=True)
@@ -729,7 +749,7 @@ def test_conjugated_component_on_columns_gives_the_one_point_bits(dec_l5):
 def test_cocycle_action_on_columns_gives_the_one_point_bits(dec_l5):
     alg = dec_l5.base
     translation = (Fraction(1, 2), Fraction(-1), Fraction(1, 4), Fraction(0), Fraction(1), Fraction(0))
-    pair = similarity_pair(dec_l5, compose(fiber_translate(alg, translation), fiber_dilation(alg, Fraction(1, 2))))
+    pair = extract_compatible(dec_l5, compose(fiber_translate(alg, translation), fiber_dilation(alg, Fraction(1, 2))))
     action = cocycle_action(dec_l5, pair, component_from_exprs(dec_l5, 1, "sin(q1)"))
     points = grid_points(dec_l5, count=100, seed=5, radius=4.0)
     want = [_hexes(action.eval(q)) for q in points]
@@ -780,10 +800,10 @@ def test_w_coords_on_columns_raises_for_the_first_failing_point(dec_l5):
 
 
 def _failing_cocycle(monkeypatch, dec, gamma, far, values, side=1.0):
-    """Make cocycle_of's layer-1 component turn non-finite (nan) at
-    side * q1 > far and leave w at side * q1 < -far; ``values`` records
-    each call's point count."""
-    cocycles = nilcarnot.maps.cocycle_of(dec, gamma)
+    """Make the layer-1 cocycle component of the expression gamma turn
+    non-finite (nan) at side * q1 > far and leave w at side * q1 < -far;
+    ``values`` records each call's point count."""
+    cocycles = gamma.cocycle
     h = dec.transversal_indices[0]
 
     def failing(q):
@@ -794,14 +814,14 @@ def _failing_cocycle(monkeypatch, dec, gamma, far, values, side=1.0):
         return tuple(value)
 
     failing_component = dataclasses.replace(cocycles[1], eval=failing)
-    monkeypatch.setattr(nilcarnot.maps, "cocycle_of", lambda dec, g: {**cocycles, 1: failing_component})
+    monkeypatch.setitem(vars(gamma), "cocycle", {**cocycles, 1: failing_component})
     return failing_component
 
 
 def test_fixed_point_solver_raises_as_one_point_at_a_time(dec_l5, monkeypatch):
     """The solver raises for its first failing s value in one-point order
     (the origin, then the grid), whichever kind of failure comes first."""
-    gamma = _gamma(dec_l5)
+    gamma = extract_compatible(dec_l5, _gamma(dec_l5))
     grid = grid_points(dec_l5, count=40, seed=13, radius=4.0)
     messages = set()
     for side in (1.0, -1.0):
@@ -811,7 +831,7 @@ def test_fixed_point_solver_raises_as_one_point_at_a_time(dec_l5, monkeypatch):
                 for q in ((0.0,),) + grid:
                     dec_l5.w_coords(failing.eval(q))
             with pytest.raises(ValueError) as many:
-                solve_single_generator_fixed_point(dec_l5, gamma, 1)
+                solve_single_generator_fixed_point(gamma, 1)
         assert str(many.value) == str(one.value)
         messages.add(str(one.value))
     assert len(messages) == 2
@@ -819,10 +839,10 @@ def test_fixed_point_solver_raises_as_one_point_at_a_time(dec_l5, monkeypatch):
 
 @pytest.mark.parametrize("bad, message", [(30.0, "non-finite"), (-30.0, "does not lie in the ideal")])
 def test_solved_component_raises_as_one_point_and_a_failed_call_keeps_no_value(dec_l5, monkeypatch, bad, message):
-    gamma = _gamma(dec_l5)
+    gamma = extract_compatible(dec_l5, _gamma(dec_l5))
     sizes = []
     failing = _failing_cocycle(monkeypatch, dec_l5, gamma, 10.0, sizes)  # the solver's orbits stay within 4
-    c, report = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    c, report = solve_single_generator_fixed_point(gamma, 1)
     with pytest.raises(ValueError, match=message) as one:
         dec_l5.w_coords(failing.eval((bad,)))
     good = [(0.5,), (-3.0,)]
@@ -842,17 +862,17 @@ def test_solved_component_keeps_no_value_per_point(dec_l5, monkeypatch):
     """Every eval sends the orbit points of its points to s, in one call,
     however often it has seen them, and a value does not depend on the
     points evaluated before it."""
-    gamma = _gamma(dec_l5)
+    gamma = extract_compatible(dec_l5, _gamma(dec_l5))
     sizes = []
     _failing_cocycle(monkeypatch, dec_l5, gamma, math.inf, sizes)  # records each call, never fails
-    c, report = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    c, report = solve_single_generator_fixed_point(gamma, 1)
     seen = nilcarnot.linalg.columns(grid_points(dec_l5, count=7, seed=2, radius=3.0))
     for q in (seen, seen, (0.5,), (0.5,)):
         sizes.clear()
         c.eval(q)
         assert sizes == [np.size(q[0]) * report.iterations]
     fresh = nilcarnot.linalg.columns(grid_points(dec_l5, count=9, seed=4, radius=5.0))
-    new, _ = solve_single_generator_fixed_point(dec_l5, gamma, 1)
+    new, _ = solve_single_generator_fixed_point(gamma, 1)
     assert _column_hexes(c.eval(fresh), 9) == _column_hexes(new.eval(fresh), 9)
 
 
