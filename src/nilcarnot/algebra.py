@@ -35,13 +35,17 @@ The exact oracle reads the structure constants (``ad``): the exact
 bracket sums over nonzero coordinates and constants only, and the Jacobi
 check sums products of constants, so it runs none of the kernels.
 
-Float twins: the kernel coefficients, the weights (``weights_float``),
-the rows of a :class:`Subspace` (``rows_float``) and the matrix of a
-:class:`LinearMap` (``flat_float``) each have a float copy built once
-and read whenever ``linalg.scalar_mode`` finds the vector they meet
-float.  CPython computes ``Fraction * float`` as ``float(Fraction) *
-float``, so a twin gives the same bits as the exact table without a
-conversion per point.
+A :class:`Subspace` does the arithmetic on its rows: ``embed`` is the
+``LinearMap`` whose columns are the rows, and ``residual`` reduces a
+float point or coordinate columns against float rows built once.  No
+other module loops over the rows together with their pivots.
+
+Float twins: the kernel coefficients, the weights (``weights_float``)
+and the matrix of a :class:`LinearMap` (``flat_float``) each have a
+float copy built once and read whenever ``linalg.scalar_mode`` finds
+the vector they meet float.  CPython computes ``Fraction * float`` as
+``float(Fraction) * float``, so a twin gives the same bits as the exact
+table without a conversion per point.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from . import linalg
-from .linalg import rref, reduce_against, in_span, kernel_basis, vadd, vscale, zero_vector
+from .linalg import rref, reduce_against, in_span, kernel_basis
 
 
 class NotCarnotError(ValueError):
@@ -456,12 +460,29 @@ class Subspace:
     def rank(self):
         return len(self.rows)
 
-    @cached_property
-    def rows_float(self):
-        return tuple(tuple(float(a) for a in row) for row in self.rows)
-
     def contains(self, x):
         return in_span(self.rows, self.pivots, x)
+
+    @cached_property
+    def embed(self) -> LinearMap:
+        """Coordinates in the row basis to vectors: the columns are the rows."""
+        return LinearMap(tuple(tuple(row[i] for row in self.rows) for i in range(self.dim)))
+
+    @cached_property
+    def _rows_array(self):
+        import numpy as np
+        return np.array(self.rows, dtype=float).reshape(self.rank, self.dim)
+
+    def residual(self, x):
+        """What is left of a float point or of coordinate columns after the
+        reduction against the rows, as one (dim, points) array.  Every row
+        subtracts its pivot multiple, a zero one included, where
+        ``linalg.reduce_against`` skips it: only the sign of a zero differs."""
+        import numpy as np
+        resid = np.array(np.broadcast_arrays(*x), dtype=float).reshape(len(x), -1)
+        for row, p in zip(self._rows_array, self.pivots):
+            resid = resid - resid[p] * row[:, None]
+        return resid
 
 
 def subspace(alg: GradedAlgebra, vectors) -> Subspace:
@@ -564,12 +585,7 @@ def center(alg: GradedAlgebra, s: Subspace):
     coeff_kernel = kernel_basis(matrix_rows) if matrix_rows else tuple(
         linalg.identity_matrix(s.rank)
     )
-    vectors = []
-    for coeffs in coeff_kernel:
-        v = zero_vector(alg.dim)
-        for c, row in zip(coeffs, s.rows):
-            v = vadd(v, vscale(c, row))
-        vectors.append(v)
+    vectors = [s.embed(coeffs) for coeffs in coeff_kernel]
     # graded split
     split = []
     for v in vectors:

@@ -196,18 +196,13 @@ class CbCDecomposition:
       cocycles b_j live.
     * ``p_alpha``: the quotient by the layers above weight alpha.
 
-    The ideal's coordinates are one pair of maps: ``w_embed`` is the
+    The ideal's coordinates are one pair of maps: ``w.embed`` is the
     ``LinearMap`` whose columns are the RREF rows of w, and ``w_coords``
     is its checked inverse, which reads an exact vector exactly and a
-    finite float one within ``W_TOL`` relative to 1 + max|x|, point by
-    point on coordinate columns.
-    ``w_apply(m, x)`` is ``w_embed(m(w_coords(x)))``, the one way a map
+    finite float one within ``W_TOL`` relative to 1 + max|x| of its
+    ``w.residual``, point by point on coordinate columns.
+    ``w_apply(m, x)`` is ``w.embed(m(w_coords(x)))``, the one way a map
     on ideal coordinates acts on an ambient vector of w.
-
-    The float paths read float twins built once: ``projection`` and
-    ``w_embed`` are ``LinearMap`` instances (``flat_float``), and
-    ``w_coords`` and ``integrate_bracket_segments`` read the subspace rows
-    through ``rows_float``.
     """
 
     base: GradedAlgebra
@@ -290,17 +285,11 @@ class CbCDecomposition:
             out[i] = qcoords[pos]
         return tuple(out)
 
-    @cached_property
-    def w_embed(self) -> LinearMap:
-        return LinearMap(tuple(zip(*self.w.rows)))
-
     def w_coords(self, x):
         """Coordinates of x in the RREF row basis of w; raises outside w.
 
         A float x, one point or coordinate columns, is checked point by
-        point, and raises the error of its first failing point.  The
-        reduction subtracts every row, where ``reduce_against`` skips a
-        zero multiple; that changes only the sign of a zero residual.
+        point, and raises the error of its first failing point.
         """
         if linalg.scalar_mode(x) == "exact":
             if not self.w.contains(x):
@@ -310,9 +299,7 @@ class CbCDecomposition:
 
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.array(np.broadcast_arrays(*x), dtype=float).reshape(len(x), -1)
-            resid = vals
-            for row, p in zip(self.w.rows_float, self.w.pivots):
-                resid = resid - resid[p] * np.array(row)[:, None]
+            resid = self.w.residual(vals)
             finite = np.isfinite(vals).all(axis=0)
             inside = np.abs(resid).max(axis=0) <= W_TOL * (1.0 + np.abs(vals).max(axis=0))
         bad = np.flatnonzero(~(finite & inside))
@@ -324,7 +311,7 @@ class CbCDecomposition:
 
     def w_apply(self, m: LinearMap, x):
         """The map m on ideal coordinates, acting on an ambient vector x of w."""
-        return self.w_embed(m(self.w_coords(x)))
+        return self.w.embed(m(self.w_coords(x)))
 
     def z_layer(self, j) -> Subspace | None:
         return self.z_layers.get(j)
@@ -566,21 +553,24 @@ def _segments(dec, path):
 
 def _check_nodes(zj, j, points, vals):
     """Membership in Z_j of the values ``vals`` at the node columns
-    ``points``: a value must be finite, and its residual against the rows
-    of ``zj`` (a row whose pivot coordinate is 0 skipped) at most ``1e-8``
-    times 1 + its length, the squares summed in order by
-    ``np.add.accumulate``.  Raises ``ValueError`` at the first failing
-    node, naming its point."""
+    ``points``: a value must be finite, and the length of its
+    ``zj.residual`` at most ``1e-8`` times 1 + its own length.  A length
+    is the square root of the squares summed in order by
+    ``np.add.accumulate``, or ``np.hypot`` of the entries where that sum
+    overflows.  Raises ``ValueError`` at the first failing node, naming
+    its point."""
     import numpy as np
 
+    def length(a):
+        with np.errstate(over="ignore"):
+            sq = np.add.accumulate(a * a)[-1]
+        out, big = np.sqrt(sq), np.flatnonzero(sq == np.inf)
+        out[big] = np.hypot.reduce(a[:, big], axis=0)
+        return out
+
     vals = np.array(vals)
-    resid = vals
-    for row, p in zip(zj.rows_float, zj.pivots):
-        c = resid[p]
-        resid = np.where(c != 0, resid - c * np.array(row)[:, None], resid)
     finite = np.isfinite(vals).all(axis=0)
-    scale = 1.0 + np.sqrt(np.add.accumulate(vals * vals)[-1])
-    bad = np.flatnonzero(~finite | (np.sqrt(np.add.accumulate(resid * resid)[-1]) > 1e-8 * scale))
+    bad = np.flatnonzero(~finite | (length(zj.residual(vals)) > 1e-8 * (1.0 + length(vals))))
     if bad.size:
         point = tuple(float(p[bad[0]]) for p in points)
         if not finite[bad[0]]:

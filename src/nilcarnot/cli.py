@@ -44,8 +44,10 @@ from .maps import (
     Translate,
     automorphism_check,
     chain_rule_check,
+    check_solve_layer,
     cocycle_identity_check,
     conjugate_by_shear,
+    conjugating_layer,
     d_alpha_matrix,
     extract_compatible,
     pansu_check,
@@ -347,7 +349,9 @@ def cmd_maps(args) -> int:
         defect = cocycle_identity_check(dec, chain, chain2)
         report.check("cocycle_identity", defect <= 1e-9, value=defect, tolerance=1e-9)
     elif sub == "conjugate":
+        # the layer checks come before the chain is normal-ordered
         if args.solve_layer is not None:
+            check_solve_layer(dec, args.solve_layer)
             gamma = extract_compatible(dec, chain)
             c, fp = solve_single_generator_fixed_point(gamma, args.solve_layer)
             report.extra(
@@ -357,6 +361,7 @@ def cmd_maps(args) -> int:
             f0 = build_shear(dec, {args.solve_layer: c}, waive_membership=True)
         elif args.component:
             f0 = build_shear(dec, _parse_components(dec, args.component))
+            conjugating_layer(dec, f0)
             gamma = extract_compatible(dec, chain)
         else:
             raise UsageError("conjugate needs --component or --solve-layer")

@@ -40,15 +40,6 @@ def vscale(c, x):
     return tuple(c * a for a in x)
 
 
-def combine(coeffs, rows):
-    """sum_i coeffs[i] * rows[i], accumulated from 0.0 in row order; the
-    coefficients may be floats or float arrays of one shape."""
-    out = (0.0,) * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        out = tuple(a + c * r for a, r in zip(out, row))
-    return out
-
-
 def vneg(x):
     return tuple(-a for a in x)
 

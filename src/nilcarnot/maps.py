@@ -236,15 +236,6 @@ class CompatibleExpression:
     quot_matrix: tuple
     s_trees: dict | None = None
 
-    def b_apply(self, h):
-        """Apply B to an ambient vector supported on the transversal; a float h reads B's float twin."""
-        cols = self.b_matrix if linalg.scalar_mode(h) == "exact" else map(as_float, self.b_matrix)
-        acc = None
-        for c, col in zip((h[i] for i in self.dec.transversal_indices), cols):
-            term = vscale(c, col)
-            acc = term if acc is None else vadd(acc, term)
-        return acc if acc is not None else linalg.zero_vector(self.dec.base.dim)
-
     @cached_property
     def a_map(self):
         return LinearMap(self.a_matrix)
@@ -412,14 +403,11 @@ def verify_compatible(
     with np.errstate(over="ignore", invalid="ignore"):
         qbar = dec.project(g)
         sval = expr.s_eval(qbar)
-        resid = sval  # reduced against the center of w, as w_coords reduces
-        for row, p in zip(dec.center_w.rows_float, dec.center_w.pivots):
-            resid = linalg.vsub(resid, vscale(resid[p], row))
-        central_defect = linalg.max_gap(resid, (0.0,) * alg.dim)
-        # reconstruction at g = h * w
+        central_defect = linalg.max_gap(dec.center_w.residual(sval), (0.0,) * alg.dim)
+        # reconstruction at g = h * w; h lies on the transversal, so B h is the linear part at h
         h = dec.lift(qbar)
         w_part = bch(alg, vneg(h), g)
-        rebuilt = bch(alg, as_float(expr.base), expr.b_apply(h))
+        rebuilt = bch(alg, as_float(expr.base), fmap.linear_part()(h))
         rebuilt = bch(alg, rebuilt, expr.a_apply_ambient(w_part))
         rebuilt = bch(alg, rebuilt, expr.a_apply_ambient(sval))
         recon_defect = linalg.max_gap(rebuilt, fmap(g))
@@ -449,13 +437,11 @@ def _component_directional(dec, component, at_q, direction_q):
     qalg = dec.quotient_carnot
     if component.trees is not None:
         jac = _curve_velocity(qalg, at_q, direction_q)
-        z = dec.z_layer(component.layer)
-        out = (0.0,) * dec.base.dim
-        for tree, row in zip(component.trees, z.rows_float):
+        scalars = []
+        for tree in component.trees:
             partials = [tree.diff(k).scalar(at_q) for k in range(qalg.dim)]
-            scalar = sum(p * float(j) for p, j in zip(partials, jac))
-            out = vadd(out, vscale(scalar, row))
-        return out
+            scalars.append(sum(p * float(j) for p, j in zip(partials, jac)))
+        return dec.z_layer(component.layer).embed(scalars)
     eps = 1e-6
     plus = component.eval(bch(qalg, at_q, vscale(eps, direction_q)))
     minus = component.eval(bch(qalg, at_q, vscale(-eps, direction_q)))
@@ -701,6 +687,20 @@ class ConjugationReport:
     identity_defect: float
 
 
+def conjugating_layer(dec: CbCDecomposition, f0: ShearMap) -> int:
+    """The base layer of F0: its lowest center layer below the exponent."""
+    base_layers = [j for j in sorted(f0.components) if j in dec.cocycle_layers]
+    if not base_layers:
+        raise ValueError("the conjugating shear must have a base layer below the exponent")
+    return base_layers[0]
+
+
+def check_solve_layer(dec: CbCDecomposition, j: int):
+    """Raise unless the fixed point can be solved for at center layer j."""
+    if j not in dec.cocycle_layers:
+        raise ValueError(f"layer {j} is not a center layer below the exponent")
+
+
 def conjugate_by_shear(f0: ShearMap, gamma: CompatibleExpression):
     """gamma~ = F0 o gamma o F0^-1; checks s~_j = s_j - c + pi_Psi(gamma) c.
 
@@ -709,10 +709,7 @@ def conjugate_by_shear(f0: ShearMap, gamma: CompatibleExpression):
     c is a fixed point of the affine action the new component vanishes.
     """
     dec = gamma.dec
-    base_layers = [j for j in sorted(f0.components) if j in dec.cocycle_layers]
-    if not base_layers:
-        raise ValueError("the conjugating shear must have a base layer below the exponent")
-    j = base_layers[0]
+    j = conjugating_layer(dec, f0)
     conj = compose(fiber_shear(f0.negated()), gamma.fmap, fiber_shear(f0))
     gamma.similarity_ratios  # raises here, not at the first action
     c = f0.components[j]
@@ -757,8 +754,7 @@ def solve_single_generator_fixed_point(gamma: CompatibleExpression, j: int):
     bits of one point at a time.
     """
     dec = gamma.dec
-    if j not in dec.cocycle_layers:
-        raise ValueError(f"layer {j} is not a center layer below the exponent")
+    check_solve_layer(dec, j)
     gamma.similarity_ratios  # raises here, not at the first action
     s = gamma.cocycle[j]
     max_iter, tol = 80, 1e-12
@@ -773,7 +769,7 @@ def solve_single_generator_fixed_point(gamma: CompatibleExpression, j: int):
     def terms(coords, origin, powers):
         # w_coords reads pivot entries, so the coordinates of a difference
         # are the difference of the coordinates, bit for bit
-        return dec.w_embed(kernel(linalg.vsub(coords, origin), powers))
+        return dec.w.embed(kernel(linalg.vsub(coords, origin), powers))
 
     # the origin's orbit rides along as point 0, whose own term is zero
     orbit = tuple(np.concatenate(([0.0], c)) for c in quotient_grid(dec, count=40, seed=13, radius=4.0))

@@ -118,7 +118,8 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
     trees = tuple(
         parse_expression(e, qdim) if isinstance(e, str) else e for e in exprs
     )
-    rows = z.rows_float
+    # tree values are float, so the kernel runs on the float twin without a mode check
+    kernel, flat = z.embed.kernel, z.embed.flat_float
 
     def evaluate(q):
         try:
@@ -127,8 +128,8 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
             import numpy as np
 
             with np.errstate(over="ignore", invalid="ignore"):
-                return linalg.combine([tree.array(q) for tree in trees], rows)
-        return linalg.combine(values, rows)
+                return kernel([tree.array(q) for tree in trees], flat)
+        return kernel(values, flat)
 
     return ShearComponent(layer, evaluate, trees, holder_hint)
 

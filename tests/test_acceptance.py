@@ -318,7 +318,7 @@ def test_criterion_8_differential_suite(dec5, dech):
     for f, g in pairs:
         ok &= chain_rule_check(dech, f, g, p)[0] <= 1e-6
 
-    w = as_float(dech.w_embed((0.4, -0.3, 0.8)))
+    w = as_float(dech.w.embed((0.4, -0.3, 0.8)))
     pw = bch(dech.base, p, w)
     kappa_expr = extract_compatible(dech, fiber_shear(kappa))
     m1 = d_alpha_matrix(kappa_expr, p)

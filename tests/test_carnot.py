@@ -16,14 +16,15 @@ from nilcarnot.carnot import (
     horizontal_connect,
     integrate_bracket_form,
     integrate_bracket_forms,
+    integrate_bracket_segments,
     is_carnot,
     HorizontalPath,
 )
-from nilcarnot.catalog import direct_product, engel4, free_nilpotent_step2, heisenberg3, ladder5
+from nilcarnot.catalog import direct_product, engel4, fixture, fixture_names, free_nilpotent_step2, heisenberg3, ladder5
 from nilcarnot.group import bch, dilate, quasi_norm
 from nilcarnot.linalg import is_zero, vneg
 from nilcarnot.rng import CounterRng, sample_coords
-from nilcarnot.shear import component_from_exprs, zero_component
+from nilcarnot.shear import ShearComponent, component_from_exprs, zero_component
 
 
 def test_decompose_engel_heis7(dec_eh7):
@@ -283,6 +284,23 @@ def test_integrate_bracket_forms_checks_the_first_three_nodes(dec_l5):
     integrate_bracket_forms(dec_l5, at_quarter, [(path, 1e-10)])
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
+def test_the_layer_check_holds_where_the_squares_overflow(dec_l5, scale):
+    """scale * (e_a + e_z1) leaves Z_1 at every scale, and scale * e_z1 stays
+    in it; above about 1e154 the sum of squares of either overflows."""
+    import numpy as np
+
+    def constant(*indices):
+        value = tuple(scale if i in indices else 0.0 for i in range(dec_l5.base.dim))
+        return ShearComponent(1, lambda q: tuple(np.full(np.shape(q[0]), a) for a in value))
+
+    a, z1 = 0, dec_l5.z_layer(1).pivots[0]
+    segment = (np.array([[0.0]]), np.array([[1.0]]), np.array([2.0]), np.array([1e-10]))
+    with pytest.raises(ValueError, match=r"escapes the center layer Z_1 at \(0\.0,\)"):
+        integrate_bracket_segments(dec_l5, constant(a, z1), *segment)
+    assert integrate_bracket_segments(dec_l5, constant(z1), *segment)[0, 0] == pytest.approx(-2 * scale, rel=1e-12)
+
+
 def test_a_path_alone_gives_the_bits_it_gets_inside_a_batch():
     """Each path's processes run on their own nodes: one path alone, as
     ``integrate_bracket_form`` or a batch of one, gets the bits it gets
@@ -394,7 +412,25 @@ def ladder5_w2_plus_h():
     )
 
 
-DECS = {"ladder5": decompose(ladder5()), "ladder5_w2_plus_h": decompose(ladder5_w2_plus_h())}
+def _decompositions():
+    """Every catalog fixture that has a decomposition, ladder5 in a non-unit
+    row basis and ladder5 x engel4."""
+    out = {
+        "ladder5_w2_plus_h": decompose(ladder5_w2_plus_h()),
+        "ladder5_x_engel4": decompose(direct_product(ladder5(), engel4(), 2)),
+    }
+    for name in fixture_names():
+        try:
+            out[name] = decompose(fixture(name))
+        except DecompositionError:
+            pass
+    return out
+
+
+DECS = _decompositions()
+MAX_DIM = max(dec.base.dim for dec in DECS.values())
+# dyadic entries few bits long, so every sum and product below is exact in floats
+DYADIC = st.integers(-(2**20), 2**20).map(lambda n: n / 1024)
 
 
 def test_non_unit_row_basis_change_keeps_the_structure():
@@ -405,29 +441,51 @@ def test_non_unit_row_basis_change_keeps_the_structure():
 
 
 @pytest.mark.parametrize("name", sorted(DECS))
-@given(st.lists(st.floats(-1e12, 1e12), min_size=5, max_size=5))
-def test_w_embed_is_the_row_by_row_sum(name, coords):
+@given(
+    st.lists(st.floats(-1e12, 1e12), min_size=MAX_DIM, max_size=MAX_DIM),
+    st.lists(st.lists(DYADIC, min_size=MAX_DIM, max_size=MAX_DIM), min_size=3, max_size=3),
+)
+def test_w_embed_is_the_row_by_row_sum(name, coords, dyadic):
+    """``embed`` and ``residual`` of every subspace a float path reads (w,
+    the center of w and each center layer): ``embed`` against the sum over
+    the rows from 0.0 in row order, and on dyadic inputs against the exact
+    row sum and ``linalg.reduce_against``; on coordinate columns every
+    point keeps the bits it gets alone."""
     dec = DECS[name]
-    reference = (0.0,) * dec.base.dim
-    for c, row in zip(coords, dec.w.rows_float):
-        reference = tuple(a + c * r for a, r in zip(reference, row))
-    got = dec.w_embed(tuple(coords))
-    assert [a.hex() for a in got] == [a.hex() for a in reference]
-    exact = tuple(Fraction(c) for c in coords)
-    reference = linalg.zero_vector(dec.base.dim)
-    for c, row in zip(exact, dec.w.rows):
-        reference = tuple(a + c * r for a, r in zip(reference, row))
-    assert dec.w_embed(exact) == reference
-    assert dec.w_coords(reference) == exact
+    hexes = lambda values: [a.hex() for a in values]
+    for z in (dec.w, dec.center_w, *dec.z_layers.values()):
+        reference = (0.0,) * z.dim
+        for c, row in zip(coords[: z.rank], z.rows):
+            reference = tuple(a + c * float(r) for a, r in zip(reference, row))
+        assert hexes(z.embed(tuple(coords[: z.rank]))) == hexes(reference)
+
+        exact = [tuple(Fraction(a) for a in point) for point in dyadic]
+        for point in exact:
+            row_sum = linalg.zero_vector(z.dim)
+            for c, row in zip(point[: z.rank], z.rows):
+                row_sum = tuple(a + c * r for a, r in zip(row_sum, row))
+            assert z.embed(point[: z.rank]) == row_sum
+            assert z.embed(tuple(map(float, point[: z.rank]))) == tuple(map(float, row_sum))
+            reduced = linalg.reduce_against(z.rows, z.pivots, point[: z.dim])
+            assert z.residual(tuple(map(float, point[: z.dim])))[:, 0].tolist() == list(map(float, reduced))
+
+        embedded = z.embed(linalg.columns([point[: z.rank] for point in dyadic]))
+        left = z.residual(linalg.columns([point[: z.dim] for point in dyadic]))
+        for k, point in enumerate(dyadic):
+            assert hexes(a[k] for a in embedded) == hexes(z.embed(tuple(point[: z.rank])))
+            assert hexes(left[:, k]) == hexes(z.residual(tuple(point[: z.dim]))[:, 0])
+
+    exact = tuple(Fraction(c) for c in dyadic[0][: dec.w.rank])
+    assert dec.w_coords(dec.w.embed(exact)) == exact
 
 
 def test_w_coords_reads_the_ideal_and_rejects_what_is_outside(dec_l5):
     h = dec_l5.base.basis_vector(dec_l5.transversal_indices[0])
-    w = dec_l5.w_embed((Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(2), Fraction(5)))
+    w = dec_l5.w.embed((Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(2), Fraction(5)))
     with pytest.raises(ValueError, match="does not lie in the ideal"):
         dec_l5.w_coords(tuple(a + b for a, b in zip(w, h)))
 
-    wf = dec_l5.w_embed((3.0, -0.5, 0.0, 2.0, 5.0))
+    wf = dec_l5.w.embed((3.0, -0.5, 0.0, 2.0, 5.0))
     scale = 1.0 + max(abs(a) for a in wf)
     for relative, inside in ((1e-6, False), (1e-12, True)):
         x = tuple(a + relative * scale * float(b) for a, b in zip(wf, h))

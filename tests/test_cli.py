@@ -499,3 +499,19 @@ def test_maps_conjugate_checks_the_layer_before_the_similarity(capsys, extra, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--component", "2=q1"], "the conjugating shear must have a base layer below the exponent"),
+        (["--solve-layer", "2"], "layer 2 is not a center layer below the exponent"),
+    ],
+)
+def test_maps_conjugate_checks_the_layer_before_normal_ordering_the_chain(capsys, extra, message):
+    """F(0) of this chain divides by zero, so normal-ordering it raises."""
+    argv = ["maps", "conjugate", "--fixture", "heisprod4", "--map", "shear:2=1/q1"]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

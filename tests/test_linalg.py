@@ -134,7 +134,7 @@ def test_operations_reject_a_mix_where_it_enters(heis, dec_l5):
         lambda: quasi_dist(heis, exact, floats),
         lambda: Translate(exact).apply(heis, mixed),
         lambda: Translate(floats).apply(heis, mixed),
-        lambda: dec_l5.w_embed((Fraction(1), 0.5, 0.0, 0.0, 0.0)),
+        lambda: dec_l5.w.embed((Fraction(1), 0.5, 0.0, 0.0, 0.0)),
     ):
         with pytest.raises(ValueError, match="mixed"):
             call()

@@ -245,7 +245,7 @@ def test_d_alpha_dilation(dec_hp4):
 
 def test_d_alpha_depends_only_on_quotient_point(dec_hp4, kappa_shear):
     p = (0.7, -0.3, 0.4, 1.2)
-    w = as_float(dec_hp4.w_embed((0.5, -0.2, 0.9)))
+    w = as_float(dec_hp4.w.embed((0.5, -0.2, 0.9)))
     pw = bch(dec_hp4.base, p, w)
     expr = extract_compatible(dec_hp4, fiber_shear(kappa_shear))
     m1 = d_alpha_matrix(expr, p)
@@ -681,7 +681,7 @@ def one_point_solved(dec, gamma, iterations):
         total, orbit_q, orbit_0 = (0.0,) * dec.base.dim, tuple(q), (0.0,) * dec.quotient_carnot.dim
         for power in powers:
             diff = nilcarnot.linalg.vsub(dec.w_coords(s.eval(orbit_q)), dec.w_coords(s.eval(orbit_0)))
-            total = vadd(total, dec.w_embed(power(diff)))
+            total = vadd(total, dec.w.embed(power(diff)))
             orbit_q, orbit_0 = pair.quot_apply(orbit_q), pair.quot_apply(orbit_0)
         return total
 
@@ -784,7 +784,7 @@ def test_factor_chain_on_columns_gives_the_one_point_bits(dec_l5):
 
 def test_w_coords_on_columns_raises_for_the_first_failing_point(dec_l5):
     h = dec_l5.transversal_indices[0]
-    good = dec_l5.w_embed((0.5, -1.0, 0.25, 2.0, 1.5))
+    good = dec_l5.w.embed((0.5, -1.0, 0.25, 2.0, 1.5))
     outside = tuple(a + (1.0 if i == h else 0.0) for i, a in enumerate(good))
     for bad in (math.nan, math.inf):
         non_finite = (bad,) + good[1:]

@@ -322,8 +322,8 @@ def test_shear_isometric_on_cosets(dec_l5, ladder_shear):
     rng = CounterRng(22)
     for _ in range(8):
         g = sample_ball_point(rng, alg, 3.0)
-        w1 = as_float(dec_l5.w_embed((0.4, -0.1, 0.8, 0.2, 1.1)))
-        w2 = as_float(dec_l5.w_embed((-0.3, 0.5, 0.0, 1.0, -0.7)))
+        w1 = as_float(dec_l5.w.embed((0.4, -0.1, 0.8, 0.2, 1.1)))
+        w2 = as_float(dec_l5.w.embed((-0.3, 0.5, 0.0, 1.0, -0.7)))
         a = bch(alg, g, w1)
         b = bch(alg, g, w2)
         lhs = quasi_dist(alg, apply_shear(ladder_shear, a), apply_shear(ladder_shear, b))
@@ -498,7 +498,7 @@ def test_central_conjugation_bound_sampled(dec_l5):
     rng = CounterRng(27)
     worst = 0.0
     for _ in range(500):
-        w = as_float(dec_l5.w_embed((0.0, 0.0, rng.symmetric(4.0), 0.0, rng.symmetric(4.0))))
+        w = as_float(dec_l5.w.embed((0.0, 0.0, rng.symmetric(4.0), 0.0, rng.symmetric(4.0))))
         h = tuple(rng.symmetric(4.0) if alg.labels[i] == "h" else 0.0 for i in range(6))
         b1 = quasi_norm(alg, w) ** alpha
         b2 = math.sqrt(sum(a * a for a in h))

@@ -17,7 +17,9 @@ expression trees, and entry types are tested for float in
 ``linalg.scalar_mode``, which decides every vector's scalar mode, and in
 ``linalg.as_exact``, which checks that a float converts to a rational
 without loss.  The adaptive Simpson algorithm is written once: only
-``quadrature._process`` calls ``heapq``.
+``quadrature._process`` calls ``heapq``.  A subspace does the arithmetic
+on its rows (``Subspace.embed`` and ``Subspace.residual``): outside
+``algebra`` and ``linalg`` no loop runs over rows zipped with pivots.
 
 Every top-level function and class is named somewhere outside its own
 definition and ``__init__.py``, as a bare name, an imported name or an
@@ -157,6 +159,21 @@ def test_heapq_runs_only_in_the_quadrature_process():
         )
 
     assert sorted(set(_sites(calls_heapq))) == ["quadrature.py:_process"]
+
+
+def _loops_over_rows_and_pivots(node):
+    """A ``for`` or a comprehension over ``zip`` of something named rows and
+    something named pivots."""
+    it = getattr(node, "iter", None) if isinstance(node, (ast.For, ast.comprehension)) else None
+    if not (isinstance(it, ast.Call) and getattr(it.func, "id", None) == "zip"):
+        return False
+    names = [getattr(a, "attr", None) or getattr(a, "id", "") for a in it.args]
+    return "pivots" in names and any("rows" in n for n in names)
+
+
+def test_only_a_subspace_reduces_against_its_rows():
+    sites = _sites(_loops_over_rows_and_pivots)
+    assert [s for s in sites if not s.startswith(("algebra.py:", "linalg.py:"))] == []
 
 
 def _is_float(node):
