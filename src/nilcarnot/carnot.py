@@ -7,7 +7,8 @@ exactly.  ``horizontal_connect`` builds zigzag paths out of horizontal
 line segments using group-commutator words for nested brackets.
 ``integrate_bracket_segments`` integrates the bracket pairing of a
 center-valued map against the horizontal tautological one-form along
-many horizontal segments at once, given as columns, on node arrays;
+many horizontal segments at once, given as columns, on node arrays,
+split and graded at the roots that the map's expression trees show;
 ``integrate_bracket_forms`` runs it on the segments of many such paths
 and sums them per path, and ``integrate_bracket_form`` is its call on
 one path.
@@ -37,6 +38,7 @@ from .algebra import (
     weight_slice,
 )
 from .algebra import bracket_expressions  # noqa: F401 (re-exported)
+from .exprlang import kinks
 from .group import bch, quasi_norm
 from .linalg import as_float, span_coords, vneg, vscale
 from .quadrature import DEFAULT_TOL, integrate_batch
@@ -44,6 +46,8 @@ from .quadrature import DEFAULT_TOL, integrate_batch
 
 # Relative residual (to 1 + max|x|) up to which a float vector lies in the ideal.
 W_TOL = 1e-9
+# A root within this fraction of a segment's duration from an end lies at that end.
+ROOT_SNAP = 1e-14
 
 
 class DecompositionError(ValueError):
@@ -498,15 +502,27 @@ def integrate_bracket_segments(dec: CbCDecomposition, component, starts, steps, 
     ``dec.transversal_indices``.  By grading, only the coordinates
     ``dec.pairing_targets[j]`` can be nonzero; only those are integrated.
 
-    Every segment is one job of :func:`quadrature.integrate_batch`, and
+    Where the component may fail to be smooth is read off its ``trees``:
+    the ``exprlang.kinks`` that involve only the first-layer quotient
+    coordinates, which are affine in t along a segment, so each has at
+    most one root on it (``_pieces``).  A segment is split at the roots
+    inside it, and each piece with a root at an end is integrated over
+    [0, 1] in x through a change of variables whose derivative vanishes
+    at that end (``_graded``), to the segment's tolerance divided by its
+    number of pieces; the pieces' integrals are summed in order.  Neither
+    changes the value, only where the nodes fall.  A segment without a
+    root, and every segment of a component without trees, is one job over
+    [0, duration] as it is.
+
+    Every piece is one job of :func:`quadrature.integrate_batch`, and
     each round's nodes go out in one array call: the quotient's
     ``bch_array_kernel`` from the segment's start, the component's
     ``eval`` on the resulting coordinate columns, and
     ``dec.pairing_kernels[j]`` against the lifted step.  The first call
-    opens with the first three nodes of each of the k segments of nonzero
-    duration, t = 0, duration and duration/2, and membership in Z_j is
-    checked on exactly those 3k nodes (``_check_nodes``), even when the
-    target layer is empty.
+    opens with the first three nodes of each of the k jobs of nonzero
+    length, which for a segment without a root are t = 0, duration and
+    duration/2, and membership in Z_j is checked on exactly those 3k nodes
+    (``_check_nodes``), even when the target layer is empty.
     """
     import numpy as np
 
@@ -518,10 +534,22 @@ def integrate_bracket_segments(dec: CbCDecomposition, component, starts, steps, 
     lifts[list(dec.transversal_indices)] = steps
     walk = dec.quotient_carnot.bch_array_kernel
     pairing = dec.pairing_kernels[component.layer]
-    checked = 3 * int(np.count_nonzero(durations != 0.0))
+    layer1 = dec.quotient_carnot.layer_indices(1)
+    forms = dict.fromkeys(
+        form for tree in component.trees or () for form in kinks(tree) if all(i in layer1 for i, _ in form[0])
+    )
+    owner, lo, hi, head, tail = _pieces(tuple(forms), starts, steps, durations)
+    plain = ~(head | tail)
+    graded = not plain.all()
+    count = np.bincount(owner, minlength=len(durations))
+    ends = np.where(plain, hi, 1.0)
+    jobs = [(0.0, b, tol) for b, tol in zip(ends.tolist(), (tols[owner] / count[owner]).tolist())]
+    checked = 3 * int(np.count_nonzero(ends != 0.0))
 
-    def integrand(which, t):
+    def integrand(which, x):
         nonlocal checked
+        t, dt = _graded(x, lo[which], hi[which], head[which], tail[which]) if graded else (x, None)
+        which = owner[which]
         point = walk.run(tuple(starts[:, which]), tuple(steps[:, which] * t), walk.floats, 0.0)
         val = component.eval(point)
         if checked:
@@ -532,10 +560,72 @@ def integrate_bracket_segments(dec: CbCDecomposition, component, starts, steps, 
         values = np.empty((len(t), len(target)))
         for column, i in enumerate(target):
             values[:, column] = out[i]
-        return values
+        return values if dt is None else values * dt[:, None]
 
-    jobs = [(0.0, d, tol) for d, tol in zip(durations.tolist(), tols.tolist())]
-    return integrate_batch(integrand, jobs).reshape(len(jobs), len(target))
+    rows = integrate_batch(integrand, jobs).reshape(len(jobs), len(target))
+    # each segment's pieces, summed in order from its first
+    return np.add.reduceat(rows, np.cumsum(count) - count, axis=0)
+
+
+def _pieces(forms, starts, steps, durations):
+    """The pieces of the segments at the roots of the affine ``forms``
+    (``exprlang.kinks``, in the first-layer quotient coordinates), where
+    a form along x(t) = start * exp(t * step) reads
+    ``c . start + c0 + t * (c . step)``.
+
+    Returns the columns ``owner`` (the segment of each piece; a segment's
+    pieces are consecutive and in order), ``lo`` and ``hi`` (its ends in
+    t) and ``head`` and ``tail`` (whether a root lies at each end).  A
+    root within ``ROOT_SNAP`` times the duration of an end lies at that
+    end, and one as close to the root before it is the same cut, so no
+    sliver piece is made.  A segment without a root is one piece from 0
+    to its duration, with neither flag set.
+    """
+    import numpy as np
+
+    n = len(durations)
+    head = tail = np.zeros(n, dtype=bool)
+    cut = np.empty(0)
+    if forms:
+        roots = np.empty((len(forms), n))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for k, (coeffs, constant) in enumerate(forms):
+                value, rate = np.full(n, constant), np.zeros(n)
+                for i, c in coeffs:
+                    value = value + c * starts[i]
+                    rate = rate + c * steps[i]
+                roots[k] = -value / rate
+            snap = ROOT_SNAP * durations
+            head = (np.abs(roots) <= snap).any(axis=0) & (durations > 0.0)
+            tail = (np.abs(roots - durations) <= snap).any(axis=0) & (durations > 0.0)
+            cuts = np.sort(np.where((roots > snap) & (roots < durations - snap), roots, np.nan), axis=0)
+            kept = np.isfinite(cuts)
+            kept[1:] &= ~(cuts[1:] - cuts[:-1] <= snap)
+        cut = cuts.T[kept.T]  # segment by segment, ascending
+    if not cut.size:
+        return np.arange(n), np.zeros(n), durations, head, tail
+    count = 1 + kept.sum(axis=0)
+    owner = np.repeat(np.arange(n), count)
+    ends = np.cumsum(count)
+    opens, closes = np.ones(len(owner), dtype=bool), np.ones(len(owner), dtype=bool)
+    opens[ends - count], closes[ends - 1] = False, False
+    lo, hi = np.zeros(len(owner)), durations[owner]
+    lo[opens], hi[closes] = cut, cut
+    return owner, lo, hi, opens | head[owner], closes | tail[owner]
+
+
+def _graded(x, lo, hi, head, tail):
+    """The nodes t and the weights dt/dx of x in [0, 1] on pieces [lo, hi]
+    of length L with a root at the start (t = lo + L x^2), the end
+    (t = hi - L (1 - x)^2) or both (t = lo + L (3 x^2 - 2 x^3)); a piece
+    with neither takes t = x with weight 1."""
+    import numpy as np
+
+    y, size = 1.0 - x, hi - lo
+    both, plain = head & tail, ~(head | tail)
+    t = np.where(both, lo + size * (x * x * (3.0 - 2.0 * x)), np.where(head, lo + size * (x * x), hi - size * (y * y)))
+    dt = size * np.where(both, 6.0 * x * y, np.where(head, 2.0 * x, 2.0 * y))
+    return np.where(plain, x, t), np.where(plain, 1.0, dt)
 
 
 def _segments(dec, path):
@@ -554,23 +644,20 @@ def _segments(dec, path):
 def _check_nodes(zj, j, points, vals):
     """Membership in Z_j of the values ``vals`` at the node columns
     ``points``: a value must be finite, and the length of its
-    ``zj.residual`` at most ``1e-8`` times 1 + its own length.  A length
-    is the square root of the squares summed in order by
-    ``np.add.accumulate``, or ``np.hypot`` of the entries where that sum
-    overflows.  Raises ``ValueError`` at the first failing node, naming
-    its point."""
+    ``zj.residual`` at most ``1e-8`` times 1 + its own length, both
+    measured on the value divided by its largest |entry| (a zero value by
+    1), so that no length overflows.  Raises ``ValueError`` at the first
+    failing node, naming its point."""
     import numpy as np
 
-    def length(a):
-        with np.errstate(over="ignore"):
-            sq = np.add.accumulate(a * a)[-1]
-        out, big = np.sqrt(sq), np.flatnonzero(sq == np.inf)
-        out[big] = np.hypot.reduce(a[:, big], axis=0)
-        return out
-
+    length = lambda a: np.sqrt((a * a).sum(axis=0))
     vals = np.array(vals)
     finite = np.isfinite(vals).all(axis=0)
-    bad = np.flatnonzero(~finite | (length(zj.residual(vals)) > 1e-8 * (1.0 + length(vals))))
+    with np.errstate(invalid="ignore"):
+        scale = np.abs(vals).max(axis=0)
+        scale[~(scale > 0.0)] = 1.0
+        unit = vals / scale
+        bad = np.flatnonzero(~finite | (length(zj.residual(unit)) > 1e-8 * (1.0 / scale + length(unit))))
     if bad.size:
         point = tuple(float(p[bad[0]]) for p in points)
         if not finite[bad[0]]:

@@ -353,6 +353,61 @@ def _convert(node, dim):
     raise ExprError(f"unsupported syntax: {ast.dump(node)}")
 
 
+def _affine(node):
+    """``(coefficients, constant)`` of a node that is affine in the
+    variables, coefficients a dict variable index -> float; else None."""
+    if isinstance(node, Num):
+        return {}, node.value
+    if isinstance(node, Var):
+        return {node.index: 1.0}, 0.0
+    if isinstance(node, Neg):
+        inner = _affine(node.arg)
+        return inner and ({i: -c for i, c in inner[0].items()}, -inner[1])
+    if not isinstance(node, BinOp):
+        return None
+    left, right = _affine(node.left), _affine(node.right)
+    if left is None or right is None:
+        return None
+    if node.op in ("+", "-"):
+        sign = 1.0 if node.op == "+" else -1.0
+        coeffs = dict(left[0])
+        for i, c in right[0].items():
+            coeffs[i] = coeffs.get(i, 0.0) + sign * c
+        return coeffs, left[1] + sign * right[1]
+    if node.op == "*" and (not left[0] or not right[0]):
+        (coeffs, constant), factor = (right, left[1]) if not left[0] else (left, right[1])
+        return {i: factor * c for i, c in coeffs.items()}, factor * constant
+    if node.op == "/" and not right[0] and right[1] != 0.0:
+        return {i: c / right[1] for i, c in left[0].items()}, left[1] / right[1]
+    return None
+
+
+def kinks(tree):
+    """The arguments of ``abs``, ``sqrt`` and ``sign`` in ``tree`` that are
+    affine in the variables, where the expression may fail to be smooth:
+    each as ``(coefficients, constant)``, the coefficients a sorted tuple
+    of (variable index, nonzero float) pairs, each form once, in the order
+    a walk meets them.  Other arguments are left out."""
+    found = {}
+
+    def walk(node):
+        if isinstance(node, Call) and node.name in ("abs", "sqrt", "sign"):
+            form = _affine(node.args[0])
+            if form is not None:
+                found[tuple(sorted((i, c) for i, c in form[0].items() if c != 0.0)), form[1]] = None
+        if isinstance(node, Neg):
+            walk(node.arg)
+        elif isinstance(node, BinOp):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, Call):
+            for arg in node.args:
+                walk(arg)
+
+    walk(tree)
+    return tuple(found)
+
+
 def parse_expression(text: str, dim: int):
     """Parse one scalar expression over q1..q<dim> into a tree."""
     try:

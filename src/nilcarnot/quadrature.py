@@ -2,9 +2,16 @@
 
 Globally adaptive: the interval with the largest Richardson error
 estimate is bisected until the summed estimate meets the requested
-absolute tolerance (or every offender reaches the depth cap).  This
-concentrates evaluations at isolated Holder points without dragging the
-smooth bulk of the interval to the same depth.
+absolute tolerance (or every offender reaches the depth cap), without
+dragging the smooth bulk of the interval to the depth of its worst
+part.  The estimate assumes a smooth integrand, and at a Holder point it
+both bisects deep and under-reports its error; so the points that a
+component's expression trees show (the roots of its ``abs``, ``sqrt``
+and ``sign`` arguments) never reach it as such:
+``carnot.integrate_bracket_segments`` splits a segment there and grades
+the nodes of each piece toward them.  Adaptivity covers what the trees
+cannot show: lifted components, which have no trees, and arguments that
+are not affine in the first-layer coordinates.
 
 The algorithm is written once, as the generator ``_process``: it yields
 the nodes it needs next and receives one value per node.
@@ -37,9 +44,11 @@ import itertools
 
 DEFAULT_TOL = 1e-10
 MAX_DEPTH = 30
-# over 50x the most evaluations one call of the test suite or the
-# benchmark workloads makes (921, a lift in acceptance criterion 5); only
-# the CLI test whose integrand is built to exhaust it reaches the budget
+# over 13x the most evaluations one call of the test suite makes (3,689, a
+# tol=1e-14 reference on unsplit zigzag segments in test_shear) and 300x
+# the most one call of the benchmark workloads makes (165, a zigzag
+# segment of shear_verify_multid); only the CLI tests whose integrands are
+# built to exhaust it reach the budget
 MAX_EVALS = 50_000
 
 

@@ -80,8 +80,10 @@ class ShearComponent:
     of ambient coordinates, or coordinate columns to coordinate columns
     with the bits of one point at a time, so callers use its values as
     they are.  ``trees`` optionally holds one expression tree per RREF
-    basis row of Z_j, read only for symbolic derivatives, and
-    ``holder_hint`` an a-priori bound for the j/alpha-Holder norm.
+    basis row of Z_j, read for symbolic derivatives and for the kinks at
+    which ``carnot.integrate_bracket_segments`` splits and grades a
+    segment, and ``holder_hint`` an a-priori bound for the
+    j/alpha-Holder norm.
     """
 
     layer: int
@@ -165,7 +167,10 @@ def loop_test_membership(
     to ``bound / (10 * segments)``, a tenth of the bound in all, at any
     loop scale (lifts keep ``DEFAULT_TOL``).  All loops are built first,
     then every segment of every loop is integrated in lockstep by one
-    ``integrate_bracket_forms`` call.  The verdict passes when no loop's
+    ``integrate_bracket_forms`` call; a segment across a root of the
+    component's kinks (``exprlang.kinks`` of its trees, in the
+    first-layer coordinates) is split there and graded toward it, its
+    pieces sharing its tolerance.  The verdict passes when no loop's
     ratio |integral| / bound exceeds 1; a loop integral that is not
     finite counts as ratio inf.  Passing is evidence, not proof, of
     membership.
@@ -260,6 +265,13 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
     the zigzag paths plus the second paths go to one
     ``integrate_bracket_forms`` call.  The anchor table, the lift's only
     state, is written only after the jobs return.
+
+    Either way, every segment, cell and piece that holds a root of the
+    component's kinks (the ``abs``, ``sqrt`` and ``sign`` arguments of its
+    trees that are affine in the first-layer coordinates) is split and
+    graded there by ``carnot.integrate_bracket_segments``, as a zigzag
+    path from 0 is for sigma.  The lifted component has no trees, so the
+    next lift of the tower relies on the quadrature's bisection alone.
     """
     if not dec.alpha_is_integer:
         raise ValueError("lifts require an integer exponent")

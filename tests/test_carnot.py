@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nilcarnot import linalg
 from nilcarnot.algebra import GradedAlgebra, bracket, subspace, validate_algebra
@@ -299,6 +299,136 @@ def test_the_layer_check_holds_where_the_squares_overflow(dec_l5, scale):
     with pytest.raises(ValueError, match=r"escapes the center layer Z_1 at \(0\.0,\)"):
         integrate_bracket_segments(dec_l5, constant(a, z1), *segment)
     assert integrate_bracket_segments(dec_l5, constant(z1), *segment)[0, 0] == pytest.approx(-2 * scale, rel=1e-12)
+
+
+def test_the_layer_check_holds_where_a_value_overflows_its_length(dec_l5):
+    """1.5e308 * (e_4 + the row of Z_1) leaves Z_1, and its length
+    overflows even through np.hypot; the integral then read [[nan]]."""
+    import numpy as np
+
+    row = [float(a) for a in dec_l5.z_layer(1).rows[0]]
+    value = tuple(1.5e308 * (r + (1.0 if i == 4 else 0.0)) for i, r in enumerate(row))
+    huge = ShearComponent(1, lambda q: tuple(np.full(np.shape(q[0]), a) for a in value))
+    segment = (np.array([[0.0]]), np.array([[1.0]]), np.array([2.0]), np.array([1e-10]))
+    with pytest.raises(ValueError, match=r"escapes the center layer Z_1 at \(0\.0,\)"):
+        integrate_bracket_segments(dec_l5, huge, *segment)
+
+
+def test_a_split_segment_checks_the_first_three_nodes_of_each_piece(dec_l5):
+    """The segment from q1 = -1 to 1 is split at the root q1 = 0 of sigma's
+    kinks: the piece [-1, 0] is graded toward its end and opens with the
+    nodes -1, 0, -0.25, the piece [0, 1] toward its start, with 0, 1, 0.25."""
+    import numpy as np
+
+    sigma = component_from_exprs(dec_l5, 1, "sign(q1)*sqrt(abs(q1))")
+    outside = component_from_exprs(dec_l5, 3, "1").eval((0.0,))
+    segment = (np.array([[-1.0]]), np.array([[1.0]]), np.array([2.0]), np.array([1e-10]))
+    for at in (-0.25, 0.25):
+        inside = sigma.eval
+        escaping = dataclasses.replace(
+            sigma, eval=lambda q: tuple(np.where(q[0] == at, v, a) for v, a in zip(outside, inside(q)))
+        )
+        with pytest.raises(ValueError, match=rf"escapes the center layer Z_1 at \({at},\)"):
+            integrate_bracket_segments(dec_l5, escaping, *segment)
+    # the closed form of the integral: -(2/3) (|1|^(3/2) - |-1|^(3/2)) = 0
+    assert abs(integrate_bracket_segments(dec_l5, sigma, *segment)[0, 0]) <= 1e-10
+
+
+def test_a_segment_without_a_root_gives_the_jobs_and_bits_of_no_trees(dec_l5, monkeypatch):
+    import numpy as np
+
+    import nilcarnot.carnot
+
+    batch, calls = nilcarnot.carnot.integrate_batch, []
+
+    def recording_batch(f, jobs):
+        def integrand(which, t):
+            calls[-1].append(t.tolist())
+            return f(which, t)
+
+        calls.append([jobs])
+        return batch(integrand, jobs)
+
+    monkeypatch.setattr(nilcarnot.carnot, "integrate_batch", recording_batch)
+    sigma = component_from_exprs(dec_l5, 1, "sign(q1)*sqrt(abs(q1))")
+    # q1 runs over [0.5, 3], [-3, -0.5], [-2, -0.5], and one segment has no length
+    columns = np.array([[0.5, -0.5, -2.0, 1.0]]), np.array([[1.0, -1.0, 1.0, 1.0]]), np.array([2.5, 2.5, 1.5, 0.0])
+    tols = np.array([1e-10, 1e-12, 1e-10, 1e-10])
+    got = integrate_bracket_segments(dec_l5, sigma, *columns, tols)
+    bare = integrate_bracket_segments(dec_l5, dataclasses.replace(sigma, trees=None), *columns, tols)
+    assert [a.hex() for a in got.ravel()] == [a.hex() for a in bare.ravel()]
+    assert calls[0] == calls[1]
+    assert calls[0][0] == [(0.0, 2.5, 1e-10), (0.0, 2.5, 1e-12), (0.0, 1.5, 1e-10), (0.0, 0.0, 1e-10)]
+
+
+@pytest.fixture(scope="module")
+def dec_multid():
+    return decompose(direct_product(ladder5(), engel4(), 2))
+
+
+def test_loop_segments_across_the_holder_point_meet_their_tolerance(dec_multid, monkeypatch):
+    """Every segment of the radius-0.001, seed-7 loop test on ladder5 x engel4
+    that q1 = 0 crosses integrates at tol 1e-10 to within 1e-10 of its value
+    at 1e-15.  Unsplit, Richardson's estimate passed one of them, from
+    (3.5e-5, -1.8e-5, 5.7e-6, 3.1e-9, 5.1e-14) along (-0.644, 0.756,
+    -0.121, 0, 0) for 2.47e-4, 6.45e-8 away from that value."""
+    import numpy as np
+
+    import nilcarnot.carnot
+    from nilcarnot.rng import SamplerConfig
+    from nilcarnot.shear import loop_test_membership
+
+    dec = dec_multid
+    sigma = component_from_exprs(dec, 1, "sign(q1)*sqrt(abs(q1))")
+    segments, many = [], nilcarnot.carnot.integrate_bracket_segments
+    record = lambda *a: segments.append(a[2:5]) or many(*a)
+    monkeypatch.setattr(nilcarnot.carnot, "integrate_bracket_segments", record)
+    loop_test_membership(dec, sigma, SamplerConfig(seed=7, count=24, radius=0.001))
+    ((starts, steps, durations),) = segments
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = -starts[0] / steps[0]
+    crossing = np.flatnonzero((root > 0.0) & (root < durations))
+    named = [k for k in crossing if np.allclose(starts[:3, k], (3.5e-5, -1.8e-5, 5.7e-6), rtol=0.03)]
+    assert len(crossing) > 20 and len(named) == 1
+    assert np.allclose(steps[:3, named[0]], (-0.644, 0.756, -0.121), rtol=1e-2)
+    assert abs(durations[named[0]] - 2.47e-4) < 1e-6
+    columns = (starts[:, crossing], steps[:, crossing], durations[crossing])
+    loose = many(dec, sigma, *columns, np.full(len(crossing), 1e-10))
+    tight = many(dec, sigma, *columns, np.full(len(crossing), 1e-15))
+    assert np.abs(loose - tight).max() <= 1e-10
+
+
+_ENDS = [k * 2.0**-52 for k in range(1, 5)] + [1.0 - k * 2.0**-53 for k in range(1, 5)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    start=st.tuples(*[st.floats(-2.0, 2.0)] * 5),
+    direction=st.tuples(
+        st.floats(0.05, 1.0) | st.floats(-1.0, -0.05), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)
+    ),
+    duration=st.floats(1e-3, 3.0),
+    where=st.sampled_from([0.0, 1.0] + _ENDS) | st.floats(0.0, 1.0),
+)
+def test_sigma_along_a_segment_through_its_holder_point_meets_the_closed_form(
+    dec_multid, start, direction, duration, where
+):
+    """A straight segment on ladder5 x engel4 whose q1 is 0 at the fraction
+    ``where`` of its duration: the sigma integral is the integral of the
+    constant component 1 times the mean of sign(u) sqrt|u| over u = q1,
+    (2/3) (|u1|^(3/2) - |u0|^(3/2)) / (u1 - u0)."""
+    import numpy as np
+
+    dec = dec_multid
+    size = math.sqrt(sum(a * a for a in direction))
+    step = tuple(a / size for a in direction) + (0.0, 0.0)
+    u0 = -where * duration * step[0]
+    columns = (np.array([(u0,) + start[1:]]).T, np.array([step]).T, np.array([duration]), np.array([1e-10]))
+    got = integrate_bracket_segments(dec, component_from_exprs(dec, 1, "sign(q1)*sqrt(abs(q1))"), *columns)[0, 0]
+    constant = integrate_bracket_segments(dec, component_from_exprs(dec, 1, "1"), *columns)[0, 0]
+    u1 = u0 + duration * step[0]
+    want = constant * (2.0 / 3.0) * (abs(u1) ** 1.5 - abs(u0) ** 1.5) / (u1 - u0)
+    assert abs(got - want) <= 1e-10
 
 
 def test_a_path_alone_gives_the_bits_it_gets_inside_a_batch():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nilcarnot.exprlang import ExprError, parse_expression
+from nilcarnot.exprlang import ExprError, kinks, parse_expression
 
 
 def ev(text, *args, dim=None):
@@ -16,6 +16,24 @@ def test_arithmetic_and_coordinates():
     assert ev("q1 + 2*q2", 1.0, 3.0) == 7.0
     assert ev("-q1**2", 3.0) == -9.0
     assert ev("q1 / 4", 2.0) == 0.5
+
+
+def test_kinks_are_the_affine_arguments_of_abs_sqrt_and_sign():
+    found = lambda text: kinks(parse_expression(text, 5))
+    # three calls on one form give it once
+    assert found("sign(q1)*sqrt(abs(q1))") == ((((0, 1.0),), 0.0),)
+    assert found("sqrt(abs(q1-1))") == ((((0, 1.0),), -1.0),)
+    # scaled, divided, negated and summed forms; in the order a walk meets them
+    assert found("abs(-(2*q3 - q1/4) + 3)*sign((q2 + q1)/2)") == (
+        (((0, 0.25), (2, -2.0)), 3.0),
+        (((0, 0.5), (1, 0.5)), 0.0),
+    )
+    # a kink inside a kink's argument, and under sin and max
+    assert found("max(sin(abs(q4)), 1)*sqrt(q1*q1 + abs(q2))") == ((((3, 1.0),), 0.0), (((1, 1.0),), 0.0))
+    # arguments that are not affine, and calls that are no kinks
+    assert found("abs(q1*q2) + sqrt(q1**2) + sign(sin(q1)) + sin(q1) + min(q1, q2)") == ()
+    # a constant argument has no root; a coefficient that cancels is dropped
+    assert found("abs(q1 - q1 + 2)") == (((), 2.0),)
 
 
 def test_functions():

@@ -157,6 +157,23 @@ def test_loop_verdict_states_the_worst_ratio(dec_multid, monkeypatch):
     assert good.passed and good.worst_ratio <= 1.0
 
 
+def _piece_tols(dec, jobs):
+    """The tolerance of each quadrature job of the segments of ``(path, tol)``
+    jobs, for a component whose one kink is q1 = 0: a segment that q1 = 0
+    crosses inside (past 1e-14 of its duration from either end) is two
+    pieces of half its tolerance each, any other one job."""
+    from nilcarnot.carnot import _segments
+
+    want = []
+    for path, tol in jobs:
+        for start, direction, duration in _segments(dec, path):
+            root = -start[0] / direction[0] if direction[0] else math.nan
+            snap = 1e-14 * duration
+            pieces = 2 if snap < root < duration - snap else 1
+            want += [tol / pieces] * pieces
+    return want
+
+
 def test_loop_test_derives_its_tolerance_and_lifts_keep_the_default(dec_multid, monkeypatch):
     import nilcarnot.carnot
     import nilcarnot.shear
@@ -185,30 +202,38 @@ def test_loop_test_derives_its_tolerance_and_lifts_keep_the_default(dec_multid, 
     sigma = component_from_exprs(dec_multid, 1, SIGMA)
     verdict = loop_test_membership(dec_multid, sigma, SamplerConfig(seed=7, count=4, radius=4.0))
     assert verdict.passed and verdict.loops_tested == len(loops)
-    want = []
     for path, tol in loops:
         assert tol == 1e-8 * path.length * 1.0 / (10 * path.segment_count)
-        want += [tol] * path.segment_count
-    assert segments == want
+    # a segment split at q1 = 0 gives each of its pieces its tolerance over the pieces
+    want = _piece_tols(dec_multid, loops)
+    assert segments == want and len(want) > sum(path.segment_count for path, _ in loops)
     segments.clear()
+    loops.clear()
     lift(dec_multid, sigma, waive_membership=True).eval((0.7, -0.4, 1.1, 0.3, -0.9))
-    assert segments and set(segments) == {DEFAULT_TOL}
+    assert loops and {tol for _, tol in loops} == {DEFAULT_TOL}
+    assert segments == _piece_tols(dec_multid, loops) and set(segments) == {DEFAULT_TOL}
     # the pairing lands in the one-dimensional layer Z_3
     assert widths == {1}
 
 
-# worst_ratio of seed 7, count 24 at radii 4, 1, 0.1, 0.01, 0.001, as the
-# loop test gave when it integrated one segment at a time
+# worst_ratio of seed 7, count 24 at radii 4, 1, 0.1, 0.01, 0.001, with the
+# loop segments split and graded at sigma's kink q1 = 0
 PINNED_WORST_RATIOS = {
     SIGMA: (
-        "0x1.565104c7c56c2p-6", "0x1.c087a66fb13f6p-5", "0x1.b908473e4638fp-2",
-        "0x1.14d0563058984p-3", "0x1.137e5a353a3dbp-4",
+        "0x1.ed438b78a4cd3p-14", "0x1.391f07e180e4ep-12", "0x1.9054b79939014p-12",
+        "0x1.56331f11baed0p-11", "0x1.5a41a02449a30p-9",
     ),
     "q1*q2": (
         "0x1.45bfe9206269bp+24", "0x1.45bfe9206269bp+20", "0x1.a0f5a5482c0d2p+13",
         "0x1.0adaa7386e1c9p+7", "0x1.5592c18fe91a3p+0",
     ),
 }
+# sigma without trees: no segment is split, so these are the bits the loop
+# test gave when it integrated one segment at a time
+UNSPLIT_SIGMA_RATIOS = (
+    "0x1.565104c7c56c2p-6", "0x1.c087a66fb13f6p-5", "0x1.b908473e4638fp-2",
+    "0x1.14d0563058984p-3", "0x1.137e5a353a3dbp-4",
+)
 
 
 def test_loop_verdict_worst_ratios_are_pinned(dec_multid):
@@ -220,9 +245,9 @@ def test_loop_verdict_worst_ratios_are_pinned(dec_multid):
         for radius, want in zip(radii, pinned):
             budget = SamplerConfig(seed=7, count=24, radius=radius)
             assert loop_test_membership(dec_multid, component, budget).worst_ratio.hex() == want
-    # without trees the loop test applies eval node by node, to the same bits
+    # without trees the component shows no kink, and the loop test gives the unsplit bits
     sigma = dataclasses.replace(component_from_exprs(dec_multid, 1, SIGMA), trees=None)
-    for radius, want in zip(radii, PINNED_WORST_RATIOS[SIGMA]):
+    for radius, want in zip(radii, UNSPLIT_SIGMA_RATIOS):
         budget = SamplerConfig(seed=7, count=24, radius=radius)
         assert loop_test_membership(dec_multid, sigma, budget).worst_ratio.hex() == want
 
@@ -377,6 +402,31 @@ def test_lift_coherence(dec_l5, sigma_component, ladder_shear):
         assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-9
 
 
+def test_the_waived_lift_grades_its_paths_from_the_holder_point(dec_l5, sigma_component, monkeypatch):
+    """The lift-coherence tower of ``shear --verify`` at the four probe
+    points of ladder5: each zigzag path is one segment from q1 = 0, sigma's
+    kink, so it is graded toward its start.  Unsplit and ungraded, these
+    segments took 3,428 integrand nodes in 138 rounds; graded, 276 in 17."""
+    import nilcarnot.carnot
+
+    batch, counts = nilcarnot.carnot.integrate_batch, {"nodes": 0, "rounds": 0}
+
+    def counted_batch(f, jobs):
+        def counted(which, t):
+            counts["rounds"] += 1
+            counts["nodes"] += len(t)
+            return f(which, t)
+
+        return batch(counted, jobs)
+
+    monkeypatch.setattr(nilcarnot.carnot, "integrate_batch", counted_batch)
+    probes = columns([(0.5,), (1.0,), (1.5,), (2.0,)])
+    values = lift(dec_l5, sigma_component, waive_membership=True).eval(probes)
+    assert 0 < counts["nodes"] <= 500 and counts["rounds"] <= 30
+    for q, value in zip((0.5, 1.0, 1.5, 2.0), values[5]):
+        assert abs(value + (2.0 / 3.0) * q**1.5) <= DEFAULT_TOL
+
+
 def test_necessity_zero_shear(dec_l5):
     smap = build_shear(dec_l5, {})
     report = necessity_check(dec_l5, smap, seed=7, count=50, radii=(1.0, 10.0))
@@ -515,15 +565,18 @@ def _hexes(v):
 
 def test_multid_zigzag_values_are_pinned():
     # ladder5 x engel4 has a 5-dim quotient, so its lift runs on zigzag
-    # paths; these bits were recorded before the bracket and BCH kernels
-    # of the two scalar modes were merged, and must not move
+    # paths.  The bits of the layer-1 coordinates and the zigzag segments
+    # were recorded before the bracket and BCH kernels of the two scalar
+    # modes were merged.  The lift values (index 5) integrate segments that
+    # start at or cross q1 = 0 split and graded there, and each lies within
+    # 1e-15 of its tol=1e-14 value
     dec = decompose(direct_product(ladder5(), engel4(), 2))
     sigma = component_from_exprs(dec, 1, SIGMA)
     smap = build_shear(dec, {1: sigma})
     assert sorted(smap.components) == [1, 3]
     shifted = {
-        (0.5, -0.2, 1.0, 0.3, 0.1, -0.4, 0.8, -1.1, 0.6, 0.25): ("0x1.50f44d8921244p+0", "-0x1.9eff385d9c95ap-2"),
-        (-1.3, 0.4, -2.1, 0.7, -0.6, 1.2, 0.9, 0.35, -0.8, 1.5): ("-0x1.6ff2c89dca95fp+1", "0x1.1f5ecda3245f0p+0"),
+        (0.5, -0.2, 1.0, 0.3, 0.1, -0.4, 0.8, -1.1, 0.6, 0.25): ("0x1.50f44d8921244p+0", "-0x1.9eff385e79ad1p-2"),
+        (-1.3, 0.4, -2.1, 0.7, -0.6, 1.2, 0.9, 0.35, -0.8, 1.5): ("-0x1.6ff2c89dca95fp+1", "0x1.1f5ecda300716p+0"),
     }
     for g, (c2, c5) in shifted.items():
         want = list(g)
@@ -532,8 +585,12 @@ def test_multid_zigzag_values_are_pinned():
 
     lifted = lift(dec, sigma, waive_membership=True)
     want = [0.0] * 10
-    want[5] = float.fromhex("-0x1.8fcfdb2b289f5p-2")
+    want[5] = float.fromhex("-0x1.8fcfdb2b6c92ap-2")
     assert _hexes(lifted.eval((0.7, -0.4, 1.1, 0.3, -0.9))) == _hexes(want)
+    # the same integral to 1e-14, on unsplit segments (no trees)
+    bare = dataclasses.replace(sigma, trees=None)
+    path = horizontal_connect(dec.quotient_carnot, (0.7, -0.4, 1.1, 0.3, -0.9))
+    assert abs(want[5] - integrate_bracket_forms(dec, bare, [(path, 1e-14)])[0][5]) <= 1e-15
 
     path = horizontal_connect(dec.quotient_carnot, (1.2, -0.5, 0.8, 0.6, -0.3))
     e1, e2 = (0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0, 0.0)
