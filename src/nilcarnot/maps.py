@@ -26,6 +26,7 @@ normal-order each chain once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -540,6 +541,41 @@ def chain_rule_check(dec: CbCDecomposition, f: FiberMap, g: FiberMap, p):
 # numeric Pansu differential probe
 
 
+# rounding errors allowed per coordinate of a float numerator, in units of
+# eps times its layer's magnitude: a few per product, a few products per coordinate
+PANSU_ROUNDINGS = 8
+
+
+@dataclass(frozen=True)
+class PansuProbe:
+    """The (t, defect) pairs of ``pansu_check``, one per scale, which the
+    probe iterates as, and the (t, floor) pairs of their rounding floors."""
+
+    defects: tuple
+    floors: tuple
+
+    def __iter__(self):
+        return iter(self.defects)
+
+    @property
+    def passed(self):
+        """Every defect after the first reaches its floor or falls below the
+        one before by more than the two floors: a flat sequence above its
+        floors fails, and rounding alone passes."""
+        pairs = [(v, f) for (_, v), (_, f) in zip(self.defects, self.floors)]
+        return all(b <= fb or b + fb < a - fa for (a, fa), (b, fb) in zip(pairs, pairs[1:]))
+
+
+def _rounding_floor(alg: GradedAlgebra, vectors):
+    """Quasi-norm of the rounding a float numerator built from ``vectors``
+    can carry: ``PANSU_ROUNDINGS`` * eps * m**w in each coordinate of weight
+    w, m the largest homogeneous size |v_i|**(1/w_i) among their
+    coordinates.  The quasi-norm is homogeneous, so that is m times the
+    quasi-norm of the vector with ``PANSU_ROUNDINGS`` * eps everywhere."""
+    m = max(abs(float(v[i])) ** (1 / w) for v in vectors for i, w in enumerate(alg.weights_float))
+    return m * quasi_norm(alg, (PANSU_ROUNDINGS * sys.float_info.epsilon,) * alg.dim)
+
+
 def pansu_check(
     alg: GradedAlgebra,
     f,
@@ -547,7 +583,7 @@ def pansu_check(
     l_map: LinearMap,
     seed: int = 42,
     count: int = 32,
-):
+) -> PansuProbe:
     """Defect sequence sup_u rho(F(x)^-1 F(y), L(x^-1 y)) / rho(x, y).
 
     y runs over x * delta_t(u) for the scales t = 1/10, 1/100, 1/1000,
@@ -558,7 +594,10 @@ def pansu_check(
     arithmetic (in particular L itself, or any rational graded
     automorphism) reports an exactly zero numerator rather than a
     rounding residue; when F or L has float values the numerator is
-    compared in floats.
+    compared in floats, and each scale's floor is the sup over u of
+    the numerator's rounding floor (``_rounding_floor`` of F(x), F(y),
+    their quotient and L(x^-1 y)) over rho(x, y).  Exact numerators
+    have floor 0.
     """
     verdict = is_graded_automorphism(alg, l_map)
     if not verdict.homomorphism:
@@ -569,11 +608,11 @@ def pansu_check(
         xe = tuple(Fraction(a).limit_denominator(1 << 30) for a in as_float(x))
     fx = f(xe)
     floats = "float" in (linalg.scalar_mode(fx), linalg.scalar_mode(l_map(xe)))
-    out = []
+    defects, floors = [], []
     denom = 1 << 20
     for t in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)):
         rng = CounterRng(seed)
-        worst = 0.0
+        worst, floor = 0.0, 0.0
         for _ in range(count):
             u = tuple(
                 Fraction(int(round(rng.symmetric() * denom)), denom) for _ in range(alg.dim)
@@ -582,7 +621,8 @@ def pansu_check(
             if n < 1e-6:
                 continue
             y = bch(alg, xe, dilate(alg, t, u))
-            lhs = bch(alg, vneg(fx), f(y))
+            fy = f(y)
+            lhs = bch(alg, vneg(fx), fy)
             rhs = l_map(bch(alg, vneg(xe), y))
             if floats:
                 lhs, rhs = as_float(lhs), as_float(rhs)
@@ -590,8 +630,11 @@ def pansu_check(
             den = quasi_dist(alg, xe, y)
             if den > 0:
                 worst = max(worst, num / den)
-        out.append((float(t), worst))
-    return tuple(out)
+                if floats:
+                    floor = max(floor, _rounding_floor(alg, (fx, fy, lhs, rhs)) / den)
+        defects.append((float(t), worst))
+        floors.append((float(t), floor))
+    return PansuProbe(tuple(defects), tuple(floors))
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +652,24 @@ def _similarity_ratio(block_rows, label):
 
 
 def cocycle_action(dec: CbCDecomposition, pair: CompatibleExpression, component: ShearComponent) -> ShearComponent:
-    """(pi_(A,B) c)(hbar) = A^-1 c(B hbar) - A^-1 c(B 0), with (A, B) read off ``pair``."""
+    """(pi_(A,B) c)(hbar) = A^-1 c(B hbar) - A^-1 c(B 0), with (A, B) read off ``pair``.
+
+    The origin goes to c with the points of each call, as column 0, so
+    a failure of c at B 0 is raised first, and only when a value is asked for.
+    """
     alpha = float(dec.alpha)
     lambda_a, lambda_bbar = pair.similarity_ratios
     if abs(lambda_bbar - lambda_a**alpha) > 1e-12 * max(1.0, lambda_bbar):
         raise ValueError("the pair does not satisfy lambda_B = lambda_A**alpha")
-    b0 = pair.quot_apply((0.0,) * dec.quotient_carnot.dim)
     inner = component.eval
-    origin_val = dec.w_apply(pair.a_inverse, inner(b0))
 
     def evaluate(q):
-        val = dec.w_apply(pair.a_inverse, inner(pair.quot_apply(q)))
-        return tuple(a - b for a, b in zip(val, origin_val))
+        if linalg.scalar_mode(q, arrays="columns") != "columns":
+            return linalg.points(evaluate(linalg.columns([q])))[0]
+        n = np.broadcast(*q).size
+        with_origin = tuple(np.concatenate(([0.0], np.broadcast_to(c, (n,)))) for c in q)
+        val = dec.w_apply(pair.a_inverse, inner(pair.quot_apply(with_origin)))
+        return tuple(v[1:] - v[0] for v in (np.broadcast_to(v, (n + 1,)) for v in val))
 
     return ShearComponent(component.layer, evaluate, None, component.holder_hint)
 
@@ -724,6 +773,10 @@ def conjugate_by_shear(f0: ShearMap, gamma: CompatibleExpression):
     return conj, ConjugationReport(j, sup_new, linalg.max_gap(new_val, expected))
 
 
+# orbit steps per call of s in the fixed-point solver
+_BLOCK = 16
+
+
 @dataclass(frozen=True)
 class FixedPointReport:
     iterations: int
@@ -745,13 +798,20 @@ def solve_single_generator_fixed_point(gamma: CompatibleExpression, j: int):
     contracting similarity, not universally).
 
     The orbits run as coordinate columns: the 40 grid orbits and the
-    origin's advance together, one call of s per step.  The tables of
-    the float twins of A^-k (``linalg.float_powers``) and of s(B^k 0)
-    are built while the iteration runs, and the returned component keeps
-    no other state: its ``eval`` takes one point or coordinate columns,
-    sends all their orbit points to s in one call, and applies every
-    power in one call of the ``LinearMap`` kernel.  Every value has the
-    bits of one point at a time.
+    origin's advance together, and a block of ``_BLOCK`` steps sends all
+    its orbit points to s in one call and takes its terms from one call
+    of the ``LinearMap`` kernel, each power's entries a (steps, 1)
+    column.  The stopping and contraction tests then run step by step
+    over the block's changes.  Looking ahead changes nothing: a power
+    that overflows ends its block and raises only when the loop reaches
+    its step, and a block whose call raises (s failing, or leaving w, at
+    a step the loop may never reach) runs again one step at a time.
+    The tables of the float twins of A^-k (``linalg.float_powers``) and
+    of s(B^k 0) keep the steps the loop reached, and the returned
+    component keeps no other state: its ``eval`` takes one point or
+    coordinate columns, sends all their orbit points to s in one call,
+    and applies every power in one call of the ``LinearMap`` kernel.
+    Every value has the bits of one point at a time.
     """
     dec = gamma.dec
     check_solve_layer(dec, j)
@@ -760,28 +820,69 @@ def solve_single_generator_fixed_point(gamma: CompatibleExpression, j: int):
     max_iter, tol = 80, 1e-12
     kernel = gamma.a_inverse.kernel
 
-    def s_at(orbit):
-        """Ideal coordinates of s at the points of the columns ``orbit``, one array each."""
+    def orbit_coords(q, count):
+        """Ideal coordinates of s at B^k q for k < count, q coordinate columns,
+        from one call: row k of each (count, points) array; and B^(count-1) q."""
+        orbits = [q]
         with np.errstate(over="ignore", invalid="ignore"):
-            coords = dec.w_coords(s.eval(orbit))
-        return tuple(np.broadcast_to(c, np.broadcast(*orbit).shape) for c in coords)
+            for _ in range(1, count):
+                orbits.append(gamma.quot_apply(orbits[-1]))
+            coords = dec.w_coords(s.eval(tuple(map(np.concatenate, zip(*orbits)))))
+        n = np.size(q[0])
+        return tuple(np.broadcast_to(c, (count * n,)).reshape(count, n) for c in coords), orbits[-1]
 
     def terms(coords, origin, powers):
         # w_coords reads pivot entries, so the coordinates of a difference
         # are the difference of the coordinates, bit for bit
-        return dec.w.embed(kernel(linalg.vsub(coords, origin), powers))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return dec.w.embed(kernel(linalg.vsub(coords, origin), powers))
+
+    def table(rows):
+        """One (len(rows), 1) column per entry of the tuples ``rows``."""
+        return tuple(np.array(e)[:, None] for e in zip(*rows))
+
+    def advance(orbit, block):
+        """The steps of the powers ``block`` from the orbit columns ``orbit``,
+        each (A^-k, s(B^k 0), its terms), and the orbit after them."""
+        coords, last = orbit_coords(orbit, len(block))
+        rows = terms(coords, tuple(c[:, :1] for c in coords), table(block))
+        done = [(power, tuple(float(c[i, 0]) for c in coords), tuple(e[i] for e in rows))
+                for i, power in enumerate(block)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return done, gamma.quot_apply(last)
+
+    def steps(orbit):
+        powers, k = linalg.float_powers(gamma.a_inverse.matrix), 0
+        while k < max_iter:
+            block, overflow = [], None
+            try:
+                while len(block) < min(_BLOCK, max_iter - k):
+                    block.append(next(powers))
+            except OverflowError as exc:  # raised when the loop reaches its step
+                overflow = exc
+            if block:
+                try:
+                    ahead, after = advance(orbit, block)
+                except (ValueError, ArithmeticError):  # perhaps past the stop: one step at a time
+                    for power in block:
+                        (step,), orbit = advance(orbit, [power])
+                        yield step
+                else:
+                    yield from ahead
+                    orbit = after
+            if overflow is not None:
+                raise overflow
+            k += len(block)
 
     # the origin's orbit rides along as point 0, whose own term is zero
-    orbit = tuple(np.concatenate(([0.0], c)) for c in quotient_grid(dec, count=40, seed=13, radius=4.0))
+    grid = tuple(np.concatenate(([0.0], c)) for c in quotient_grid(dec, count=40, seed=13, radius=4.0))
     zero = (0.0,) * dec.base.dim
     a_inv_powers, s_origin = [], []
     prev_change, factor = None, 0.0
-    for k, power in zip(range(max_iter), linalg.float_powers(gamma.a_inverse.matrix)):
+    for k, (power, origin, term) in enumerate(steps(grid)):
         a_inv_powers.append(power)
-        coords = s_at(orbit)
-        s_origin.append(tuple(float(c[0]) for c in coords))
-        change = linalg.max_gap(terms(coords, s_origin[k], power), zero)
-        orbit = gamma.quot_apply(orbit)
+        s_origin.append(origin)
+        change = linalg.max_gap(term, zero)
         if prev_change is not None and prev_change > 0:
             factor = max(factor, change / prev_change)
             if k >= 2 and change / prev_change >= 1.0 - 1e-9:
@@ -796,20 +897,16 @@ def solve_single_generator_fixed_point(gamma: CompatibleExpression, j: int):
             f"iteration did not reach {tol} within {max_iter} steps (factor {factor:.3f})"
         )
 
-    # one (count, 1) column per entry, row k for power k
+    # row k for power k
     count = len(a_inv_powers)
-    power_table = tuple(np.array(e)[:, None] for e in zip(*a_inv_powers))
-    origin_table = tuple(np.array(e)[:, None] for e in zip(*s_origin))
+    power_table, origin_table = table(a_inv_powers), table(s_origin)
 
     def sweep(q):
         """The sums at the points of the columns q: s at all their orbit
         points in one call, and row k of each array the term of A^-k."""
         with np.errstate(over="ignore", invalid="ignore"):
-            orbits = [tuple(np.array(np.broadcast_arrays(*q), dtype=float).reshape(len(q), -1))]
-            for _ in range(1, count):
-                orbits.append(gamma.quot_apply(orbits[-1]))
-            coords = s_at(tuple(map(np.concatenate, zip(*orbits))))
-            embedded = terms(tuple(c.reshape(count, -1) for c in coords), origin_table, power_table)
+            q = tuple(np.array(np.broadcast_arrays(*q), dtype=float).reshape(len(q), -1))
+            embedded = terms(orbit_coords(q, count)[0], origin_table, power_table)
             total = zero
             for k in range(count):
                 total = vadd(total, tuple(e[k] for e in embedded))

@@ -267,6 +267,31 @@ def test_maps_pansu_exact_translation(capsys):
     assert all(v > 0.0 for _, v in report["defects"])
 
 
+PANSU_TRANSLATE = [
+    "maps", "pansu", "--fixture", "heisenberg3", "--map", "translate:0.5,0,0", "--point", "0,0,0", "--seed", "42",
+]
+
+
+def test_maps_pansu_passes_the_true_differential_at_its_rounding_floor(capsys):
+    """The float translation's defects rise from 1.1e-8 to 5.5e-7 as the
+    scale falls: rounding, each below the floor reported for its scale."""
+    code, report = run_cli(capsys, *PANSU_TRANSLATE, "--linear", "1,0,0;0,1,0;0,0,1")
+    assert code == 0
+    values = [v for _, v in report["defects"]]
+    assert values == sorted(values) and values[-1] > 5e-7
+    assert [t for t, _ in report["floors"]] == [t for t, _ in report["defects"]]
+    assert all(v <= f for v, (_, f) in zip(values, report["floors"]))
+
+
+def test_maps_pansu_fails_a_wrong_differential_with_flat_defects(capsys):
+    """The defects stay at 1.675, far above every floor, and do not fall."""
+    code, report = run_cli(capsys, *PANSU_TRANSLATE, "--linear", "2,0,0;0,2,0;0,0,4")
+    assert code == 1
+    assert all(abs(v - 1.6754445090717) < 1e-12 for _, v in report["defects"])
+    assert all(f < 1e-3 for _, f in report["floors"])
+    assert report["checks"] == [{"name": "defect_sequence_decreasing", "status": "fail"}]
+
+
 def test_shear_k_identity_reports_the_bound_it_applies(capsys):
     code, report = run_cli(
         capsys, "shear", "--fixture", "ladder5", "--component", "1=0.3*q1",
@@ -467,6 +492,19 @@ def test_maps_conjugate_with_solved_fixed_point(capsys):
     names = {c["name"]: c for c in report["checks"]}
     assert names["component_eliminated"]["status"] == "pass"
     assert report["fixed_point"]["iterations"] > 10
+
+
+def test_maps_conjugate_solves_where_a_power_past_the_stop_overflows(capsys):
+    """A^-k grows as 10^(10 k) per layer, so a power of the later steps of
+    the first block overflows a float; the loop stops at step 2 and never
+    reaches it."""
+    code, report = run_cli(
+        capsys, "maps", "conjugate", "--fixture", "ladder5", "--map", "dilate:1/10000000000",
+        "--map", "shear:1=37/100*q1", "--solve-layer", "1",
+    )
+    assert code == 0
+    assert report["fixed_point"] == {"iterations": 2, "final_change": 1.4440348754696477e-20, "factor": 1e-10}
+    assert report["sup_new_component"] == 2.2769869262065962e-26
 
 
 def test_classify_validates_the_algebra_once(monkeypatch, capsys):

@@ -499,8 +499,9 @@ def test_fixed_point_solver_zero_map(dec_l5):
 
 def test_fixed_point_solver_rejects_non_contraction(dec_l5):
     gamma = fiber_shear(build_shear(dec_l5, {1: component_from_exprs(dec_l5, 1, "0.4*q1")}))
-    with pytest.raises(NonContractionError):
+    with pytest.raises(NonContractionError) as err:
         solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
+    assert str(err.value) == "measured Lipschitz factor 1.000000 of the affine map is not < 1"
 
 
 def test_conjugation_eliminates_component_at_fixed_point(dec_l5):
@@ -876,6 +877,49 @@ def test_solved_component_keeps_no_value_per_point(dec_l5, monkeypatch):
     assert _column_hexes(c.eval(fresh), 9) == _column_hexes(new.eval(fresh), 9)
 
 
+def test_fixed_point_solver_calls_s_once_per_block_of_steps(dec_l5, monkeypatch):
+    """The golden's 41 steps send their orbit columns (the origin and 40
+    grid points) to s 16 steps at a time: three calls, where one call per
+    step made 41."""
+    gamma = extract_compatible(dec_l5, _gamma(dec_l5))
+    sizes = []
+    _failing_cocycle(monkeypatch, dec_l5, gamma, math.inf, sizes)  # records each call, never fails
+    _, report = solve_single_generator_fixed_point(gamma, 1)
+    assert report.iterations == 41
+    assert sizes == [16 * 41] * 3
+
+
+@pytest.mark.parametrize("failure", ["nan", "raise"])
+def test_fixed_point_solver_looking_ahead_changes_nothing(dec_l5, monkeypatch, failure):
+    """s turns nan, or raises, only at orbit points that the 41 steps never
+    reach but a block of steps looks at: the report and the solved values
+    keep their bits."""
+    gamma = extract_compatible(dec_l5, _gamma(dec_l5))
+    want, want_report = solve_single_generator_fixed_point(gamma, 1)
+    grid = quotient_grid(dec_l5, count=40, seed=13, radius=4.0)
+    orbit = grid
+    for _ in range(40):  # to step 40, the last one reached
+        orbit = gamma.quot_apply(orbit)
+    # B quarters q1: the last block, steps 32 to 47, goes below ``tiny`` at step 41
+    tiny = float(np.abs(orbit[0]).min()) / 2
+    cocycles, h, seen = gamma.cocycle, dec_l5.transversal_indices[0], []
+
+    def failing(q):
+        past = (np.abs(q[0]) > 0) & (np.abs(q[0]) < tiny)
+        seen.append(bool(np.any(past)))
+        if failure == "raise" and np.any(past):
+            raise ZeroDivisionError("float division by zero")
+        value = list(cocycles[1].eval(q))
+        value[h] = np.where(past, math.nan, value[h])
+        return tuple(value)
+
+    monkeypatch.setitem(vars(gamma), "cocycle", {**cocycles, 1: dataclasses.replace(cocycles[1], eval=failing)})
+    got, report = solve_single_generator_fixed_point(gamma, 1)
+    assert any(seen)  # the lookahead met the failure
+    assert report == want_report and report.iterations == 41
+    assert _column_hexes(got.eval(grid), 40) == _column_hexes(want.eval(grid), 40)
+
+
 def test_verify_compatible_sends_its_samples_as_columns(monkeypatch):
     """``maps compatible`` integrates the lifts of its 40 samples in one
     batch per stage: one point at a time, the same run made 87
@@ -915,7 +959,9 @@ def test_conjugate_solve_layer_sends_the_solved_component_columns(monkeypatch):
     """The solved component takes columns, and the shear maps that hold
     it hand it whole grids; only single points (the origin's image under
     each chain) arrive one at a time.  Sent point by point, the same run made
-    123 one-point calls and took about six times as long."""
+    123 one-point calls and took about six times as long.  It makes six
+    calls: the cocycle action sends B 0 with its grid, where it made a
+    seventh for B 0 alone."""
     import nilcarnot.cli
     from nilcarnot.cli import main
 
@@ -935,3 +981,5 @@ def test_conjugate_solve_layer_sends_the_solved_component_columns(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert modes.count("columns") > 0 and modes.count("float") <= 3
+    assert len(modes) == 6
+
