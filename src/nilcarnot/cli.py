@@ -280,7 +280,10 @@ def cmd_shear(args) -> int:
         report.extra("metric_note", necessity.cc_surrogate)
 
         # K-identity on sampled pairs, all of them drawn as coordinate columns in one call
-        g1, g2 = pairs(sample_ball_point(CounterRng(args.seed), alg, args.radius, 2 * min(200, args.samples)))
+        # from the second half of the seed's counters, which the estimators never reach:
+        # no pair repeats one they measured
+        rng = CounterRng(args.seed, counter=1 << 63)
+        g1, g2 = pairs(sample_ball_point(rng, alg, args.radius, 2 * min(200, args.samples)))
         with np.errstate(over="ignore", invalid="ignore"):
             s1, s2 = smap.s_value(dec.project(g1)), smap.s_value(dec.project(g2))
             k_direct = _k_from_s(alg, g1, g2, s1, s2)

@@ -44,11 +44,12 @@ import itertools
 
 DEFAULT_TOL = 1e-10
 MAX_DEPTH = 30
-# over 13x the most evaluations one call of the test suite makes (3,689, a
+# over 13x the most evaluations one job of the test suite makes (3,689, a
 # tol=1e-14 reference on unsplit zigzag segments in test_shear) and 300x
-# the most one call of the benchmark workloads makes (165, a zigzag
-# segment of shear_verify_multid); only the CLI tests whose integrands are
-# built to exhaust it reach the budget
+# the most one job of the benchmark workloads makes (165, a zigzag segment
+# of shear_verify_multid; 69 on shear_verify_ladder5, whose 1-D lift makes
+# one job per point); only the tests built to exhaust it reach the budget:
+# failing CLI inputs, and 1-D lifts out of reach, such as sin(q1) at 1000
 MAX_EVALS = 50_000
 
 

@@ -11,16 +11,13 @@ scale.
 Many points travel as coordinate columns (:mod:`nilcarnot.linalg`)
 through the calls that take one point: every component's ``eval``,
 ``ShearMap.s_value`` and ``apply_shear``, with the bits of one point at a
-time.  Every lift integrates to ``quadrature.DEFAULT_TOL`` and keeps no
-value per point: its values depend only on the point, and its one state
-is the table of anchor values of a lift over a one-dimensional quotient,
-which integrates from the nearest anchor of a fixed dyadic grid.  One
-point and columns alike make one integration call: such a lift plans
-its anchors, missing cells and pieces as arrays and sends them as the
-segment columns of one ``carnot.integrate_bracket_segments`` call, and
-any other lift sends its paths to one ``carnot.integrate_bracket_forms``
-call.  The anchor table is written after that call returns, so one that
-raises leaves it as it was.
+time.  Every lift integrates each point's path to ``quadrature.DEFAULT_TOL``
+and keeps no state: its values depend only on the point.  One point and
+columns alike make one integration call: a lift over a one-dimensional
+quotient sends each nonzero point x as one segment from 0 with step x
+and duration 1 (the zigzag path to x) to one
+``carnot.integrate_bracket_segments`` call, and any other lift sends its
+paths to one ``carnot.integrate_bracket_forms`` call.
 The estimators take ``PAIR_BLOCK`` pairs at a time: one sampler call
 draws a block as coordinate columns and one ``quasi_dist`` sweep
 measures it.  The loop test flags a loop integral above ``1e-8``
@@ -56,12 +53,6 @@ from .rng import CounterRng, SamplerConfig, sample_ball_point
 # shear_verify_ladder5, 64 runs within a few percent of the fastest size
 # measured, with about half the peak-RSS growth of 128 (see CHANGES.md)
 PAIR_BLOCK = 64
-
-# the anchors of a lift over a one-dimensional quotient: 0 and +-m * 2^e
-# for m = 2^ANCHOR_BITS, ..., 2^(ANCHOR_BITS + 1) - 1 (4 to 7), none
-# smaller in size than ANCHOR_FLOOR; each is an exact dyadic number
-ANCHOR_BITS = 2
-ANCHOR_FLOOR = 2.0**-42
 
 
 class MembershipError(ValueError):
@@ -219,29 +210,6 @@ def loop_test_membership(
     return LoopVerdict(len(loops), worst)
 
 
-def _anchors(x):
-    """The anchor nearest each point of the array x on its side of 0, or 0
-    below ``ANCHOR_FLOOR``: its mantissa rounded to ``ANCHOR_BITS + 1``
-    bits, half to even (``np.round``, as ``round``)."""
-    import numpy as np
-
-    if not np.isfinite(x).all():
-        raise ValueError("target must be finite")
-    f, e = np.frexp(x)
-    with np.errstate(over="ignore"):
-        a = np.ldexp(np.round(np.ldexp(f, ANCHOR_BITS + 1)), e - ANCHOR_BITS - 1)
-    if not np.isfinite(a).all():
-        raise OverflowError("the anchor of a target overflows a float")
-    return np.where(np.abs(x) < ANCHOR_FLOOR, 0.0, a)
-
-
-def _inner_anchor(a):
-    """The anchor next to the nonzero anchor a toward 0."""
-    f, e = math.frexp(a)  # below |a| = 2^(e - 1), where |f| = 1/2, the steps halve
-    b = a - math.copysign(math.ldexp(1.0, e - ANCHOR_BITS - 1 - (abs(f) == 0.5)), a)
-    return b if abs(b) >= ANCHOR_FLOOR else 0.0
-
-
 def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: bool = False) -> ShearComponent:
     """The next-layer component: integrate [c, theta_H] from 0 to p.
 
@@ -250,28 +218,25 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
     with a second independent path.  ``eval`` takes one point or
     coordinate columns, and the jobs of either go out in one call.
 
-    Over a one-dimensional quotient (membership tested) s(q) = s(a) + the
-    integral from a to q, with a the anchor nearest q (``_anchors``);
-    each anchor's value is its inner neighbour's plus the integral over
-    the cell between them, so no piece crosses 0 and every value depends
-    on q alone.  The points are planned as arrays: their anchors in one
-    pass, a walk inward (``_inner_anchor``) from each distinct anchor
-    missing from the table, and the missing cells and the pieces as the
-    segment columns of one ``carnot.integrate_bracket_segments`` call.
-    A value is its anchor's table row plus its piece, with the +0.0 that
-    a path's sum starts from.
+    Over a one-dimensional quotient (membership tested) the zigzag path
+    from 0 to p = (x,) is one segment with step x and duration 1, so the
+    points go straight to one ``carnot.integrate_bracket_segments`` call,
+    one segment column per nonzero point, and a value carries the +0.0
+    that a path's sum starts from: the bits of the zigzag lift.  A point
+    at +-0.0 makes no job and reads 0.0.  Each value is one job to
+    ``DEFAULT_TOL`` however far its point lies, so a far point of an
+    oscillating component can exhaust ``quadrature.MAX_EVALS``.
 
     Otherwise the integral runs along the zigzag path from 0 to p, and
     the zigzag paths plus the second paths go to one
-    ``integrate_bracket_forms`` call.  The anchor table, the lift's only
-    state, is written only after the jobs return.
+    ``integrate_bracket_forms`` call.
 
-    Either way, every segment, cell and piece that holds a root of the
-    component's kinks (the ``abs``, ``sqrt`` and ``sign`` arguments of its
-    trees that are affine in the first-layer coordinates) is split and
-    graded there by ``carnot.integrate_bracket_segments``, as a zigzag
-    path from 0 is for sigma.  The lifted component has no trees, so the
-    next lift of the tower relies on the quadrature's bisection alone.
+    Either way, every segment that holds a root of the component's kinks
+    (the ``abs``, ``sqrt`` and ``sign`` arguments of its trees that are
+    affine in the first-layer coordinates) is split and graded there by
+    ``carnot.integrate_bracket_segments``, as the segment from 0 is for
+    sigma.  The lifted component has no trees, so the next lift of the
+    tower relies on the quadrature's bisection alone.
     """
     if not dec.alpha_is_integer:
         raise ValueError("lifts require an integer exponent")
@@ -283,38 +248,6 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
             )
     target_layer = component.layer + int(dec.alpha)
     qc = dec.quotient_carnot
-    anchors = {0.0: (0.0,) * dec.base.dim}
-
-    def anchored(x):
-        """The lift at the points of the float array x, one row each."""
-        import numpy as np
-
-        ends = _anchors(x)
-        cells = {}  # every anchor missing from the table -> its inner neighbour
-        for a in dict.fromkeys(ends.tolist()):  # each anchor once, in the order of the points
-            while a not in anchors and a not in cells:
-                cells[a] = _inner_anchor(a)
-                a = cells[a]
-        pieces = np.flatnonzero(ends != x)
-        starts = np.concatenate([np.array(list(cells.values()), dtype=float), ends[pieces]])
-        stops = np.concatenate([np.array(list(cells), dtype=float), x[pieces]])
-        results = integrate_bracket_segments(
-            dec,
-            component,
-            starts[None, :],
-            np.where(stops > starts, 1.0, -1.0)[None, :],
-            np.abs(stops - starts),
-            np.full(len(starts), DEFAULT_TOL),
-        )
-        totals = np.zeros((len(starts), dec.base.dim))
-        # as a path's sum from 0.0, which reads a -0.0 integral as +0.0
-        totals[:, list(dec.pairing_targets[component.layer])] = 0.0 + results
-        deltas = dict(zip(cells, totals.tolist()))
-        for a in sorted(cells, key=abs):  # outward from 0
-            anchors[a] = vadd(anchors[cells[a]], deltas[a])
-        values = np.array([anchors[a] for a in ends.tolist()]).reshape(-1, dec.base.dim)
-        values[pieces] += totals[len(cells) :]
-        return values
 
     def second_path(key):
         mid = dilate(qc, 0.5, key)
@@ -341,7 +274,17 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
             import numpy as np
 
             (x,) = q if many else as_float(q)
-            values = anchored(np.array(x, dtype=float).reshape(-1))
+            x = np.array(x, dtype=float).reshape(-1)
+            if not np.isfinite(x).all():
+                raise ValueError("target must be finite")
+            jobs = np.flatnonzero(x)
+            ones = np.ones(len(jobs))
+            results = integrate_bracket_segments(
+                dec, component, np.zeros((1, len(jobs))), x[None, jobs], ones, DEFAULT_TOL * ones
+            )
+            values = np.zeros((len(x), dec.base.dim))
+            # as a path's sum from 0.0, which reads a -0.0 integral as +0.0
+            values[np.ix_(jobs, dec.pairing_targets[component.layer])] = 0.0 + results
             return tuple(values.T) if many else tuple(values[0].tolist())
         values = zigzag(linalg.points(q) if many else [as_float(q)])
         return linalg.columns(values) if many else values[0]

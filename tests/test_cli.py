@@ -5,6 +5,7 @@ import pytest
 
 from nilcarnot.catalog import direct_product, engel4, ladder5, save_algebra
 from nilcarnot.cli import main
+from nilcarnot.linalg import points
 
 # stands for the path of a saved ladder5 x engel4 (5-dimensional quotient)
 MULTID = "<ladder5_x_engel4>"
@@ -124,8 +125,8 @@ def test_shear_verify_passes(capsys):
 # float.hex of (sup_ratio, inf_ratio) of the benchmark's ladder5 estimate
 # (shear_verify_ladder5: radius 10, 1000 samples), per seed
 BENCHMARK_SIZE_BILIP = {
-    42: ("0x1.d4096c1418468p+0", "0x1.4ae4f52e4b44dp-1"),
-    7: ("0x1.d600626bb6ebbp+0", "0x1.3c2aa200703f4p-1"),
+    42: ("0x1.d4096c14186cdp+0", "0x1.4ae4f52e4b45ap-1"),
+    7: ("0x1.d600626bb6eeap+0", "0x1.3c2aa2007048ap-1"),
 }
 
 
@@ -143,7 +144,7 @@ def test_shear_verify_integrates_the_lifts_once_per_column_call(capsys, monkeypa
     # the probes, the K-identity and the estimators evaluate the lifts on coordinate columns
     import nilcarnot.shear
 
-    # the anchored lifts send segment columns, the waived coherence lifts paths
+    # the tested lifts send segment columns, the waived coherence lifts paths
     calls = []
     for name in ("integrate_bracket_segments", "integrate_bracket_forms"):
         many = getattr(nilcarnot.shear, name)
@@ -301,6 +302,24 @@ def test_shear_k_identity_reports_the_bound_it_applies(capsys):
     assert check["tolerance"] == 1e-12 * 2.0**3
     assert check["status"] == "pass" and check["value"] <= check["tolerance"]
     assert code == 0
+
+
+def test_shear_k_identity_draws_no_pair_the_estimate_measured(capsys, monkeypatch):
+    # the golden shear run (seed 42, 200 samples): the K-identity draws its
+    # 400 points from counters the estimators never reach
+    import nilcarnot.cli
+
+    estimated, drawn = [], []
+    apply, sample = nilcarnot.cli.apply_shear, nilcarnot.cli.sample_ball_point
+    monkeypatch.setattr(nilcarnot.cli, "apply_shear", lambda smap, g: estimated.extend(points(g)) or apply(smap, g))
+    monkeypatch.setattr(nilcarnot.cli, "sample_ball_point", lambda *a: drawn.append(sample(*a)) or drawn[-1])
+    code, _ = run_cli(
+        capsys, "shear", "--fixture", "ladder5", "--component", "1=sign(q1)*sqrt(abs(q1))",
+        "--verify", "--samples", "200", "--seed", "42",
+    )
+    (k_points,) = drawn
+    assert code == 0 and len(estimated) == len(points(k_points)) == 400
+    assert not set(points(k_points)) & set(estimated)
 
 
 def test_reports_are_deterministic(capsys):
