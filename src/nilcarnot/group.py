@@ -20,8 +20,8 @@ checks.  ``dilate`` accepts a precomputed table of factors, so a
 dilation applied at many points (a ``maps.Dilation`` factor, which keeps
 the float twin of its table) pays for its powers once.  ``dilate``,
 ``quasi_norm`` and ``quasi_dist`` take coordinate columns too, with the
-bits of one point at a time: every power there is Python's float ``**``,
-taken element by element.
+bits of one point at a time: both modes take every float power by the
+rule of ``linalg.power``, correctly rounded squares and square roots.
 """
 
 from __future__ import annotations
@@ -120,15 +120,21 @@ def conjugate_adjoint(alg: GradedAlgebra, y, x):
 def _dilation_factors(alg: GradedAlgebra, r):
     """r**lambda per basis vector: exact for rational r and an integer weight.
 
-    For an array of ratios, one per point, an array per basis vector, the
-    powers Python's float ``**`` (``linalg.power``); a failing point raises
-    its one-point error, the first in order.
+    Float powers are ``linalg.power``'s: r, ``r * r`` and Python's ``**``
+    for the weights 1, 2 and others.  For an array of ratios, one per
+    point, an array per basis vector; a finite ratio whose factor
+    overflows raises the one-point ``OverflowError``, the first in order.
     """
     if linalg.scalar_mode((r,), arrays="columns") == "columns":
+        import numpy as np
+
         try:
             if (r <= 0).any():
                 raise ValueError
-            powers = {flam: power(r, flam) for flam in set(alg.weights_float)}
+            with np.errstate(over="ignore"):
+                powers = {flam: power(r, flam) for flam in set(alg.weights_float)}
+            if any((np.isinf(p) & np.isfinite(r)).any() for p in powers.values()):
+                raise OverflowError
         except (ValueError, OverflowError):
             for a in r.tolist():
                 _dilation_factors(alg, a)
@@ -137,12 +143,15 @@ def _dilation_factors(alg: GradedAlgebra, r):
         raise ValueError("dilation ratio must be positive")
     exact_r = isinstance(r, (int, Fraction)) and not isinstance(r, bool)
     try:
-        return [
-            Fraction(r) ** int(lam) if exact_r and lam.denominator == 1 else float(r) ** flam
+        factors = [
+            Fraction(r) ** int(lam) if exact_r and lam.denominator == 1 else power(float(r), flam)
             for lam, flam in zip(alg.weights, alg.weights_float)
         ]
+        if not exact_r and math.inf in factors and r != math.inf:
+            raise OverflowError
     except OverflowError:
         raise OverflowError(f"the dilation by {r} overflows a float coordinate") from None
+    return factors
 
 
 def dilate(alg: GradedAlgebra, r, x, factors=None):
@@ -161,17 +170,14 @@ def dilate(alg: GradedAlgebra, r, x, factors=None):
 
 def quasi_norm(alg: GradedAlgebra, x):
     """sum over layers of |x_lambda|^(1/lambda), |.| the Euclidean slice norm
-    ``linalg.length``; on coordinate columns, an array of the points' norms,
-    every power Python's float ``**`` (``linalg.power``).  The scalar mode
-    is decided once per call, not once per layer."""
+    ``linalg.length`` and each root ``linalg.power``'s (a square root for
+    layer 2, Python's ``**`` from layer 3 on); on coordinate columns, an
+    array of the points' norms.  The scalar mode is decided once per call."""
     x = as_float(x)
-    if linalg.scalar_mode(x, arrays="columns") == "columns":
-        norm, pw = length, power
-    else:
-        norm, pw = linalg.point_length, pow
+    norm = length if linalg.scalar_mode(x, arrays="columns") == "columns" else linalg.point_length
     total = 0.0
     for inv_w, idx in alg.norm_layers:
-        total = total + pw(norm([x[i] for i in idx]), inv_w)
+        total = total + power(norm([x[i] for i in idx]), inv_w)
     return total
 
 

@@ -572,7 +572,7 @@ def _rounding_floor(alg: GradedAlgebra, vectors):
     w, m the largest homogeneous size |v_i|**(1/w_i) among their
     coordinates.  The quasi-norm is homogeneous, so that is m times the
     quasi-norm of the vector with ``PANSU_ROUNDINGS`` * eps everywhere."""
-    m = max(abs(float(v[i])) ** (1 / w) for v in vectors for i, w in enumerate(alg.weights_float))
+    m = max(linalg.power(abs(float(v[i])), 1 / w) for v in vectors for i, w in enumerate(alg.weights_float))
     return m * quasi_norm(alg, (PANSU_ROUNDINGS * sys.float_info.epsilon,) * alg.dim)
 
 
@@ -597,7 +597,8 @@ def pansu_check(
     compared in floats, and each scale's floor is the sup over u of
     the numerator's rounding floor (``_rounding_floor`` of F(x), F(y),
     their quotient and L(x^-1 y)) over rho(x, y).  Exact numerators
-    have floor 0.
+    have floor 0.  A floor of 1 or more lets rounding alone be as large as
+    rho(x, y), so where no floor is below 1 it raises ``ValueError``.
     """
     verdict = is_graded_automorphism(alg, l_map)
     if not verdict.homomorphism:
@@ -634,6 +635,9 @@ def pansu_check(
                     floor = max(floor, _rounding_floor(alg, (fx, fy, lhs, rhs)) / den)
         defects.append((float(t), worst))
         floors.append((float(t), floor))
+    least = min(f for _, f in floors)
+    if least >= 1.0:
+        raise ValueError(f"the Pansu probe decides nothing: its smallest rounding floor, {least:.3g}, is at least 1")
     return PansuProbe(tuple(defects), tuple(floors))
 
 

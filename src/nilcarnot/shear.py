@@ -127,11 +127,6 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
     return ShearComponent(layer, evaluate, trees, holder_hint)
 
 
-def zero_component(dec: CbCDecomposition, layer: int) -> ShearComponent:
-    n = dec.base.dim
-    return ShearComponent(layer, lambda q: (0.0,) * n, None, 0.0)
-
-
 @dataclass(frozen=True)
 class LoopVerdict:
     """``worst_ratio``: the largest |loop integral| / bound over the loops integrated."""
@@ -364,10 +359,6 @@ def _k_from_s(alg, g1f, g2f, s1, s2):
 class NecessityReport:
     per_radius: dict
     cc_surrogate: str = "quotient quasi-norm distance in place of the Carnot metric"
-
-    def max_ratio(self, radius):
-        layer_map = self.per_radius[radius]
-        return max(layer_map.values()) if layer_map else 0.0
 
 
 def necessity_check(

@@ -24,7 +24,7 @@ from nilcarnot.catalog import direct_product, engel4, fixture, fixture_names, fr
 from nilcarnot.group import bch, dilate, quasi_norm
 from nilcarnot.linalg import is_zero, vneg
 from nilcarnot.rng import CounterRng, sample_coords
-from nilcarnot.shear import ShearComponent, component_from_exprs, zero_component
+from nilcarnot.shear import ShearComponent, component_from_exprs
 
 
 def test_decompose_engel_heis7(dec_eh7):
@@ -164,7 +164,8 @@ def test_integrate_bracket_form_straight(dec_l5):
 
 def test_integrate_bracket_form_zero_component(dec_l5):
     path = horizontal_connect(dec_l5.quotient_carnot, (2.5,))
-    val = integrate_bracket_form(dec_l5, zero_component(dec_l5, 1), path)
+    zero = ShearComponent(1, lambda q: (0.0,) * dec_l5.base.dim)
+    val = integrate_bracket_form(dec_l5, zero, path)
     assert all(v == 0.0 for v in val)
 
 

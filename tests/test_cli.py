@@ -293,6 +293,22 @@ def test_maps_pansu_fails_a_wrong_differential_with_flat_defects(capsys):
     assert report["checks"] == [{"name": "defect_sequence_decreasing", "status": "fail"}]
 
 
+@pytest.mark.parametrize("shift, floor", [("1e200", "6.77e+193"), ("1e8", "67.7")])
+@pytest.mark.parametrize("linear", ["1,0,0;0,1,0;0,0,1", "2,0,0;0,2,0;0,0,4"])
+def test_maps_pansu_exits_2_where_no_scale_decides(capsys, shift, floor, linear):
+    """A translation this far out leaves every floor at 1 or more: rounding
+    alone can be as large as rho(x, y), so neither the true differential
+    nor a wrong one is told apart, and the probe says so."""
+    argv = list(PANSU_TRANSLATE)
+    argv[argv.index("translate:0.5,0,0")] = f"translate:{shift},0,0"
+    assert main([*argv, "--linear", linear]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: the Pansu probe decides nothing: its smallest rounding floor, {floor}, is at least 1"
+    ]
+
+
 def test_shear_k_identity_reports_the_bound_it_applies(capsys):
     code, report = run_cli(
         capsys, "shear", "--fixture", "ladder5", "--component", "1=0.3*q1",

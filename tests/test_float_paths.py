@@ -18,6 +18,7 @@ counter of the one-point stream.
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -408,3 +409,18 @@ def test_the_dilation_overflow_keeps_its_message_on_columns():
         sample_ball_point(CounterRng(4), alg, 1e300, 10)
     assert str(many.value) == str(one.value)
     assert str(one.value).startswith("the dilation by ") and str(one.value).endswith(" overflows a float coordinate")
+
+
+def test_an_overflowing_square_factor_raises_the_one_point_message_on_columns():
+    """On heisenberg3 the top weight is 2: the factor r * r is inf past
+    about 1.34e154 where ``r ** 2`` raised, and it still raises, for the
+    first failing point, with no numpy warning."""
+    alg = fixture("heisenberg3")
+    with pytest.raises(OverflowError) as one:
+        dilate(alg, 1e200, (1.0, 1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as many:
+            dilate(alg, np.array([2.0, 1e200, 1e250]), columns([(1.0, 1.0, 1.0)] * 3))
+        assert dilate(alg, np.array([2.0, 1e150]), (1.0, 1.0, 1.0))[2].tolist() == [4.0, 1e150 * 1e150]
+    assert str(many.value) == str(one.value) == "the dilation by 1e+200 overflows a float coordinate"

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nilcarnot.algebra import GradedAlgebra, LinearMap, bracket
 from nilcarnot.catalog import engel4, engel_heis7, heisenberg3, ladder5
@@ -172,14 +172,17 @@ def test_quasi_norm_examples(heis):
 
 
 def quasi_norm_by_squares(alg, x):
-    """``quasi_norm`` before its overflow branch, kept as the reference."""
+    """``quasi_norm`` before its overflow branch, from exact references:
+    each square is the exact square rounded once, the layer-2 root the
+    square root of the slice norm, and every other root Python's ``**``."""
     total = 0.0
     for inv_w, idx in alg.norm_layers:
         sq = 0.0
         for i in idx:
-            sq += float(x[i]) ** 2
+            sq += float(Fraction(x[i]) ** 2)
         if sq:
-            total += math.sqrt(sq) ** inv_w
+            norm = math.sqrt(sq)
+            total += math.sqrt(norm) if inv_w == 0.5 else norm**inv_w
     return total
 
 
@@ -195,6 +198,9 @@ def test_quasi_norm_of_a_point_whose_squares_overflow(l5):
 
 @settings(max_examples=200, deadline=None)
 @given(st.tuples(*[st.floats(-1e150, 1e150)] * 6))
+# squares and square roots by Python's ** read 3.8490359022278833 here, one ULP up
+@example((0.1122668628369663, -0.7379534999143846, 0.9031489046084742,
+          2.4686698427149203, 1.4935430517268173, 0.937527903702243))
 def test_quasi_norm_keeps_its_bits_where_no_square_overflows(x):
     alg = ladder5()
     assert quasi_norm(alg, x).hex() == quasi_norm_by_squares(alg, x).hex()

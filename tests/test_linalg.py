@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy
@@ -206,3 +207,25 @@ def test_float_powers_underflow_and_overflow_as_float_does(matrix):
         assert error is None and hexes[-1][0] == "0x0.0p+0" and hexes[-1][1] != "0x0.0p+0"
     else:
         assert error is not None and 100 < len(hexes) < 120
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=8))
+@example([-0.31253690622659214, 0.0, 3.0])  # x ** 2 reads 0.09767931775368965, one ULP above
+def test_power_rounds_squares_and_square_roots_correctly(xs):
+    """Squares are the exact square rounded once, square roots ``math.sqrt``
+    and the exponent 1 the value itself, on one point and on columns; every
+    other exponent keeps Python's ``**``."""
+    col = numpy.array(xs)
+    squares = [float(Fraction(x) ** 2) for x in xs]
+    assert [linalg.power(x, 2.0) for x in xs] == squares
+    assert linalg.power(col, 2.0).tolist() == squares
+    norms = [abs(x) for x in xs]
+    roots = [math.sqrt(x) for x in norms]
+    assert [linalg.power(x, 0.5) for x in norms] == roots
+    assert linalg.power(abs(col), 0.5).tolist() == roots
+    assert [linalg.power(x, 1.0) for x in xs] == xs
+    assert linalg.power(col, 1.0).tolist() == xs
+    cubic = [x ** (1 / 3) for x in norms]
+    assert [linalg.power(x, 1 / 3) for x in norms] == cubic
+    assert linalg.power(abs(col), 1 / 3).tolist() == cubic
