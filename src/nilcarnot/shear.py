@@ -19,8 +19,14 @@ and duration 1 (the zigzag path to x) to one
 ``carnot.integrate_bracket_segments`` call, and any other lift sends its
 paths to one ``carnot.integrate_bracket_forms`` call.
 The estimators take ``PAIR_BLOCK`` pairs at a time: one sampler call
-draws a block as coordinate columns and one ``quasi_dist`` sweep
-measures it.  The loop test flags a loop integral above ``1e-8``
+draws a block as coordinate columns, one call of the map (or of
+``s_value``) takes it and one ``quasi_dist`` sweep measures it.  A column
+call costs about one numpy dispatch per kernel line whatever its length,
+so longer blocks are faster; no estimate depends on the block size, since
+the sampler gives the stream of one-point draws, pairs are skipped one by
+one and the sup and inf do not depend on the order.  An estimator asked
+for fewer than one pair, or that skipped every pair, raises
+``ValueError``.  The loop test flags a loop integral above ``1e-8``
 times the loop length (scaled by the component's Holder hint), and
 integrates all segments of all its loops at once, each loop to a tenth
 of that threshold, not to ``DEFAULT_TOL``.  A loop integral that is not
@@ -49,10 +55,13 @@ from .quadrature import DEFAULT_TOL
 from .rng import CounterRng, SamplerConfig, sample_ball_point
 
 
-# pairs that the estimators draw, map and measure in one call each: on
-# shear_verify_ladder5, 64 runs within a few percent of the fastest size
-# measured, with about half the peak-RSS growth of 128 (see CHANGES.md)
-PAIR_BLOCK = 64
+# pairs that the estimators draw, map and measure in one call each.  A column
+# call pays about one numpy dispatch per kernel line whatever its length (on
+# ladder5, group.bch takes 65 us for 2 points and 115 us for 512, apply_shear
+# 0.39 and 1.02 ms), so a shear_verify_ladder5 op runs about a third faster at
+# 256 than at 64.  The block arrays add 0.1 MB of peak RSS at 256 and 2.5 MB at
+# 1024 (see CHANGES.md).
+PAIR_BLOCK = 256
 
 
 class MembershipError(ValueError):
@@ -373,7 +382,8 @@ def necessity_check(
     Basepoints are drawn in balls of each radius; the second point sits
     at a unit-scale offset so that growth of the ratios with the radius
     is visible.  The quotient Carnot metric is replaced by the quotient
-    quasi-norm distance (flagged in the report).
+    quasi-norm distance (flagged in the report).  Raises ``ValueError``
+    when ``count`` is below 1 or a radius skipped every pair.
     """
     import numpy as np
 
@@ -384,7 +394,9 @@ def necessity_check(
     for radius in radii:
         rng = CounterRng(seed)
         worst = {i: 0.0 for i in layers}
-        blocks = _pair_blocks(rng, qc, count, (radius, 1.0), 1e-9, lambda q1, off: bch(qc, q1, off))
+        blocks = _pair_blocks(
+            "necessity_check", rng, qc, count, (radius, 1.0), 1e-9, lambda q1, off: bch(qc, q1, off)
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             for qs, d in blocks:
                 g = dec.lift(qs)
@@ -402,7 +414,10 @@ def necessity_check(
 def holder_norm_estimate(
     dec: CbCDecomposition, component: ShearComponent, sampler: SamplerConfig
 ) -> float:
-    """Empirical lower bound for the j/alpha-Holder norm of a component."""
+    """Empirical lower bound for the j/alpha-Holder norm of a component.
+
+    Pairs closer than 1e-12 are skipped; a ``ValueError`` says so when
+    every pair was, or when ``sampler.count`` is below 1."""
     import numpy as np
 
     qc = dec.quotient_carnot
@@ -411,22 +426,25 @@ def holder_norm_estimate(
     best = 0.0
     radii = (sampler.radius, sampler.radius)
     with np.errstate(over="ignore", invalid="ignore"):
-        for pq, d in _pair_blocks(rng, qc, sampler.count, radii, 1e-12):
+        for pq, d in _pair_blocks("holder_norm_estimate", rng, qc, sampler.count, radii, 1e-12):
             num = length(linalg.vsub(*pairs(component.eval(pq))))
             best = max(best, _sup(num / power(d, exponent)))
     return best
 
 
 def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
-    """Empirical (sup, inf) of rho(F x, F y) / rho(x, y) over pairs; (inf, 0.0) once one is not finite.
+    """Empirical (sup, inf) of rho(F x, F y) / rho(x, y) over pairs; (inf, 0.0) when one is not finite.
 
     F is called once per block of up to ``PAIR_BLOCK`` pairs, on
     coordinate columns that hold the block's kept pairs, first and second
     point in turn, and returns their images as columns, as
     ``lambda g: apply_shear(smap, g)`` does.  The ratios of a block
-    are measured in one ``quasi_dist`` sweep.  Pairs closer than 1e-9 are
-    skipped (and not mapped); a ``ValueError`` says so when every pair
-    was, since then no ratio was measured."""
+    are measured in one ``quasi_dist`` sweep.  Every kept pair is mapped,
+    also after a ratio that is not finite, so an exception from F
+    propagates, and the result does not depend on the block size.  Pairs
+    closer than 1e-9 are skipped (and not mapped); a ``ValueError`` says
+    so when every pair was, since then no ratio was measured, or when
+    ``sampler.count`` is below 1."""
     import numpy as np
 
     rng = CounterRng(sampler.seed)
@@ -434,30 +452,28 @@ def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
     inf_ratio = math.inf
     radii = (sampler.radius, sampler.radius)
     with np.errstate(over="ignore", invalid="ignore"):
-        for xy, d in _pair_blocks(rng, alg, sampler.count, radii, 1e-9):
+        for xy, d in _pair_blocks("bilip_estimate", rng, alg, sampler.count, radii, 1e-9):
             ratio = quasi_dist(alg, *pairs(f(xy))) / d
-            if not np.all(ratio < math.inf):
-                return math.inf, 0.0
-            sup_ratio = max(sup_ratio, float(ratio.max()))
+            sup_ratio = max(sup_ratio, _sup(ratio))
             inf_ratio = min(inf_ratio, float(ratio.min()))
-    if inf_ratio == math.inf:
-        raise ValueError(
-            f"bilip_estimate skipped all {sampler.count} sampled pairs: each was closer than 1e-9, "
-            "so no ratio was measured"
-        )
-    return sup_ratio, inf_ratio
+    return (math.inf, 0.0) if sup_ratio == math.inf else (sup_ratio, inf_ratio)
 
 
-def _pair_blocks(rng, alg, count, radii, skip, second=lambda x, y: y):
+def _pair_blocks(name, rng, alg, count, radii, skip, second=lambda x, y: y):
     """``count`` sampled pairs in blocks of up to ``PAIR_BLOCK``, each block
     drawn by one ``sample_ball_point`` call and measured by one
     ``quasi_dist`` sweep.  A pair is two draws in turn, at the radii
     ``radii``, with ``second(x, y)`` in place of its second point y.
     Yields the columns of the kept pairs' points, alternating first and
     second, and their distances; pairs closer than ``skip`` are left out,
-    and so is a block left empty."""
+    and so is a block left empty.  Raises a ``ValueError`` that names the
+    estimator ``name`` when ``count`` is below 1 and, after the last
+    block, when every pair was left out."""
     import numpy as np
 
+    if count < 1:
+        raise ValueError(f"{name} needs at least 1 sampled pair, not count={count}")
+    measured = False
     for start in range(0, count, PAIR_BLOCK):
         m = min(PAIR_BLOCK, count - start)
         drawn = sample_ball_point(rng, alg, np.tile(radii, m), 2 * m)
@@ -466,7 +482,13 @@ def _pair_blocks(rng, alg, count, radii, skip, second=lambda x, y: y):
         d = quasi_dist(alg, x, y)
         kept = np.flatnonzero(~(d < skip))
         if kept.size:
+            measured = True
             yield tuple(np.stack([a[kept], b[kept]], axis=1).ravel() for a, b in zip(x, y)), d[kept]
+    if not measured:
+        cut = np.format_float_scientific(skip, trim="-", exp_digits=1)
+        raise ValueError(
+            f"{name} skipped all {count} sampled pairs: each was closer than {cut}, so no ratio was measured"
+        )
 
 
 def _sup(ratios):

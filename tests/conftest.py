@@ -2,10 +2,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nilcarnot.carnot import decompose
 from nilcarnot.catalog import engel4, engel_heis7, heisenberg3, heisprod4, ladder5
+from nilcarnot.rng import CounterRng
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +64,17 @@ def loop_bracket_exact(alg, x, y):
     """The exact bracket as a loop over ``bracket_table``: the reference
     that shares no code with ``algebra.bracket`` or its kernels."""
     return bracket_rows(alg.bracket_table, [Fraction(0)] * alg.dim, x, y)
+
+
+class Stalling(CounterRng):
+    """Gives the output 2^63, whose coordinate is 0.0, at the counters ``stall``."""
+
+    def __init__(self, seed, stall):
+        super().__init__(seed)
+        self.stall = stall
+
+    def at(self, counter):
+        out = super().at(counter)
+        if isinstance(counter, int):
+            return 1 << 63 if counter in self.stall else out
+        return np.where(np.isin(counter, self.stall), np.uint64(1 << 63), out)

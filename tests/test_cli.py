@@ -153,11 +153,11 @@ def test_shear_verify_integrates_the_lifts_once_per_column_call(capsys, monkeypa
         capsys, "shear", "--fixture", "ladder5", "--component", "1=sign(q1)*sqrt(abs(q1))", "--verify",
         "--samples", "100", "--seed", "42",
     )
-    # one batch per column call, whatever its number of points: the probes, 2
-    # blocks of bilip_estimate, 1 block per radius of necessity_check, the two
-    # s-values of the K-identity and the coherence probes (ladder5's quotient is
-    # one-dimensional, so the loop test integrates nothing)
-    assert code == 0 and len(calls) == 1 + 2 + 3 + 2 + 1
+    # one batch per column call, whatever its number of points: the probes, one
+    # block of bilip_estimate per PAIR_BLOCK of its 100 pairs, 1 block per radius
+    # of necessity_check, the two s-values of the K-identity and the coherence
+    # probes (ladder5's quotient is one-dimensional, so the loop test integrates nothing)
+    assert code == 0 and len(calls) == 1 + math.ceil(100 / nilcarnot.shear.PAIR_BLOCK) + 3 + 2 + 1
 
 
 def test_maps_dalpha_heisprod(capsys):

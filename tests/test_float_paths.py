@@ -43,7 +43,7 @@ from nilcarnot.maps import (
 from nilcarnot.rng import CounterRng, sample_ball_point
 from nilcarnot.shear import apply_shear, build_shear, component_from_exprs
 
-from conftest import bracket_rows, loop_bracket_exact
+from conftest import Stalling, bracket_rows, loop_bracket_exact
 
 ALGEBRAS = {name: fixture(name) for name in fixture_names()}
 ALGEBRAS["ladder5_x_engel4"] = direct_product(ladder5(), engel4(), 2)
@@ -358,20 +358,6 @@ def test_column_sampler_and_quasi_norm_equal_one_point_calls(name, seed, counter
     want = overflow_or(lambda: [dilate(alg, float(r), p) for r, p in zip(ratios, x)])
     got = overflow_or(lambda: points(dilate(alg, ratios, columns(x)), n))
     assert got == want if isinstance(want, str) else point_hexes(got) == point_hexes(want)
-
-
-class Stalling(CounterRng):
-    """Gives the output 2^63, whose coordinate is 0.0, at the counters ``stall``."""
-
-    def __init__(self, seed, stall):
-        super().__init__(seed)
-        self.stall = stall
-
-    def at(self, counter):
-        out = super().at(counter)
-        if isinstance(counter, int):
-            return 1 << 63 if counter in self.stall else out
-        return np.where(np.isin(counter, self.stall), np.uint64(1 << 63), out)
 
 
 def test_a_rejected_draw_keeps_the_one_point_stream():

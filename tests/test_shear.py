@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import Stalling
 from hypothesis import example, given, settings, strategies as st
 
+import nilcarnot.shear
 from nilcarnot.algebra import GradedAlgebra, bracket
 from nilcarnot.carnot import HorizontalPath, decompose, horizontal_connect, integrate_bracket_form, integrate_bracket_forms
 from nilcarnot.catalog import direct_product, engel4, ladder5
@@ -507,6 +509,53 @@ def test_bilip_estimate_with_every_pair_skipped_says_so(l5):
         bilip_estimate(l5, lambda g: g, SamplerConfig(seed=42, count=5, radius=1e-12))
 
 
+@pytest.mark.parametrize("block", [1, 64, 256, 300])
+def test_bilip_estimate_maps_every_pair_whatever_the_block_size(l5, monkeypatch, block):
+    """F is a pure function of its points: inf at the first point of pair 3,
+    and it raises at the first point of pair 200.  Every pair is mapped at
+    any block size, so F raises; without that point the estimate is
+    (inf, 0.0), after F took every point."""
+    sampler = SamplerConfig(seed=11, count=300, radius=4.0)
+    drawn = sample_ball_point(CounterRng(sampler.seed), l5, sampler.radius, 2 * sampler.count)
+    inf_at, raise_at = drawn[0][2 * 3], drawn[0][2 * 200]
+    seen = []
+
+    def f(g, raise_at=raise_at):
+        seen.append(len(g[0]))
+        if np.any(g[0] == raise_at):
+            raise ArithmeticError("F fails at pair 200")
+        return (np.where(g[0] == inf_at, math.inf, g[0]),) + tuple(g[1:])
+
+    monkeypatch.setattr(nilcarnot.shear, "PAIR_BLOCK", block)
+    with pytest.raises(ArithmeticError, match="pair 200"):
+        bilip_estimate(l5, f, sampler)
+    seen.clear()
+    assert bilip_estimate(l5, lambda g: f(g, raise_at=None), sampler) == (math.inf, 0.0)
+    assert sum(seen) == 2 * sampler.count
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_an_estimator_asked_for_no_pair_says_so(dec_l5, ladder_shear, sigma_component, count):
+    sampler = SamplerConfig(seed=42, count=count, radius=4.0)
+    runs = {
+        "bilip_estimate": lambda: bilip_estimate(dec_l5.base, lambda g: g, sampler),
+        "necessity_check": lambda: necessity_check(dec_l5, ladder_shear, count=count),
+        "holder_norm_estimate": lambda: holder_norm_estimate(dec_l5, sigma_component, sampler),
+    }
+    for name, run in runs.items():
+        with pytest.raises(ValueError, match=rf"^{name} needs at least 1 sampled pair, not count={count}$"):
+            run()
+
+
+def test_holder_norm_estimate_with_every_pair_skipped_says_so(dec_l5, sigma_component):
+    """At radius 1e-14 every sampled quotient pair is closer than 1e-12: no ratio was measured."""
+    with pytest.raises(
+        ValueError,
+        match=r"^holder_norm_estimate skipped all 5 sampled pairs: each was closer than 1e-12, so no ratio was measured$",
+    ):
+        holder_norm_estimate(dec_l5, sigma_component, SamplerConfig(seed=42, count=5, radius=1e-14))
+
+
 def test_holder_norm_estimates(dec_l5, sigma_component):
     assert holder_norm_estimate(dec_l5, zero_component(dec_l5, 1), SamplerConfig(5, 100, 4.0)) == 0.0
     est = holder_norm_estimate(dec_l5, sigma_component, SamplerConfig(5, 400, 8.0))
@@ -681,6 +730,35 @@ def test_one_call_per_block_on_columns_gives_the_bits_of_mapping_each_point_alon
         want = bilip_estimate(dec.base, lambda g: columns([apply_shear(alone, p) for p in column_points(g)]), sampler)
         got = bilip_estimate(dec.base, lambda g: apply_shear(block, g), sampler)
         assert [a.hex() for a in got] == [a.hex() for a in want]
+
+
+def _estimate_hexes(dec, seed, radius, holder_radius, count):
+    """float.hex of bilip_estimate on sigma's shear, necessity_check's
+    per_radius and holder_norm_estimate of sigma, at ``count`` pairs."""
+    smap = _sigma_shear(dec)
+    bilip = bilip_estimate(dec.base, lambda g: apply_shear(smap, g), SamplerConfig(seed, count, radius))
+    report = necessity_check(dec, smap, seed=seed, count=count)
+    holder = holder_norm_estimate(dec, smap.components[1], SamplerConfig(seed, count, holder_radius))
+    per_radius = {r: {i: v.hex() for i, v in layers.items()} for r, layers in report.per_radius.items()}
+    return _hexes(bilip), per_radius, holder.hex()
+
+
+# (seed, radius, holder radius, stalled counters): seed 42 at desk scale; seed 7
+# with 65 of 300 pairs closer than 1e-9 and 25 of 300 quotient pairs closer than
+# 1e-12; and seed 42 with the sixth ambient point's coordinates drawn as 0.0, so
+# that point is drawn again, as are five quotient draws in a row
+ESTIMATE_CASES = [(42, 10.0, 10.0, ()), (7, 2e-9, 1e-11, ()), (42, 10.0, 10.0, range(36, 42))]
+
+
+@pytest.mark.parametrize("seed, radius, holder_radius, stall", ESTIMATE_CASES)
+def test_the_estimates_do_not_depend_on_the_block_size(dec_l5, monkeypatch, seed, radius, holder_radius, stall):
+    count = 300
+    monkeypatch.setattr(nilcarnot.shear, "CounterRng", lambda s: Stalling(s, stall))
+    got = {}
+    for block in (1, 7, 64, 256, count):
+        monkeypatch.setattr(nilcarnot.shear, "PAIR_BLOCK", block)
+        got[block] = _estimate_hexes(dec_l5, seed, radius, holder_radius, count)
+    assert all(v == got[count] for v in got.values())
 
 
 def test_necessity_check_values_are_pinned(dec_l5):
