@@ -61,6 +61,7 @@ from .shear import (
     bilip_estimate,
     build_shear,
     component_from_exprs,
+    lift_coherence,
     necessity_check,
 )
 
@@ -293,14 +294,10 @@ def cmd_shear(args) -> int:
         k_tol = 1e-12 * max(1.0, args.radius**3)
         report.check("k_identity", worst <= k_tol, value=worst, tolerance=k_tol)
 
-        # lift coherence: the tower again, lifted with membership waived (second-path checks)
+        # lift coherence: the probe values of each lifted layer against a second path
         if dec.alpha_is_integer:
-            reference = build_shear(dec, components, waive_membership=True)
-            coherence = 0.0
-            for j in sorted(components):
-                for layer in dec.lift_tower[j]:
-                    coherence = max(coherence, max_gap(probe_values[layer], reference.components[layer].eval(probes)))
-            report.check("lift_coherence", coherence <= 1e-9, value=coherence, tolerance=1e-9)
+            coherence, tol = lift_coherence(smap, probe_points, probe_values)
+            report.check("lift_coherence", coherence <= tol, value=coherence, tolerance=tol)
     return report.finish()
 
 
@@ -361,7 +358,7 @@ def cmd_maps(args) -> int:
                 "fixed_point",
                 {"iterations": fp.iterations, "final_change": fp.final_change, "factor": fp.contraction_factor},
             )
-            f0 = build_shear(dec, {args.solve_layer: c}, waive_membership=True)
+            f0 = build_shear(dec, {args.solve_layer: c})
         elif args.component:
             f0 = build_shear(dec, _parse_components(dec, args.component))
             conjugating_layer(dec, f0)
@@ -450,7 +447,7 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         # numeric failures: overflow, division by zero, and the library's
-        # zigzag, lift-path, contraction, extrapolation and quadrature errors
+        # zigzag, contraction, extrapolation and quadrature errors
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -248,9 +248,12 @@ def dilation_matrix(alg: GradedAlgebra, r) -> LinearMap:
 
 
 def invert_matrix(m: LinearMap) -> LinearMap:
+    """The exact inverse of ``m``: the right half of the RREF of [m | I].
+    Raises ``ValueError`` when ``m`` is singular."""
     n = len(m.matrix)
-    cols = [tuple(m.matrix[i][j] for i in range(n)) for j in range(n)]
-    unit = lambda i: tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
-    inv_cols = [linalg.solve_exact(cols, unit(i)) for i in range(n)]
-    return LinearMap(tuple(tuple(row) for row in zip(*inv_cols)))
+    aug = tuple(tuple(map(Fraction, row)) + unit for row, unit in zip(m.matrix, linalg.identity_matrix(n)))
+    rows, pivots = linalg.rref(aug)
+    if pivots != tuple(range(n)):
+        raise ValueError("the matrix is singular")
+    return LinearMap(tuple(row[n:] for row in rows))
 

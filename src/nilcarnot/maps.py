@@ -675,7 +675,7 @@ def cocycle_action(dec: CbCDecomposition, pair: CompatibleExpression, component:
         val = dec.w_apply(pair.a_inverse, inner(pair.quot_apply(with_origin)))
         return tuple(v[1:] - v[0] for v in (np.broadcast_to(v, (n + 1,)) for v in val))
 
-    return ShearComponent(component.layer, evaluate, None, component.holder_hint)
+    return ShearComponent(component.layer, evaluate)
 
 
 def _below_exponent_chain(dec: CbCDecomposition, fmap: FiberMap) -> FiberMap:

@@ -27,11 +27,12 @@ the sampler gives the stream of one-point draws, pairs are skipped one by
 one and the sup and inf do not depend on the order.  An estimator asked
 for fewer than one pair, or that skipped every pair, raises
 ``ValueError``.  The loop test flags a loop integral above ``1e-8``
-times the loop length (scaled by the component's Holder hint), and
-integrates all segments of all its loops at once, each loop to a tenth
-of that threshold, not to ``DEFAULT_TOL``.  A loop integral that is not
-finite fails the test.  All estimators draw from the counter-based generator in
-:mod:`nilcarnot.rng` and are deterministic per seed.
+times the loop length, and integrates all segments of all its loops at
+once, each loop to a tenth of that threshold, not to ``DEFAULT_TOL``.  A
+loop integral that is not finite fails the test.  All estimators draw
+from the counter-based generator in :mod:`nilcarnot.rng` and are
+deterministic per seed.  ``lift_coherence`` checks a lift against the
+integral along a second path.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ class MembershipError(ValueError):
     """A component failed the closed-loop integral test."""
 
 
-class PathDependenceError(ArithmeticError):
-    """Two independent horizontal paths gave different lift values."""
-
-
 @dataclass(frozen=True, eq=False)
 class ShearComponent:
     """A map from quotient coordinates into the center layer Z_j.
@@ -82,27 +79,20 @@ class ShearComponent:
     they are.  ``trees`` optionally holds one expression tree per RREF
     basis row of Z_j, read for symbolic derivatives and for the kinks at
     which ``carnot.integrate_bracket_segments`` splits and grades a
-    segment, and ``holder_hint`` an a-priori bound for the
-    j/alpha-Holder norm.
+    segment.
     """
 
     layer: int
     eval: object
     trees: tuple | None = None
-    holder_hint: float | None = None
 
     def scaled(self, factor):
         """``factor`` times this component, on one point or columns."""
         f, inner = float(factor), self.eval
-        return ShearComponent(
-            self.layer,
-            lambda q: vscale(f, inner(q)),
-            None,
-            None if self.holder_hint is None else abs(factor) * self.holder_hint,
-        )
+        return ShearComponent(self.layer, lambda q: vscale(f, inner(q)))
 
 
-def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=None) -> ShearComponent:
+def component_from_exprs(dec: CbCDecomposition, layer: int, exprs) -> ShearComponent:
     """Build a component from scalar expressions over q1..qn.
 
     One expression per RREF basis row of Z_layer, in order; a single
@@ -133,7 +123,7 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs, holder_hint=N
                 return kernel([tree.array(q) for tree in trees], flat)
         return kernel(values, flat)
 
-    return ShearComponent(layer, evaluate, trees, holder_hint)
+    return ShearComponent(layer, evaluate, trees)
 
 
 @dataclass(frozen=True)
@@ -158,7 +148,7 @@ def loop_test_membership(
     Integrates [c, theta_H] over commutator rectangles at random
     basepoints and scales, closed up by a zigzag path back to the
     basepoint.  A loop fails when its integral exceeds
-    ``bound = 1e-8 * length * hint``; each of its segments is integrated
+    ``bound = 1e-8 * length``; each of its segments is integrated
     to ``bound / (10 * segments)``, a tenth of the bound in all, at any
     loop scale (lifts keep ``DEFAULT_TOL``).  All loops are built first,
     then every segment of every loop is integrated in lockstep by one
@@ -177,7 +167,6 @@ def loop_test_membership(
         # every horizontal loop is a backtrack: the integral vanishes for
         # any continuous component, so there is nothing to falsify
         return LoopVerdict(0, 0.0)
-    hint = max(1.0, component.holder_hint or 1.0)
     loops = []
     for _ in range(budget.count):
         base = sample_ball_point(rng, qc, budget.radius)
@@ -202,7 +191,7 @@ def loop_test_membership(
         closing = horizontal_connect(qc, rel)
         segs.extend(closing.segments)
         loops.append(HorizontalPath(qc, base, tuple(segs)))
-    bounds = [1e-8 * loop.length * hint for loop in loops]
+    bounds = [1e-8 * loop.length for loop in loops]
     values = integrate_bracket_forms(
         dec, component, [(loop, bound / (10 * loop.segment_count)) for loop, bound in zip(loops, bounds)]
     )
@@ -214,26 +203,24 @@ def loop_test_membership(
     return LoopVerdict(len(loops), worst)
 
 
-def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: bool = False) -> ShearComponent:
+def lift(dec: CbCDecomposition, component: ShearComponent) -> ShearComponent:
     """The next-layer component: integrate [c, theta_H] from 0 to p.
 
-    Membership in the loop-integral space is tested first unless
-    explicitly waived; a waiver switches on per-evaluation verification
-    with a second independent path.  ``eval`` takes one point or
-    coordinate columns, and the jobs of either go out in one call.
+    Membership in the loop-integral space is tested first.  ``eval``
+    takes one point or coordinate columns, and the jobs of either go out
+    in one call.
 
-    Over a one-dimensional quotient (membership tested) the zigzag path
-    from 0 to p = (x,) is one segment with step x and duration 1, so the
-    points go straight to one ``carnot.integrate_bracket_segments`` call,
-    one segment column per nonzero point, and a value carries the +0.0
-    that a path's sum starts from: the bits of the zigzag lift.  A point
-    at +-0.0 makes no job and reads 0.0.  Each value is one job to
-    ``DEFAULT_TOL`` however far its point lies, so a far point of an
-    oscillating component can exhaust ``quadrature.MAX_EVALS``.
+    Over a one-dimensional quotient the zigzag path from 0 to p = (x,) is
+    one segment with step x and duration 1, so the points go straight to
+    one ``carnot.integrate_bracket_segments`` call, one segment column per
+    nonzero point, and a value carries the +0.0 that a path's sum starts
+    from: the bits of the zigzag lift.  A point at +-0.0 makes no job and
+    reads 0.0.  Each value is one job to ``DEFAULT_TOL`` however far its
+    point lies, so a far point of an oscillating component can exhaust
+    ``quadrature.MAX_EVALS``.
 
     Otherwise the integral runs along the zigzag path from 0 to p, and
-    the zigzag paths plus the second paths go to one
-    ``integrate_bracket_forms`` call.
+    the zigzag paths go to one ``integrate_bracket_forms`` call.
 
     Either way, every segment that holds a root of the component's kinks
     (the ``abs``, ``sqrt`` and ``sign`` arguments of its trees that are
@@ -244,37 +231,15 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
     """
     if not dec.alpha_is_integer:
         raise ValueError("lifts require an integer exponent")
-    if not waive_membership:
-        verdict = loop_test_membership(dec, component)
-        if not verdict.passed:
-            raise MembershipError(
-                f"loop integrals do not vanish (worst |integral| / bound {verdict.worst_ratio:.3e})"
-            )
+    verdict = loop_test_membership(dec, component)
+    if not verdict.passed:
+        raise MembershipError(f"loop integrals do not vanish (worst |integral| / bound {verdict.worst_ratio:.3e})")
     target_layer = component.layer + int(dec.alpha)
     qc = dec.quotient_carnot
 
-    def second_path(key):
-        mid = dilate(qc, 0.5, key)
-        rel = bch(qc, vneg(mid), key)
-        segments = horizontal_connect(qc, mid).segments + horizontal_connect(qc, rel).segments
-        return HorizontalPath(qc, (0.0,) * qc.dim, segments)
-
-    def zigzag(keys):
-        """The zigzag lift at the points ``keys``, checked against second
-        paths when membership is waived."""
-        checked = [key for key in keys if waive_membership and any(key)]
-        paths = [horizontal_connect(qc, key) for key in keys] + [second_path(key) for key in checked]
-        results = integrate_bracket_forms(dec, component, [(path, DEFAULT_TOL) for path in paths])
-        values = dict(zip(keys, results))
-        for key, alt in zip(checked, results[len(keys) :]):
-            gap = linalg.max_gap(values[key], alt)
-            if gap > 10.0 * DEFAULT_TOL * max(1.0, max(abs(a) for a in values[key])):
-                raise PathDependenceError(f"independent paths to {key} disagree by {gap:.3e}")
-        return results[: len(keys)]
-
     def evaluate(q):
         many = linalg.scalar_mode(q, arrays="columns") == "columns"
-        if qc.dim == 1 and not waive_membership:
+        if qc.dim == 1:
             import numpy as np
 
             (x,) = q if many else as_float(q)
@@ -290,7 +255,8 @@ def lift(dec: CbCDecomposition, component: ShearComponent, waive_membership: boo
             # as a path's sum from 0.0, which reads a -0.0 integral as +0.0
             values[np.ix_(jobs, dec.pairing_targets[component.layer])] = 0.0 + results
             return tuple(values.T) if many else tuple(values[0].tolist())
-        values = zigzag(linalg.points(q) if many else [as_float(q)])
+        keys = linalg.points(q) if many else [as_float(q)]
+        values = integrate_bracket_forms(dec, component, [(horizontal_connect(qc, key), DEFAULT_TOL) for key in keys])
         return linalg.columns(values) if many else values[0]
 
     return ShearComponent(target_layer, evaluate)
@@ -317,7 +283,7 @@ class ShearMap:
         )
 
 
-def build_shear(dec: CbCDecomposition, base_components: dict, waive_membership: bool = False) -> ShearMap:
+def build_shear(dec: CbCDecomposition, base_components: dict) -> ShearMap:
     """Assemble the full shear tower from base components at layers <= alpha.
 
     The base component at j is lifted once per layer of
@@ -337,7 +303,7 @@ def build_shear(dec: CbCDecomposition, base_components: dict, waive_membership: 
     for j in sorted(base_components):
         current = components[j]
         for layer in dec.lift_tower[j]:
-            current = lift(dec, current, waive_membership=waive_membership)
+            current = lift(dec, current)
             components[layer] = current
     return ShearMap(dec, components)
 
@@ -347,6 +313,30 @@ def apply_shear(smap: ShearMap, g):
     gf = as_float(g)
     qbar = smap.dec.project(gf)
     return bch(smap.dec.base, gf, smap.s_value(qbar))
+
+
+def lift_coherence(smap: ShearMap, qs, values):
+    """``(gap, tolerance)``: the largest gap between a lifted component's
+    ``values`` (coordinate columns, by layer) at the quotient points ``qs``
+    and the integral of the layer below it along a second path, through
+    dilate(q, 1/2), to each point q; against ``10 * DEFAULT_TOL * max(1,
+    max|value|)``.  One ``integrate_bracket_forms`` call per lifted layer."""
+    import numpy as np
+
+    dec = smap.dec
+    qc = dec.quotient_carnot
+    below = {tower[0]: j for j, tower in dec.lift_tower.items() if tower and {j, tower[0]} <= smap.components.keys()}
+    paths = []
+    for q in qs:
+        mid = dilate(qc, 0.5, q)
+        segments = horizontal_connect(qc, mid).segments + horizontal_connect(qc, bch(qc, vneg(mid), q)).segments
+        paths.append((HorizontalPath(qc, (0.0,) * qc.dim, segments), DEFAULT_TOL))
+    gap, scale = 0.0, 1.0
+    for layer, j in sorted(below.items()):
+        second = integrate_bracket_forms(dec, smap.components[j], paths)
+        gap = max(gap, linalg.max_gap(values[layer], linalg.columns(second)))
+        scale = max(scale, float(np.max(np.abs(np.broadcast_arrays(*values[layer])))))
+    return gap, 10.0 * DEFAULT_TOL * scale
 
 
 def k_function(dec: CbCDecomposition, smap: ShearMap, g1, g2):

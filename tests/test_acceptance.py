@@ -11,7 +11,6 @@ the seeded deterministic sampler and are frozen:
 
 from __future__ import annotations
 
-import math
 import time
 from fractions import Fraction
 
@@ -80,7 +79,7 @@ def dech():
 @pytest.fixture(scope="module")
 def sigma_shear(dec5):
     return build_shear(
-        dec5, {1: component_from_exprs(dec5, 1, SIGMA, holder_hint=math.sqrt(2.0))}
+        dec5, {1: component_from_exprs(dec5, 1, SIGMA)}
     )
 
 
@@ -177,7 +176,7 @@ def test_criterion_4_zigzag_paths():
 def test_criterion_5_shear_lift(dec5):
     smap = build_shear(
         dec5,
-        {1: component_from_exprs(dec5, 1, SIGMA, holder_hint=math.sqrt(2.0))},
+        {1: component_from_exprs(dec5, 1, SIGMA)},
     )
     ok = sorted(smap.components) == [1, 3]
     worst = 0.0
@@ -187,7 +186,7 @@ def test_criterion_5_shear_lift(dec5):
     ok &= worst <= 1e-8
     # the next lift (layer 5) vanishes identically: Z_5 = 0 and [Z_3, n] = 0
     ok &= 5 not in smap.components
-    s5 = lift(dec5, smap.components[3], waive_membership=True)
+    s5 = lift(dec5, smap.components[3])
     ok &= all(
         max(abs(v) for v in s5.eval((float(p),))) == 0.0 for p in (-5.0, 1.0, 7.0)
     )
@@ -336,7 +335,7 @@ def test_criterion_9_cocycle_suite(dec5):
     ok = True
     alg = dec5.base
     a = tuple(Fraction(1) if alg.labels[i] == "h" else Fraction(0) for i in range(6))
-    sig = build_shear(dec5, {1: component_from_exprs(dec5, 1, SIGMA, holder_hint=math.sqrt(2.0))})
+    sig = build_shear(dec5, {1: component_from_exprs(dec5, 1, SIGMA)})
     lin = build_shear(dec5, {1: component_from_exprs(dec5, 1, "0.4*q1")})
     pairs = [
         (fiber_dilation(alg, 2), fiber_dilation(alg, Fraction(1, 2))),
@@ -349,7 +348,7 @@ def test_criterion_9_cocycle_suite(dec5):
         ok &= cocycle_identity_check(dec5, g1, g2) <= 1e-9
 
     # norm preservation of the action within sampler noise
-    c = component_from_exprs(dec5, 1, SIGMA, holder_hint=math.sqrt(2.0))
+    c = component_from_exprs(dec5, 1, SIGMA)
     pair = extract_compatible(dec5, fiber_dilation(alg, 2))
     sampler = SamplerConfig(seed=8, count=600, radius=6.0)
     before = holder_norm_estimate(dec5, c, sampler)
@@ -359,7 +358,7 @@ def test_criterion_9_cocycle_suite(dec5):
     gamma = extract_compatible(dec5, compose(fiber_dilation(alg, Fraction(1, 2)), fiber_shear(lin)))
     fp, report = solve_single_generator_fixed_point(gamma, 1)
     ok &= report.final_change <= 1e-12
-    f0 = build_shear(dec5, {1: fp}, waive_membership=True)
+    f0 = build_shear(dec5, {1: fp})
     _, conj_report = conjugate_by_shear(f0, gamma)
     ok &= conj_report.sup_new_component <= 1e-9
 

@@ -194,7 +194,7 @@ def test_integrate_bracket_form_backtracking_loop(dec_l5):
 def test_integrate_bracket_form_rejects_layer_escape(dec_l5):
     # a "layer 1" component whose values sit in layer 3
     bad = component_from_exprs(dec_l5, 3, "q1")
-    hacked = type(bad)(1, bad.eval, None, None)
+    hacked = type(bad)(1, bad.eval)
     path = horizontal_connect(dec_l5.quotient_carnot, (1.0,))
     with pytest.raises(ValueError):
         integrate_bracket_form(dec_l5, hacked, path)

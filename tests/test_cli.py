@@ -122,6 +122,21 @@ def test_shear_verify_passes(capsys):
     assert "metric_note" in report
 
 
+@pytest.mark.parametrize("factor, code, status", [(1.0, 0, "pass"), (1 + 1e-6, 1, "fail")])
+def test_lift_coherence_fails_on_a_lift_off_by_a_factor(capsys, monkeypatch, factor, code, status):
+    # every lift of the tower scaled by factor: its probe values leave the second path
+    import nilcarnot.shear
+
+    tested = nilcarnot.shear.lift
+    monkeypatch.setattr(nilcarnot.shear, "lift", lambda dec, c: tested(dec, c).scaled(factor))
+    got, report = run_cli(
+        capsys, "shear", "--fixture", "ladder5", "--component", "1=sign(q1)*sqrt(abs(q1))", "--verify",
+        "--samples", "30", "--seed", "42",
+    )
+    coherence = next(c for c in report["checks"] if c["name"] == "lift_coherence")
+    assert got == code and coherence["status"] == status
+
+
 # float.hex of (sup_ratio, inf_ratio) of the benchmark's ladder5 estimate
 # (shear_verify_ladder5: radius 10, 1000 samples), per seed
 BENCHMARK_SIZE_BILIP = {
@@ -144,7 +159,7 @@ def test_shear_verify_integrates_the_lifts_once_per_column_call(capsys, monkeypa
     # the probes, the K-identity and the estimators evaluate the lifts on coordinate columns
     import nilcarnot.shear
 
-    # the tested lifts send segment columns, the waived coherence lifts paths
+    # the lifts send segment columns, the coherence check its second paths
     calls = []
     for name in ("integrate_bracket_segments", "integrate_bracket_forms"):
         many = getattr(nilcarnot.shear, name)
@@ -527,6 +542,27 @@ def test_maps_conjugate_with_solved_fixed_point(capsys):
     names = {c["name"]: c for c in report["checks"]}
     assert names["component_eliminated"]["status"] == "pass"
     assert report["fixed_point"]["iterations"] > 10
+
+
+@pytest.mark.parametrize("factor, code, status", [(1.0, 0, "pass"), (1.01, 1, "fail")])
+def test_component_eliminated_fails_on_a_scaled_solution(capsys, monkeypatch, factor, code, status):
+    # the solved component scaled by factor no longer removes s_1
+    import nilcarnot.cli
+
+    solve = nilcarnot.cli.solve_single_generator_fixed_point
+
+    def scaled(gamma, layer):
+        c, report = solve(gamma, layer)
+        return c.scaled(factor), report
+
+    monkeypatch.setattr(nilcarnot.cli, "solve_single_generator_fixed_point", scaled)
+    got, report = run_cli(
+        capsys, "maps", "conjugate", "--fixture", "ladder5", "--map", "dilate:1/2",
+        "--map", "shear:1=0.4*q1", "--solve-layer", "1",
+    )
+    names = {c["name"]: c for c in report["checks"]}
+    assert got == code and names["component_eliminated"]["status"] == status
+    assert names["conjugation_identity"]["status"] == "pass"
 
 
 def test_maps_conjugate_solves_where_a_power_past_the_stop_overflows(capsys):

@@ -14,11 +14,12 @@ from nilcarnot.group import (
     conjugate_adjoint,
     dilate,
     dynkin_words,
+    invert_matrix,
     is_graded_automorphism,
     quasi_dist,
     quasi_norm,
 )
-from nilcarnot.linalg import vadd, vneg, vscale, zero_vector
+from nilcarnot.linalg import identity_matrix, mat_mul, solve_exact, vadd, vneg, vscale, zero_vector
 from nilcarnot.rng import CounterRng, sample_coords
 
 rationals = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4)
@@ -277,3 +278,32 @@ def test_fresh_equal_algebra_pays_no_equality_checks(monkeypatch):
     assert bch(fresh, x, y) == bch(warm, x, y)
     assert quasi_norm(fresh, x) == quasi_norm(warm, x)
     assert calls == []
+
+
+def _per_column_inverse(m):
+    """The inverse solved one column at a time: one exact system per unit vector."""
+    n = len(m)
+    cols = list(zip(*m))
+    return tuple(zip(*(solve_exact(cols, unit) for unit in identity_matrix(n))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(rationals, min_size=25, max_size=25))
+@example([Fraction(int(i == j)) for i in range(5) for j in range(5)])
+def test_invert_matrix_gives_the_per_column_fractions(entries):
+    m = tuple(tuple(entries[5 * i : 5 * i + 5]) for i in range(5))
+    try:
+        want = _per_column_inverse(m)
+    except ValueError:  # singular: some unit vector is outside the column span
+        with pytest.raises(ValueError, match="singular"):
+            invert_matrix(LinearMap(m))
+        return
+    got = invert_matrix(LinearMap(m)).matrix
+    assert got == want and all(isinstance(a, Fraction) for row in got for a in row)
+    assert mat_mul(m, got) == identity_matrix(5)
+
+
+def test_invert_matrix_rejects_a_singular_matrix():
+    singular = ((1, 2, 0), (2, 4, 0), (0, 0, 3))
+    with pytest.raises(ValueError, match="the matrix is singular"):
+        invert_matrix(LinearMap(singular))

@@ -511,7 +511,7 @@ def test_conjugation_eliminates_component_at_fixed_point(dec_l5):
     )
     gamma = extract_compatible(dec_l5, gamma)
     c, _ = solve_single_generator_fixed_point(gamma, 1)
-    f0 = build_shear(dec_l5, {1: c}, waive_membership=True)
+    f0 = build_shear(dec_l5, {1: c})
     _, report = conjugate_by_shear(f0, gamma)
     assert report.sup_new_component <= 1e-9
     assert report.identity_defect <= 1e-9
@@ -738,7 +738,7 @@ def test_conjugated_component_on_columns_gives_the_one_point_bits(dec_l5):
     scalar = dataclasses.replace(c, eval=one_point_solved(dec_l5, extract_compatible(dec_l5, gamma), report.iterations))
 
     def new_component(component):
-        f0 = build_shear(dec_l5, {1: component}, waive_membership=True)
+        f0 = build_shear(dec_l5, {1: component})
         return cocycle_of(dec_l5, compose(fiber_shear(f0.negated()), gamma, fiber_shear(f0)))[1]
 
     points = grid_points(dec_l5, count=60, seed=9, radius=4.0)  # conjugate_by_shear's grid

@@ -18,7 +18,6 @@ from nilcarnot.rng import CounterRng, SamplerConfig, sample_ball_point
 from nilcarnot.shear import (
     PAIR_BLOCK,
     MembershipError,
-    PathDependenceError,
     ShearComponent,
     ShearMap,
     apply_shear,
@@ -28,6 +27,7 @@ from nilcarnot.shear import (
     holder_norm_estimate,
     k_function,
     lift,
+    lift_coherence,
     loop_test_membership,
     necessity_check,
 )
@@ -48,7 +48,7 @@ def max_ratio(report, radius):
 
 @pytest.fixture(scope="module")
 def sigma_component(dec_l5):
-    return component_from_exprs(dec_l5, 1, SIGMA, holder_hint=math.sqrt(2.0))
+    return component_from_exprs(dec_l5, 1, SIGMA)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ def test_lift_of_zero_is_zero(dec_l5):
 
 def test_lift_vanishes_when_center_is_central(dec_hp4):
     comp = component_from_exprs(dec_hp4, 2, "q1")
-    lifted = lift(dec_hp4, comp, waive_membership=True)
+    lifted = lift(dec_hp4, comp)
     assert all(abs(v) < 1e-15 for v in lifted.eval((2.0,)))
 
 
@@ -125,13 +125,6 @@ def test_loop_verdict_holds_across_scales(dec_multid, radius):
     member = component_from_exprs(dec_multid, 1, SIGMA)
     assert loop_test_membership(dec_multid, member, budget).passed
     assert not loop_test_membership(dec_multid, component_from_exprs(dec_multid, 1, "q1*q2"), budget).passed
-
-
-def test_waived_lift_checks_a_second_path(dec_multid):
-    """With membership waived, a lift whose value depends on the path raises."""
-    bad = lift(dec_multid, component_from_exprs(dec_multid, 1, "q4"), waive_membership=True)
-    with pytest.raises(PathDependenceError, match="independent paths to .* disagree by"):
-        bad.eval((0.7, -0.4, 1.1, 0.3, -0.9))
 
 
 def test_loop_verdict_states_the_worst_ratio(dec_multid, monkeypatch):
@@ -205,9 +198,11 @@ def test_loop_test_derives_its_tolerance_and_lifts_keep_the_default(dec_multid, 
     # a segment split at q1 = 0 gives each of its pieces its tolerance over the pieces
     want = _piece_tols(dec_multid, loops)
     assert segments == want and len(want) > sum(path.segment_count for path, _ in loops)
+    # building the lift runs the loop test again: its loops are cleared before the lift is evaluated
+    lifted = lift(dec_multid, sigma)
     segments.clear()
     loops.clear()
-    lift(dec_multid, sigma, waive_membership=True).eval((0.7, -0.4, 1.1, 0.3, -0.9))
+    lifted.eval((0.7, -0.4, 1.1, 0.3, -0.9))
     assert loops and {tol for _, tol in loops} == {DEFAULT_TOL}
     assert segments == _piece_tols(dec_multid, loops) and set(segments) == {DEFAULT_TOL}
     # the pairing lands in the one-dimensional layer Z_3
@@ -307,9 +302,9 @@ def test_build_shear_runs_the_exact_pairing_test_once(monkeypatch):
     monkeypatch.setattr(
         nilcarnot.carnot, "bracket", lambda *args: calls.append(args) or exact_bracket(*args)
     )
-    first = build_shear(dec, {1: component}, waive_membership=True)
+    first = build_shear(dec, {1: component})
     tested = len(calls)
-    second = build_shear(dec, {1: component}, waive_membership=True)
+    second = build_shear(dec, {1: component})
     assert tested > 0 and len(calls) == tested
     assert sorted(first.components) == sorted(second.components) == [1, 3]
 
@@ -392,19 +387,20 @@ def test_k_identity(dec_l5, ladder_shear):
         )
 
 
-def test_lift_coherence(dec_l5, sigma_component, ladder_shear):
-    fresh = lift(dec_l5, sigma_component, waive_membership=True)
-    for p in (-5.0, -1.0, 0.5, 3.0):
-        got = ladder_shear.components[3].eval((p,))
-        ref = fresh.eval((p,))
-        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-9
+def test_lift_coherence(dec_l5, ladder_shear):
+    qs = [(-5.0,), (-1.0,), (0.5,), (3.0,)]
+    values = {j: c.eval(columns(qs)) for j, c in ladder_shear.components.items()}
+    gap, tol = lift_coherence(ladder_shear, qs, values)
+    # the largest |value| is (2/3) 5^(3/2) at q1 = -5
+    assert 0.0 < gap <= tol == 10 * DEFAULT_TOL * -values[3][5][0]
 
 
-def test_the_waived_lift_grades_its_paths_from_the_holder_point(dec_l5, sigma_component, monkeypatch):
-    """The lift-coherence tower of ``shear --verify`` at the four probe
-    points of ladder5: each zigzag path is one segment from q1 = 0, sigma's
-    kink, so it is graded toward its start.  Unsplit and ungraded, these
-    segments took 3,428 integrand nodes in 138 rounds; graded, 276 in 17."""
+def test_the_coherence_paths_are_graded_from_the_holder_point(dec_l5, ladder_shear, monkeypatch):
+    """The lift-coherence check of ``shear --verify`` at the four probe
+    points of ladder5: each second path starts with a segment from q1 = 0,
+    sigma's kink, so that segment is graded toward its start.  Unsplit and
+    ungraded, these paths take 1,628 integrand nodes in 106 rounds; graded,
+    256 in 17."""
     import nilcarnot.carnot
 
     batch, counts = nilcarnot.carnot.integrate_batch, {"nodes": 0, "rounds": 0}
@@ -417,12 +413,12 @@ def test_the_waived_lift_grades_its_paths_from_the_holder_point(dec_l5, sigma_co
 
         return batch(counted, jobs)
 
+    qs = [(0.5,), (1.0,), (1.5,), (2.0,)]
+    values = {j: c.eval(columns(qs)) for j, c in ladder_shear.components.items()}
     monkeypatch.setattr(nilcarnot.carnot, "integrate_batch", counted_batch)
-    probes = columns([(0.5,), (1.0,), (1.5,), (2.0,)])
-    values = lift(dec_l5, sigma_component, waive_membership=True).eval(probes)
+    gap, tol = lift_coherence(ladder_shear, qs, values)
     assert 0 < counts["nodes"] <= 500 and counts["rounds"] <= 30
-    for q, value in zip((0.5, 1.0, 1.5, 2.0), values[5]):
-        assert abs(value + (2.0 / 3.0) * q**1.5) <= DEFAULT_TOL
+    assert gap <= DEFAULT_TOL < tol
 
 
 def test_necessity_zero_shear(dec_l5):
@@ -628,7 +624,7 @@ def test_multid_zigzag_values_are_pinned():
         want[2], want[5] = float.fromhex(c2), float.fromhex(c5)
         assert _hexes(apply_shear(smap, g)) == _hexes(want)
 
-    lifted = lift(dec, sigma, waive_membership=True)
+    lifted = lift(dec, sigma)
     want = [0.0] * 10
     want[5] = float.fromhex("-0x1.8fcfdb2b6c92ap-2")
     assert _hexes(lifted.eval((0.7, -0.4, 1.1, 0.3, -0.9))) == _hexes(want)
@@ -679,14 +675,13 @@ def test_batched_1d_chain_gives_the_one_point_bits(dec_l5):
     assert len(calls) == 1 and scalar_mode(calls[0], arrays="columns") == "columns"
 
 
-@pytest.mark.parametrize("waive", [False, True])
-def test_batched_multid_lift_gives_the_one_point_bits(dec_multid, waive):
+def test_batched_multid_lift_gives_the_one_point_bits(dec_multid):
     qc = dec_multid.quotient_carnot
     rng = CounterRng(3)
     points = [sample_ball_point(rng, qc, 4.0) for _ in range(20)]
     sigma = component_from_exprs(dec_multid, 1, SIGMA)
-    one = lift(dec_multid, sigma, waive_membership=waive)
-    many = lift(dec_multid, sigma, waive_membership=waive)
+    one = lift(dec_multid, sigma)
+    many = lift(dec_multid, sigma)
     want = [_hexes(one.eval(q)) for q in points]
     assert _column_hexes(many.eval(columns(points + points[:3])), 23) == want + want[:3]
 
@@ -773,12 +768,14 @@ def test_necessity_check_values_are_pinned(dec_l5):
 
 
 @pytest.mark.parametrize("multid", [False, True])
-def test_a_failing_batch_leaves_the_anchor_table_as_it_was(dec_l5, dec_multid, multid):
-    # 1e300*q1*q1 overflows to inf at |q1| > 1.4e4, which fails the membership
-    # check; over ladder5 the lift sends segment columns, over ladder5 x engel4 it is waived
+def test_a_failing_batch_leaves_the_lift_as_it_was(dec_l5, dec_multid, multid):
+    # the component overflows to inf at q1 = 1e5; over ladder5 the lift sends
+    # segment columns, over ladder5 x engel4 zigzag paths, whose loop test at
+    # radius 4 sees only the q1*q1 that 1e300*q1*q1 would fail by rounding
     dec = dec_multid if multid else dec_l5
-    comp = component_from_exprs(dec, 1, "1e300*q1*q1")
-    used, fresh = (lift(dec, comp, waive_membership=multid) for _ in range(2))
+    expr = "q1*q1 + 1e300*max(q1-1e4, 0)*max(q1-1e4, 0)" if multid else "1e300*q1*q1"
+    comp = component_from_exprs(dec, 1, expr)
+    used, fresh = (lift(dec, comp) for _ in range(2))
     dim = dec.quotient_carnot.dim
     points = [tuple(x if i == 0 else 0.0 for i in range(dim)) for x in (1.5, -2.0, 3.0)]
     far = tuple(1e5 if i == 0 else 0.0 for i in range(dim))
@@ -894,13 +891,6 @@ def test_a_1d_lift_of_sin_kq_meets_its_tolerance_or_raises(dec_l5, k, q):
     except QuadratureError:
         return
     assert abs(value - (math.cos(k * q) - 1.0) / k) <= DEFAULT_TOL
-
-
-def test_a_path_dependent_batch_leaves_the_anchor_table_as_it_was(dec_multid):
-    bad = lift(dec_multid, component_from_exprs(dec_multid, 1, "q4"), waive_membership=True)
-    for _ in range(2):
-        with pytest.raises(PathDependenceError, match="independent paths to .* disagree by"):
-            bad.eval(columns([(0.0,) * 5, (0.7, -0.4, 1.1, 0.3, -0.9)]))
 
 
 def test_a_lift_on_columns_keeps_no_state_per_point(dec_l5):
