@@ -56,6 +56,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import linalg
 from .linalg import rref, reduce_against, in_span, kernel_basis
 
@@ -470,7 +472,6 @@ class Subspace:
 
     @cached_property
     def _rows_array(self):
-        import numpy as np
         return np.array(self.rows, dtype=float).reshape(self.rank, self.dim)
 
     def residual(self, x):
@@ -478,7 +479,6 @@ class Subspace:
         reduction against the rows, as one (dim, points) array.  Every row
         subtracts its pivot multiple, a zero one included, where
         ``linalg.reduce_against`` skips it: only the sign of a zero differs."""
-        import numpy as np
         resid = np.array(np.broadcast_arrays(*x), dtype=float).reshape(len(x), -1)
         for row, p in zip(self._rows_array, self.pivots):
             resid = resid - resid[p] * row[:, None]

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from . import linalg
 from .algebra import (
     GradedAlgebra,
@@ -299,8 +301,6 @@ class CbCDecomposition:
             if not self.w.contains(x):
                 raise ValueError("vector does not lie in the ideal")
             return tuple(x[p] for p in self.w.pivots)
-        import numpy as np
-
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.array(np.broadcast_arrays(*x), dtype=float).reshape(len(x), -1)
             resid = self.w.residual(vals)
@@ -355,9 +355,9 @@ class CbCDecomposition:
         return tuple(j for j in sorted(self.z_layers) if j < self.alpha)
 
     def w_layer_project(self, x, j):
+        """The float vector or coordinate columns x with 0.0 outside the layer Z_j."""
         idx = self.z_layer_indices[j]
-        zero = Fraction(0) if linalg.scalar_mode(x) == "exact" else 0.0
-        return tuple(a if i in idx else zero for i, a in enumerate(x))
+        return tuple(a if i in idx else 0.0 for i, a in enumerate(x))
 
 
 def decompose(alg: GradedAlgebra) -> CbCDecomposition:
@@ -457,8 +457,6 @@ def integrate_bracket_forms(dec: CbCDecomposition, component, jobs):
     order from 0.0.  The coordinates outside ``dec.pairing_targets[j]``
     of each result are 0.0.
     """
-    import numpy as np
-
     if not jobs:
         return []
     qc = dec.quotient_carnot
@@ -524,8 +522,6 @@ def integrate_bracket_segments(dec: CbCDecomposition, component, starts, steps, 
     duration/2, and membership in Z_j is checked on exactly those 3k nodes
     (``_check_nodes``), even when the target layer is empty.
     """
-    import numpy as np
-
     zj = dec.z_layer(component.layer)
     if zj is None:
         raise ValueError(f"no center layer at index {component.layer}")
@@ -581,8 +577,6 @@ def _pieces(forms, starts, steps, durations):
     sliver piece is made.  A segment without a root is one piece from 0
     to its duration, with neither flag set.
     """
-    import numpy as np
-
     n = len(durations)
     head = tail = np.zeros(n, dtype=bool)
     cut = np.empty(0)
@@ -619,8 +613,6 @@ def _graded(x, lo, hi, head, tail):
     of length L with a root at the start (t = lo + L x^2), the end
     (t = hi - L (1 - x)^2) or both (t = lo + L (3 x^2 - 2 x^3)); a piece
     with neither takes t = x with weight 1."""
-    import numpy as np
-
     y, size = 1.0 - x, hi - lo
     both, plain = head & tail, ~(head | tail)
     t = np.where(both, lo + size * (x * x * (3.0 - 2.0 * x)), np.where(head, lo + size * (x * x), hi - size * (y * y)))
@@ -648,8 +640,6 @@ def _check_nodes(zj, j, points, vals):
     measured on the value divided by its largest |entry| (a zero value by
     1), so that no length overflows.  Raises ``ValueError`` at the first
     failing node, naming its point."""
-    import numpy as np
-
     length = lambda a: np.sqrt((a * a).sum(axis=0))
     vals = np.array(vals)
     finite = np.isfinite(vals).all(axis=0)

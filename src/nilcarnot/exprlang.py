@@ -9,7 +9,10 @@ compiled code.
 
 Compiled: each tree is written once as straight-line Python source
 (``source``), one assignment per operation in the order a recursive walk
-would evaluate them, and the source runs with one of two namespaces:
+would evaluate them, and the source runs with one of two namespaces.  A
+shear component (``shear.component_from_exprs``) runs the numpy one on
+coordinate columns; the ``math`` one serves the derivative trees of
+``maps._component_directional`` and direct ``tree.scalar`` calls.
 
 * ``math`` (``tree.scalar(q)``, q a tuple of floats): division by zero,
   zero to a negative power, ``**`` overflow and a complex ``**`` raise
@@ -41,6 +44,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .algebra import compile_source
 
 
@@ -63,8 +68,6 @@ class _Node:
 
     @cached_property
     def array(self):
-        import numpy as np
-
         run = compile_source(self.source, "expression", _numpy_namespace())
 
         def evaluate(q):
@@ -260,8 +263,6 @@ _MATH = {
 
 def _numpy_namespace():
     """The ``math`` namespace's operations on float arrays, elementwise."""
-    import numpy as np
-
     def each(fn):
         def run(*args):
             arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))

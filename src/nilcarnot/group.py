@@ -31,6 +31,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import linalg
 from .algebra import GradedAlgebra, LinearMap, bracket
 from .linalg import as_float, length, power, vadd, vneg, vscale
@@ -126,8 +128,6 @@ def _dilation_factors(alg: GradedAlgebra, r):
     overflows raises the one-point ``OverflowError``, the first in order.
     """
     if linalg.scalar_mode((r,), arrays="columns") == "columns":
-        import numpy as np
-
         try:
             if (r <= 0).any():
                 raise ValueError

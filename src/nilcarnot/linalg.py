@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 def vadd(x, y):
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
@@ -69,7 +71,6 @@ def as_float(x):
     try:
         return tuple(map(float, x))
     except TypeError:  # numpy refuses float() of an array of points
-        import numpy as np
         return tuple(a if isinstance(a, np.ndarray) else float(a) for a in x)
 
 
@@ -87,8 +88,6 @@ def scalar_mode(*vectors, arrays="float"):
         return "float"
     if types <= {int, Fraction}:
         return "exact"
-    import numpy as np
-
     # True for a float type or an array, False for an exact one.
     kinds = {issubclass(t, (float, np.ndarray)) for t in types if issubclass(t, (float, int, Fraction, np.ndarray))}
     if len(kinds) > 1:
@@ -100,14 +99,12 @@ def scalar_mode(*vectors, arrays="float"):
 
 def columns(points):
     """Coordinate columns holding the float points ``points``, in order."""
-    import numpy as np
     return tuple(np.array(points, dtype=float).T)
 
 
 def points(cols, n=None):
     """The n points that coordinate columns hold, each a tuple of floats;
     n defaults to the length of their arrays."""
-    import numpy as np
     n = np.broadcast(*cols).size if n is None else n
     return list(zip(*(np.broadcast_to(c, (n,)).tolist() for c in cols)))
 
@@ -116,8 +113,6 @@ def max_gap(x, y):
     """The largest |a - b|, or inf when a difference is not finite (a nan
     would drop out of a plain ``max``); every numeric check's defect.  On
     coordinate columns, the largest over all their points."""
-    import numpy as np
-
     gap = 0.0
     for a, b in zip(x, y):
         d = abs(a - b)
@@ -146,7 +141,6 @@ def power(x, e):
     values = getattr(x, "tolist", None)
     if values is None:  # a float
         return math.sqrt(x) if e == 0.5 else x**e
-    import numpy as np
     return np.sqrt(x) if e == 0.5 else np.array([a**e for a in values()])
 
 
@@ -157,7 +151,6 @@ def length(v):
     that sum is inf."""
     if scalar_mode(v, arrays="columns") != "columns":
         return point_length(v)
-    import numpy as np
     cols = np.broadcast_arrays(*v)
     with np.errstate(over="ignore"):
         sq = sum((c * c for c in cols), 0.0)  # arrays: added in order, never compensated
@@ -178,7 +171,6 @@ def point_length(v):
 def pairs(cols):
     """The first and the second points of the pairs that coordinate columns
     hold in turn, as two sets of columns; a scalar entry stays shared."""
-    import numpy as np
     return tuple(tuple(c[k::2] if isinstance(c, np.ndarray) else c for c in cols) for k in (0, 1))
 
 

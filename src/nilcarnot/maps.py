@@ -444,8 +444,8 @@ def _component_directional(dec, component, at_q, direction_q):
             scalars.append(sum(p * float(j) for p, j in zip(partials, jac)))
         return dec.z_layer(component.layer).embed(scalars)
     eps = 1e-6
-    plus = component.eval(bch(qalg, at_q, vscale(eps, direction_q)))
-    minus = component.eval(bch(qalg, at_q, vscale(-eps, direction_q)))
+    ends = [bch(qalg, at_q, vscale(e, direction_q)) for e in (eps, -eps)]
+    plus, minus = linalg.points(component.eval(linalg.columns(ends)), 2)
     return tuple((a - b) / (2 * eps) for a, b in zip(plus, minus))
 
 
@@ -668,8 +668,6 @@ def cocycle_action(dec: CbCDecomposition, pair: CompatibleExpression, component:
     inner = component.eval
 
     def evaluate(q):
-        if linalg.scalar_mode(q, arrays="columns") != "columns":
-            return linalg.points(evaluate(linalg.columns([q])))[0]
         n = np.broadcast(*q).size
         with_origin = tuple(np.concatenate(([0.0], np.broadcast_to(c, (n,)))) for c in q)
         val = dec.w_apply(pair.a_inverse, inner(pair.quot_apply(with_origin)))
@@ -812,9 +810,10 @@ def solve_single_generator_fixed_point(gamma: CompatibleExpression, j: int):
     a step the loop may never reach) runs again one step at a time.
     The tables of the float twins of A^-k (``linalg.float_powers``) and
     of s(B^k 0) keep the steps the loop reached, and the returned
-    component keeps no other state: its ``eval`` takes one point or
-    coordinate columns, sends all their orbit points to s in one call,
-    and applies every power in one call of the ``LinearMap`` kernel.
+    component keeps no other state: its ``eval`` takes coordinate
+    columns, as every component's does, sends all their orbit points to s
+    in one call, and applies every power in one call of the ``LinearMap``
+    kernel.
     Every value has the bits of one point at a time.
     """
     dec = gamma.dec
@@ -916,12 +915,7 @@ def solve_single_generator_fixed_point(gamma: CompatibleExpression, j: int):
                 total = vadd(total, tuple(e[k] for e in embedded))
         return total
 
-    def evaluate(q):
-        if linalg.scalar_mode(q, arrays="columns") == "columns":
-            return sweep(q)
-        return linalg.points(sweep(linalg.columns([q])))[0]
-
-    return ShearComponent(j, evaluate), FixedPointReport(count, prev_change, factor)
+    return ShearComponent(j, sweep), FixedPointReport(count, prev_change, factor)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,7 @@ process, fed the values already computed, and run in lockstep, so that
 the nodes of every job go out in one array call per round.
 ``integrate_vector`` runs one process one node at a time on a
 tuple-valued integrand; it is the reference the batch is tested
-against.  The batch scheduler imports numpy where it runs (so do
-``carnot`` and ``exprlang``): loaded after the rest of the package, as
-``maps`` loads it, numpy leaves a process's peak RSS where it was
-without the batch code, while a module-level import here measured
-0.5 MB more on ``shear_verify_ladder5`` when that workload did not yet
-batch.
+against.
 
 The work is bounded: a call raises :class:`QuadratureError` instead of
 refining on when it would evaluate the integrand more than ``MAX_EVALS``
@@ -41,6 +36,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+
+import numpy as np
 
 DEFAULT_TOL = 1e-10
 MAX_DEPTH = 30
@@ -167,8 +164,6 @@ def integrate_batch(f, jobs):
     order.  Overflow and invalid operations in f stay silent, as they are
     on Python floats.
     """
-    import numpy as np
-
     processes, running, out = {}, {}, {}
     failure = None
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -62,8 +64,6 @@ class CounterRng:
         if count is None:
             u = self.next_u64() >> 11  # 53 bits
         else:
-            import numpy as np
-
             u = self.at(np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)) >> 11
             self.counter += count
         return lo + (hi - lo) * (u * (1.0 / (1 << 53)))
@@ -104,8 +104,6 @@ def sample_ball_point(rng: CounterRng, alg, radius, n=None):
         unit = dilate(alg, 1.0 / norm, v)
         u = 1.0 - rng.uniform()  # (0, 1]
         return dilate(alg, radius * u, unit)
-    import numpy as np
-
     radius = np.broadcast_to(radius, (n,))
     start, dim = rng.counter, alg.dim
     draws = rng.uniform(count=n * (dim + 1)).reshape(n, dim + 1)

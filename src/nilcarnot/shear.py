@@ -8,14 +8,15 @@ of the base components, or vanish when the exponent is not an integer.
 ratios and sampling estimators probe the biLipschitz property at desk
 scale.
 
-Many points travel as coordinate columns (:mod:`nilcarnot.linalg`)
-through the calls that take one point: every component's ``eval``,
-``ShearMap.s_value`` and ``apply_shear``, with the bits of one point at a
-time.  Every lift integrates each point's path to ``quadrature.DEFAULT_TOL``
-and keeps no state: its values depend only on the point.  One point and
-columns alike make one integration call: a lift over a one-dimensional
-quotient sends each nonzero point x as one segment from 0 with step x
-and duration 1 (the zigzag path to x) to one
+A component's ``eval`` takes coordinate columns (:mod:`nilcarnot.linalg`)
+and returns coordinate columns, with the bits of one point at a time.  A
+single point enters in one place: ``ShearMap.s_value`` (and so
+``apply_shear``) takes one point or columns, and sends a point to the
+components as one column.  Every lift integrates each point's path to
+``quadrature.DEFAULT_TOL`` and keeps no state: its values depend only on
+the point.  Each call makes one integration call: a lift over a
+one-dimensional quotient sends each nonzero point x as one segment from
+0 with step x and duration 1 (the zigzag path to x) to one
 ``carnot.integrate_bracket_segments`` call, and any other lift sends its
 paths to one ``carnot.integrate_bracket_forms`` call.
 The estimators take ``PAIR_BLOCK`` pairs at a time: one sampler call
@@ -39,6 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import linalg
 from .algebra import GradedAlgebra
@@ -73,13 +76,13 @@ class MembershipError(ValueError):
 class ShearComponent:
     """A map from quotient coordinates into the center layer Z_j.
 
-    ``eval`` maps a float tuple of quotient coordinates to a float tuple
-    of ambient coordinates, or coordinate columns to coordinate columns
-    with the bits of one point at a time, so callers use its values as
-    they are.  ``trees`` optionally holds one expression tree per RREF
-    basis row of Z_j, read for symbolic derivatives and for the kinks at
-    which ``carnot.integrate_bracket_segments`` splits and grades a
-    segment.
+    ``eval`` maps coordinate columns of quotient points to coordinate
+    columns of ambient points, with the bits of one point at a time, so
+    callers use its values as they are; one point goes in as one column
+    (``ShearMap.s_value``).  ``trees`` optionally holds one expression
+    tree per RREF basis row of Z_j, read for symbolic derivatives and for
+    the kinks at which ``carnot.integrate_bracket_segments`` splits and
+    grades a segment.
     """
 
     layer: int
@@ -87,7 +90,7 @@ class ShearComponent:
     trees: tuple | None = None
 
     def scaled(self, factor):
-        """``factor`` times this component, on one point or columns."""
+        """``factor`` times this component, on coordinate columns."""
         f, inner = float(factor), self.eval
         return ShearComponent(self.layer, lambda q: vscale(f, inner(q)))
 
@@ -96,8 +99,8 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs) -> ShearCompo
     """Build a component from scalar expressions over q1..qn.
 
     One expression per RREF basis row of Z_layer, in order; a single
-    string is accepted when the layer is one-dimensional.  Coordinate
-    columns run the trees' numpy code.
+    string is accepted when the layer is one-dimensional.  ``eval`` runs
+    the trees' numpy code (``tree.array``) on coordinate columns.
     """
     z = dec.z_layer(layer)
     if z is None:
@@ -114,14 +117,8 @@ def component_from_exprs(dec: CbCDecomposition, layer: int, exprs) -> ShearCompo
     kernel, flat = z.embed.kernel, z.embed.flat_float
 
     def evaluate(q):
-        try:
-            values = [tree.scalar(q) for tree in trees]
-        except TypeError:  # float() refuses an array of points: coordinate columns
-            import numpy as np
-
-            with np.errstate(over="ignore", invalid="ignore"):
-                return kernel([tree.array(q) for tree in trees], flat)
-        return kernel(values, flat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return kernel([tree.array(q) for tree in trees], flat)
 
     return ShearComponent(layer, evaluate, trees)
 
@@ -207,8 +204,8 @@ def lift(dec: CbCDecomposition, component: ShearComponent) -> ShearComponent:
     """The next-layer component: integrate [c, theta_H] from 0 to p.
 
     Membership in the loop-integral space is tested first.  ``eval``
-    takes one point or coordinate columns, and the jobs of either go out
-    in one call.
+    takes coordinate columns, and the jobs of all their points go out in
+    one call.
 
     Over a one-dimensional quotient the zigzag path from 0 to p = (x,) is
     one segment with step x and duration 1, so the points go straight to
@@ -238,11 +235,8 @@ def lift(dec: CbCDecomposition, component: ShearComponent) -> ShearComponent:
     qc = dec.quotient_carnot
 
     def evaluate(q):
-        many = linalg.scalar_mode(q, arrays="columns") == "columns"
         if qc.dim == 1:
-            import numpy as np
-
-            (x,) = q if many else as_float(q)
+            (x,) = q
             x = np.array(x, dtype=float).reshape(-1)
             if not np.isfinite(x).all():
                 raise ValueError("target must be finite")
@@ -254,10 +248,9 @@ def lift(dec: CbCDecomposition, component: ShearComponent) -> ShearComponent:
             values = np.zeros((len(x), dec.base.dim))
             # as a path's sum from 0.0, which reads a -0.0 integral as +0.0
             values[np.ix_(jobs, dec.pairing_targets[component.layer])] = 0.0 + results
-            return tuple(values.T) if many else tuple(values[0].tolist())
-        keys = linalg.points(q) if many else [as_float(q)]
-        values = integrate_bracket_forms(dec, component, [(horizontal_connect(qc, key), DEFAULT_TOL) for key in keys])
-        return linalg.columns(values) if many else values[0]
+            return tuple(values.T)
+        paths = [(horizontal_connect(qc, key), DEFAULT_TOL) for key in linalg.points(q)]
+        return linalg.columns(integrate_bracket_forms(dec, component, paths))
 
     return ShearComponent(target_layer, evaluate)
 
@@ -270,12 +263,15 @@ class ShearMap:
     components: dict
 
     def s_value(self, qcoords):
-        """s at one quotient point, or at coordinate columns with one call per component."""
+        """s at one quotient point, or at coordinate columns, with one call
+        per component; a point goes to the components as one column."""
         q = as_float(qcoords)
+        one = linalg.scalar_mode(q, arrays="columns") != "columns"
+        cols = linalg.columns([q]) if one else q
         out = (0.0,) * self.dec.base.dim
         for comp in self.components.values():
-            out = vadd(out, comp.eval(q))
-        return out
+            out = vadd(out, comp.eval(cols))
+        return linalg.points(out)[0] if one else out
 
     def negated(self) -> "ShearMap":
         return ShearMap(
@@ -321,8 +317,6 @@ def lift_coherence(smap: ShearMap, qs, values):
     and the integral of the layer below it along a second path, through
     dilate(q, 1/2), to each point q; against ``10 * DEFAULT_TOL * max(1,
     max|value|)``.  One ``integrate_bracket_forms`` call per lifted layer."""
-    import numpy as np
-
     dec = smap.dec
     qc = dec.quotient_carnot
     below = {tower[0]: j for j, tower in dec.lift_tower.items() if tower and {j, tower[0]} <= smap.components.keys()}
@@ -375,8 +369,6 @@ def necessity_check(
     quasi-norm distance (flagged in the report).  Raises ``ValueError``
     when ``count`` is below 1 or a radius skipped every pair.
     """
-    import numpy as np
-
     qc = dec.quotient_carnot
     alpha = float(dec.alpha)
     out = {}
@@ -408,8 +400,6 @@ def holder_norm_estimate(
 
     Pairs closer than 1e-12 are skipped; a ``ValueError`` says so when
     every pair was, or when ``sampler.count`` is below 1."""
-    import numpy as np
-
     qc = dec.quotient_carnot
     rng = CounterRng(sampler.seed)
     exponent = component.layer / float(dec.alpha)
@@ -435,8 +425,6 @@ def bilip_estimate(alg: GradedAlgebra, f, sampler: SamplerConfig):
     closer than 1e-9 are skipped (and not mapped); a ``ValueError`` says
     so when every pair was, since then no ratio was measured, or when
     ``sampler.count`` is below 1."""
-    import numpy as np
-
     rng = CounterRng(sampler.seed)
     sup_ratio = 0.0
     inf_ratio = math.inf
@@ -459,8 +447,6 @@ def _pair_blocks(name, rng, alg, count, radii, skip, second=lambda x, y: y):
     and so is a block left empty.  Raises a ``ValueError`` that names the
     estimator ``name`` when ``count`` is below 1 and, after the last
     block, when every pair was left out."""
-    import numpy as np
-
     if count < 1:
         raise ValueError(f"{name} needs at least 1 sampled pair, not count={count}")
     measured = False
@@ -483,6 +469,4 @@ def _pair_blocks(name, rng, alg, count, radii, skip, second=lambda x, y: y):
 
 def _sup(ratios):
     """The largest of an array of ratios, 0.0 when it is empty, inf when one is not finite."""
-    import numpy as np
-
     return float(ratios.max(initial=0.0)) if np.all(ratios < math.inf) else math.inf

@@ -7,6 +7,7 @@ import pytest
 
 from nilcarnot.carnot import decompose
 from nilcarnot.catalog import engel4, engel_heis7, heisenberg3, heisprod4, ladder5
+from nilcarnot.linalg import columns, points
 from nilcarnot.rng import CounterRng
 
 
@@ -48,6 +49,11 @@ def dec_hp4(hp4):
 @pytest.fixture(scope="session")
 def dec_l5(l5):
     return decompose(l5)
+
+
+def at_point(component, q):
+    """A shear component's value at the float point q, from one call on q as one column."""
+    return points(component.eval(columns([q])))[0]
 
 
 def bracket_rows(table, out, x, y):

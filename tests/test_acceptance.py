@@ -180,16 +180,14 @@ def test_criterion_5_shear_lift(dec5):
     )
     ok = sorted(smap.components) == [1, 3]
     worst = 0.0
-    for p in np.linspace(-8.0, 8.0, 20):
-        got = smap.components[3].eval((float(p),))[5]
+    grid = np.linspace(-8.0, 8.0, 20)
+    for p, got in zip(grid, smap.components[3].eval((grid,))[5].tolist()):
         worst = max(worst, abs(got + (2.0 / 3.0) * abs(p) ** 1.5))
     ok &= worst <= 1e-8
     # the next lift (layer 5) vanishes identically: Z_5 = 0 and [Z_3, n] = 0
     ok &= 5 not in smap.components
     s5 = lift(dec5, smap.components[3])
-    ok &= all(
-        max(abs(v) for v in s5.eval((float(p),))) == 0.0 for p in (-5.0, 1.0, 7.0)
-    )
+    ok &= all(np.all(v == 0.0) for v in s5.eval((np.array([-5.0, 1.0, 7.0]),)))
     announce(
         5,
         f"shear lift: s3 matches -(2/3)|p|^(3/2) within {worst:.2e} (<=1e-8) on 20 grid "

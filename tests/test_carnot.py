@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import at_point
 from hypothesis import given, settings, strategies as st
 
 from nilcarnot import linalg
@@ -251,7 +252,7 @@ def test_integrate_bracket_form_checks_the_segment_midpoint(dec_l5):
     inside = component_from_exprs(dec_l5, 1, "q1")
     outside = component_from_exprs(dec_l5, 3, "1")
     # leaves Z_1 only at q1 = 1, the midpoint of the segment from 0 to 2
-    escaping = _substituted(inside, 1.0, outside.eval((1.0,)))
+    escaping = _substituted(inside, 1.0, at_point(outside, (1.0,)))
     path = HorizontalPath(dec_l5.quotient_carnot, (0.0,), (((1.0,), 2.0),))
     with pytest.raises(ValueError, match="escapes"):
         integrate_bracket_form(dec_l5, escaping, path)
@@ -274,14 +275,14 @@ def test_integrate_bracket_forms_checks_the_first_three_nodes(dec_l5):
     inside = component_from_exprs(dec_l5, 1, "q1")
     outside = component_from_exprs(dec_l5, 3, "1")
     path = HorizontalPath(dec_l5.quotient_carnot, (0.0,), (((1.0,), 2.0),))
-    escaping = _substituted(inside, 1.0, outside.eval((1.0,)))
+    escaping = _substituted(inside, 1.0, at_point(outside, (1.0,)))
     with pytest.raises(ValueError, match=r"escapes the center layer Z_1 at \(1\.0,\)"):
         integrate_bracket_forms(dec_l5, escaping, [(path, 1e-10)])
     at_end = _substituted(inside, 2.0, (math.nan,) * 6)
     with pytest.raises(ValueError, match=r"not finite at \(2\.0,\)"):
         integrate_bracket_forms(dec_l5, at_end, [(path, 1e-10)])
     # a quarter point is no checked node
-    at_quarter = _substituted(inside, 0.5, outside.eval((0.5,)))
+    at_quarter = _substituted(inside, 0.5, at_point(outside, (0.5,)))
     integrate_bracket_forms(dec_l5, at_quarter, [(path, 1e-10)])
 
 
@@ -322,7 +323,7 @@ def test_a_split_segment_checks_the_first_three_nodes_of_each_piece(dec_l5):
     import numpy as np
 
     sigma = component_from_exprs(dec_l5, 1, "sign(q1)*sqrt(abs(q1))")
-    outside = component_from_exprs(dec_l5, 3, "1").eval((0.0,))
+    outside = at_point(component_from_exprs(dec_l5, 3, "1"), (0.0,))
     segment = (np.array([[-1.0]]), np.array([[1.0]]), np.array([2.0]), np.array([1e-10]))
     for at in (-0.25, 0.25):
         inside = sigma.eval
@@ -655,17 +656,18 @@ def test_lift_tower_and_cocycle_layers():
 
 def test_w_layer_project_reads_its_table_and_keeps_the_zero_type():
     """``w_layer_project`` reads ``z_layer_indices`` and gives what
-    ``layer_project`` gives at the weight lambda1 * j, in both modes."""
+    ``layer_project`` gives at the weight lambda1 * j, with the float zero,
+    on a float point and on coordinate columns."""
     from nilcarnot.algebra import layer_project
     from nilcarnot.catalog import engel_heis7, heisprod4
 
     for alg in (ladder5(), direct_product(ladder5(), engel4(), 2), heisprod4(), engel_heis7()):
         dec = decompose(alg)
         assert sorted(dec.z_layer_indices) == sorted(dec.z_layers)
-        exact = tuple(Fraction(i + 1, 3) for i in range(alg.dim))
-        for x, zero in ((exact, Fraction(0)), (tuple(map(float, exact)), 0.0)):
-            for j in dec.z_layers:
-                got = dec.w_layer_project(x, j)
-                assert got == layer_project(alg, x, dec.lambda1 * j)
-                assert [type(a) for a in got] == [type(zero)] * alg.dim
-                assert {i for i, a in enumerate(got) if a} == set(dec.z_layer_indices[j])
+        x = tuple((i + 1) / 3 for i in range(alg.dim))
+        for j in dec.z_layers:
+            got = dec.w_layer_project(x, j)
+            assert got == layer_project(alg, x, dec.lambda1 * j)
+            assert [type(a) for a in got] == [float] * alg.dim
+            assert {i for i, a in enumerate(got) if a} == set(dec.z_layer_indices[j])
+            assert linalg.points(dec.w_layer_project(linalg.columns([x, x]), j)) == [got, got]

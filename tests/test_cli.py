@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from test_golden_cli import CASES
 
 from nilcarnot.catalog import direct_product, engel4, ladder5, save_algebra
 from nilcarnot.cli import main
@@ -563,6 +564,34 @@ def test_component_eliminated_fails_on_a_scaled_solution(capsys, monkeypatch, fa
     names = {c["name"]: c for c in report["checks"]}
     assert got == code and names["component_eliminated"]["status"] == status
     assert names["conjugation_identity"]["status"] == "pass"
+
+
+def test_k_identity_fails_on_a_k_off_by_1e_6(capsys, monkeypatch):
+    # every entry of the directly formed K moved by 1e-6, on the golden command
+    import nilcarnot.cli
+
+    k_from_s = nilcarnot.cli._k_from_s
+    monkeypatch.setattr(nilcarnot.cli, "_k_from_s", lambda *a: tuple(x + 1e-6 for x in k_from_s(*a)))
+    got, report = run_cli(capsys, *CASES["shear_ladder5_verify"], "--seed", "42")
+    names = {c["name"]: c for c in report["checks"]}
+    assert got == 1 and names["k_identity"]["status"] == "fail"
+    assert names["k_identity"]["value"] == pytest.approx(1e-6, rel=1e-3)
+    assert names["lift_coherence"]["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "golden, name, defect",
+    [("maps_cocycle_ladder5", "cocycle_identity", 0.0184), ("maps_conjugate_ladder5", "conjugation_identity", 0.0074)],
+)
+def test_the_cocycle_checks_fail_on_an_action_off_by_1_percent(capsys, monkeypatch, golden, name, defect):
+    # pi_Psi c scaled by 1.01 on the golden command: the transported side of the identity moves
+    import nilcarnot.maps
+
+    action = nilcarnot.maps.cocycle_action
+    monkeypatch.setattr(nilcarnot.maps, "cocycle_action", lambda *a: action(*a).scaled(1.01))
+    got, report = run_cli(capsys, *CASES[golden], "--seed", "42")
+    check = next(c for c in report["checks"] if c["name"] == name)
+    assert got == 1 and check["status"] == "fail" and check["value"] == pytest.approx(defect, rel=0.01)
 
 
 def test_maps_conjugate_solves_where_a_power_past_the_stop_overflows(capsys):

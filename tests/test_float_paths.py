@@ -43,7 +43,7 @@ from nilcarnot.maps import (
 from nilcarnot.rng import CounterRng, sample_ball_point
 from nilcarnot.shear import apply_shear, build_shear, component_from_exprs
 
-from conftest import Stalling, bracket_rows, loop_bracket_exact
+from conftest import Stalling, at_point, bracket_rows, loop_bracket_exact
 
 ALGEBRAS = {name: fixture(name) for name in fixture_names()}
 ALGEBRAS["ladder5_x_engel4"] = direct_product(ladder5(), engel4(), 2)
@@ -275,7 +275,7 @@ def test_solved_fixed_point_reads_float_tables(fraction_to_float_calls):
     )
     c, _ = solve_single_generator_fixed_point(extract_compatible(dec, gamma), 1)
     fraction_to_float_calls.clear()
-    assert c.eval((1.7,))[2] == pytest.approx(0.4 * 1.7, abs=1e-9)
+    assert at_point(c, (1.7,))[2] == pytest.approx(0.4 * 1.7, abs=1e-9)
     assert fraction_to_float_calls == []
 
 
@@ -315,7 +315,7 @@ def test_expression_component_values_are_pinned(name, first, second):
     for q, value in (((-1.5,) + (0.25,) * rest, first), ((0.7,) + (-2.0,) * rest, second)):
         want = ["0x0.0p+0"] * dec.base.dim
         want[2] = value
-        assert [a.hex() for a in comp.eval(q)] == want
+        assert [a.hex() for a in at_point(comp, q)] == want
 
 
 def point_hexes(pts):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import at_point
 
 import nilcarnot.linalg
 import nilcarnot.maps
@@ -334,7 +335,7 @@ def test_cocycle_action_identity_pair(dec_l5):
     c = component_from_exprs(dec_l5, 1, "sin(q1)")
     out = cocycle_action(dec_l5, pair, c)
     for q in grid_points(dec_l5, count=10, seed=3, radius=3.0):
-        assert max(abs(a - b) for a, b in zip(out.eval(q), c.eval(q))) <= 1e-12
+        assert max(abs(a - b) for a, b in zip(at_point(out, q), at_point(c, q))) <= 1e-12
 
 
 def test_cocycle_action_rejects_mismatched_ratios(dec_l5):
@@ -354,7 +355,7 @@ def test_cocycle_action_translation(dec_l5):
     out = cocycle_action(dec_l5, pair, c)
     for p in (-1.0, 0.5, 2.0):
         want = math.sin(2.0 + p) - math.sin(2.0)
-        assert out.eval((p,))[2] == pytest.approx(want, abs=1e-12)
+        assert at_point(out, (p,))[2] == pytest.approx(want, abs=1e-12)
 
 
 def test_cocycle_action_dilation_weight_arithmetic(dec_l5):
@@ -363,7 +364,7 @@ def test_cocycle_action_dilation_weight_arithmetic(dec_l5):
     c = component_from_exprs(dec_l5, 1, "sin(q1)")
     out = cocycle_action(dec_l5, pair, c)
     for p in (-1.0, 0.5, 2.0):
-        assert out.eval((p,))[2] == pytest.approx(0.5 * math.sin(4.0 * p), abs=1e-12)
+        assert at_point(out, (p,))[2] == pytest.approx(0.5 * math.sin(4.0 * p), abs=1e-12)
 
 
 def test_cocycle_action_preserves_holder_norm(dec_l5):
@@ -381,7 +382,7 @@ def test_cocycle_action_preserves_holder_norm(dec_l5):
 def test_cocycle_of_identity_and_inverse(dec_l5, ladder_sigma_shear):
     ident = FiberMap(dec_l5.base, ())
     assert all(
-        max(abs(a) for a in comp.eval((1.5,))) <= 1e-12
+        max(abs(a) for a in at_point(comp, (1.5,))) <= 1e-12
         for comp in cocycle_of(dec_l5, ident).values()
     )
     gamma = compose(fiber_dilation(dec_l5.base, 2), fiber_shear(ladder_sigma_shear))
@@ -394,8 +395,8 @@ def test_cocycle_of_identity_and_inverse(dec_l5, ladder_sigma_shear):
     b_inv = cocycle_of(dec_l5, gamma_inv)[1]
     moved = cocycle_action(dec_l5, pair_inv, b)
     for q in grid_points(dec_l5, count=20, seed=6, radius=3.0):
-        lhs = as_float(b_inv.eval(q))
-        rhs = tuple(-a for a in as_float(moved.eval(q)))
+        lhs = at_point(b_inv, q)
+        rhs = tuple(-a for a in at_point(moved, q))
         assert max(abs(a - b_) for a, b_ in zip(lhs, rhs)) <= 1e-10
 
 
@@ -422,7 +423,7 @@ def test_pair_composition_opposite_law(dec_l5):
     # opposite-group law: the composed pair acts as pi_1 after pi_2
     rhs = cocycle_action(dec_l5, p1, cocycle_action(dec_l5, p2, c))
     for q in grid_points(dec_l5, count=15, seed=4, radius=3.0):
-        assert max(abs(x - y) for x, y in zip(lhs.eval(q), rhs.eval(q))) <= 1e-12
+        assert max(abs(x - y) for x, y in zip(at_point(lhs, q), at_point(rhs, q))) <= 1e-12
 
 
 def test_conjugate_by_commuting_shear(dec_l5):
@@ -435,7 +436,7 @@ def test_conjugate_by_commuting_shear(dec_l5):
     assert report.identity_defect <= 1e-9
     s_new = cocycle_of(dec_l5, conj)[1]
     for p in (-2.0, 1.0):
-        assert s_new.eval((p,))[2] == pytest.approx(0.3 * p, abs=1e-9)
+        assert at_point(s_new, (p,))[2] == pytest.approx(0.3 * p, abs=1e-9)
 
 
 def test_fixed_point_solver_geometric_sum(dec_l5):
@@ -447,7 +448,7 @@ def test_fixed_point_solver_geometric_sum(dec_l5):
     assert report.contraction_factor == pytest.approx(0.5, abs=1e-6)
     # b_1(gamma)(t) = 0.2 t, so the geometric series sums to 0.4 t
     for t in (-3.0, -1.0, 0.5, 2.0):
-        assert c.eval((t,))[2] == pytest.approx(0.4 * t, abs=1e-9)
+        assert at_point(c, (t,))[2] == pytest.approx(0.4 * t, abs=1e-9)
 
 
 def test_fixed_point_evaluation_builds_no_matrix_power(dec_l5, monkeypatch):
@@ -463,7 +464,7 @@ def test_fixed_point_evaluation_builds_no_matrix_power(dec_l5, monkeypatch):
         monkeypatch.setattr(
             nilcarnot.linalg, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
         )
-    assert c.eval((1.7,))[2] == pytest.approx(0.4 * 1.7, abs=1e-9)
+    assert at_point(c, (1.7,))[2] == pytest.approx(0.4 * 1.7, abs=1e-9)
     assert calls == []
 
 
@@ -494,7 +495,7 @@ def test_fixed_point_solver_zero_map(dec_l5):
     c, report = solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
     assert report.iterations <= 1
     assert report.final_change == 0.0
-    assert all(v == 0.0 for v in c.eval((1.0,)))
+    assert all(v == 0.0 for v in at_point(c, (1.0,)))
 
 
 def test_fixed_point_solver_rejects_non_contraction(dec_l5):
@@ -578,7 +579,7 @@ def test_expressions_are_freed_without_the_cyclic_collector(dec_l5, ladder_sigma
         pair.a_inverse
         read = [extract_compatible(dec_l5, g) for g in (fiber_dilation(dec_l5.base, 2), gamma)]
         for r in read:
-            r.cocycle[1].eval((0.5,))
+            at_point(r.cocycle[1], (0.5,))
         refs = [weakref.ref(e) for e in [expr, pair] + read]
         del expr, pair, read, r
         assert [ref() for ref in refs] == [None] * 4
@@ -595,7 +596,6 @@ def test_solved_component_is_freed_without_the_cyclic_collector(dec_l5):
     gc.disable()
     try:
         c, _ = solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
-        c.eval((0.5,))
         c.eval(nilcarnot.linalg.columns([(0.5,), (-1.5,)]))
         ref = weakref.ref(c.eval)
         del c
@@ -669,24 +669,31 @@ def _gamma(dec):
 
 
 def one_point_solved(dec, gamma, iterations):
-    """The solved component's value at one point on one-point floats
-    throughout: sum_{k<n} A^-k [s(B^k q) - s(B^k 0)], term by term, with
-    Psi and s read off the expression gamma."""
+    """The solved component's eval, one point at a time: at each point q of
+    the coordinate columns it takes, sum_{k<n} A^-k [s(B^k q) - s(B^k 0)]
+    term by term, with the orbit of q on one-point floats, s at the orbit
+    in one call, and Psi and s read off the expression gamma."""
     pair, s = gamma, gamma.cocycle[1]
     powers = [identity_matrix(dec.w.rank)]
     while len(powers) < iterations:
         powers.append(nilcarnot.linalg.mat_mul(pair.a_inverse.matrix, powers[-1]))
     powers = [LinearMap(p) for p in powers]
 
-    def evaluate(q):
-        total, orbit_q, orbit_0 = (0.0,) * dec.base.dim, tuple(q), (0.0,) * dec.quotient_carnot.dim
-        for power in powers:
-            diff = nilcarnot.linalg.vsub(dec.w_coords(s.eval(orbit_q)), dec.w_coords(s.eval(orbit_0)))
-            total = vadd(total, dec.w.embed(power(diff)))
-            orbit_q, orbit_0 = pair.quot_apply(orbit_q), pair.quot_apply(orbit_0)
+    def orbit_coords(q):
+        orbit = [tuple(q)]
+        while len(orbit) < iterations:
+            orbit.append(pair.quot_apply(orbit[-1]))
+        return nilcarnot.linalg.points(dec.w_coords(s.eval(nilcarnot.linalg.columns(orbit))), iterations)
+
+    origin = orbit_coords((0.0,) * dec.quotient_carnot.dim)
+
+    def at(q):
+        total = (0.0,) * dec.base.dim
+        for power, at_q, at_0 in zip(powers, orbit_coords(q), origin):
+            total = vadd(total, dec.w.embed(power(nilcarnot.linalg.vsub(at_q, at_0))))
         return total
 
-    return evaluate
+    return lambda cols: nilcarnot.linalg.columns([at(q) for q in nilcarnot.linalg.points(cols)])
 
 
 def test_expression_cocycle_has_the_bits_of_cocycle_of(dec_l5):
@@ -708,7 +715,7 @@ def test_extracted_lifted_component_takes_columns(dec_l5):
 
     points = grid_points(dec_l5, count=60, seed=21, radius=6.0)
     one, many = s3(), s3()
-    want = [_hexes(one.eval(q)) for q in points]
+    want = [_hexes(at_point(one, q)) for q in points]
     assert _column_hexes(many.eval(nilcarnot.linalg.columns(points)), len(points)) == want
 
 
@@ -720,21 +727,21 @@ def test_solved_component_on_columns_gives_the_one_point_bits(dec_l5):
     fresh = grid_points(dec_l5, count=60, seed=21, radius=6.0)
     scalar = one_point_solved(dec_l5, extract_compatible(dec_l5, gamma), report.iterations)
     for points in (grid, fresh):
-        want = [_hexes(scalar(q)) for q in points]
+        want = _column_hexes(scalar(nilcarnot.linalg.columns(points)), len(points))
         assert _column_hexes(c.eval(nilcarnot.linalg.columns(points)), len(points)) == want
-        # one point at a time, on a component that has evaluated no point
+        # one point per call, each on one column, on a component that has evaluated no point
         one, _ = solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
-        assert [_hexes(one.eval(q)) for q in points] == want
+        assert [_hexes(at_point(one, q)) for q in points] == want
     # points evaluated before, a repeated point, and one of them alone
     again = grid[:3] + grid[:1]
-    assert _column_hexes(c.eval(nilcarnot.linalg.columns(again)), 4) == [_hexes(c.eval(q)) for q in again]
+    assert _column_hexes(c.eval(nilcarnot.linalg.columns(again)), 4) == [_hexes(at_point(c, q)) for q in again]
 
 
 def test_conjugated_component_on_columns_gives_the_one_point_bits(dec_l5):
     """The new component of conjugate_by_shear: the chain F0^-1, gamma, F0."""
     gamma = _gamma(dec_l5)
     c, report = solve_single_generator_fixed_point(extract_compatible(dec_l5, gamma), 1)
-    # the same component, evaluated on one-point floats throughout
+    # the same component, evaluated one point at a time
     scalar = dataclasses.replace(c, eval=one_point_solved(dec_l5, extract_compatible(dec_l5, gamma), report.iterations))
 
     def new_component(component):
@@ -742,7 +749,7 @@ def test_conjugated_component_on_columns_gives_the_one_point_bits(dec_l5):
         return cocycle_of(dec_l5, compose(fiber_shear(f0.negated()), gamma, fiber_shear(f0)))[1]
 
     points = grid_points(dec_l5, count=60, seed=9, radius=4.0)  # conjugate_by_shear's grid
-    want = [_hexes(new_component(scalar).eval(q)) for q in points]
+    want = [_hexes(at_point(new_component(scalar), q)) for q in points]
     assert _column_hexes(new_component(c).eval(nilcarnot.linalg.columns(points)), 60) == want
     assert max(abs(float.fromhex(a)) for v in want for a in v) == 3.361755318564974e-13
 
@@ -753,7 +760,7 @@ def test_cocycle_action_on_columns_gives_the_one_point_bits(dec_l5):
     pair = extract_compatible(dec_l5, compose(fiber_translate(alg, translation), fiber_dilation(alg, Fraction(1, 2))))
     action = cocycle_action(dec_l5, pair, component_from_exprs(dec_l5, 1, "sin(q1)"))
     points = grid_points(dec_l5, count=100, seed=5, radius=4.0)
-    want = [_hexes(action.eval(q)) for q in points]
+    want = [_hexes(at_point(action, q)) for q in points]
     assert _column_hexes(action.eval(nilcarnot.linalg.columns(points)), 100) == want
 
 
@@ -779,7 +786,7 @@ def test_factor_chain_on_columns_gives_the_one_point_bits(dec_l5):
         extract_compatible(dec_l5, chain(ShearMap(dec_l5, {1: q1_squared}))).s_component(3),
     )
     for component in components:
-        want = [_hexes(component.eval(q)) for q in points]
+        want = [_hexes(at_point(component, q)) for q in points]
         assert _column_hexes(component.eval(nilcarnot.linalg.columns(points)), 50) == want
 
 
@@ -830,7 +837,7 @@ def test_fixed_point_solver_raises_as_one_point_at_a_time(dec_l5, monkeypatch):
             failing = _failing_cocycle(patch, dec_l5, gamma, 2.0, [], side)
             with pytest.raises(ValueError) as one:
                 for q in ((0.0,),) + grid:
-                    dec_l5.w_coords(failing.eval(q))
+                    dec_l5.w_coords(at_point(failing, q))
             with pytest.raises(ValueError) as many:
                 solve_single_generator_fixed_point(gamma, 1)
         assert str(many.value) == str(one.value)
@@ -845,9 +852,9 @@ def test_solved_component_raises_as_one_point_and_a_failed_call_keeps_no_value(d
     failing = _failing_cocycle(monkeypatch, dec_l5, gamma, 10.0, sizes)  # the solver's orbits stay within 4
     c, report = solve_single_generator_fixed_point(gamma, 1)
     with pytest.raises(ValueError, match=message) as one:
-        dec_l5.w_coords(failing.eval((bad,)))
+        dec_l5.w_coords(at_point(failing, (bad,)))
     good = [(0.5,), (-3.0,)]
-    for call in (lambda: c.eval((bad,)), lambda: c.eval(nilcarnot.linalg.columns(good + [(bad,)]))):
+    for call in (lambda: at_point(c, (bad,)), lambda: c.eval(nilcarnot.linalg.columns(good + [(bad,)]))):
         with pytest.raises(ValueError) as many:
             call()
         assert str(many.value) == str(one.value)
@@ -856,7 +863,7 @@ def test_solved_component_raises_as_one_point_and_a_failed_call_keeps_no_value(d
     sizes.clear()
     got = _column_hexes(c.eval(nilcarnot.linalg.columns(good)), 2)
     assert sizes == [2 * report.iterations]
-    assert got == [_hexes(one_point_solved(dec_l5, gamma, report.iterations)(q)) for q in good]
+    assert got == _column_hexes(one_point_solved(dec_l5, gamma, report.iterations)(nilcarnot.linalg.columns(good)), 2)
 
 
 def test_solved_component_keeps_no_value_per_point(dec_l5, monkeypatch):
@@ -868,7 +875,8 @@ def test_solved_component_keeps_no_value_per_point(dec_l5, monkeypatch):
     _failing_cocycle(monkeypatch, dec_l5, gamma, math.inf, sizes)  # records each call, never fails
     c, report = solve_single_generator_fixed_point(gamma, 1)
     seen = nilcarnot.linalg.columns(grid_points(dec_l5, count=7, seed=2, radius=3.0))
-    for q in (seen, seen, (0.5,), (0.5,)):
+    one = nilcarnot.linalg.columns([(0.5,)])
+    for q in (seen, seen, one, one):
         sizes.clear()
         c.eval(q)
         assert sizes == [np.size(q[0]) * report.iterations]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import Stalling
+from conftest import Stalling, at_point
 from hypothesis import example, given, settings, strategies as st
 
 import nilcarnot.shear
@@ -80,19 +80,19 @@ def test_lift_matches_closed_form(dec_l5, sigma_component):
     lifted = lift(dec_l5, sigma_component)
     assert lifted.layer == 3
     for p in (-8.0, -3.5, -1.0, 0.0, 0.5, 2.0, 8.0):
-        val = lifted.eval((p,))
+        val = at_point(lifted, (p,))
         assert val[5] == pytest.approx(-(2.0 / 3.0) * abs(p) ** 1.5, abs=1e-8)
 
 
 def test_lift_of_zero_is_zero(dec_l5):
     lifted = lift(dec_l5, zero_component(dec_l5, 1))
-    assert all(v == 0.0 for v in lifted.eval((3.0,)))
+    assert all(v == 0.0 for v in at_point(lifted, (3.0,)))
 
 
 def test_lift_vanishes_when_center_is_central(dec_hp4):
     comp = component_from_exprs(dec_hp4, 2, "q1")
     lifted = lift(dec_hp4, comp)
-    assert all(abs(v) < 1e-15 for v in lifted.eval((2.0,)))
+    assert all(abs(v) < 1e-15 for v in at_point(lifted, (2.0,)))
 
 
 def test_loop_test_trivial_cases(dec_l5, sigma_component):
@@ -202,7 +202,7 @@ def test_loop_test_derives_its_tolerance_and_lifts_keep_the_default(dec_multid, 
     lifted = lift(dec_multid, sigma)
     segments.clear()
     loops.clear()
-    lifted.eval((0.7, -0.4, 1.1, 0.3, -0.9))
+    lifted.eval(columns([(0.7, -0.4, 1.1, 0.3, -0.9)]))
     assert loops and {tol for _, tol in loops} == {DEFAULT_TOL}
     assert segments == _piece_tols(dec_multid, loops) and set(segments) == {DEFAULT_TOL}
     # the pairing lands in the one-dimensional layer Z_3
@@ -627,7 +627,7 @@ def test_multid_zigzag_values_are_pinned():
     lifted = lift(dec, sigma)
     want = [0.0] * 10
     want[5] = float.fromhex("-0x1.8fcfdb2b6c92ap-2")
-    assert _hexes(lifted.eval((0.7, -0.4, 1.1, 0.3, -0.9))) == _hexes(want)
+    assert _hexes(at_point(lifted, (0.7, -0.4, 1.1, 0.3, -0.9))) == _hexes(want)
     # the same integral to 1e-14, on unsplit segments (no trees)
     bare = dataclasses.replace(sigma, trees=None)
     path = horizontal_connect(dec.quotient_carnot, (0.7, -0.4, 1.1, 0.3, -0.9))
@@ -682,7 +682,7 @@ def test_batched_multid_lift_gives_the_one_point_bits(dec_multid):
     sigma = component_from_exprs(dec_multid, 1, SIGMA)
     one = lift(dec_multid, sigma)
     many = lift(dec_multid, sigma)
-    want = [_hexes(one.eval(q)) for q in points]
+    want = [_hexes(at_point(one, q)) for q in points]
     assert _column_hexes(many.eval(columns(points + points[:3])), 23) == want + want[:3]
 
 
@@ -697,7 +697,7 @@ def test_negated_lift_keeps_its_many_point_form(dec_l5):
     # takes columns, with the bits of one point at a time
     points = [(x,) for x in (0.0, 2.5, -1.25, 2.5, 7.0, -0.5, 3.75)]
     one, many = _sigma_shear(dec_l5).negated(), _sigma_shear(dec_l5).negated()
-    want = [_hexes(one.components[3].eval(q)) for q in points]
+    want = [_hexes(at_point(one.components[3], q)) for q in points]
     assert _column_hexes(many.components[3].eval(columns(points)), 7) == want
     assert _column_hexes(many.s_value(columns(points)), 7) == [_hexes(one.s_value(q)) for q in points]
     assert one.s_value((2.5,)) == vneg(_sigma_shear(dec_l5).s_value((2.5,)))
@@ -789,9 +789,10 @@ HOLDER_OFF_GRID = "sqrt(abs(q1-1))"
 
 
 def _lift_hexes(lifted, qs, form):
-    """The lift at the points qs: one call per point, or one call on their columns."""
+    """The lift at the points qs: one call per point, each on one column, or
+    one call on their columns."""
     if form == "point":
-        return [_hexes(lifted.eval(q)) for q in qs]
+        return [_hexes(at_point(lifted, q)) for q in qs]
     return _column_hexes(lifted.eval(columns(qs)), len(qs))
 
 
@@ -799,7 +800,7 @@ def _lift_hexes(lifted, qs, form):
 @pytest.mark.parametrize("expr", [SIGMA, HOLDER_OFF_GRID])
 def test_a_1d_lift_value_does_not_depend_on_the_points_asked_before(dec_l5, expr, form):
     first, after = (lift(dec_l5, component_from_exprs(dec_l5, 1, expr)) for _ in range(2))
-    _lift_hexes(after, [(1.7,)], form)
+    _lift_hexes(after, [(1.7,), (-2.2,)], form)
     assert _lift_hexes(first, [(3.3,)], form) == _lift_hexes(after, [(3.3,)], form)
 
 
@@ -831,8 +832,8 @@ def _zigzag_lift(dec, component, x):
 def test_the_1d_lift_gives_the_bits_of_its_zigzag_path(dec_l5):
     """Each point is the one segment of its zigzag path from 0, so the lift
     has the bits of integrating that path: at signed zeros, near 0, far
-    out and at a point repeated within one call; one point at a time, and
-    as columns."""
+    out and at a point repeated within one call; one point per call, and
+    all points in one call."""
     near = [0.0, -0.0, 1e-13, -3e-15, 1.25, -0.875, 2.7, 2.7, -0.875, 1.3, -1e-13, 1.125, -2.75]
     cases = ((SIGMA, near + [1e8, -1e8]), (HOLDER_OFF_GRID, near + [1e8]), ("q1", near[:6] + [1e8, -1e8] + near[6:] + [-1e8]))
     for expr, xs in cases:
@@ -847,7 +848,7 @@ def test_the_1d_lift_gives_the_bits_of_its_zigzag_path(dec_l5):
     with pytest.raises(QuadratureError) as path:
         _zigzag_lift(dec_l5, component, -1e8)
     with pytest.raises(QuadratureError) as lifted:
-        lift(dec_l5, component).eval((-1e8,))
+        lift(dec_l5, component).eval(columns([(-1e8,)]))
     assert str(lifted.value) == str(path.value)
 
 
@@ -872,7 +873,7 @@ def test_a_1d_lift_of_sin_raises_at_1000(dec_l5):
     # one segment from 0 to 1000 holds 159 periods, which DEFAULT_TOL cannot
     # meet within MAX_EVALS; the lift raises instead of answering
     with pytest.raises(QuadratureError):
-        lift(dec_l5, component_from_exprs(dec_l5, 1, "sin(q1)")).eval((1000.0,))
+        lift(dec_l5, component_from_exprs(dec_l5, 1, "sin(q1)")).eval(columns([(1000.0,)]))
 
 
 @pytest.mark.xfail(
@@ -887,7 +888,7 @@ def test_a_1d_lift_of_sin_kq_meets_its_tolerance_or_raises(dec_l5, k, q):
     # the lift of sin(k*q1) is (cos(k*q) - 1)/k; a miss raises in about 0.6 s
     lifted = lift(dec_l5, component_from_exprs(dec_l5, 1, f"sin({k!r}*q1)"))
     try:
-        value = lifted.eval((q,))[5]
+        value = at_point(lifted, (q,))[5]
     except QuadratureError:
         return
     assert abs(value - (math.cos(k * q) - 1.0) / k) <= DEFAULT_TOL
