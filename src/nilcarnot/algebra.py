@@ -548,12 +548,6 @@ def subalgebra_generated(alg: GradedAlgebra, seed: Subspace) -> Subspace:
         current = nxt
 
 
-def is_subalgebra(alg: GradedAlgebra, s: Subspace) -> bool:
-    return all(
-        s.contains(bracket(alg, a, b)) for a in s.rows for b in s.rows
-    )
-
-
 def is_ideal(alg: GradedAlgebra, s: Subspace) -> bool:
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
     return all(s.contains(bracket(alg, b, row)) for b in basis for row in s.rows)
@@ -565,27 +559,22 @@ def center(alg: GradedAlgebra, s: Subspace):
     Returns (Subspace, {weight: Subspace}).  The center of a graded
     subalgebra is graded, so each kernel vector is split into its weight
     components before assembling the slices; gradedness of s is what
-    makes the split stay central.
+    makes the split stay central.  Each pair of rows is bracketed once:
+    the same brackets test that s is closed and build the kernel matrix.
     """
-    if not is_subalgebra(alg, s):
-        raise ValueError("center requires a bracket-closed subspace")
+    # x = sum c_i row_i with [x, row_j] = 0 for all j
+    cols = []
+    for row in s.rows:
+        brackets = [bracket(alg, row, other) for other in s.rows]
+        if not all(s.contains(v) for v in brackets):
+            raise ValueError("center requires a bracket-closed subspace")
+        cols.append(tuple(a for v in brackets for a in v))
     if not is_graded_subspace(alg, s):
         raise ValueError("center requires a graded subspace")
     if s.rank == 0:
         return s, {}
-    # x = sum c_i row_i with [x, row_j] = 0 for all j
-    cols = []
-    for i, row in enumerate(s.rows):
-        stacked = []
-        for other in s.rows:
-            stacked.extend(bracket(alg, row, other))
-        cols.append(tuple(stacked))
     # kernel of the matrix whose columns are the stacked brackets
-    matrix_rows = tuple(zip(*cols)) if cols else ()
-    coeff_kernel = kernel_basis(matrix_rows) if matrix_rows else tuple(
-        linalg.identity_matrix(s.rank)
-    )
-    vectors = [s.embed(coeffs) for coeffs in coeff_kernel]
+    vectors = [s.embed(coeffs) for coeffs in kernel_basis(tuple(zip(*cols)))]
     # graded split
     split = []
     for v in vectors:

@@ -271,7 +271,8 @@ def cmd_shear(args) -> int:
             samples=args.samples,
             seed=args.seed,
         )
-        necessity = necessity_check(dec, smap, seed=args.seed, count=max(50, args.samples // 30))
+        radii = (args.radius / 10, args.radius, 10 * args.radius)
+        necessity = necessity_check(dec, smap, seed=args.seed, count=max(50, args.samples // 30), radii=radii)
         report.add(
             "necessity_ratios",
             "estimate",

@@ -365,9 +365,10 @@ def necessity_check(
 
     Basepoints are drawn in balls of each radius; the second point sits
     at a unit-scale offset so that growth of the ratios with the radius
-    is visible.  The quotient Carnot metric is replaced by the quotient
-    quasi-norm distance (flagged in the report).  Raises ``ValueError``
-    when ``count`` is below 1 or a radius skipped every pair.
+    is visible; ``shear --verify --radius R`` passes R/10, R and 10 R,
+    the defaults at R = 10.  The quotient Carnot metric is replaced by
+    the quotient quasi-norm distance (flagged in the report).  Raises
+    ``ValueError`` when ``count`` is below 1 or a radius skipped every pair.
     """
     qc = dec.quotient_carnot
     alpha = float(dec.alpha)

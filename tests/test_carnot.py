@@ -52,8 +52,21 @@ def test_decompose_carnot_type_error():
 
 
 def test_decompose_invariants(dec_eh7, dec_l5):
-    for dec in (dec_eh7, dec_l5):
+    for dec in (dec_eh7, dec_l5, *DECS.values()):
         alg = dec.base
+        basis = [alg.basis_vector(i) for i in range(alg.dim)]
+        # w is a graded ideal: each RREF row has the weight k * lambda1 of its pivot
+        for row, p in zip(dec.w.rows, dec.w.pivots):
+            assert {alg.weights[i] for i, a in enumerate(row) if a != 0} == {alg.weights[p]}
+            assert (alg.weights[p] / dec.lambda1).denominator == 1
+        assert all(dec.w.contains(bracket(alg, e, row)) for e in basis for row in dec.w.rows)
+        # [Z(w), n] lies in Z(w)
+        assert all(dec.center_w.contains(bracket(alg, e, row)) for e in basis for row in dec.center_w.rows)
+        # the layers of p_alpha at weight alpha * lambda1 are central in it
+        if dec.alpha_is_integer:
+            qalg, keep, proj = dec.p_alpha
+            top = [proj(basis[i]) for i in keep if alg.weights[i] == dec.alpha * dec.lambda1]
+            assert all(is_zero(bracket(qalg, v, qalg.basis_vector(t))) for v in top for t in range(qalg.dim))
         # n = w + H as coordinates, projection restricted to H bijective
         assert dec.w.rank + dec.transversal.rank == alg.dim
         for i, row in enumerate(dec.transversal.rows):
@@ -63,6 +76,7 @@ def test_decompose_invariants(dec_eh7, dec_l5):
         assert min(dec.quotient.weights) > dec.lambda1
         # W_{j+1} = [W_1, W_j] exactly
         wa = dec.w_algebra
+        assert is_carnot(wa)
         layers = {}
         for i in range(wa.dim):
             layers.setdefault(int(wa.weights[i]), []).append(wa.basis_vector(i))

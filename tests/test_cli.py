@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -69,6 +70,26 @@ def test_classify_invalid_algebra_reports_failure(tmp_path, capsys):
     code, report = run_cli(capsys, "classify", "--algebra", str(path))
     assert code == 1
     assert report["classification"] == "invalid"
+
+
+@pytest.mark.parametrize(
+    "weights, brackets, message",
+    [
+        ([1, 2, 3], [[0, 1, 2, 1, 1]], "the generated subalgebra is not an ideal"),
+        ([1, 2, 3], [], "the induced derivation is not a multiple of a Carnot derivation"),
+        ([1, 2, 4], [], "the quotient is not a Carnot algebra"),
+    ],
+)
+def test_classify_reports_each_decomposition_failure(tmp_path, capsys, weights, brackets, message):
+    # w = span(x): [y, x] = -z leaves it; then quotient weights 2, 3 and 2, 4 (abelian, not generated by y)
+    path = tmp_path / "algebra.json"
+    path.write_text(
+        json.dumps({"dim": 3, "labels": ["x", "y", "z"], "weights": [[w, 1] for w in weights], "brackets": brackets})
+    )
+    code, report = run_cli(capsys, "classify", "--algebra", str(path))
+    assert code == 1
+    assert report["classification"] == "not-carnot-by-carnot"
+    assert report["checks"][-1] == {"name": "decompose", "status": "fail", "value": message}
 
 
 def test_shear_report_matches_lift_values(capsys):
@@ -451,6 +472,17 @@ def test_failing_input_exits_2_with_one_line_message(capsys, multid_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_necessity_radii_follow_the_radius(capsys):
+    # at --radius 1 the necessity check probes 0.1, 1 and 10, never the far sin(2*q1) lift at radius 100
+    code, report = run_cli(
+        capsys, "shear", "--fixture", "ladder5", "--component", "1=sin(2*q1)", "--verify", "--radius", "1",
+        "--samples", "30", "--seed", "42",
+    )
+    assert code == 0
+    ratios = next(c for c in report["checks"] if c["name"] == "necessity_ratios")["value"]
+    assert list(ratios) == ["0.1", "1.0", "10.0"]
+
+
 def test_radius_past_the_float_range_names_the_dilation(capsys):
     """At radius 1e160 the quasi-norm of a sample is finite, but a layer-3
     coordinate would be about 1e480: the dilation that samples it says so."""
@@ -592,6 +624,61 @@ def test_the_cocycle_checks_fail_on_an_action_off_by_1_percent(capsys, monkeypat
     got, report = run_cli(capsys, *CASES[golden], "--seed", "42")
     check = next(c for c in report["checks"] if c["name"] == name)
     assert got == 1 and check["status"] == "fail" and check["value"] == pytest.approx(defect, rel=0.01)
+
+
+@pytest.mark.parametrize("shift, code, status", [(0.0, 0, "pass"), (1e-6, 1, "fail")])
+@pytest.mark.parametrize("coordinate, name, defect", [(0, "s_central", 1e-6), (2, "reconstruction", 1.22e-5)])
+def test_the_compatible_checks_fail_on_s_shifted_by_1e_6(
+    capsys, monkeypatch, shift, code, status, coordinate, name, defect
+):
+    # on ladder5 coordinate 0 lies in w outside its center, coordinate 2 in the center
+    import nilcarnot.cli
+
+    extract = nilcarnot.cli.extract_compatible
+
+    def shifted(dec, chain):
+        expr = extract(dec, chain)
+        s_eval = expr.s_eval
+        moved = lambda q: tuple(a + shift if i == coordinate else a for i, a in enumerate(s_eval(q)))
+        return dataclasses.replace(expr, s_eval=moved)
+
+    monkeypatch.setattr(nilcarnot.cli, "extract_compatible", shifted)
+    got, report = run_cli(capsys, *CASES["maps_compatible_ladder5"], "--seed", "42")
+    names = {c["name"]: c for c in report["checks"]}
+    assert got == code and names[name]["status"] == status
+    if shift:
+        assert names[name]["value"] == pytest.approx(defect, rel=0.01)
+    if coordinate == 2:  # s stays in Z(w)
+        assert names["s_central"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("factor, code, status", [(1.0, 0, "pass"), (1.01, 1, "fail")])
+def test_closed_vs_fd_fails_on_a_directional_derivative_off_by_1_percent(capsys, monkeypatch, factor, code, status):
+    # the closed form's component derivative scaled by factor; the finite difference does not use it
+    import nilcarnot.maps
+
+    directional = nilcarnot.maps._component_directional
+    monkeypatch.setattr(nilcarnot.maps, "_component_directional", lambda *a: tuple(factor * x for x in directional(*a)))
+    got, report = run_cli(capsys, *CASES["maps_dalpha_heisprod4"], "--seed", "42")
+    (check,) = report["checks"]
+    assert got == code and check["name"] == "closed_vs_fd" and check["status"] == status
+    if factor != 1.0:
+        assert check["value"] == pytest.approx(5.0e-3, rel=0.01)
+
+
+@pytest.mark.parametrize("factor, code, status", [(1.0, 0, "pass"), (1.01, 1, "fail")])
+def test_chain_rule_fails_on_a_composite_differential_off_by_1_percent(capsys, monkeypatch, factor, code, status):
+    # only the composite's chain has two factors: D(F o G)(p) scaled by factor, D F and D G as they are
+    import nilcarnot.maps
+
+    d_alpha_matrix = nilcarnot.maps.d_alpha_matrix
+    scaled = lambda expr, p: d_alpha_matrix(expr, p) * (factor if len(expr.fmap.factors) > 1 else 1.0)
+    monkeypatch.setattr(nilcarnot.maps, "d_alpha_matrix", scaled)
+    got, report = run_cli(capsys, *CASES["maps_chain_heisprod4"], "--seed", "42")
+    (check,) = report["checks"]
+    assert got == code and check["name"] == "chain_rule" and check["status"] == status
+    if factor != 1.0:
+        assert check["value"] == pytest.approx(1.16e-2, rel=0.01)
 
 
 def test_maps_conjugate_solves_where_a_power_past_the_stop_overflows(capsys):

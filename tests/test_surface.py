@@ -24,7 +24,8 @@ on its rows (``Subspace.embed`` and ``Subspace.residual``): outside
 Every top-level function and class is named somewhere outside its own
 definition and ``__init__.py``, as a bare name, an imported name or an
 attribute, in src/, tests/ or perfbench/: a name that only the package's
-export list mentions is code that no caller needs.
+export list mentions is code that no caller needs.  Every name a module
+imports is used in that module, or imported from it by ``__init__.py``.
 """
 
 import ast
@@ -233,4 +234,28 @@ def test_every_top_level_name_is_used():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if mentions[node.name] == _mentions(node)[node.name]:
                     unused.append(f"{path.name}:{node.name}")
+    assert unused == []
+
+
+def _imported_names(tree):
+    """(module, bound name) of each import, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.module, a.asname or a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((None, a.asname or a.name.partition(".")[0]) for a in node.names)
+
+
+def test_every_imported_name_is_used():
+    package = ast.parse((ROOT / "src" / "nilcarnot" / "__init__.py").read_text(encoding="utf-8"))
+    reexported = set(_imported_names(package))
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for _, name in _imported_names(tree):
+            if name not in used and (path.stem, name) not in reexported:
+                unused.append(f"{path.name}: {name}")
     assert unused == []
