@@ -67,18 +67,27 @@ class HorizontalPath:
 
     Each segment is (direction, duration) with the direction in the
     first layer; the endpoint is start * prod exp(duration * direction).
+    ``starts`` holds the float start point of each segment: the start,
+    then each start times its segment's step.  The maker of a path
+    passes the starts it formed on the way; otherwise they are walked
+    here, once.
     """
 
     alg: GradedAlgebra
     start: tuple
     segments: tuple
+    starts: tuple = None
+
+    def __post_init__(self):
+        if self.starts is None:
+            object.__setattr__(self, "starts", _walk(self.alg, self.start, self.segments))
 
     @cached_property
     def endpoint(self):
-        pos = self.start
-        for direction, duration in self.segments:
-            pos = bch(self.alg, pos, vscale(duration, direction))
-        return pos
+        if not self.segments:
+            return as_float(self.start)
+        direction, duration = self.segments[-1]
+        return bch(self.alg, self.starts[-1], vscale(float(duration), as_float(direction)))
 
     @property
     def segment_count(self):
@@ -90,6 +99,21 @@ class HorizontalPath:
         for direction, duration in self.segments:
             total += duration * math.sqrt(sum(float(d) ** 2 for d in direction))
         return total
+
+    def then(self, segments):
+        """This path followed by the tuple ``segments``, whose starts are walked on from its endpoint."""
+        return HorizontalPath(
+            self.alg, self.start, self.segments + segments, self.starts + _walk(self.alg, self.endpoint, segments)
+        )
+
+
+def _walk(alg, start, segments):
+    """The float start of each of ``segments`` from ``start``: one product
+    per segment after the first."""
+    starts = [as_float(start)] if segments else []
+    for direction, duration in segments[:-1]:
+        starts.append(bch(alg, starts[-1], vscale(float(duration), as_float(direction))))
+    return tuple(starts)
 
 
 def _word_segments(alg, word, t):
@@ -122,12 +146,13 @@ def horizontal_connect(alg: GradedAlgebra, g) -> HorizontalPath:
         raise ValueError("target must be finite")
     skip = 1e-13 * max(1.0, max(abs(a) for a in gf))
 
-    segments = []
+    segments, starts = [], []
     endpoint = (0.0,) * alg.dim
 
     def push(direction, duration):
         nonlocal endpoint
         segments.append((direction, duration))
+        starts.append(endpoint)
         endpoint = bch(alg, endpoint, vscale(duration, direction))
 
     v1 = tuple(gf[i] if layers[i] == 1 else 0.0 for i in range(alg.dim))
@@ -159,7 +184,7 @@ def horizontal_connect(alg: GradedAlgebra, g) -> HorizontalPath:
     miss = linalg.max_gap(relative, (0.0,) * alg.dim)
     if miss > 1e-9:
         raise ZigzagError(f"endpoint residual {miss:.3e} in units max(1, rho)**layer exceeds 1e-9")
-    return HorizontalPath(alg, (0.0,) * alg.dim, tuple(segments))
+    return HorizontalPath(alg, (0.0,) * alg.dim, tuple(segments), tuple(starts))
 
 
 def cc_upper_bound(alg: GradedAlgebra, g) -> float:
@@ -438,8 +463,8 @@ def integrate_bracket_forms(dec: CbCDecomposition, component, jobs):
     for n, (path, tol) in enumerate(jobs):
         if path.alg is not qc and path.alg != qc:
             raise ValueError("path must live in the Carnot-renormalized quotient")
-        for segment in _segments(dec, path):
-            segments.append((*segment, tol))
+        for start, (direction, duration) in zip(path.starts, path.segments):
+            segments.append((start, as_float(direction), float(duration), tol))
             owners.append(n)
     starts, directions, durations, tols = zip(*segments) if segments else ((),) * 4
     pieces = integrate_bracket_segments(
@@ -592,19 +617,6 @@ def _graded(x, lo, hi, head, tail):
     t = np.where(both, lo + size * (x * x * (3.0 - 2.0 * x)), np.where(head, lo + size * (x * x), hi - size * (y * y)))
     dt = size * np.where(both, 6.0 * x * y, np.where(head, 2.0 * x, 2.0 * y))
     return np.where(plain, x, t), np.where(plain, 1.0, dt)
-
-
-def _segments(dec, path):
-    """(start, direction, duration) per segment, as floats; the start of
-    a segment is the product of the one before it with its step, made
-    only when another segment follows."""
-    pos, last = as_float(path.start), path.segment_count - 1
-    for n, (direction, duration) in enumerate(path.segments):
-        direction = as_float(direction)
-        duration = float(duration)
-        yield pos, direction, duration
-        if n < last:
-            pos = bch(dec.quotient_carnot, pos, vscale(duration, direction))
 
 
 def _check_nodes(zj, j, points, vals):

@@ -148,7 +148,7 @@ def loop_test_membership(
     ``bound = 1e-8 * length``; each of its segments is integrated
     to ``bound / (10 * segments)``, a tenth of the bound in all, at any
     loop scale (lifts keep ``DEFAULT_TOL``).  All loops are built first,
-    then every segment of every loop is integrated in lockstep by one
+    then every segment of every loop is integrated at once by one
     ``integrate_bracket_forms`` call; a segment across a root of the
     component's kinks (``exprlang.kinks`` of its trees, in the
     first-layer coordinates) is split there and graded toward it, its
@@ -179,15 +179,10 @@ def loop_test_membership(
             continue
         d1 = tuple(a / n1 for a in dir1)
         d2 = tuple(a / n2 for a in dir2)
-        segs = [(d1, t), (d2, t), (vneg(d1), t), (vneg(d2), t)]
-        pos = base
-        for direction, duration in segs:
-            pos = bch(qc, pos, vscale(duration, direction))
+        rectangle = HorizontalPath(qc, base, ((d1, t), (d2, t), (vneg(d1), t), (vneg(d2), t)))
         # close the rectangle word back to the basepoint
-        rel = bch(qc, vneg(pos), base)
-        closing = horizontal_connect(qc, rel)
-        segs.extend(closing.segments)
-        loops.append(HorizontalPath(qc, base, tuple(segs)))
+        closing = horizontal_connect(qc, bch(qc, vneg(rectangle.endpoint), base))
+        loops.append(rectangle.then(closing.segments))
     bounds = [1e-8 * loop.length for loop in loops]
     values = integrate_bracket_forms(
         dec, component, [(loop, bound / (10 * loop.segment_count)) for loop, bound in zip(loops, bounds)]
@@ -323,8 +318,8 @@ def lift_coherence(smap: ShearMap, qs, values):
     paths = []
     for q in qs:
         mid = dilate(qc, 0.5, q)
-        segments = horizontal_connect(qc, mid).segments + horizontal_connect(qc, bch(qc, vneg(mid), q)).segments
-        paths.append((HorizontalPath(qc, (0.0,) * qc.dim, segments), DEFAULT_TOL))
+        rest = horizontal_connect(qc, bch(qc, vneg(mid), q))
+        paths.append((horizontal_connect(qc, mid).then(rest.segments), DEFAULT_TOL))
     gap, scale = 0.0, 1.0
     for layer, j in sorted(below.items()):
         second = integrate_bracket_forms(dec, smap.components[j], paths)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import at_point
 from hypothesis import given, settings, strategies as st
+from polyoracle import walked_starts
 
 from nilcarnot import linalg
 from nilcarnot.algebra import GradedAlgebra, bracket, subspace, validate_algebra
@@ -448,7 +449,7 @@ def test_sigma_along_a_segment_through_its_holder_point_meets_the_closed_form(
 
 
 def test_a_path_alone_gives_the_bits_it_gets_inside_a_batch():
-    """Each path's processes run on their own nodes: one path alone, as
+    """Each path's jobs run on their own nodes: one path alone, as
     ``integrate_bracket_form`` or a batch of one, gets the bits it gets
     among others, zero-length segments and a segmentless path included."""
     import nilcarnot.carnot
@@ -471,22 +472,48 @@ def test_a_path_alone_gives_the_bits_it_gets_inside_a_batch():
 
 
 def test_each_path_costs_one_start_product_per_segment_after_the_first(monkeypatch):
-    # no product is made past the last segment of a path
+    # the products are made where the path is made, and none past its last
+    # segment; integrating reads the path's starts and makes none
     import nilcarnot.carnot
 
     dec = decompose(direct_product(ladder5(), engel4(), 2))
     qc = dec.quotient_carnot
     component = component_from_exprs(dec, 1, "q1")
-    paths = [
-        horizontal_connect(qc, (1.2, -0.5, 0.8, 0.6, -0.3)),
-        HorizontalPath(qc, (0.5, 0.1, -0.2, 0.0, 0.3), (((0.0, 0.6, 0.8, 0.0, 0.0), 1.5),)),
-    ]
     calls = []
     monkeypatch.setattr(nilcarnot.carnot, "bch", lambda *args: calls.append(args) or bch(*args))
-    for path in paths:
+    for start, segments in [
+        ((0.0,) * 5, horizontal_connect(qc, (1.2, -0.5, 0.8, 0.6, -0.3)).segments),
+        ((0.5, 0.1, -0.2, 0.0, 0.3), (((0.0, 0.6, 0.8, 0.0, 0.0), 1.5),)),
+    ]:
+        calls.clear()
+        path = HorizontalPath(qc, start, segments)
+        assert len(calls) == path.segment_count - 1
         calls.clear()
         integrate_bracket_forms(dec, component, [(path, 1e-10)])
-        assert len(calls) == path.segment_count - 1
+        assert calls == []
+
+
+def test_a_path_keeps_the_starts_that_walking_it_gives(monkeypatch):
+    """The starts a zigzag path, a loop-test loop and a coherence second path
+    keep from where they were made are the bits of walking the path anew."""
+    import nilcarnot.shear
+    from nilcarnot.shear import build_shear, lift_coherence, loop_test_membership
+
+    dec = decompose(direct_product(ladder5(), engel4(), 2))
+    qc = dec.quotient_carnot
+    paths = [horizontal_connect(qc, (1.2, -0.5, 0.8, 0.6, -0.3)), horizontal_connect(qc, (0.0, 0.0, 0.0, 0.0, 0.7))]
+    forms = nilcarnot.shear.integrate_bracket_forms
+    recorded = lambda d, c, jobs: paths.extend(p for p, _ in jobs) or forms(d, c, jobs)
+    monkeypatch.setattr(nilcarnot.shear, "integrate_bracket_forms", recorded)
+    sigma = component_from_exprs(dec, 1, "sign(q1)*sqrt(abs(q1))")
+    loop_test_membership(dec, sigma)
+    smap = build_shear(dec, {1: sigma})
+    qs = [(0.7, -0.4, 1.1, 0.3, -0.9), (-1.5, 0.2, 0.4, -0.8, 1.3)]
+    lift_coherence(smap, qs, {3: smap.components[3].eval(linalg.columns(qs))})
+    assert len(paths) > 2 + 24 + 2
+    for path in paths:
+        assert len(path.starts) == path.segment_count
+        assert [[a.hex() for a in p] for p in path.starts] == [[a.hex() for a in p] for p in walked_starts(path)]
 
 
 def test_p_alpha_ladder5(dec_l5):

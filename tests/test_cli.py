@@ -652,6 +652,51 @@ def test_the_compatible_checks_fail_on_s_shifted_by_1e_6(
         assert names["s_central"]["status"] == "pass"
 
 
+def _with_b_entry(expr, row, change):
+    """The expression with ``change`` applied to entry ``row`` of the first column of B."""
+    column = list(expr.b_matrix[0])
+    column[row] = change(column[row])
+    return dataclasses.replace(expr, b_matrix=(tuple(column), *expr.b_matrix[1:]))
+
+
+# ladder5's transversal is coordinate 4 (weight 2); B h4 gains weight-1
+# coordinate 0 of w, which the projection drops, or doubles its own
+# coordinate, which keeps its weight and moves its projection
+@pytest.mark.parametrize("name, row, change", [
+    ("b_graded", 0, lambda a: a + 1),
+    ("b_projects_to_quotient", 4, lambda a: 2 * a),
+])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_the_b_checks_fail_on_a_perturbed_b_matrix(capsys, monkeypatch, name, row, change, perturbed):
+    import nilcarnot.cli
+
+    extract = nilcarnot.cli.extract_compatible
+    if perturbed:
+        perturbed_b = lambda dec, chain: _with_b_entry(extract(dec, chain), row, change)
+        monkeypatch.setattr(nilcarnot.cli, "extract_compatible", perturbed_b)
+    got, report = run_cli(capsys, *CASES["maps_compatible_ladder5"], "--seed", "42")
+    names = {c["name"]: c["status"] for c in report["checks"]}
+    assert got == (1 if perturbed else 0) and names[name] == ("fail" if perturbed else "pass")
+    other = {"b_graded": "b_projects_to_quotient", "b_projects_to_quotient": "b_graded"}[name]
+    assert names[other] == "pass"
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_same_b_at_p_fails_when_a_conjugated_chain_reads_another_b(capsys, monkeypatch, perturbed):
+    # the CLI reads B off the chain through cli.extract_compatible; the check
+    # reads it off each conjugated chain through maps.extract_compatible
+    import nilcarnot.maps
+
+    extract = nilcarnot.maps.extract_compatible
+    if perturbed:
+        perturbed_b = lambda dec, chain: _with_b_entry(extract(dec, chain), 4, lambda a: 2 * a)
+        monkeypatch.setattr(nilcarnot.maps, "extract_compatible", perturbed_b)
+    got, report = run_cli(capsys, *CASES["maps_compatible_ladder5"], "--seed", "42")
+    names = {c["name"]: c["status"] for c in report["checks"]}
+    assert got == (1 if perturbed else 0) and names["same_b_at_p"] == ("fail" if perturbed else "pass")
+    assert all(status == "pass" for n, status in names.items() if n != "same_b_at_p")
+
+
 @pytest.mark.parametrize("factor, code, status", [(1.0, 0, "pass"), (1.01, 1, "fail")])
 def test_closed_vs_fd_fails_on_a_directional_derivative_off_by_1_percent(capsys, monkeypatch, factor, code, status):
     # the closed form's component derivative scaled by factor; the finite difference does not use it

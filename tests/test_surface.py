@@ -16,8 +16,8 @@ of the bracket and BCH kernels, of the ``LinearMap`` kernels and of the
 expression trees, and entry types are tested for float in
 ``linalg.scalar_mode``, which decides every vector's scalar mode, and in
 ``linalg.as_exact``, which checks that a float converts to a rational
-without loss.  The adaptive Simpson algorithm is written once: only
-``quadrature._process`` calls ``heapq``.  A subspace does the arithmetic
+without loss.  No module calls ``heapq``: the adaptive quadrature holds
+its intervals in arrays and picks them per round.  A subspace does the arithmetic
 on its rows (``Subspace.embed`` and ``Subspace.residual``): outside
 ``algebra`` and ``linalg`` no loop runs over rows zipped with pivots.
 
@@ -152,14 +152,15 @@ def test_exec_runs_only_in_the_kernel_generator():
     assert _sites(calls_exec) == ["algebra.py:compile_source"]
 
 
-def test_heapq_runs_only_in_the_quadrature_process():
-    def calls_heapq(node):
+def test_no_module_calls_heapq():
+    def uses_heapq(node):
         func = getattr(node, "func", None)
-        return isinstance(node, ast.Call) and (
+        imported = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+        return "heapq" in imported + [getattr(node, "module", None)] or isinstance(node, ast.Call) and (
             getattr(getattr(func, "value", None), "id", None) == "heapq" or getattr(func, "id", "").startswith("heap")
         )
 
-    assert sorted(set(_sites(calls_heapq))) == ["quadrature.py:_process"]
+    assert _sites(uses_heapq) == []
 
 
 def _loops_over_rows_and_pivots(node):
